@@ -56,6 +56,6 @@ from .pricing import (
     risk_loading_per_policy,
 )
 from .reference import DiscrepancyReport, compare_with_reference, load_errata, verify_table
-from .tables import Table, TableRequest, build_table, generate_table, write_table
+from .tables import Table, TableRequest, build_table, write_table
 
 __version__ = "0.1.0"

@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Subcommands: dist, loading, sweep, table, simulate, verify, converge.
-Exit codes: 0 on success, 1 on verification failure, 2 on usage errors.
+table and verify build their TableRequest the same way, from --mc and the
+simulation flags; sweep fills in a custom request from the model and grid
+flags.  Exit codes: 0 on success, 1 on verification or computation failure,
+2 on usage errors.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .measures import MeasureKind, RiskMeasureSpec, TvarConvention
-from .models import ModelKind, ModelSpec, PortfolioParams, SupportLimitError
+from .models import ModelKind, ModelSpec, PortfolioParams
 from .montecarlo import (
     DEFAULT_BLOCK_SIZE,
     DEFAULT_SEED,
@@ -54,9 +57,12 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
 
 def _model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", choices=sorted(_MODEL_KINDS), default="iid")
-    parser.add_argument("--N", type=int, default=1, help="number of policies")
     parser.add_argument("--p", type=float, default=DEFAULT_P, help="normal-state loss probability")
     parser.add_argument("--q", type=float, default=DEFAULT_Q, help="crisis-state loss probability")
+
+
+def _portfolio_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--N", type=int, default=1, help="number of policies")
     parser.add_argument("--ptilde", type=float, default=0.0, help="crisis occurrence probability")
 
 
@@ -65,6 +71,26 @@ def _sim_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE)
     parser.add_argument("--workers", type=int, default=1)
+
+
+def _request_flags(parser: argparse.ArgumentParser) -> None:
+    _sim_flags(parser)
+    parser.add_argument(
+        "--mc", action="store_true", help="simulate the loading grids T2-T4 instead of exact"
+    )
+
+
+def _table_request(args, table_id: str, **fields) -> TableRequest:
+    """A named table's request, from --mc and the simulation flags."""
+    return TableRequest(
+        table_id=table_id,
+        mc=args.mc,
+        sims=args.sims,
+        seed=args.seed,
+        block_size=args.block_size,
+        workers=args.workers,
+        **fields,
+    )
 
 
 def _params(args) -> PortfolioParams:
@@ -145,17 +171,15 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _check_sweep_grids(parser: argparse.ArgumentParser, args) -> None:
+    """A probability grid that the chosen model has no axis for is a usage error."""
+    flag, grid = ("--ptilde-grid", args.ptilde_grid) if args.model == "iid" else ("--p-grid", args.p_grid)
+    if grid is not None:
+        parser.error(f"sweep: {flag} does not apply to --model {args.model}")
+
+
 def _cmd_table(args) -> int:
-    req = TableRequest(
-        table_id=args.id,
-        params=_params(args),
-        mc=args.mc,
-        sims=args.sims,
-        seed=args.seed,
-        block_size=args.block_size,
-        workers=args.workers,
-    )
-    _emit(build_table(req), args)
+    _emit(build_table(_table_request(args, args.id, params=_params(args))), args)
     return 0
 
 
@@ -173,8 +197,7 @@ def _cmd_verify(args) -> int:
     errata = load_errata()
     failed = False
     for tid in ids:
-        req = TableRequest(table_id=tid, seed=args.seed, workers=args.workers)
-        report = compare_with_reference(build_table(req), tid)
+        report = compare_with_reference(build_table(_table_request(args, tid)), tid)
         unexpected = report.unexpected(errata)
         documented = [c for c in report.flagged if c not in unexpected]
         print(
@@ -219,11 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist = sub.add_parser("dist", help="emit the exact pmf/cdf of a model")
     _common_flags(p_dist)
     _model_flags(p_dist)
+    _portfolio_flags(p_dist)
     p_dist.set_defaults(fn=_cmd_dist)
 
     p_load = sub.add_parser("loading", help="one risk loading per policy")
     _common_flags(p_load)
     _model_flags(p_load)
+    _portfolio_flags(p_load)
     _sim_flags(p_load)
     p_load.add_argument("--measure", choices=("var", "tvar"), default="var")
     p_load.add_argument(
@@ -232,7 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_load.add_argument("--source", choices=("exact", "mc"), default="exact")
     p_load.set_defaults(fn=_cmd_loading)
 
-    p_sweep = sub.add_parser("sweep", help="loading grid over N and a probability grid")
+    # Without abbreviations, so the single-portfolio flags --N and --ptilde
+    # are rejected rather than read as --N-grid and --ptilde-grid.
+    p_sweep = sub.add_parser(
+        "sweep", help="loading grid over N and a probability grid", allow_abbrev=False
+    )
     _common_flags(p_sweep)
     _model_flags(p_sweep)
     p_sweep.add_argument("--N-grid", type=_int_grid, default=None, dest="N_grid")
@@ -242,26 +271,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="regenerate a reference table")
     _common_flags(p_table)
-    _sim_flags(p_table)
+    _request_flags(p_table)
     p_table.add_argument("--id", choices=TABLE_IDS, required=True)
-    p_table.add_argument("--mc", action="store_true", help="Monte Carlo mode for T4")
     p_table.set_defaults(fn=_cmd_table)
 
     p_sim = sub.add_parser("simulate", help="simulate a loss histogram")
     _common_flags(p_sim)
     _model_flags(p_sim)
+    _portfolio_flags(p_sim)
     _sim_flags(p_sim)
     p_sim.set_defaults(fn=_cmd_simulate)
 
     p_verify = sub.add_parser("verify", help="regenerate tables and diff against references")
-    _common_flags(p_verify)
-    _sim_flags(p_verify)
+    _request_flags(p_verify)
     p_verify.add_argument("--id", choices=TABLE_IDS + ("all",), default="all")
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_conv = sub.add_parser("converge", help="loading vs simulation budget")
     _common_flags(p_conv)
     _model_flags(p_conv)
+    _portfolio_flags(p_conv)
     _sim_flags(p_conv)
     p_conv.add_argument("--measure", choices=("var", "tvar"), default="tvar")
     p_conv.add_argument(
@@ -279,15 +308,14 @@ def cli_main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "sweep":
+            _check_sweep_grids(parser, args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help; pass both through.
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except SupportLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # SupportLimitError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

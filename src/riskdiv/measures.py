@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import ndtri
 
 from .distributions import DiscreteLossDistribution
 
@@ -165,45 +166,15 @@ def apply_measure(d: DiscreteLossDistribution, spec: RiskMeasureSpec) -> float:
     return tail_value_at_risk(d, spec.alpha, spec.convention)
 
 
-# Rational approximation to the standard normal quantile (Acklam's method),
-# refined with one Halley step against erfc.  Absolute error below 1e-9 over
-# (0, 1), well inside the 1e-8 contract.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
 def normal_quantile(u: float) -> float:
-    """Inverse standard normal cdf, |error| < 1e-8.
+    """Inverse standard normal cdf.
 
     Raises:
         ValueError: If u is outside (0, 1).
     """
     if not 0.0 < u < 1.0:
         raise ValueError(f"quantile level must lie in (0, 1), got {u}")
-    if u < _P_LOW:
-        z = math.sqrt(-2.0 * math.log(u))
-        x = (((((_C[0] * z + _C[1]) * z + _C[2]) * z + _C[3]) * z + _C[4]) * z + _C[5]) / \
-            ((((_D[0] * z + _D[1]) * z + _D[2]) * z + _D[3]) * z + 1.0)
-    elif u <= 1.0 - _P_LOW:
-        z = u - 0.5
-        r = z * z
-        x = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * z / \
-            (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-    else:
-        z = math.sqrt(-2.0 * math.log(1.0 - u))
-        x = -(((((_C[0] * z + _C[1]) * z + _C[2]) * z + _C[3]) * z + _C[4]) * z + _C[5]) / \
-            ((((_D[0] * z + _D[1]) * z + _D[2]) * z + _D[3]) * z + 1.0)
-    # One Halley refinement.
-    e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - u
-    v = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    return x - e / (v + 0.5 * x * e)
+    return float(ndtri(u))
 
 
 def gaussian_var_approx(N: int, n: int, p: float, alpha: float) -> float:

@@ -98,7 +98,6 @@ class PortfolioParams:
     """Portfolio shape and economics.
 
     Attributes:
-        num_policies: N, number of policies in the portfolio.
         exposures: n, times each policy is exposed to the risk.
         severity: unit loss amount per occurrence (currency).
         capital_cost: cost-of-capital rate charged on held capital.
@@ -106,7 +105,6 @@ class PortfolioParams:
         alpha: confidence level of the risk measure.
     """
 
-    num_policies: int = 1
     exposures: int = 6
     severity: float = 10.0
     capital_cost: float = 0.15
@@ -114,8 +112,8 @@ class PortfolioParams:
     alpha: float = 0.99
 
     def __post_init__(self):
-        if self.num_policies < 1 or self.exposures < 1:
-            raise ValueError("num_policies and exposures must be >= 1")
+        if self.exposures < 1:
+            raise ValueError("exposures must be >= 1")
         if self.severity <= 0.0:
             raise ValueError("severity must be positive")
         if self.capital_cost < 0.0 or self.expense_ratio < 0.0:

@@ -23,6 +23,7 @@ __all__ = [
     "LoadingEstimate",
     "simulate",
     "empirical_distribution",
+    "loading_from_distribution",
     "mc_loading",
     "bootstrap_loading_se",
     "convergence_study",
@@ -177,13 +178,18 @@ def empirical_distribution(h: LossHistogram) -> DiscreteLossDistribution:
     return DiscreteLossDistribution(lo, masses)
 
 
-def _loading_from_distribution(
+def loading_from_distribution(
     d: DiscreteLossDistribution,
     model: ModelSpec,
     params: PortfolioParams,
     N: int,
     measure: RiskMeasureSpec,
 ) -> float:
+    """Risk loading per policy: capital_cost * (severity*rho(S)/N - E[L per policy]).
+
+    The one definition of the loading, for exact and simulated distributions
+    alike; E[L] is the closed-form mean of the model.
+    """
     rho_counts = apply_measure(d, measure)
     expected = closed_form_mean_per_policy(model, params)
     return params.capital_cost * (params.severity * rho_counts / N - expected)
@@ -209,7 +215,7 @@ def bootstrap_loading_se(
     for i in range(n_boot):
         resampled = rng.multinomial(h.num_sims, probs)
         d = empirical_distribution(LossHistogram(resampled, h.num_sims))
-        values[i] = _loading_from_distribution(d, model, params, N, measure)
+        values[i] = loading_from_distribution(d, model, params, N, measure)
     return float(values.std(ddof=1))
 
 
@@ -228,7 +234,7 @@ def mc_loading(
     """
     h = simulate(model, N, params.exposures, config, workers=workers)
     d = empirical_distribution(h)
-    value = _loading_from_distribution(d, model, params, N, measure)
+    value = loading_from_distribution(d, model, params, N, measure)
     se = None
     if n_boot:
         se = bootstrap_loading_se(h, model, params, N, measure, n_boot, config.seed)

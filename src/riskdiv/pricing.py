@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .distributions import DiscreteLossDistribution, moments
 from .measures import RiskMeasureSpec, apply_measure
 from .models import ModelSpec, PortfolioParams, closed_form_mean_per_policy, loss_count_distribution
-from .montecarlo import LoadingEstimate, SimulationConfig, mc_loading
+from .montecarlo import LoadingEstimate, SimulationConfig, loading_from_distribution, mc_loading
 
 __all__ = [
     "PricingResult",
@@ -83,10 +83,7 @@ def risk_loading_per_policy(
     if source != "exact":
         raise ValueError(f"source must be 'exact' or a SimulationConfig, got {source!r}")
     d = loss_count_distribution(model, N, params.exposures)
-    rho = apply_measure(d, measure)
-    expected = closed_form_mean_per_policy(model, params)
-    value = params.capital_cost * (params.severity * rho / N - expected)
-    return LoadingEstimate(value, None)
+    return LoadingEstimate(loading_from_distribution(d, model, params, N, measure), None)
 
 
 def premium(params: PortfolioParams, expected_loss: float, capital: float) -> float:

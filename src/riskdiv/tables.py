@@ -1,11 +1,15 @@
-"""Builders for the five reference tables and custom parameter sweeps.
+"""The five reference tables and custom parameter sweeps.
+
+T1 is the pmf and cdf of one policy.  T2-T5 and custom sweeps are loading
+grids: a GridSpec filled in from the TableRequest, built by build_grid, which
+reads VaR and TVaR off one distribution per cell.
 
 Closed-form tables (T1, T2, T3) use the conditional tail convention, which is
 what the published closed-form values print.  The simulation tables (T4, T5)
 use the tail-average convention: it is what sorting simulated losses and
 averaging the worst slice computes, and the published simulated cells match
-it.  T4 is regenerated by exact convolution by default, with an opt-in Monte
-Carlo mode reproducing the published method.
+it.  Loading grids are exact by default; the mc request field simulates them
+instead, which is how the published T4 was produced.  T5 is always simulated.
 """
 
 from __future__ import annotations
@@ -24,12 +28,19 @@ from .models import (
     closed_form_mean_per_policy,
     loss_count_distribution,
 )
-from .montecarlo import DEFAULT_BLOCK_SIZE, DEFAULT_SEED, SimulationConfig, convergence_study, mc_loading
-from .pricing import risk_loading_per_policy
+from .montecarlo import (
+    DEFAULT_BLOCK_SIZE,
+    DEFAULT_SEED,
+    SimulationConfig,
+    empirical_distribution,
+    loading_from_distribution,
+    simulate,
+)
 
 __all__ = [
     "Table",
     "TableRequest",
+    "GridSpec",
     "N_GRID",
     "N_GRID_T4",
     "P_GRID",
@@ -37,7 +48,8 @@ __all__ = [
     "SIMS_GRID",
     "TABLE_IDS",
     "default_model",
-    "generate_table",
+    "grid_spec",
+    "build_grid",
     "build_table",
     "write_table",
     "render_csv",
@@ -52,8 +64,17 @@ N_GRID_T4 = N_GRID + (100000,)
 P_GRID = (1.0 / 6.0, 0.25, 0.5)
 P_LABELS = ("p=1/6", "p=1/4", "p=1/2")
 PT_GRID = (0.0, 0.001, 0.01, 0.05, 0.10)
-PT_LABELS = ("pt=0", "pt=0.001", "pt=0.01", "pt=0.05", "pt=0.1")
+PT_LABELS = tuple(f"pt={pt:g}" for pt in PT_GRID)
 SIMS_GRID = (1_000_000, 10_000_000, 20_000_000)
+T5_N = 100
+
+# Model kind of each loading table's columns; custom sweeps name their own.
+_TABLE_KINDS = {
+    "T2": ModelKind.IID,
+    "T3": ModelKind.COMMON_SHOCK,
+    "T4": ModelKind.PER_EXPOSURE_SHOCK,
+    "T5": ModelKind.PER_EXPOSURE_SHOCK,
+}
 
 _MEASURES = ((MeasureKind.VAR, "VaR"), (MeasureKind.TVAR, "TVaR"))
 
@@ -72,11 +93,13 @@ class Table:
 
 @dataclass(frozen=True)
 class TableRequest:
-    """What to generate: a named table or a custom sweep, plus overrides."""
+    """What to generate: a named table or a custom sweep, plus overrides.
+
+    A grid field means the same for every table that has its axis; see
+    grid_spec for which tables have which.
+    """
 
     table_id: str = "custom"
-    output_path: str | Path | None = None
-    fmt: str = "csv"
     params: PortfolioParams = field(default_factory=PortfolioParams)
     model_kind: ModelKind = ModelKind.COMMON_SHOCK
     p: float = DEFAULT_P
@@ -127,177 +150,105 @@ def build_t1(params: PortfolioParams, p: float = DEFAULT_P) -> Table:
     return Table("T1", ["k", "policy_loss", "pmf", "cdf"], rows)
 
 
-def _loading_grid(
-    params: PortfolioParams,
-    N_grid: tuple[int, ...],
-    columns: list[tuple[str, ModelSpec]],
-    tvar_convention: TvarConvention,
-    mc_config_for=None,
-    workers: int = 1,
-) -> list[list[str]]:
-    """Measure x N rows of loadings, one column per model variant."""
-    table_rows: list[list[str]] = []
-    # One distribution (or simulation) per (column, N), reused by both measures.
-    cache: dict[tuple[str, int], dict[MeasureKind, float]] = {}
-    for label, model in columns:
-        for N in N_grid:
-            loadings: dict[MeasureKind, float] = {}
-            for mk, _ in _MEASURES:
-                spec = RiskMeasureSpec(mk, params.alpha, tvar_convention)
-                if mc_config_for is not None:
-                    est = mc_loading(
-                        model, params, N, spec, mc_config_for(label, N), workers=workers, n_boot=0
-                    )
-                else:
-                    est = risk_loading_per_policy(model, params, N, spec)
-                loadings[mk] = est.value
-            cache[(label, N)] = loadings
-    for mk, mlabel in _MEASURES:
-        for N in N_grid:
-            row = [mlabel, str(N)]
-            row += [fmt_loading(cache[(label, N)][mk]) for label, _ in columns]
-            table_rows.append(row)
-    footer = ["E[L]/N", ""]
-    footer += [_fmt2(closed_form_mean_per_policy(model, params)) for _, model in columns]
-    table_rows.append(footer)
-    return table_rows
+@dataclass(frozen=True)
+class GridSpec:
+    """A loading table: one column per model, one row per portfolio and source.
+
+    Attributes:
+        columns: (label, model) pairs.
+        rows: (label, N, source) triples; source is "exact" or a
+            SimulationConfig.
+        row_header: header of the row-label column ("N" or "sims").
+        convention: TVaR convention of the TVaR rows.
+    """
+
+    columns: tuple[tuple[str, ModelSpec], ...]
+    rows: tuple[tuple[str, int, str | SimulationConfig], ...]
+    row_header: str
+    convention: TvarConvention
 
 
-def build_t2(params: PortfolioParams, p_grid=P_GRID, labels=P_LABELS) -> Table:
-    """Risk loading per policy versus portfolio size, iid model."""
-    columns = [(lbl, ModelSpec.iid(p)) for lbl, p in zip(labels, p_grid)]
-    rows = _loading_grid(params, N_GRID, columns, TvarConvention.CONDITIONAL)
-    return Table("T2", ["measure", "N"] + list(labels), rows)
+def grid_spec(req: TableRequest) -> GridSpec:
+    """The loading grid of T2-T5 or of a custom sweep.
 
-
-def build_t3(
-    params: PortfolioParams,
-    p: float = DEFAULT_P,
-    q: float = DEFAULT_Q,
-    pt_grid=PT_GRID,
-    labels=PT_LABELS,
-    N_grid=N_GRID,
-    kind: ModelKind = ModelKind.COMMON_SHOCK,
-    tvar_convention: TvarConvention = TvarConvention.CONDITIONAL,
-) -> Table:
-    """Risk loading per policy versus crisis probability, common shock."""
-    columns = [(lbl, default_model(kind, p, q, pt)) for lbl, pt in zip(labels, pt_grid)]
-    rows = _loading_grid(params, N_grid, columns, tvar_convention)
-    table_id = "T3" if kind is ModelKind.COMMON_SHOCK else "T4"
-    return Table(table_id, ["measure", "N"] + list(labels), rows)
-
-
-def build_t4(
-    params: PortfolioParams,
-    p: float = DEFAULT_P,
-    q: float = DEFAULT_Q,
-    mc: bool = False,
-    sims: int = 10_000_000,
-    seed: int = DEFAULT_SEED,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    workers: int = 1,
-    N_grid=N_GRID_T4,
-) -> Table:
-    """Per-exposure shock loadings; exact convolution unless mc is set."""
-    columns = [
-        (lbl, default_model(ModelKind.PER_EXPOSURE_SHOCK, p, q, pt))
-        for lbl, pt in zip(PT_LABELS, PT_GRID)
-    ]
-    cfg_for = None
-    if mc:
-        cfg_for = lambda label, N: SimulationConfig(sims, seed, block_size)  # noqa: E731
-    rows = _loading_grid(
-        params,
-        N_grid,
-        columns,
-        TvarConvention.TAIL_AVERAGE,
-        mc_config_for=cfg_for,
-        workers=workers,
-    )
-    return Table("T4", ["measure", "N"] + list(PT_LABELS), rows)
-
-
-def build_t5(
-    params: PortfolioParams,
-    p: float = DEFAULT_P,
-    q: float = DEFAULT_Q,
-    N: int = 100,
-    sims_grid=SIMS_GRID,
-    seed: int = DEFAULT_SEED,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    workers: int = 1,
-) -> Table:
-    """Convergence of the simulated loadings in the simulation budget."""
-    rows: list[list[str]] = []
-    values: dict[tuple[MeasureKind, int, str], float] = {}
-    for lbl, pt in zip(PT_LABELS, PT_GRID):
-        model = default_model(ModelKind.PER_EXPOSURE_SHOCK, p, q, pt)
-        for mk, _ in _MEASURES:
-            spec = RiskMeasureSpec(mk, params.alpha, TvarConvention.TAIL_AVERAGE)
-            study = convergence_study(
-                model, N, params.exposures, list(sims_grid), spec, params,
-                seed=seed, block_size=block_size, workers=workers,
-            )
-            for sims, loading in study:
-                values[(mk, sims, lbl)] = loading
-    for mk, mlabel in _MEASURES:
-        for sims in sims_grid:
-            row = [mlabel, str(sims)]
-            row += [fmt_loading(values[(mk, sims, lbl)]) for lbl in PT_LABELS]
-            rows.append(row)
-    footer = ["E[L]/N", ""]
-    for lbl, pt in zip(PT_LABELS, PT_GRID):
-        model = default_model(ModelKind.PER_EXPOSURE_SHOCK, p, q, pt)
-        footer.append(_fmt2(closed_form_mean_per_policy(model, params)))
-    rows.append(footer)
-    return Table("T5", ["measure", "sims"] + list(PT_LABELS), rows)
-
-
-def build_custom(req: TableRequest) -> Table:
-    """A sweep shaped like T2 (p grid, iid) or T3 (crisis-probability grid)."""
-    params = req.params
-    N_grid = req.N_grid or N_GRID
-    if req.model_kind is ModelKind.IID:
+    T2 has iid columns over p_grid, T3 common-shock and T4/T5 per-exposure
+    shock columns over pt_grid; a custom sweep takes the model kind from the
+    request.  Per-exposure shock grids use the tail-average convention of the
+    simulation tables, the others the conditional one.  Rows run over N_grid,
+    exact or, with mc set, simulated; T5 rows are instead the simulation
+    budgets of sims_grid at N=100.
+    """
+    kind = _TABLE_KINDS.get(req.table_id, req.model_kind)
+    if kind is ModelKind.IID:
         p_grid = req.p_grid or P_GRID
-        labels = tuple(f"p={p:g}" for p in p_grid)
-        columns = [(lbl, ModelSpec.iid(p)) for lbl, p in zip(labels, p_grid)]
-        convention = TvarConvention.CONDITIONAL
-    else:
-        pt_grid = req.pt_grid or PT_GRID
-        labels = tuple(f"pt={pt:g}" for pt in pt_grid)
-        columns = [
-            (lbl, default_model(req.model_kind, req.p, req.q, pt))
-            for lbl, pt in zip(labels, pt_grid)
+        labels = P_LABELS if req.table_id == "T2" and req.p_grid is None else [
+            f"p={p:g}" for p in p_grid
         ]
-        convention = (
-            TvarConvention.TAIL_AVERAGE
-            if req.model_kind is ModelKind.PER_EXPOSURE_SHOCK
-            else TvarConvention.CONDITIONAL
-        )
-    rows = _loading_grid(params, tuple(N_grid), columns, convention)
-    return Table("custom", ["measure", "N"] + list(labels), rows)
+        columns = [(lbl, ModelSpec.iid(p)) for lbl, p in zip(labels, p_grid)]
+    else:
+        columns = [
+            (f"pt={pt:g}", default_model(kind, req.p, req.q, pt)) for pt in req.pt_grid or PT_GRID
+        ]
+    if req.table_id == "T5":
+        rows = [
+            (str(sims), T5_N, SimulationConfig(sims, req.seed, req.block_size))
+            for sims in req.sims_grid or SIMS_GRID
+        ]
+        row_header = "sims"
+    else:
+        source = SimulationConfig(req.sims, req.seed, req.block_size) if req.mc else "exact"
+        N_grid = req.N_grid or (N_GRID_T4 if req.table_id == "T4" else N_GRID)
+        rows = [(str(N), N, source) for N in N_grid]
+        row_header = "N"
+    convention = (
+        TvarConvention.TAIL_AVERAGE
+        if kind is ModelKind.PER_EXPOSURE_SHOCK
+        else TvarConvention.CONDITIONAL
+    )
+    return GridSpec(tuple(columns), tuple(rows), row_header, convention)
+
+
+def _cell_loadings(
+    model: ModelSpec,
+    N: int,
+    source: str | SimulationConfig,
+    params: PortfolioParams,
+    measures: list[RiskMeasureSpec],
+    workers: int,
+) -> list[float]:
+    """Loadings for each measure, read off one exact or simulated distribution."""
+    if isinstance(source, SimulationConfig):
+        d = empirical_distribution(simulate(model, N, params.exposures, source, workers=workers))
+    else:
+        d = loss_count_distribution(model, N, params.exposures)
+    return [loading_from_distribution(d, model, params, N, m) for m in measures]
+
+
+def build_grid(
+    table_id: str, spec: GridSpec, params: PortfolioParams, workers: int = 1
+) -> Table:
+    """VaR rows, TVaR rows and an E[L]/N footer; one distribution per cell."""
+    measures = [RiskMeasureSpec(mk, params.alpha, spec.convention) for mk, _ in _MEASURES]
+    cells = [
+        [_cell_loadings(model, N, source, params, measures, workers) for _, model in spec.columns]
+        for _, N, source in spec.rows
+    ]
+    table_rows = [
+        [mlabel, row_label] + [fmt_loading(cell[i]) for cell in row]
+        for i, (_, mlabel) in enumerate(_MEASURES)
+        for (row_label, _, _), row in zip(spec.rows, cells)
+    ]
+    footer = ["E[L]/N", ""]
+    footer += [_fmt2(closed_form_mean_per_policy(model, params)) for _, model in spec.columns]
+    headers = ["measure", spec.row_header] + [label for label, _ in spec.columns]
+    return Table(table_id, headers, table_rows + [footer])
 
 
 def build_table(req: TableRequest) -> Table:
     """Build the requested table in memory."""
     if req.table_id == "T1":
         return build_t1(req.params, req.p)
-    if req.table_id == "T2":
-        return build_t2(req.params, req.p_grid or P_GRID,
-                        P_LABELS if req.p_grid is None else tuple(f"p={p:g}" for p in req.p_grid))
-    if req.table_id == "T3":
-        return build_t3(req.params, req.p, req.q, req.pt_grid or PT_GRID,
-                        PT_LABELS if req.pt_grid is None else tuple(f"pt={pt:g}" for pt in req.pt_grid),
-                        tuple(req.N_grid) if req.N_grid else N_GRID)
-    if req.table_id == "T4":
-        return build_t4(req.params, req.p, req.q, req.mc, req.sims, req.seed,
-                        req.block_size, req.workers,
-                        tuple(req.N_grid) if req.N_grid else N_GRID_T4)
-    if req.table_id == "T5":
-        return build_t5(req.params, req.p, req.q, 100,
-                        tuple(req.sims_grid) if req.sims_grid else SIMS_GRID,
-                        req.seed, req.block_size, req.workers)
-    return build_custom(req)
+    return build_grid(req.table_id, grid_spec(req), req.params, req.workers)
 
 
 def render_csv(table: Table) -> str:
@@ -316,11 +267,3 @@ def write_table(table: Table, path: str | Path, fmt: str = "csv") -> Path:
     text = render_csv(table) if fmt == "csv" else render_json(table)
     path.write_text(text, encoding="utf-8")
     return path
-
-
-def generate_table(req: TableRequest) -> Path | Table:
-    """Build a table and write it to req.output_path if one is given."""
-    table = build_table(req)
-    if req.output_path is None:
-        return table
-    return write_table(table, req.output_path, req.fmt)

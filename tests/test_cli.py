@@ -62,11 +62,61 @@ class TestTableAndVerify:
         assert code == 1
         assert "unexpected" in out
 
+    @pytest.mark.parametrize("command", ["table", "verify"])
+    def test_mc_and_sim_flags_reach_the_request(self, capsys, monkeypatch, command):
+        import riskdiv.cli as cli
+
+        seen = []
+
+        def capture(req):
+            seen.append(req)
+            raise ValueError("request captured")
+
+        monkeypatch.setattr(cli, "build_table", capture)
+        code, _, err = run(capsys, command, "--id", "T4", "--mc", "--sims", "3000",
+                           "--block-size", "1000", "--seed", "9", "--workers", "2")
+        assert code == 1 and "request captured" in err
+        assert [(r.table_id, r.mc, r.sims, r.block_size, r.seed, r.workers) for r in seen] == [
+            ("T4", True, 3000, 1000, 9, 2)
+        ]
+
+    @pytest.mark.parametrize("flag", [
+        ("--alpha", "0.5"), ("--eta", "0.2"), ("--severity", "5"), ("--expense", "0.1"),
+        ("--exposures", "3"), ("--format", "json"), ("--out", "x.csv"),
+    ])
+    def test_verify_rejects_table_parameter_flags(self, capsys, tmp_path, monkeypatch, flag):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, "verify", "--id", "T1", *flag)
+        assert code == 2 and flag[0] in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "table", "--id", "T1", "--format", "json")
         assert code == 0
         rows = json.loads(out)
         assert rows[0]["pmf"] == "0.33490"
+
+
+class TestSweep:
+    def test_iid_grid(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--model", "iid", "--N-grid", "1,5", "--p-grid", "0.2")
+        assert code == 0
+        assert out.splitlines()[0] == "measure,N,p=0.2"
+        assert len(out.splitlines()) == 6  # header, 2 measures x 2 N, footer
+
+    @pytest.mark.parametrize("argv", [
+        ("--model", "common", "--p-grid", "0.2"),
+        ("--model", "crisis", "--p-grid", "0.2"),
+        ("--model", "iid", "--ptilde-grid", "0.01"),
+    ])
+    def test_grid_the_model_does_not_use_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "sweep", *argv)
+        assert code == 2 and out == ""
+        assert argv[2] in err
+
+    @pytest.mark.parametrize("flag", [("--N", "10"), ("--ptilde", "0.01")])
+    def test_single_portfolio_flags_rejected(self, capsys, flag):
+        assert run(capsys, "sweep", "--model", "common", *flag)[0] == 2
 
 
 class TestSimulate:

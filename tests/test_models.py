@@ -207,7 +207,7 @@ class TestModelSpecValidation:
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            PortfolioParams(num_policies=0)
+            PortfolioParams(exposures=0)
         with pytest.raises(ValueError):
             PortfolioParams(severity=0.0)
         with pytest.raises(ValueError):

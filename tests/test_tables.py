@@ -1,10 +1,14 @@
 """Table generation, formatting, and reference comparison."""
 
+import hashlib
 import json
 
 import pytest
 
-from riskdiv.models import ModelKind
+from riskdiv.measures import MeasureKind, RiskMeasureSpec, TvarConvention
+from riskdiv.models import ModelKind, PortfolioParams
+from riskdiv.montecarlo import SimulationConfig, mc_loading
+from riskdiv.pricing import risk_loading_per_policy
 from riskdiv.reference import (
     TableParseError,
     compare_with_reference,
@@ -13,14 +17,29 @@ from riskdiv.reference import (
     verify_table,
 )
 from riskdiv.tables import (
+    PT_GRID,
+    PT_LABELS,
     Table,
     TableRequest,
     build_table,
+    default_model,
     fmt_loading,
+    grid_spec,
     render_csv,
     render_json,
     write_table,
 )
+
+_MEASURES = ((MeasureKind.VAR, "VaR"), (MeasureKind.TVAR, "TVaR"))
+
+
+def _cells(table):
+    """Loading cells keyed (measure label, row label, column label)."""
+    return {
+        (row[0], row[1], col): cell
+        for row in table.rows if row[0] in ("VaR", "TVaR")
+        for col, cell in zip(table.headers[2:], row[2:])
+    }
 
 
 class TestFormatting:
@@ -84,6 +103,68 @@ class TestCustomSweep:
         )
         assert sweep.headers == ["measure", "N", "p=0.2"]
         assert len(sweep.rows) == 5  # 2 measures x 2 N + footer
+
+
+class TestLoadingGrid:
+    # sha256 of render_csv for the default requests: a refactor of the table
+    # layer must not move a printed byte.
+    DIGESTS = {
+        "T1": "f45e18f04aa4f321ece0d3e3b6b47073705ffc50c3a08c8fdb47b09a70ebe539",
+        "T2": "0aa477a8a7d1bdbcb12c42f9d04b8856d3865a6b394060d0164441226a9b5d53",
+        "T3": "f94fd9d8b52c4a6b5d5bab8a2bbefa3665f285d35f1afbb2c45ce6cfe18e4056",
+        "T4": "2ee2501c8fd52665e89fec8eefb1b1616eb7796686e4858ba2dfe29a33b17df8",
+    }
+
+    @pytest.mark.parametrize("table_id", sorted(DIGESTS))
+    def test_exact_tables_byte_identical(self, table_id):
+        text = render_csv(build_table(TableRequest(table_id=table_id)))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.DIGESTS[table_id]
+
+    def test_t3_cells_equal_single_loadings(self):
+        # N=1 and N=10000 include the pt=1% cells decided by the exact
+        # plateau search.
+        req = TableRequest(table_id="T3", N_grid=(1, 100, 10000))
+        cells = _cells(build_table(req))
+        params = PortfolioParams()
+        for label, pt in zip(PT_LABELS, PT_GRID):
+            model = default_model(ModelKind.COMMON_SHOCK, req.p, req.q, pt)
+            for N in req.N_grid:
+                for mk, mlabel in _MEASURES:
+                    spec = RiskMeasureSpec(mk, params.alpha, TvarConvention.CONDITIONAL)
+                    value = risk_loading_per_policy(model, params, N, spec).value
+                    assert cells[(mlabel, str(N), label)] == fmt_loading(value)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_t4_mc_cells_equal_single_loadings(self, workers):
+        req = TableRequest(table_id="T4", mc=True, sims=20_000, block_size=5_000,
+                           N_grid=(1, 10), workers=workers)
+        cells = _cells(build_table(req))
+        params = PortfolioParams()
+        config = SimulationConfig(req.sims, req.seed, req.block_size)
+        for label, pt in zip(PT_LABELS, PT_GRID):
+            model = default_model(ModelKind.PER_EXPOSURE_SHOCK, req.p, req.q, pt)
+            for N in req.N_grid:
+                for mk, mlabel in _MEASURES:
+                    spec = RiskMeasureSpec(mk, params.alpha, TvarConvention.TAIL_AVERAGE)
+                    est = mc_loading(model, params, N, spec, config, n_boot=0)
+                    assert cells[(mlabel, str(N), label)] == fmt_loading(est.value)
+
+    @pytest.mark.parametrize("table_id", ["T3", "T4", "T5"])
+    def test_every_shock_table_honours_pt_grid(self, table_id):
+        spec = grid_spec(TableRequest(table_id=table_id, pt_grid=(0.02,)))
+        assert [label for label, _ in spec.columns] == ["pt=0.02"]
+
+    def test_n_grid_and_mc_apply_to_t2(self):
+        spec = grid_spec(TableRequest(table_id="T2", N_grid=(3,), mc=True, sims=1000))
+        assert [(label, N) for label, N, _ in spec.rows] == [("3", 3)]
+        assert spec.rows[0][2] == SimulationConfig(1000)
+
+    def test_t5_rows_are_budgets_at_n_100(self):
+        spec = grid_spec(TableRequest(table_id="T5", sims_grid=(1000, 2000), seed=3))
+        assert spec.row_header == "sims"
+        assert spec.rows == (("1000", 100, SimulationConfig(1000, 3)),
+                             ("2000", 100, SimulationConfig(2000, 3)))
+        assert spec.convention is TvarConvention.TAIL_AVERAGE
 
 
 class TestRoundTrip:
