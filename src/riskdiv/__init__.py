@@ -25,6 +25,7 @@ from .measures import (
     normal_quantile,
     tail_value_at_risk,
     value_at_risk,
+    var_and_tvar,
 )
 from .models import (
     ModelKind,

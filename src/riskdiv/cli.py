@@ -45,14 +45,23 @@ _MODEL_KINDS = {
 }
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, default=0.99, help="risk measure confidence level")
-    parser.add_argument("--eta", type=float, default=0.15, help="cost-of-capital rate")
-    parser.add_argument("--severity", type=float, default=10.0, help="unit loss amount")
-    parser.add_argument("--expense", type=float, default=0.0, help="expense ratio")
-    parser.add_argument("--exposures", type=int, default=6, help="exposures per policy")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
-    parser.add_argument("--out", type=Path, default=None, help="output file (default stdout)")
+# Flags shared by several subcommands; each subcommand adds only those it reads.
+_SHARED_FLAGS = {
+    "alpha": dict(type=float, default=0.99, help="risk measure confidence level"),
+    "eta": dict(type=float, default=0.15, help="cost-of-capital rate"),
+    "severity": dict(type=float, default=10.0, help="unit loss amount"),
+    "exposures": dict(type=int, default=6, help="exposures per policy"),
+    "format": dict(choices=("csv", "json"), default="csv", dest="fmt"),
+    "out": dict(type=Path, default=None, help="output file (default stdout)"),
+    "sims": dict(type=int, default=1_000_000, help="simulation count"),
+}
+_PRICING = ("alpha", "eta", "severity", "exposures")
+_OUTPUT = ("format", "out")
+
+
+def _shared_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(f"--{name}", **_SHARED_FLAGS[name])
 
 
 def _model_flags(parser: argparse.ArgumentParser) -> None:
@@ -67,13 +76,14 @@ def _portfolio_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _sim_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sims", type=int, default=1_000_000, help="simulation count")
+    """Seed, block layout and workers; the budget is --sims or converge's --sims-list."""
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE)
     parser.add_argument("--workers", type=int, default=1)
 
 
 def _request_flags(parser: argparse.ArgumentParser) -> None:
+    _shared_flags(parser, "sims")
     _sim_flags(parser)
     parser.add_argument(
         "--mc", action="store_true", help="simulate the loading grids T2-T4 instead of exact"
@@ -98,7 +108,6 @@ def _params(args) -> PortfolioParams:
         exposures=args.exposures,
         severity=args.severity,
         capital_cost=args.eta,
-        expense_ratio=args.expense,
         alpha=args.alpha,
     )
 
@@ -161,8 +170,8 @@ def _cmd_sweep(args) -> int:
         table_id="custom",
         params=_params(args),
         model_kind=_MODEL_KINDS[args.model],
-        p=args.p,
-        q=args.q,
+        p=DEFAULT_P if args.p is None else args.p,
+        q=DEFAULT_Q if args.q is None else args.q,
         N_grid=args.N_grid,
         p_grid=args.p_grid,
         pt_grid=args.ptilde_grid,
@@ -171,11 +180,16 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _check_sweep_grids(parser: argparse.ArgumentParser, args) -> None:
-    """A probability grid that the chosen model has no axis for is a usage error."""
-    flag, grid = ("--ptilde-grid", args.ptilde_grid) if args.model == "iid" else ("--p-grid", args.p_grid)
-    if grid is not None:
-        parser.error(f"sweep: {flag} does not apply to --model {args.model}")
+# Sweep flags a model has no use for: iid columns come from --p-grid alone.
+_SWEEP_UNUSED = {"iid": ("p", "q", "ptilde_grid"), "common": ("p_grid",), "crisis": ("p_grid",)}
+
+
+def _check_sweep_flags(parser: argparse.ArgumentParser, args) -> None:
+    """A flag that the chosen model does not read is a usage error."""
+    for dest in _SWEEP_UNUSED[args.model]:
+        if getattr(args, dest) is not None:
+            flag = "--" + dest.replace("_", "-")
+            parser.error(f"sweep: {flag} does not apply to --model {args.model}")
 
 
 def _cmd_table(args) -> int:
@@ -240,13 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_dist = sub.add_parser("dist", help="emit the exact pmf/cdf of a model")
-    _common_flags(p_dist)
+    _shared_flags(p_dist, "severity", "exposures", *_OUTPUT)
     _model_flags(p_dist)
     _portfolio_flags(p_dist)
     p_dist.set_defaults(fn=_cmd_dist)
 
     p_load = sub.add_parser("loading", help="one risk loading per policy")
-    _common_flags(p_load)
+    _shared_flags(p_load, *_PRICING, "sims")
     _model_flags(p_load)
     _portfolio_flags(p_load)
     _sim_flags(p_load)
@@ -262,21 +276,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "sweep", help="loading grid over N and a probability grid", allow_abbrev=False
     )
-    _common_flags(p_sweep)
+    _shared_flags(p_sweep, *_PRICING, *_OUTPUT)
     _model_flags(p_sweep)
+    # None marks --p and --q as not given, which an iid sweep requires.
+    p_sweep.set_defaults(p=None, q=None)
     p_sweep.add_argument("--N-grid", type=_int_grid, default=None, dest="N_grid")
     p_sweep.add_argument("--p-grid", type=_grid, default=None, dest="p_grid")
     p_sweep.add_argument("--ptilde-grid", type=_grid, default=None, dest="ptilde_grid")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_table = sub.add_parser("table", help="regenerate a reference table")
-    _common_flags(p_table)
+    _shared_flags(p_table, *_PRICING, *_OUTPUT)
     _request_flags(p_table)
     p_table.add_argument("--id", choices=TABLE_IDS, required=True)
     p_table.set_defaults(fn=_cmd_table)
 
     p_sim = sub.add_parser("simulate", help="simulate a loss histogram")
-    _common_flags(p_sim)
+    _shared_flags(p_sim, "exposures", *_OUTPUT, "sims")
     _model_flags(p_sim)
     _portfolio_flags(p_sim)
     _sim_flags(p_sim)
@@ -287,8 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--id", choices=TABLE_IDS + ("all",), default="all")
     p_verify.set_defaults(fn=_cmd_verify)
 
-    p_conv = sub.add_parser("converge", help="loading vs simulation budget")
-    _common_flags(p_conv)
+    # Without abbreviations, so --sims is rejected rather than read as --sims-list.
+    p_conv = sub.add_parser("converge", help="loading vs simulation budget", allow_abbrev=False)
+    _shared_flags(p_conv, *_PRICING, *_OUTPUT)
     _model_flags(p_conv)
     _portfolio_flags(p_conv)
     _sim_flags(p_conv)
@@ -309,7 +326,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "sweep":
-            _check_sweep_grids(parser, args)
+            _check_sweep_flags(parser, args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help; pass both through.
         return int(exc.code or 0)

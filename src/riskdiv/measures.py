@@ -21,6 +21,7 @@ __all__ = [
     "TvarConvention",
     "RiskMeasureSpec",
     "TruncationError",
+    "var_and_tvar",
     "value_at_risk",
     "tail_value_at_risk",
     "apply_measure",
@@ -119,31 +120,25 @@ def _exact_quantile_index(d: DiscreteLossDistribution, alpha: float, idx: int) -
     return lo
 
 
-def value_at_risk(d: DiscreteLossDistribution, alpha: float) -> int:
-    """Smallest count k with P[count <= k] >= alpha.
+def var_and_tvar(
+    d: DiscreteLossDistribution,
+    alpha: float,
+    convention: TvarConvention = TvarConvention.CONDITIONAL,
+) -> tuple[int, float]:
+    """VaR and TVaR at level alpha, in counts, from one quantile search.
+
+    VaR is the smallest count k with P[count <= k] >= alpha; TVaR is the tail
+    average beyond it (see TvarConvention), never below the VaR.
 
     Raises:
         TruncationError: If alpha lies beyond the stored cdf top, i.e. the
             quantile cannot be resolved on the truncated support.
     """
-    return d.min_count + _quantile_index(d, alpha)
-
-
-def tail_value_at_risk(
-    d: DiscreteLossDistribution,
-    alpha: float,
-    convention: TvarConvention = TvarConvention.CONDITIONAL,
-) -> float:
-    """Tail average of the count distribution beyond the alpha quantile.
-
-    See TvarConvention for the two normalisations offered.  Always at least
-    as large as value_at_risk at the same level.
-    """
     idx = _quantile_index(d, alpha)
     ks = d.counts
     m = d.masses
     cdf = d.cdf
-    var_count = float(d.min_count + idx)
+    var_count = d.min_count + idx
     if convention is TvarConvention.CONDITIONAL:
         below = cdf[idx - 1] if idx > 0 else d.truncated_below
         tail_prob = 1.0 - float(below)
@@ -156,14 +151,27 @@ def tail_value_at_risk(
         w = np.clip(np.minimum(cdf, 1.0) - np.maximum(prev, alpha), 0.0, None)
         raw = float((ks @ w) / (1.0 - alpha))
     # Both conventions dominate the VaR mathematically; guard the last ulp.
-    return max(raw, var_count)
+    return var_count, max(raw, float(var_count))
+
+
+def value_at_risk(d: DiscreteLossDistribution, alpha: float) -> int:
+    """The VaR of var_and_tvar."""
+    return var_and_tvar(d, alpha)[0]
+
+
+def tail_value_at_risk(
+    d: DiscreteLossDistribution,
+    alpha: float,
+    convention: TvarConvention = TvarConvention.CONDITIONAL,
+) -> float:
+    """The TVaR of var_and_tvar."""
+    return var_and_tvar(d, alpha, convention)[1]
 
 
 def apply_measure(d: DiscreteLossDistribution, spec: RiskMeasureSpec) -> float:
     """Evaluate the measure on a count distribution; returns counts."""
-    if spec.kind is MeasureKind.VAR:
-        return float(value_at_risk(d, spec.alpha))
-    return tail_value_at_risk(d, spec.alpha, spec.convention)
+    var_count, tvar = var_and_tvar(d, spec.alpha, spec.convention)
+    return float(var_count) if spec.kind is MeasureKind.VAR else tvar
 
 
 def normal_quantile(u: float) -> float:

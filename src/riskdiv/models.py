@@ -126,7 +126,11 @@ def _max_support(override: int | None) -> int:
     if override is not None:
         return override
     env = os.environ.get(_MAX_SUPPORT_ENV)
-    return int(env) if env else DEFAULT_MAX_SUPPORT
+    if not env:
+        return DEFAULT_MAX_SUPPORT
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ValueError(f"{_MAX_SUPPORT_ENV} must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def loss_count_distribution(
@@ -146,6 +150,8 @@ def loss_count_distribution(
     Raises:
         SupportLimitError: If N*n exceeds the support limit (default 1e7,
             override with the RISKDIV_MAX_SUPPORT environment variable).
+        ValueError: If RISKDIV_MAX_SUPPORT is set but is not a positive
+            integer.
     """
     limit = _max_support(max_support)
     if N * n > limit:

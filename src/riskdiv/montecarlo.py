@@ -16,6 +16,7 @@ import numpy as np
 from .distributions import DiscreteLossDistribution
 from .measures import RiskMeasureSpec, apply_measure
 from .models import ModelKind, ModelSpec, PortfolioParams, closed_form_mean_per_policy
+from .models import loss_count_distribution
 
 __all__ = [
     "SimulationConfig",
@@ -23,7 +24,8 @@ __all__ = [
     "LoadingEstimate",
     "simulate",
     "empirical_distribution",
-    "loading_from_distribution",
+    "loss_distribution",
+    "loading_from_rho",
     "mc_loading",
     "bootstrap_loading_se",
     "convergence_study",
@@ -178,21 +180,25 @@ def empirical_distribution(h: LossHistogram) -> DiscreteLossDistribution:
     return DiscreteLossDistribution(lo, masses)
 
 
-def loading_from_distribution(
-    d: DiscreteLossDistribution,
-    model: ModelSpec,
-    params: PortfolioParams,
-    N: int,
-    measure: RiskMeasureSpec,
-) -> float:
-    """Risk loading per policy: capital_cost * (severity*rho(S)/N - E[L per policy]).
+def loss_distribution(
+    model: ModelSpec, N: int, n: int, source: str | SimulationConfig = "exact", workers: int = 1
+) -> DiscreteLossDistribution:
+    """The exact loss-count distribution, or the empirical one of a SimulationConfig."""
+    if isinstance(source, SimulationConfig):
+        return empirical_distribution(simulate(model, N, n, source, workers=workers))
+    if source != "exact":
+        raise ValueError(f"source must be 'exact' or a SimulationConfig, got {source!r}")
+    return loss_count_distribution(model, N, n)
 
-    The one definition of the loading, for exact and simulated distributions
-    alike; E[L] is the closed-form mean of the model.
+
+def loading_from_rho(rho: float, model: ModelSpec, params: PortfolioParams, N: int) -> float:
+    """Risk loading per policy: capital_cost * (severity*rho/N - E[L per policy]).
+
+    The one definition of the loading: rho is the portfolio's risk measure in
+    counts, E[L] the closed-form mean.
     """
-    rho_counts = apply_measure(d, measure)
     expected = closed_form_mean_per_policy(model, params)
-    return params.capital_cost * (params.severity * rho_counts / N - expected)
+    return params.capital_cost * (params.severity * rho / N - expected)
 
 
 def bootstrap_loading_se(
@@ -215,7 +221,7 @@ def bootstrap_loading_se(
     for i in range(n_boot):
         resampled = rng.multinomial(h.num_sims, probs)
         d = empirical_distribution(LossHistogram(resampled, h.num_sims))
-        values[i] = loading_from_distribution(d, model, params, N, measure)
+        values[i] = loading_from_rho(apply_measure(d, measure), model, params, N)
     return float(values.std(ddof=1))
 
 
@@ -234,10 +240,8 @@ def mc_loading(
     """
     h = simulate(model, N, params.exposures, config, workers=workers)
     d = empirical_distribution(h)
-    value = loading_from_distribution(d, model, params, N, measure)
-    se = None
-    if n_boot:
-        se = bootstrap_loading_se(h, model, params, N, measure, n_boot, config.seed)
+    value = loading_from_rho(apply_measure(d, measure), model, params, N)
+    se = bootstrap_loading_se(h, model, params, N, measure, n_boot, config.seed) if n_boot else None
     return LoadingEstimate(value, se)
 
 

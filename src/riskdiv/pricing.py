@@ -9,10 +9,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .distributions import DiscreteLossDistribution, moments
 from .measures import RiskMeasureSpec, apply_measure
-from .models import ModelSpec, PortfolioParams, closed_form_mean_per_policy, loss_count_distribution
-from .montecarlo import LoadingEstimate, SimulationConfig, loading_from_distribution, mc_loading
+from .models import ModelSpec, PortfolioParams, closed_form_mean_per_policy
+from .montecarlo import LoadingEstimate, SimulationConfig, loading_from_rho, loss_distribution
+from .montecarlo import mc_loading
 
 __all__ = [
     "PricingResult",
@@ -29,8 +29,8 @@ __all__ = [
 class PricingResult:
     """Per-policy pricing summary.
 
-    capital is the portfolio-level risk-adjusted capital K_N; the loading is
-    capital_cost * capital / N by construction.
+    capital is the portfolio-level risk-adjusted capital K_N; it and the
+    loading, capital_cost * capital / N, are read off one value of the measure.
     """
 
     expected_loss_per_policy: float
@@ -41,24 +41,19 @@ class PricingResult:
     relative_risk: float
 
 
-def risk_adjusted_capital(
-    d: DiscreteLossDistribution,
-    measure: RiskMeasureSpec,
-    severity: float,
-) -> float:
-    """Capital backing the loss: severity * (measure - mean), in currency.
+def risk_adjusted_capital(rho: float, model: ModelSpec, params: PortfolioParams, N: int) -> float:
+    """Capital K_N = severity * rho - N * E[L per policy], in currency; rho in counts.
 
-    Negative capital (possible when alpha sits below the cdf at the mean) is
-    passed through with a warning rather than raised: the arithmetic stays
-    valid, the economics are degenerate.
+    E[L] is the closed-form mean, as in the loading; the mean of the stored,
+    tail-truncated pmf differs from it by at most truncated_mass * N * n counts,
+    and truncated_mass <= 1e-12.  Negative capital (alpha below the cdf at the
+    mean) is passed through with a warning: the economics are degenerate.
     """
-    rho = apply_measure(d, measure)
-    mean, _ = moments(d)
-    capital = severity * (rho - mean)
+    expected = N * closed_form_mean_per_policy(model, params)
+    capital = params.severity * rho - expected
     if capital < 0.0:
         warnings.warn(
-            f"risk measure {rho:.6g} below the mean {mean:.6g}: negative capital",
-            stacklevel=2,
+            f"risk measure below the expected loss {expected:.6g}: negative capital", stacklevel=2
         )
     return capital
 
@@ -80,10 +75,8 @@ def risk_loading_per_policy(
     """
     if isinstance(source, SimulationConfig):
         return mc_loading(model, params, N, measure, source, workers=workers)
-    if source != "exact":
-        raise ValueError(f"source must be 'exact' or a SimulationConfig, got {source!r}")
-    d = loss_count_distribution(model, N, params.exposures)
-    return LoadingEstimate(loading_from_distribution(d, model, params, N, measure), None)
+    rho = apply_measure(loss_distribution(model, N, params.exposures, source), measure)
+    return LoadingEstimate(loading_from_rho(rho, model, params, N), None)
 
 
 def premium(params: PortfolioParams, expected_loss: float, capital: float) -> float:
@@ -125,16 +118,16 @@ def price_policy(
     source: str | SimulationConfig = "exact",
     workers: int = 1,
 ) -> PricingResult:
-    """Assemble the full per-policy pricing picture for one portfolio size."""
-    loading = risk_loading_per_policy(model, params, N, measure, source, workers)
+    """Per-policy pricing for one portfolio size, all read off one evaluation of the measure."""
+    rho = apply_measure(loss_distribution(model, N, params.exposures, source, workers), measure)
     expected = closed_form_mean_per_policy(model, params)
-    capital = loading.value / params.capital_cost * N if params.capital_cost else 0.0
-    rho_per_policy = loading.value / params.capital_cost + expected if params.capital_cost else expected
+    capital = risk_adjusted_capital(rho, model, params, N)
+    loading = loading_from_rho(rho, model, params, N)
     return PricingResult(
         expected_loss_per_policy=expected,
         capital=capital,
-        risk_loading_per_policy=loading.value,
+        risk_loading_per_policy=loading,
         premium=premium(params, expected, capital / N),
-        premium_netted=premium_netted(params, expected, rho_per_policy),
-        relative_risk=relative_risk(loading.value, expected),
+        premium_netted=premium_netted(params, expected, params.severity * rho / N),
+        relative_risk=relative_risk(loading, expected),
     )

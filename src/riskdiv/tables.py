@@ -2,7 +2,7 @@
 
 T1 is the pmf and cdf of one policy.  T2-T5 and custom sweeps are loading
 grids: a GridSpec filled in from the TableRequest, built by build_grid, which
-reads VaR and TVaR off one distribution per cell.
+reads VaR and TVaR off one distribution and one quantile search per cell.
 
 Closed-form tables (T1, T2, T3) use the conditional tail convention, which is
 what the published closed-form values print.  The simulation tables (T4, T5)
@@ -20,7 +20,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 from .distributions import cdf_at
-from .measures import MeasureKind, RiskMeasureSpec, TvarConvention
+from .measures import TvarConvention, var_and_tvar
 from .models import (
     ModelKind,
     ModelSpec,
@@ -32,9 +32,8 @@ from .montecarlo import (
     DEFAULT_BLOCK_SIZE,
     DEFAULT_SEED,
     SimulationConfig,
-    empirical_distribution,
-    loading_from_distribution,
-    simulate,
+    loading_from_rho,
+    loss_distribution,
 )
 
 __all__ = [
@@ -75,8 +74,6 @@ _TABLE_KINDS = {
     "T4": ModelKind.PER_EXPOSURE_SHOCK,
     "T5": ModelKind.PER_EXPOSURE_SHOCK,
 }
-
-_MEASURES = ((MeasureKind.VAR, "VaR"), (MeasureKind.TVAR, "TVaR"))
 
 # Probabilities of the published case study: fair-game normal state, coin-flip
 # crisis state.
@@ -213,29 +210,26 @@ def _cell_loadings(
     N: int,
     source: str | SimulationConfig,
     params: PortfolioParams,
-    measures: list[RiskMeasureSpec],
+    convention: TvarConvention,
     workers: int,
 ) -> list[float]:
-    """Loadings for each measure, read off one exact or simulated distribution."""
-    if isinstance(source, SimulationConfig):
-        d = empirical_distribution(simulate(model, N, params.exposures, source, workers=workers))
-    else:
-        d = loss_count_distribution(model, N, params.exposures)
-    return [loading_from_distribution(d, model, params, N, m) for m in measures]
+    """VaR and TVaR loadings, read off one distribution with one quantile search."""
+    d = loss_distribution(model, N, params.exposures, source, workers)
+    rhos = var_and_tvar(d, params.alpha, convention)
+    return [loading_from_rho(rho, model, params, N) for rho in rhos]
 
 
 def build_grid(
     table_id: str, spec: GridSpec, params: PortfolioParams, workers: int = 1
 ) -> Table:
     """VaR rows, TVaR rows and an E[L]/N footer; one distribution per cell."""
-    measures = [RiskMeasureSpec(mk, params.alpha, spec.convention) for mk, _ in _MEASURES]
     cells = [
-        [_cell_loadings(model, N, source, params, measures, workers) for _, model in spec.columns]
+        [_cell_loadings(m, N, source, params, spec.convention, workers) for _, m in spec.columns]
         for _, N, source in spec.rows
     ]
     table_rows = [
         [mlabel, row_label] + [fmt_loading(cell[i]) for cell in row]
-        for i, (_, mlabel) in enumerate(_MEASURES)
+        for i, mlabel in enumerate(("VaR", "TVaR"))
         for (row_label, _, _), row in zip(spec.rows, cells)
     ]
     footer = ["E[L]/N", ""]

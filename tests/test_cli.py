@@ -108,6 +108,9 @@ class TestSweep:
         ("--model", "common", "--p-grid", "0.2"),
         ("--model", "crisis", "--p-grid", "0.2"),
         ("--model", "iid", "--ptilde-grid", "0.01"),
+        ("--model", "iid", "--p", "0.3"),
+        ("--model", "iid", "--q", "0.9"),
+        ("--model", "iid", "--p", "0.3", "--q", "0.9", "--N-grid", "1"),
     ])
     def test_grid_the_model_does_not_use_exits_2(self, capsys, argv):
         code, out, err = run(capsys, "sweep", *argv)
@@ -117,6 +120,34 @@ class TestSweep:
     @pytest.mark.parametrize("flag", [("--N", "10"), ("--ptilde", "0.01")])
     def test_single_portfolio_flags_rejected(self, capsys, flag):
         assert run(capsys, "sweep", "--model", "common", *flag)[0] == 2
+
+    def test_shock_model_reads_p_and_q(self, capsys):
+        argv = ("sweep", "--model", "common", "--N-grid", "10", "--ptilde-grid", "0.05")
+        _, default, _ = run(capsys, *argv)
+        code, out, _ = run(capsys, *argv, "--p", "0.2", "--q", "0.6")
+        assert code == 0 and out != default
+
+
+# Flags a subcommand does not read; each is a usage error.
+_UNREAD_FLAGS = [
+    (command, ("--expense", "0.3"))
+    for command in ("dist", "loading", "sweep", "table", "simulate", "converge")
+] + [
+    ("dist", ("--alpha", "0.5")), ("dist", ("--eta", "0.2")),
+    ("simulate", ("--alpha", "0.5")), ("simulate", ("--eta", "0.2")),
+    ("simulate", ("--severity", "5")),
+    ("loading", ("--format", "json")), ("loading", ("--out", "x.csv")),
+    ("converge", ("--sims", "20000")),
+]
+_BASE_ARGS = {"table": ("--id", "T1")}
+
+
+@pytest.mark.parametrize("command,flag", _UNREAD_FLAGS)
+def test_subcommand_rejects_flags_it_does_not_read(capsys, tmp_path, monkeypatch, command, flag):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, command, *_BASE_ARGS.get(command, ()), *flag)
+    assert code == 2 and out == "" and flag[0] in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 class TestSimulate:
@@ -177,6 +208,13 @@ class TestErrors:
         code, _, err = run(capsys, "dist", "--model", "iid", "--N", "100")
         assert code == 1
         assert "600" in err and "50" in err
+
+    @pytest.mark.parametrize("value", ["0", "-5", "abc"])
+    def test_bad_support_limit_reported(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("RISKDIV_MAX_SUPPORT", value)
+        code, out, err = run(capsys, "dist", "--model", "iid", "--N", "1")
+        assert code == 1 and out == ""
+        assert "RISKDIV_MAX_SUPPORT must be a positive integer" in err
 
     def test_bad_probability_reported(self, capsys):
         code, _, err = run(capsys, "loading", "--model", "iid", "--N", "1", "--p", "1.5")

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from riskdiv.distributions import DiscreteLossDistribution, binomial, point_mass
+from riskdiv.distributions import DiscreteLossDistribution, binomial, mixture, point_mass
 from riskdiv.measures import (
     MeasureKind,
     RiskMeasureSpec,
@@ -20,6 +20,7 @@ from riskdiv.measures import (
     normal_quantile,
     tail_value_at_risk,
     value_at_risk,
+    var_and_tvar,
 )
 from riskdiv.models import ModelSpec, loss_count_distribution
 
@@ -241,3 +242,40 @@ class TestApplyMeasure:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             RiskMeasureSpec(MeasureKind.VAR, 1.0)
+
+
+# Small binomials and two-state mixtures of them; mixtures carry the recipe
+# that sends plateau crossings to the exact search.
+small_distributions = st.one_of(
+    st.builds(binomial, st.integers(1, 40), st.floats(0.02, 0.98)),
+    st.builds(
+        lambda n, p, q, w: mixture([binomial(n, q), binomial(n, p)], [w, 1.0 - w]),
+        st.integers(1, 40),
+        st.floats(0.02, 0.5),
+        st.floats(0.5, 0.98),
+        st.floats(0.001, 0.2),
+    ),
+)
+
+
+class TestVarAndTvar:
+    @given(d=small_distributions, alpha=st.floats(0.5, 0.995))
+    @settings(max_examples=80, deadline=None)
+    def test_one_search_gives_both_measures(self, d, alpha):
+        conditional = var_and_tvar(d, alpha, TvarConvention.CONDITIONAL)
+        tail_average = var_and_tvar(d, alpha, TvarConvention.TAIL_AVERAGE)
+        v = value_at_risk(d, alpha)
+        assert conditional == (v, tail_value_at_risk(d, alpha, TvarConvention.CONDITIONAL))
+        assert tail_average == (v, tail_value_at_risk(d, alpha, TvarConvention.TAIL_AVERAGE))
+        assert conditional[1] == pytest.approx(brute_tail_mean(d, v), rel=1e-9)
+        # The conditional tail adds the rest of the VaR atom, the smallest
+        # count in the tail, so it averages lower; the slack covers rounding
+        # and the truncated tail mass.
+        assert v <= conditional[1] <= tail_average[1] * (1.0 + 1e-9)
+
+    def test_apply_measure_reads_the_pair(self):
+        d = loss_count_distribution(ModelSpec.common_shock(1 / 6, 0.5, 0.01), 10, 6)
+        for convention in TvarConvention:
+            v, t = var_and_tvar(d, 0.99, convention)
+            assert apply_measure(d, RiskMeasureSpec(MeasureKind.VAR, 0.99, convention)) == float(v)
+            assert apply_measure(d, RiskMeasureSpec(MeasureKind.TVAR, 0.99, convention)) == t

@@ -76,6 +76,12 @@ class TestLossCountDistribution:
         monkeypatch.setenv("RISKDIV_MAX_SUPPORT", "1000")
         loss_count_distribution(ModelSpec.iid(0.5), 100, 6)
 
+    @pytest.mark.parametrize("value", ["0", "-5", "abc"])
+    def test_support_limit_must_be_positive_integer(self, monkeypatch, value):
+        monkeypatch.setenv("RISKDIV_MAX_SUPPORT", value)
+        with pytest.raises(ValueError, match="RISKDIV_MAX_SUPPORT must be a positive integer"):
+            loss_count_distribution(ModelSpec.iid(0.5), 1, 6)
+
 
 class TestClosedFormMean:
     def test_iid(self):

@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
-from riskdiv.distributions import binomial, point_mass
-from riskdiv.measures import MeasureKind, RiskMeasureSpec, gaussian_var_approx, normal_quantile
-from riskdiv.models import ModelSpec, PortfolioParams, closed_form_mean_per_policy
+from riskdiv.distributions import moments
+from riskdiv.measures import (
+    MeasureKind,
+    RiskMeasureSpec,
+    apply_measure,
+    gaussian_var_approx,
+    normal_quantile,
+)
+from riskdiv.models import ModelSpec, PortfolioParams, loss_count_distribution
 from riskdiv.montecarlo import SimulationConfig
 from riskdiv.pricing import (
     premium,
@@ -22,22 +28,42 @@ VAR99 = RiskMeasureSpec(MeasureKind.VAR, 0.99)
 TVAR99 = RiskMeasureSpec(MeasureKind.TVAR, 0.99)
 
 
+def var_counts(model, N, spec):
+    return apply_measure(loss_count_distribution(model, N, PARAMS.exposures), spec)
+
+
 class TestCapital:
+    IID = ModelSpec.iid(1 / 6)
+
     def test_var_capital(self):
-        assert risk_adjusted_capital(binomial(6, 1 / 6), VAR99, 10.0) == pytest.approx(20.0)
+        rho = var_counts(self.IID, 1, VAR99)
+        assert risk_adjusted_capital(rho, self.IID, PARAMS, 1) == pytest.approx(20.0)
 
     def test_point_mass_capital_is_zero(self):
-        assert risk_adjusted_capital(point_mass(4), VAR99, 10.0) == pytest.approx(0.0)
+        model = ModelSpec.iid(1.0)  # every exposure loses: a point mass at n
+        assert risk_adjusted_capital(var_counts(model, 1, VAR99), model, PARAMS, 1) == pytest.approx(0.0)
 
     def test_tvar_capital(self):
-        got = risk_adjusted_capital(binomial(6, 1 / 6), TVAR99, 10.0)
+        got = risk_adjusted_capital(var_counts(self.IID, 1, TVAR99), self.IID, PARAMS, 1)
         assert got == pytest.approx(21.51, abs=5e-3)
 
     def test_negative_capital_warns(self):
         # A low confidence level puts the quantile below the mean.
+        rho = var_counts(self.IID, 1, RiskMeasureSpec(MeasureKind.VAR, 0.2))
         with pytest.warns(UserWarning):
-            value = risk_adjusted_capital(binomial(6, 1 / 6), RiskMeasureSpec(MeasureKind.VAR, 0.2), 10.0)
+            value = risk_adjusted_capital(rho, self.IID, PARAMS, 1)
         assert value < 0.0
+
+    def test_capital_matches_pmf_mean_within_truncation(self):
+        # The closed-form mean and the stored-pmf mean differ by at most
+        # truncated_mass * N * n counts.
+        model = ModelSpec.common_shock(1 / 6, 0.5, 0.01)
+        for N in (10, 1000):
+            d = loss_count_distribution(model, N, PARAMS.exposures)
+            rho = apply_measure(d, TVAR99)
+            pmf_capital = PARAMS.severity * (rho - moments(d)[0])
+            bound = PARAMS.severity * (d.truncated_mass * N * PARAMS.exposures + 1e-9 * N)
+            assert abs(risk_adjusted_capital(rho, model, PARAMS, N) - pmf_capital) <= bound
 
 
 class TestRiskLoading:
@@ -55,11 +81,8 @@ class TestRiskLoading:
         # loading == eta * capital / N for the same measure, exactly.
         model = ModelSpec.iid(1 / 6)
         for N in (1, 10, 100):
-            from riskdiv.models import loss_count_distribution
-
             est = risk_loading_per_policy(model, PARAMS, N, TVAR99)
-            d = loss_count_distribution(model, N, PARAMS.exposures)
-            capital = risk_adjusted_capital(d, TVAR99, PARAMS.severity)
+            capital = risk_adjusted_capital(var_counts(model, N, TVAR99), model, PARAMS, N)
             assert est.value == pytest.approx(0.15 * capital / N, rel=1e-12)
 
     def test_mc_source_attaches_standard_error(self):
@@ -159,3 +182,24 @@ class TestPricePolicy:
         assert result.premium == pytest.approx(13.0)
         assert result.premium_netted == pytest.approx(11.304, abs=5e-4)
         assert result.relative_risk == pytest.approx(0.30)
+
+    def test_capital_does_not_depend_on_capital_cost(self):
+        model = ModelSpec.iid(1 / 6)
+        free = price_policy(model, PortfolioParams(capital_cost=0.0), 1, VAR99)
+        assert free.capital == 20.0
+        assert free.capital == price_policy(model, PARAMS, 1, VAR99).capital
+        assert free.risk_loading_per_policy == 0.0
+
+    def test_simulated_loading_is_cost_of_capital(self):
+        model = ModelSpec.common_shock(1 / 6, 0.5, 0.05)
+        cfg = SimulationConfig(num_sims=40_000, seed=7, block_size=20_000)
+        for spec in (VAR99, TVAR99):
+            result = price_policy(model, PARAMS, 50, spec, source=cfg)
+            assert result.capital > 0.0
+            assert result.risk_loading_per_policy == pytest.approx(
+                PARAMS.capital_cost * result.capital / 50, rel=1e-12
+            )
+            # Same draws, same value as the loading on its own.
+            assert result.risk_loading_per_policy == risk_loading_per_policy(
+                model, PARAMS, 50, spec, source=cfg
+            ).value
