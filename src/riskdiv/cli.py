@@ -112,6 +112,44 @@ def _params(args) -> PortfolioParams:
     )
 
 
+def _read_if_given(parser: argparse.ArgumentParser, *dests: str) -> None:
+    """Leave dests None unless given; _check_unread_flags fills in the defaults.
+
+    For flags a subcommand reads only for some inputs (see _unread_flags), so
+    that giving one it will not read is a usage error.
+    """
+    defaults = {dest: parser.get_default(dest) for dest in dests}
+    parser.set_defaults(given_defaults=defaults, **dict.fromkeys(dests))
+
+
+# Sweep flags a model has no use for: iid columns come from --p-grid alone.
+_SWEEP_UNUSED = {"iid": ("p", "q", "ptilde_grid"), "common": ("p_grid",), "crisis": ("p_grid",)}
+# T1 is one policy's distribution: no risk measure, no simulation.
+_T1_UNUSED = ("alpha", "eta", "mc", "sims", "seed", "block_size", "workers")
+
+
+def _unread_flags(args) -> tuple[str, tuple[str, ...]]:
+    """The argument that decides it, and the flags the parsed command will not read."""
+    if args.command == "table":
+        return f"--id {args.id}", _T1_UNUSED if args.id == "T1" else ()
+    if args.command == "sweep":
+        return f"--model {args.model}", _SWEEP_UNUSED[args.model]
+    return f"--model {args.model}", ("q", "ptilde") if args.model == "iid" else ()
+
+
+def _check_unread_flags(parser: argparse.ArgumentParser, args) -> None:
+    """A flag the command does not read is a usage error; the rest get defaults."""
+    if not hasattr(args, "given_defaults"):
+        return
+    given_with, unread = _unread_flags(args)
+    for dest, default in args.given_defaults.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif dest in unread:
+            flag = "--" + dest.replace("_", "-")
+            parser.error(f"{args.command}: {flag} does not apply to {given_with}")
+
+
 def _model(args) -> ModelSpec:
     kind = _MODEL_KINDS[args.model]
     if kind is ModelKind.IID:
@@ -170,26 +208,14 @@ def _cmd_sweep(args) -> int:
         table_id="custom",
         params=_params(args),
         model_kind=_MODEL_KINDS[args.model],
-        p=DEFAULT_P if args.p is None else args.p,
-        q=DEFAULT_Q if args.q is None else args.q,
+        p=args.p,
+        q=args.q,
         N_grid=args.N_grid,
         p_grid=args.p_grid,
         pt_grid=args.ptilde_grid,
     )
     _emit(build_table(req), args)
     return 0
-
-
-# Sweep flags a model has no use for: iid columns come from --p-grid alone.
-_SWEEP_UNUSED = {"iid": ("p", "q", "ptilde_grid"), "common": ("p_grid",), "crisis": ("p_grid",)}
-
-
-def _check_sweep_flags(parser: argparse.ArgumentParser, args) -> None:
-    """A flag that the chosen model does not read is a usage error."""
-    for dest in _SWEEP_UNUSED[args.model]:
-        if getattr(args, dest) is not None:
-            flag = "--" + dest.replace("_", "-")
-            parser.error(f"sweep: {flag} does not apply to --model {args.model}")
 
 
 def _cmd_table(args) -> int:
@@ -257,6 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     _shared_flags(p_dist, "severity", "exposures", *_OUTPUT)
     _model_flags(p_dist)
     _portfolio_flags(p_dist)
+    _read_if_given(p_dist, "q", "ptilde")
     p_dist.set_defaults(fn=_cmd_dist)
 
     p_load = sub.add_parser("loading", help="one risk loading per policy")
@@ -269,6 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--convention", choices=tuple(c.value for c in TvarConvention), default="conditional"
     )
     p_load.add_argument("--source", choices=("exact", "mc"), default="exact")
+    _read_if_given(p_load, "q", "ptilde")
     p_load.set_defaults(fn=_cmd_loading)
 
     # Without abbreviations, so the single-portfolio flags --N and --ptilde
@@ -278,17 +306,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _shared_flags(p_sweep, *_PRICING, *_OUTPUT)
     _model_flags(p_sweep)
-    # None marks --p and --q as not given, which an iid sweep requires.
-    p_sweep.set_defaults(p=None, q=None)
     p_sweep.add_argument("--N-grid", type=_int_grid, default=None, dest="N_grid")
     p_sweep.add_argument("--p-grid", type=_grid, default=None, dest="p_grid")
     p_sweep.add_argument("--ptilde-grid", type=_grid, default=None, dest="ptilde_grid")
+    _read_if_given(p_sweep, "p", "q", "p_grid", "ptilde_grid")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_table = sub.add_parser("table", help="regenerate a reference table")
     _shared_flags(p_table, *_PRICING, *_OUTPUT)
     _request_flags(p_table)
     p_table.add_argument("--id", choices=TABLE_IDS, required=True)
+    _read_if_given(p_table, *_T1_UNUSED)
     p_table.set_defaults(fn=_cmd_table)
 
     p_sim = sub.add_parser("simulate", help="simulate a loss histogram")
@@ -296,6 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     _model_flags(p_sim)
     _portfolio_flags(p_sim)
     _sim_flags(p_sim)
+    _read_if_given(p_sim, "q", "ptilde")
     p_sim.set_defaults(fn=_cmd_simulate)
 
     p_verify = sub.add_parser("verify", help="regenerate tables and diff against references")
@@ -316,6 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument(
         "--sims-list", type=_int_grid, default=(1_000_000, 10_000_000), dest="sims_list"
     )
+    _read_if_given(p_conv, "q", "ptilde")
     p_conv.set_defaults(fn=_cmd_converge)
 
     return parser
@@ -325,8 +355,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "sweep":
-            _check_sweep_flags(parser, args)
+        _check_unread_flags(parser, args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help; pass both through.
         return int(exc.code or 0)

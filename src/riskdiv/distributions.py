@@ -8,7 +8,7 @@ downstream by the pricing layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import stats
@@ -146,29 +146,28 @@ def binomial(trials: int, prob: float) -> DiscreteLossDistribution:
     if prob == 1.0:
         return point_mass(trials)
 
-    dist = stats.binom(trials, prob)
     mean = trials * prob
     sd = max(np.sqrt(trials * prob * (1.0 - prob)), 1.0)
     margin = 12.0 * sd + 40.0
     lo = max(0, int(np.floor(mean - margin)))
     hi = min(trials, int(np.ceil(mean + margin)))
-    pmf = dist.pmf(np.arange(lo, hi + 1))
+    pmf = stats.binom.pmf(np.arange(lo, hi + 1), trials, prob)
     # Defensive: widen if the threshold region is not fully inside the bracket.
     while lo > 0 and pmf[0] >= TRUNCATION_EPS:
         lo2 = max(0, lo - int(4 * sd + 16))
-        pmf = np.concatenate([dist.pmf(np.arange(lo2, lo)), pmf])
+        pmf = np.concatenate([stats.binom.pmf(np.arange(lo2, lo), trials, prob), pmf])
         lo = lo2
     while hi < trials and pmf[-1] >= TRUNCATION_EPS:
         hi2 = min(trials, hi + int(4 * sd + 16))
-        pmf = np.concatenate([pmf, dist.pmf(np.arange(hi + 1, hi2 + 1))])
+        pmf = np.concatenate([pmf, stats.binom.pmf(np.arange(hi + 1, hi2 + 1), trials, prob)])
         hi = hi2
 
     keep = np.nonzero(pmf >= TRUNCATION_EPS)[0]
     lo_k = lo + int(keep[0])
     hi_k = lo + int(keep[-1])
     masses = pmf[keep[0] : keep[-1] + 1]
-    below = float(dist.cdf(lo_k - 1)) if lo_k > 0 else 0.0
-    above = float(dist.sf(hi_k)) if hi_k < trials else 0.0
+    below = float(stats.binom.cdf(lo_k - 1, trials, prob)) if lo_k > 0 else 0.0
+    above = float(stats.binom.sf(hi_k, trials, prob)) if hi_k < trials else 0.0
     recipe = ((1.0, trials, float(prob), lo_k, hi_k),)
     return DiscreteLossDistribution(lo_k, masses, below, above, components=recipe)
 
@@ -265,41 +264,65 @@ def cdf_at(d: DiscreteLossDistribution, k: int) -> float:
     return float(d.cdf[k - d.min_count])
 
 
-def _mp_binom_cdf(trials: int, prob, k: int, mp_mod):
+# Working precision of the exact cdf, in decimal digits.
+_EXACT_DPS = 40
+
+
+def _mp_binom_cdf(trials: int, prob: float, k: int):
     """Exact lower binomial cdf, efficient in either tail.
 
     Sums the pmf by ratio recurrence from the anchor point k, downward for a
     lower-tail k and as one minus the upward sum otherwise, stopping once
     terms stop mattering at the working precision.
     """
-    mpf = mp_mod.mpf
+    from mpmath import mp
+
+    mpf = mp.mpf
     if k < 0:
         return mpf(0)
     if k >= trials:
         return mpf(1)
     p = mpf(prob)
+    # Once per sum, at the working precision (a module constant would be
+    # parsed at 53 bits, a different number).
+    one_minus_p = 1 - p
+    negligible = mpf("1e-45")
     lower_tail = k < trials * p
     if lower_tail:
         j = k
-        t = mp_mod.binomial(trials, j) * p**j * (1 - p) ** (trials - j)
+        t = mp.binomial(trials, j) * p**j * one_minus_p ** (trials - j)
         s = t
         while j > 0:
-            t = t * j * (1 - p) / ((trials - j + 1) * p)
+            t = t * j * one_minus_p / ((trials - j + 1) * p)
             s += t
             j -= 1
-            if t < s * mpf("1e-45"):
+            if t < s * negligible:
                 break
         return s
     j = k + 1
-    t = mp_mod.binomial(trials, j) * p**j * (1 - p) ** (trials - j)
+    t = mp.binomial(trials, j) * p**j * one_minus_p ** (trials - j)
     s = t
     while j < trials:
-        t = t * (trials - j) * p / ((j + 1) * (1 - p))
+        t = t * (trials - j) * p / ((j + 1) * one_minus_p)
         s += t
         j += 1
-        if t < s * mpf("1e-45"):
+        if t < s * negligible:
             break
     return 1 - s
+
+
+@lru_cache(maxsize=4096)
+def _component_cdf(trials: int, prob: float, k: int):
+    """_mp_binom_cdf at _EXACT_DPS digits, summed once per (trials, prob, k).
+
+    A plateau search clamps k to each component's support, so across one
+    band it asks for the same component value again and again.  The
+    precision is set here, so the value does not depend on the caller's.
+    """
+    from mpmath import mp
+
+    with mp.workdps(_EXACT_DPS):
+        return _mp_binom_cdf(trials, prob, k)
 
 
 def exact_cdf_at(d: DiscreteLossDistribution, k: int):
@@ -308,17 +331,18 @@ def exact_cdf_at(d: DiscreteLossDistribution, k: int):
     Reproduces the anchored-cdf semantics of the stored object: each
     component contributes its exact cdf clamped to its stored support, so
     the value matches what cdf_at computes, free of double rounding.  Only
-    available when the distribution carries a component recipe.
+    available when the distribution carries a component recipe.  The value
+    does not depend on the caller's mpmath precision.
     """
     if d.components is None:
         raise ValueError("no generative recipe available for exact evaluation")
     from mpmath import mp
 
-    with mp.workdps(40):
+    with mp.workdps(_EXACT_DPS):
         total = mp.mpf(0)
         for weight, trials, prob, s_lo, s_hi in d.components:
             kk = min(max(k, s_lo - 1), s_hi)
-            total += mp.mpf(weight) * _mp_binom_cdf(trials, prob, kk, mp)
+            total += mp.mpf(weight) * _component_cdf(trials, prob, kk)
         return total
 
 

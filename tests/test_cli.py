@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from riskdiv.cli import cli_main
+from riskdiv.tables import DEFAULT_Q
 
 
 def run(capsys, *argv):
@@ -138,8 +143,22 @@ _UNREAD_FLAGS = [
     ("simulate", ("--severity", "5")),
     ("loading", ("--format", "json")), ("loading", ("--out", "x.csv")),
     ("converge", ("--sims", "20000")),
+] + [
+    # The iid model reads neither the crisis loss probability nor its chance.
+    (command, flag)
+    for command in ("dist", "loading", "simulate", "converge")
+    for flag in (("--q", "0.9"), ("--ptilde", "0.3"))
+] + [
+    # T1 is one policy's distribution: no risk measure, no simulation.
+    ("table", flag)
+    for flag in (
+        ("--alpha", "0.5"), ("--eta", "0.2"), ("--mc",), ("--sims", "20000"),
+        ("--seed", "3"), ("--block-size", "1000"), ("--workers", "2"),
+    )
 ]
-_BASE_ARGS = {"table": ("--id", "T1")}
+_BASE_ARGS = {"table": ("--id", "T1")} | dict.fromkeys(
+    ("dist", "loading", "simulate", "converge"), ("--model", "iid")
+)
 
 
 @pytest.mark.parametrize("command,flag", _UNREAD_FLAGS)
@@ -148,6 +167,36 @@ def test_subcommand_rejects_flags_it_does_not_read(capsys, tmp_path, monkeypatch
     code, out, err = run(capsys, command, *_BASE_ARGS.get(command, ()), *flag)
     assert code == 2 and out == "" and flag[0] in err
     assert not (tmp_path / "x.csv").exists()
+
+
+# A shock-model run of each command that reads --q and --ptilde.
+_SHOCK_RUNS = {
+    "dist": (),
+    "loading": (),
+    "simulate": ("--sims", "20000"),
+    "converge": ("--sims-list", "20000"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SHOCK_RUNS))
+def test_shock_model_defaults_q_and_ptilde(capsys, command):
+    base = (command, "--model", "common", "--N", "2", *_SHOCK_RUNS[command])
+    shocked = run(capsys, *base, "--ptilde", "0.1")
+    assert shocked[0] == 0 and shocked[1]
+    assert run(capsys, *base, "--ptilde", "0.1", "--q", repr(DEFAULT_Q)) == shocked
+    assert run(capsys, *base) == run(capsys, *base, "--ptilde", "0.0")
+
+
+def test_python_m_riskdiv_runs_the_cli(capsys):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "riskdiv", "table", "--id", "T1"],
+        capture_output=True, env=env, check=False,
+    )
+    code, out, _ = run(capsys, "table", "--id", "T1")
+    assert proc.returncode == code == 0
+    assert proc.stdout == out.encode()
 
 
 class TestSimulate:

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
+from riskdiv import distributions
 from riskdiv.distributions import (
     TRUNCATION_BUDGET,
     DiscreteLossDistribution,
@@ -21,6 +23,7 @@ from riskdiv.distributions import (
     point_mass,
     pointwise_distance,
 )
+from riskdiv.models import ModelSpec, loss_count_distribution
 
 
 def exact_binom_pmf(n: int, k: int, p: Fraction) -> Fraction:
@@ -194,6 +197,27 @@ class TestCdf:
         h = DiscreteLossDistribution(0, np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             exact_cdf_at(h, 0)
+
+    def test_exact_cdf_bits_on_the_plateau(self):
+        # Mantissa and exponent of the exact cdf either side of the VaR99
+        # crossing of a common shock at pt=1%, N=100 (both print as 0.99).
+        d = loss_count_distribution(ModelSpec.common_shock(1 / 6, 0.5, 0.01), 100, 6)
+        distributions._component_cdf.cache_clear()
+        assert exact_cdf_at(d, 208)._mpf_ == (
+            0, 86241163072442624958125096407718231070541, -136, 136
+        )
+        assert exact_cdf_at(d, 209)._mpf_ == (
+            0, 43120581536221322335842726776768534101351, -135, 135
+        )
+
+    def test_exact_cdf_ignores_caller_precision(self):
+        d = loss_count_distribution(ModelSpec.common_shock(1 / 6, 0.5, 0.01), 100, 6)
+        values = []
+        for dps in (15, 60):
+            distributions._component_cdf.cache_clear()
+            with mp.workdps(dps):
+                values.append([exact_cdf_at(d, k)._mpf_ for k in range(150, 260, 7)])
+        assert values[0] == values[1]
 
 
 class TestValidation:

@@ -7,9 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mpf
 from scipy import stats
 
-from riskdiv.distributions import DiscreteLossDistribution, binomial, mixture, point_mass
+from riskdiv import distributions
+from riskdiv.distributions import (
+    DiscreteLossDistribution,
+    binomial,
+    exact_cdf_at,
+    mixture,
+    point_mass,
+)
 from riskdiv.measures import (
     MeasureKind,
     RiskMeasureSpec,
@@ -172,6 +180,69 @@ class TestPlateauQuantiles:
         d = loss_count_distribution(model, 100, 6)
         loading = 0.15 * (10 * tail_value_at_risk(d, 0.99) / 100 - 10.2)
         assert loading == pytest.approx(2.970, abs=5e-4)
+
+    def test_plateau_at_quote_scale(self):
+        # The 114k-count band of a common-shock quote at N=58,926.
+        model = ModelSpec.common_shock(1 / 6, 0.5, 0.01)
+        d = loss_count_distribution(model, 58_926, 6)
+        assert value_at_risk(d, 0.99) == 174_697
+
+    def test_each_component_cdf_summed_once(self, monkeypatch):
+        # The band search clamps k to each component's support, so most of
+        # its exact evaluations repeat a component value already summed.
+        d = loss_count_distribution(ModelSpec.common_shock(1 / 6, 0.5, 0.01), 10_000, 6)
+        searches, sums = [], []
+
+        def counted_search(*args):
+            searches.append(args)
+            return exact_cdf_at(*args)
+
+        def counted_sum(*args):
+            sums.append(args)
+            return mp_binom_cdf(*args)
+
+        mp_binom_cdf = distributions._mp_binom_cdf
+        monkeypatch.setattr(distributions, "exact_cdf_at", counted_search)
+        monkeypatch.setattr(distributions, "_mp_binom_cdf", counted_sum)
+        distributions._component_cdf.cache_clear()
+        value_at_risk(d, 0.99)
+        assert len(searches) == 16
+        assert 0 < len(sums) <= 12
+        assert len(set(sums)) == len(sums)
+
+
+# Two-state mixtures with alpha at the normal-state weight: the cdf sits on a
+# plateau at alpha, so the crossing is decided in exact arithmetic.
+plateau_mixtures = st.builds(
+    lambda n, p, q, w: (mixture([binomial(n, q), binomial(n, p)], [w, 1.0 - w]), 1.0 - w),
+    st.integers(1, 60),
+    st.floats(0.02, 0.5),
+    st.floats(0.5, 0.98),
+    st.floats(0.001, 0.2),
+)
+
+
+def first_index_reaching(d, alpha):
+    """Oracle: linear scan of the exact cdf for the first count reaching alpha."""
+    a = mpf(alpha)
+    for i in range(len(d.masses)):
+        if exact_cdf_at(d, d.min_count + i) >= a:
+            return d.min_count + i
+    raise AssertionError("alpha not reached")
+
+
+class TestPlateauProperties:
+    @given(case=plateau_mixtures, other=st.floats(0.5, 0.995))
+    @settings(max_examples=100, deadline=None)
+    def test_search_equals_linear_scan_and_is_monotone(self, case, other):
+        d, alpha = case
+        assert value_at_risk(d, alpha) == first_index_reaching(d, alpha)
+        levels = sorted({
+            alpha, other, math.nextafter(alpha, 0.0), math.nextafter(alpha, 1.0),
+            alpha - 1e-12, alpha + 1e-12, alpha - 1e-9, alpha + 1e-9,
+        })
+        vars_ = [value_at_risk(d, a) for a in levels]
+        assert vars_ == sorted(vars_)
 
 
 class TestNormalQuantile:
