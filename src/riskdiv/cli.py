@@ -1,16 +1,18 @@
 """Command-line front end.
 
-Subcommands: dist, loading, sweep, table, simulate, verify, converge.
-table and verify build their TableRequest the same way, from --mc and the
-simulation flags; sweep fills in a custom request from the model and grid
-flags.  Exit codes: 0 on success, 1 on verification or computation failure,
-2 on usage errors.
+Subcommands: dist, loading, sweep, table, simulate, verify, converge.  The
+flags are three tables: _FLAGS defines each flag once, _COMMANDS names the
+flags each subcommand accepts, and _READ_WHEN gives the condition under which
+a subcommand reads a flag that it reads only for some inputs.  Giving a flag
+whose condition does not hold is a usage error, as are an abbreviated flag
+and a count (--N, --exposures, --sims, ...) that is not a positive integer.
+Exit codes: 0 on success, 1 on verification or computation failure, 2 on
+usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -45,49 +47,54 @@ _MODEL_KINDS = {
 }
 
 
-# Flags shared by several subcommands; each subcommand adds only those it reads.
-_SHARED_FLAGS = {
-    "alpha": dict(type=float, default=0.99, help="risk measure confidence level"),
-    "eta": dict(type=float, default=0.15, help="cost-of-capital rate"),
-    "severity": dict(type=float, default=10.0, help="unit loss amount"),
-    "exposures": dict(type=int, default=6, help="exposures per policy"),
-    "format": dict(choices=("csv", "json"), default="csv", dest="fmt"),
-    "out": dict(type=Path, default=None, help="output file (default stdout)"),
-    "sims": dict(type=int, default=1_000_000, help="simulation count"),
+def _positive_int(text: str) -> int:
+    """A count flag's value; anything but a positive integer is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _grid(kind):
+    """The parser of a comma-separated list of kind values."""
+
+    def grid(text: str) -> tuple:
+        return tuple(kind(x) for x in text.split(","))
+
+    return grid
+
+
+# Every flag once, with its argparse settings and default.
+_FLAGS = {
+    "--model": dict(choices=sorted(_MODEL_KINDS), default="iid"),
+    "--p": dict(type=float, default=DEFAULT_P, help="normal-state loss probability"),
+    "--q": dict(type=float, default=DEFAULT_Q, help="crisis-state loss probability"),
+    "--N": dict(type=_positive_int, default=1, help="number of policies"),
+    "--ptilde": dict(type=float, default=0.0, help="crisis occurrence probability"),
+    "--alpha": dict(type=float, default=0.99, help="risk measure confidence level"),
+    "--eta": dict(type=float, default=0.15, help="cost-of-capital rate"),
+    "--severity": dict(type=float, default=10.0, help="unit loss amount"),
+    "--exposures": dict(type=_positive_int, default=6, help="exposures per policy"),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--out": dict(type=Path, default=None, help="output file (default stdout)"),
+    "--sims": dict(type=_positive_int, default=1_000_000, help="simulation count"),
+    "--seed": dict(type=int, default=DEFAULT_SEED),
+    "--block-size": dict(type=_positive_int, default=DEFAULT_BLOCK_SIZE),
+    "--workers": dict(type=_positive_int, default=1),
+    "--mc": dict(action="store_true", default=False,
+                 help="simulate the loading grids T2-T4 instead of exact"),
+    "--measure": dict(choices=("var", "tvar"), default="var"),
+    "--convention": dict(choices=tuple(c.value for c in TvarConvention), default="conditional"),
+    "--source": dict(choices=("exact", "mc"), default="exact"),
+    "--N-grid": dict(type=_grid(_positive_int), default=None),
+    "--p-grid": dict(type=_grid(float), default=None),
+    "--ptilde-grid": dict(type=_grid(float), default=None),
+    "--sims-list": dict(type=_grid(_positive_int), default=(1_000_000, 10_000_000)),
+    "--id": dict(choices=TABLE_IDS + ("all",), default="all"),
 }
-_PRICING = ("alpha", "eta", "severity", "exposures")
-_OUTPUT = ("format", "out")
-
-
-def _shared_flags(parser: argparse.ArgumentParser, *names: str) -> None:
-    for name in names:
-        parser.add_argument(f"--{name}", **_SHARED_FLAGS[name])
-
-
-def _model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", choices=sorted(_MODEL_KINDS), default="iid")
-    parser.add_argument("--p", type=float, default=DEFAULT_P, help="normal-state loss probability")
-    parser.add_argument("--q", type=float, default=DEFAULT_Q, help="crisis-state loss probability")
-
-
-def _portfolio_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--N", type=int, default=1, help="number of policies")
-    parser.add_argument("--ptilde", type=float, default=0.0, help="crisis occurrence probability")
-
-
-def _sim_flags(parser: argparse.ArgumentParser) -> None:
-    """Seed, block layout and workers; the budget is --sims or converge's --sims-list."""
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE)
-    parser.add_argument("--workers", type=int, default=1)
-
-
-def _request_flags(parser: argparse.ArgumentParser) -> None:
-    _shared_flags(parser, "sims")
-    _sim_flags(parser)
-    parser.add_argument(
-        "--mc", action="store_true", help="simulate the loading grids T2-T4 instead of exact"
-    )
 
 
 def _table_request(args, table_id: str, **fields) -> TableRequest:
@@ -112,44 +119,6 @@ def _params(args) -> PortfolioParams:
     )
 
 
-def _read_if_given(parser: argparse.ArgumentParser, *dests: str) -> None:
-    """Leave dests None unless given; _check_unread_flags fills in the defaults.
-
-    For flags a subcommand reads only for some inputs (see _unread_flags), so
-    that giving one it will not read is a usage error.
-    """
-    defaults = {dest: parser.get_default(dest) for dest in dests}
-    parser.set_defaults(given_defaults=defaults, **dict.fromkeys(dests))
-
-
-# Sweep flags a model has no use for: iid columns come from --p-grid alone.
-_SWEEP_UNUSED = {"iid": ("p", "q", "ptilde_grid"), "common": ("p_grid",), "crisis": ("p_grid",)}
-# T1 is one policy's distribution: no risk measure, no simulation.
-_T1_UNUSED = ("alpha", "eta", "mc", "sims", "seed", "block_size", "workers")
-
-
-def _unread_flags(args) -> tuple[str, tuple[str, ...]]:
-    """The argument that decides it, and the flags the parsed command will not read."""
-    if args.command == "table":
-        return f"--id {args.id}", _T1_UNUSED if args.id == "T1" else ()
-    if args.command == "sweep":
-        return f"--model {args.model}", _SWEEP_UNUSED[args.model]
-    return f"--model {args.model}", ("q", "ptilde") if args.model == "iid" else ()
-
-
-def _check_unread_flags(parser: argparse.ArgumentParser, args) -> None:
-    """A flag the command does not read is a usage error; the rest get defaults."""
-    if not hasattr(args, "given_defaults"):
-        return
-    given_with, unread = _unread_flags(args)
-    for dest, default in args.given_defaults.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-        elif dest in unread:
-            flag = "--" + dest.replace("_", "-")
-            parser.error(f"{args.command}: {flag} does not apply to {given_with}")
-
-
 def _model(args) -> ModelSpec:
     kind = _MODEL_KINDS[args.model]
     if kind is ModelKind.IID:
@@ -159,17 +128,9 @@ def _model(args) -> ModelSpec:
 
 def _emit(table: Table, args) -> None:
     if args.out is not None:
-        write_table(table, args.out, args.fmt)
+        write_table(table, args.out, args.format)
     else:
-        sys.stdout.write(render_csv(table) if args.fmt == "csv" else render_json(table))
-
-
-def _grid(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(","))
-
-
-def _int_grid(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+        sys.stdout.write(render_csv(table) if args.format == "csv" else render_json(table))
 
 
 def _cmd_dist(args) -> int:
@@ -232,11 +193,15 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _tables(args) -> tuple[str, ...]:
+    """The ids a table or verify command builds, in order."""
+    return TABLE_IDS if args.id == "all" else (args.id,)
+
+
 def _cmd_verify(args) -> int:
-    ids = TABLE_IDS if args.id == "all" else (args.id,)
     errata = load_errata()
     failed = False
-    for tid in ids:
+    for tid in _tables(args):
         report = compare_with_reference(build_table(_table_request(args, tid)), tid)
         unexpected = report.unexpected(errata)
         documented = [c for c in report.flagged if c not in unexpected]
@@ -271,6 +236,75 @@ def _cmd_converge(args) -> int:
     return 0
 
 
+# Subcommand -> (handler, help, the flags it accepts, overrides of their _FLAGS settings).
+_COMMANDS = {
+    "dist": (_cmd_dist, "emit the exact pmf/cdf of a model",
+             "--severity --exposures --format --out --model --p --q --N --ptilde", {}),
+    "loading": (_cmd_loading, "one risk loading per policy",
+                "--alpha --eta --severity --exposures --sims --model --p --q --N --ptilde "
+                "--seed --block-size --workers --measure --convention --source", {}),
+    "sweep": (_cmd_sweep, "loading grid over N and a probability grid",
+              "--alpha --eta --severity --exposures --format --out --model --p --q "
+              "--N-grid --p-grid --ptilde-grid", {}),
+    "table": (_cmd_table, "regenerate a reference table",
+              "--alpha --eta --severity --exposures --format --out --sims --seed "
+              "--block-size --workers --mc --id",
+              {"--id": dict(choices=TABLE_IDS, required=True)}),
+    "simulate": (_cmd_simulate, "simulate a loss histogram",
+                 "--exposures --format --out --sims --model --p --q --N --ptilde "
+                 "--seed --block-size --workers", {}),
+    "verify": (_cmd_verify, "regenerate tables and diff against references",
+               "--sims --seed --block-size --workers --mc --id", {}),
+    "converge": (_cmd_converge, "loading vs simulation budget",
+                 "--alpha --eta --severity --exposures --format --out --model --p --q --N "
+                 "--ptilde --seed --block-size --workers --measure --convention --sims-list",
+                 {"--measure": dict(default="tvar"),
+                  "--convention": dict(default="tail-average")}),
+}
+
+
+def _builds_t2_t4(args) -> bool:
+    return not {"T2", "T3", "T4"}.isdisjoint(_tables(args))
+
+
+def _mc_applies(args) -> bool:
+    return args.mc and _builds_t2_t4(args)
+
+
+_SHOCK_MODEL = ("with a model other than iid", lambda a: a.model != "iid")
+
+# (subcommand, flag) -> (condition, predicate) for each flag a subcommand
+# reads only for some inputs; it reads any other flag it accepts always.
+_READ_WHEN = {
+    (command, flag): rule
+    for commands, flags, rule in (
+        ("dist loading simulate converge", "--q --ptilde", _SHOCK_MODEL),
+        ("sweep", "--p --q --ptilde-grid", _SHOCK_MODEL),
+        ("sweep", "--p-grid", ("with --model iid", lambda a: a.model == "iid")),
+        ("loading converge", "--convention", (
+            "with --measure tvar", lambda a: a.measure == "tvar")),
+        ("loading", "--sims --seed --block-size --workers", (
+            "with --source mc", lambda a: a.source == "mc")),
+        ("table", "--alpha --eta", ("with an id other than T1", lambda a: a.id != "T1")),
+        ("table verify", "--mc", ("with an id among T2-T4", _builds_t2_t4)),
+        ("table verify", "--sims", ("with --mc and an id among T2-T4", _mc_applies)),
+        ("table verify", "--seed --block-size --workers", (
+            "with --id T5, or with --mc and an id among T2-T4",
+            lambda a: "T5" in _tables(a) or _mc_applies(a))),
+    )
+    for command in commands.split()
+    for flag in flags.split()
+}
+
+
+def _settings(command: str, flag: str) -> dict:
+    return {**_FLAGS[flag], **_COMMANDS[command][3].get(flag, {})}
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")  # as argparse derives it
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riskdiv",
@@ -278,89 +312,42 @@ def build_parser() -> argparse.ArgumentParser:
         "and regenerate the reference tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_dist = sub.add_parser("dist", help="emit the exact pmf/cdf of a model")
-    _shared_flags(p_dist, "severity", "exposures", *_OUTPUT)
-    _model_flags(p_dist)
-    _portfolio_flags(p_dist)
-    _read_if_given(p_dist, "q", "ptilde")
-    p_dist.set_defaults(fn=_cmd_dist)
-
-    p_load = sub.add_parser("loading", help="one risk loading per policy")
-    _shared_flags(p_load, *_PRICING, "sims")
-    _model_flags(p_load)
-    _portfolio_flags(p_load)
-    _sim_flags(p_load)
-    p_load.add_argument("--measure", choices=("var", "tvar"), default="var")
-    p_load.add_argument(
-        "--convention", choices=tuple(c.value for c in TvarConvention), default="conditional"
-    )
-    p_load.add_argument("--source", choices=("exact", "mc"), default="exact")
-    _read_if_given(p_load, "q", "ptilde")
-    p_load.set_defaults(fn=_cmd_loading)
-
-    # Without abbreviations, so the single-portfolio flags --N and --ptilde
-    # are rejected rather than read as --N-grid and --ptilde-grid.
-    p_sweep = sub.add_parser(
-        "sweep", help="loading grid over N and a probability grid", allow_abbrev=False
-    )
-    _shared_flags(p_sweep, *_PRICING, *_OUTPUT)
-    _model_flags(p_sweep)
-    p_sweep.add_argument("--N-grid", type=_int_grid, default=None, dest="N_grid")
-    p_sweep.add_argument("--p-grid", type=_grid, default=None, dest="p_grid")
-    p_sweep.add_argument("--ptilde-grid", type=_grid, default=None, dest="ptilde_grid")
-    _read_if_given(p_sweep, "p", "q", "p_grid", "ptilde_grid")
-    p_sweep.set_defaults(fn=_cmd_sweep)
-
-    p_table = sub.add_parser("table", help="regenerate a reference table")
-    _shared_flags(p_table, *_PRICING, *_OUTPUT)
-    _request_flags(p_table)
-    p_table.add_argument("--id", choices=TABLE_IDS, required=True)
-    _read_if_given(p_table, *_T1_UNUSED)
-    p_table.set_defaults(fn=_cmd_table)
-
-    p_sim = sub.add_parser("simulate", help="simulate a loss histogram")
-    _shared_flags(p_sim, "exposures", *_OUTPUT, "sims")
-    _model_flags(p_sim)
-    _portfolio_flags(p_sim)
-    _sim_flags(p_sim)
-    _read_if_given(p_sim, "q", "ptilde")
-    p_sim.set_defaults(fn=_cmd_simulate)
-
-    p_verify = sub.add_parser("verify", help="regenerate tables and diff against references")
-    _request_flags(p_verify)
-    p_verify.add_argument("--id", choices=TABLE_IDS + ("all",), default="all")
-    p_verify.set_defaults(fn=_cmd_verify)
-
-    # Without abbreviations, so --sims is rejected rather than read as --sims-list.
-    p_conv = sub.add_parser("converge", help="loading vs simulation budget", allow_abbrev=False)
-    _shared_flags(p_conv, *_PRICING, *_OUTPUT)
-    _model_flags(p_conv)
-    _portfolio_flags(p_conv)
-    _sim_flags(p_conv)
-    p_conv.add_argument("--measure", choices=("var", "tvar"), default="tvar")
-    p_conv.add_argument(
-        "--convention", choices=tuple(c.value for c in TvarConvention), default="tail-average"
-    )
-    p_conv.add_argument(
-        "--sims-list", type=_int_grid, default=(1_000_000, 10_000_000), dest="sims_list"
-    )
-    _read_if_given(p_conv, "q", "ptilde")
-    p_conv.set_defaults(fn=_cmd_converge)
-
+    for command, (_, help_text, flags, _) in _COMMANDS.items():
+        # Without abbreviations, so that --N and --sims are never read as
+        # --N-grid and --sims-list.
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        for flag in flags.split():
+            # Left unset when not given, so _check_flags can tell given flags apart.
+            p.add_argument(flag, **{**_settings(command, flag), "default": argparse.SUPPRESS})
     return parser
+
+
+def _check_flags(parser: argparse.ArgumentParser, args) -> None:
+    """Fill in the defaults of flags not given; reject given flags the command will not read."""
+    flags = _COMMANDS[args.command][2].split()
+    given = [flag for flag in flags if hasattr(args, _dest(flag))]
+    for flag in flags:
+        if flag not in given:
+            setattr(args, _dest(flag), _settings(args.command, flag)["default"])
+    unread = []
+    for flag in given:
+        condition, reads = _READ_WHEN.get((args.command, flag), ("", lambda a: True))
+        if not reads(args):
+            unread.append(f"{args.command}: {flag} is read only {condition}")
+    if unread:
+        parser.error("; ".join(unread))
 
 
 def cli_main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_unread_flags(parser, args)
+        _check_flags(parser, args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help; pass both through.
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        return _COMMANDS[args.command][0](args)
     except (ValueError, OSError) as exc:  # SupportLimitError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -148,11 +148,13 @@ def loss_count_distribution(
     accumulated in increasing j so results do not depend on scheduling.
 
     Raises:
+        ValueError: If N or n is less than 1, or if RISKDIV_MAX_SUPPORT is
+            set but is not a positive integer.
         SupportLimitError: If N*n exceeds the support limit (default 1e7,
             override with the RISKDIV_MAX_SUPPORT environment variable).
-        ValueError: If RISKDIV_MAX_SUPPORT is set but is not a positive
-            integer.
     """
+    if N < 1 or n < 1:
+        raise ValueError(f"N and n must be >= 1, got N={N}, n={n}")
     limit = _max_support(max_support)
     if N * n > limit:
         raise SupportLimitError(

@@ -140,8 +140,14 @@ def simulate(
         N: Number of policies.
         n: Exposures per policy.
         config: Simulation budget, seed and block layout.
-        workers: Process count for block execution.
+        workers: Process count for block execution; the pool never starts
+            more processes than there are blocks.
+
+    Raises:
+        ValueError: If N or n is less than 1.
     """
+    if N < 1 or n < 1:
+        raise ValueError(f"N and n must be >= 1, got N={N}, n={n}")
     sizes = _block_sizes(config.num_sims, config.block_size)
     total = N * n
     merged = np.zeros(total + 1, dtype=np.int64)
@@ -149,7 +155,7 @@ def simulate(
         for b, size in enumerate(sizes):
             merged += _draw_block(model, N, n, config.seed, b, size)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
             results = pool.map(
                 _draw_block,
                 [model] * len(sizes),

@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import argparse
+import itertools
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from riskdiv.cli import cli_main
+from riskdiv.cli import _COMMANDS, _READ_WHEN, build_parser, cli_main
 from riskdiv.tables import DEFAULT_Q
 
 
@@ -155,8 +157,22 @@ _UNREAD_FLAGS = [
         ("--alpha", "0.5"), ("--eta", "0.2"), ("--mc",), ("--sims", "20000"),
         ("--seed", "3"), ("--block-size", "1000"), ("--workers", "2"),
     )
-]
-_BASE_ARGS = {"table": ("--id", "T1")} | dict.fromkeys(
+] + [
+    # Flags read only with --source mc, and a convention read only with TVaR.
+    ("loading", flag)
+    for flag in (("--sims", "5"), ("--seed", "3"), ("--block-size", "7"), ("--workers", "2"),
+                 ("--convention", "tail-average"))
+] + [
+    ("converge", ("--convention", "conditional", "--measure", "var")),
+    # An --id after the flag replaces the base one.  Exact T2-T4 and T1 read
+    # no simulation flag; T5 is simulated whatever --mc says, at its own budgets.
+    ("table", ("--mc", "--id", "T5")), ("table", ("--sims", "5", "--id", "T5")),
+] + [
+    (command, (*flag, *id_args))
+    for command, id_args in (("table", ("--id", "T2")), ("verify", ()), ("verify", ("--id", "T2")))
+    for flag in (("--sims", "5"), ("--seed", "3"), ("--block-size", "7"), ("--workers", "2"))
+] + [("verify", ("--mc",))]
+_BASE_ARGS = {"table": ("--id", "T1"), "verify": ("--id", "T1")} | dict.fromkeys(
     ("dist", "loading", "simulate", "converge"), ("--model", "iid")
 )
 
@@ -185,6 +201,93 @@ def test_shock_model_defaults_q_and_ptilde(capsys, command):
     assert shocked[0] == 0 and shocked[1]
     assert run(capsys, *base, "--ptilde", "0.1", "--q", repr(DEFAULT_Q)) == shocked
     assert run(capsys, *base) == run(capsys, *base, "--ptilde", "0.0")
+
+
+def test_every_unread_flag_is_named_with_its_condition(capsys):
+    code, out, err = run(capsys, "table", "--id", "T2", "--sims", "5", "--seed", "3",
+                         "--block-size", "7", "--workers", "3")
+    assert code == 2 and out == ""
+    for flag in ("--sims", "--seed", "--block-size", "--workers"):
+        assert f"table: {flag} is read only {_READ_WHEN['table', flag][0]}" in err
+    assert "table: --sims is read only with --mc and an id among T2-T4" in err
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("verify", "--seed", "3"), {"seed": 3}),  # T5 reads it
+    (("verify", "--mc", "--sims", "5"), {"mc": True, "sims": 5}),
+    (("table", "--id", "T5", "--seed", "3", "--workers", "2"), {"seed": 3, "workers": 2}),
+])
+def test_flag_read_for_the_tables_built_is_accepted(capsys, monkeypatch, argv, expected):
+    import riskdiv.cli as cli
+
+    seen = []
+
+    def capture(req):
+        seen.append(req)
+        raise ValueError("request captured")
+
+    monkeypatch.setattr(cli, "build_table", capture)
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and "request captured" in err
+    assert {name: getattr(seen[0], name) for name in expected} == expected
+
+
+def test_loading_reads_sim_flags_with_mc_source(capsys):
+    code, out, _ = run(capsys, "loading", "--model", "iid", "--N", "1", "--source", "mc",
+                       "--sims", "5", "--seed", "3")
+    assert code == 0 and "se=" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("loading", "--model", "iid", "--N", "0"),
+    ("sweep", "--model", "iid", "--N-grid", "0,1"),
+    ("dist", "--exposures", "0"),
+    ("simulate", "--sims", "0"),
+    ("simulate", "--block-size", "0"),
+    ("simulate", "--workers", "0"),
+    ("simulate", "--workers", "-3"),
+    ("converge", "--sims-list", "0"),
+])
+def test_count_flags_must_be_positive(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert argv[-2] in err and "positive integer" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_every_subcommand_has_help(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0 and f"riskdiv {command}" in out
+
+
+def _readme_flag_table() -> dict[str, tuple[set[str], dict[str, str]]]:
+    """Subcommand -> (its flags, {flag: condition}) from the README's CLI table."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| subcommand | flags | read only when |") + 2
+    rows = {}
+    for line in itertools.takewhile(lambda l: l.startswith("|"), lines[start:]):
+        command, flags, read_when = (c.strip().strip("`") for c in line.strip("|").split("|"))
+        conditions = {}
+        for part in read_when.split("; "):
+            part_flags, condition = part.split(": ", 1)
+            conditions |= dict.fromkeys(part_flags.strip("`").split(), condition)
+        rows[command] = (set(flags.split()), conditions)
+    return rows
+
+
+def test_readme_flag_table_matches_the_parser():
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    rows = _readme_flag_table()
+    assert set(rows) == set(subparsers) == set(_COMMANDS)
+    for command, (flags, conditions) in rows.items():
+        accepted = {s for a in subparsers[command]._actions for s in a.option_strings}
+        assert flags == accepted - {"-h", "--help"}, command
+        assert conditions == {
+            flag: rule[0] for (cmd, flag), rule in _READ_WHEN.items() if cmd == command
+        }, command
 
 
 def test_python_m_riskdiv_runs_the_cli(capsys):

@@ -76,6 +76,11 @@ class TestLossCountDistribution:
         monkeypatch.setenv("RISKDIV_MAX_SUPPORT", "1000")
         loss_count_distribution(ModelSpec.iid(0.5), 100, 6)
 
+    @pytest.mark.parametrize("N,n", [(0, 6), (1, 0), (-3, 6)])
+    def test_empty_portfolio_rejected(self, N, n):
+        with pytest.raises(ValueError, match="N and n must be >= 1"):
+            loss_count_distribution(ModelSpec.iid(1 / 6), N, n)
+
     @pytest.mark.parametrize("value", ["0", "-5", "abc"])
     def test_support_limit_must_be_positive_integer(self, monkeypatch, value):
         monkeypatch.setenv("RISKDIV_MAX_SUPPORT", value)

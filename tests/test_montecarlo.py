@@ -49,6 +49,33 @@ class TestDeterminism:
         h = simulate(CRISIS, 10, 6, SimulationConfig(60_001, seed=3, block_size=25_000))
         assert int(h.counts.sum()) == 60_001
 
+    def test_pool_sized_by_block_count(self, monkeypatch):
+        import riskdiv.montecarlo as mc
+
+        sizes = []
+
+        class RecordingPool:
+            """Records the pool size and runs the blocks in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        cfg = SimulationConfig(2_000, seed=4, block_size=1_000)
+        base = simulate(CRISIS, 5, 6, cfg)
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
+        h = simulate(CRISIS, 5, 6, cfg, workers=8)
+        assert sizes == [2]
+        assert h.counts.tobytes() == base.counts.tobytes()
+
 
 class TestHistogram:
     def test_tally_totals(self):
@@ -168,3 +195,8 @@ class TestConfigValidation:
     def test_bad_block(self):
         with pytest.raises(ValueError):
             SimulationConfig(10, block_size=0)
+
+    @pytest.mark.parametrize("N,n", [(0, 6), (1, 0)])
+    def test_empty_portfolio_rejected(self, N, n):
+        with pytest.raises(ValueError, match="N and n must be >= 1"):
+            simulate(CRISIS, N, n, SimulationConfig(10))
