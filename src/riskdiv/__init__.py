@@ -10,7 +10,6 @@ from .distributions import (
     binomial,
     cdf_at,
     convolve,
-    mix,
     mixture,
     moments,
     point_mass,
@@ -42,7 +41,6 @@ from .montecarlo import (
     LossHistogram,
     SimulationConfig,
     bootstrap_loading_se,
-    convergence_study,
     empirical_distribution,
     mc_loading,
     simulate,

@@ -18,20 +18,17 @@ from pathlib import Path
 
 from .measures import MeasureKind, RiskMeasureSpec, TvarConvention
 from .models import ModelKind, ModelSpec, PortfolioParams
-from .montecarlo import (
-    DEFAULT_BLOCK_SIZE,
-    DEFAULT_SEED,
-    SimulationConfig,
-    convergence_study,
-    simulate,
-)
+from .montecarlo import DEFAULT_BLOCK_SIZE, DEFAULT_SEED, SimulationConfig, simulate
 from .pricing import risk_loading_per_policy
 from .tables import (
     DEFAULT_P,
     DEFAULT_Q,
     TABLE_IDS,
+    GridSpec,
     Table,
     TableRequest,
+    budget_rows,
+    build_grid,
     build_table,
     fmt_loading,
     render_csv,
@@ -222,16 +219,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    model = _model(args)
-    params = _params(args)
-    spec = RiskMeasureSpec(
-        MeasureKind(args.measure), args.alpha, TvarConvention(args.convention)
-    )
-    study = convergence_study(
-        model, args.N, args.exposures, list(args.sims_list), spec, params,
-        seed=args.seed, block_size=args.block_size, workers=args.workers,
-    )
-    rows = [[str(s), fmt_loading(v)] for s, v in study]
+    budgets = budget_rows(args.sims_list, args.N, args.seed, args.block_size)
+    spec = GridSpec(((args.model, _model(args)),), budgets, "sims", TvarConvention(args.convention))
+    grid = build_grid("convergence", spec, _params(args), args.workers)
+    measure = "VaR" if args.measure == "var" else "TVaR"
+    rows = [row[1:] for row in grid.rows if row[0] == measure]
     _emit(Table("convergence", ["sims", "loading"], rows), args)
     return 0
 

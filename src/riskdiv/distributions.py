@@ -28,7 +28,6 @@ __all__ = [
     "TRUNCATION_EPS",
     "binomial",
     "convolve",
-    "mix",
     "mixture",
     "moments",
     "cdf_at",
@@ -204,28 +203,6 @@ def mixture(
             recipe = None
     components = tuple(recipe) if recipe else None
     return DiscreteLossDistribution(lo, masses, below, above, components=components)
-
-
-def mix(
-    d1: DiscreteLossDistribution,
-    d2: DiscreteLossDistribution,
-    weight: float,
-) -> DiscreteLossDistribution:
-    """Two-component mixture weight*d1 + (1-weight)*d2.
-
-    Weights of exactly 0 or 1 return the surviving operand unchanged, with no
-    renormalisation churn.
-
-    Raises:
-        ValueError: If weight is outside [0, 1].
-    """
-    if not 0.0 <= weight <= 1.0:
-        raise ValueError(f"weight must lie in [0, 1], got {weight}")
-    if weight == 0.0:
-        return d2
-    if weight == 1.0:
-        return d1
-    return mixture([d1, d2], [weight, 1.0 - weight])
 
 
 def convolve(

@@ -28,7 +28,6 @@ __all__ = [
     "loading_from_rho",
     "mc_loading",
     "bootstrap_loading_se",
-    "convergence_study",
 ]
 
 DEFAULT_SEED = 42
@@ -220,7 +219,12 @@ def bootstrap_loading_se(
 
     Resamples the histogram multinomially n_boot times and recomputes the
     loading on each replicate.
+
+    Raises:
+        ValueError: If n_boot < 2, too few replicates for a standard error.
     """
+    if n_boot < 2:
+        raise ValueError(f"n_boot must be >= 2 for a standard error, got {n_boot}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xB007))))
     probs = h.counts / float(h.num_sims)
     values = np.empty(n_boot)
@@ -249,32 +253,3 @@ def mc_loading(
     value = loading_from_rho(apply_measure(d, measure), model, params, N)
     se = bootstrap_loading_se(h, model, params, N, measure, n_boot, config.seed) if n_boot else None
     return LoadingEstimate(value, se)
-
-
-def convergence_study(
-    model: ModelSpec,
-    N: int,
-    n: int,
-    sims_list: list[int],
-    measure: RiskMeasureSpec,
-    params: PortfolioParams,
-    seed: int = DEFAULT_SEED,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    workers: int = 1,
-) -> list[tuple[int, float]]:
-    """Loading per simulation budget, under one base seed.
-
-    Budgets share the leading RNG blocks, so successive rows refine the same
-    stream rather than drawing fresh ones.
-
-    Returns:
-        (num_sims, loading) pairs in the order requested.
-    """
-    if not sims_list:
-        raise ValueError("sims_list must be nonempty")
-    out = []
-    for sims in sims_list:
-        cfg = SimulationConfig(num_sims=sims, seed=seed, block_size=block_size)
-        est = mc_loading(model, params, N, measure, cfg, workers=workers, n_boot=0)
-        out.append((sims, est.value))
-    return out

@@ -62,17 +62,17 @@ class DiscrepancyReport:
         return [c for c in self.cells if c.status == "flagged"]
 
     def unexpected(self, errata: "list[dict] | None" = None) -> list[CellComparison]:
-        """Flagged cells not covered by the documented erratum list."""
+        """Flagged cells not covered by an erratum: one at the cell whose "ours"
+        lies within the cell's tolerance of the generated value."""
         if errata is None:
             errata = load_errata()
-        allowed = {
-            (e["table"], str(e["row"]), e["measure"], e["column"]) for e in errata
-        }
-        return [
-            c
-            for c in self.flagged
-            if (c.table_id, c.row_key[1], c.row_key[0], c.col_key) not in allowed
-        ]
+        ours = {(e["table"], str(e["row"]), e["measure"], e["column"]): e["ours"] for e in errata}
+
+        def documented(c: CellComparison) -> bool:
+            pinned = ours.get((c.table_id, c.row_key[1], c.row_key[0], c.col_key))
+            return pinned is not None and abs(c.generated - pinned) <= c.tolerance
+
+        return [c for c in self.flagged if not documented(c)]
 
 
 def _read_rows(text: str, where: str) -> tuple[list[str], list[list[str]]]:

@@ -47,6 +47,7 @@ __all__ = [
     "SIMS_GRID",
     "TABLE_IDS",
     "default_model",
+    "budget_rows",
     "grid_spec",
     "build_grid",
     "build_table",
@@ -165,6 +166,13 @@ class GridSpec:
     convention: TvarConvention
 
 
+def budget_rows(
+    sims_grid: tuple[int, ...], N: int, seed: int, block_size: int
+) -> tuple[tuple[str, int, SimulationConfig], ...]:
+    """GridSpec rows of simulation budgets at one N: the rows of T5 and converge."""
+    return tuple((str(sims), N, SimulationConfig(sims, seed, block_size)) for sims in sims_grid)
+
+
 def grid_spec(req: TableRequest) -> GridSpec:
     """The loading grid of T2-T5 or of a custom sweep.
 
@@ -187,10 +195,7 @@ def grid_spec(req: TableRequest) -> GridSpec:
             (f"pt={pt:g}", default_model(kind, req.p, req.q, pt)) for pt in req.pt_grid or PT_GRID
         ]
     if req.table_id == "T5":
-        rows = [
-            (str(sims), T5_N, SimulationConfig(sims, req.seed, req.block_size))
-            for sims in req.sims_grid or SIMS_GRID
-        ]
+        rows = budget_rows(req.sims_grid or SIMS_GRID, T5_N, req.seed, req.block_size)
         row_header = "sims"
     else:
         source = SimulationConfig(req.sims, req.seed, req.block_size) if req.mc else "exact"

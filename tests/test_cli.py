@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import argparse
+import hashlib
 import itertools
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from riskdiv.cli import _COMMANDS, _READ_WHEN, build_parser, cli_main
-from riskdiv.tables import DEFAULT_Q
+from riskdiv.tables import DEFAULT_Q, TableRequest, build_table
 
 
 def run(capsys, *argv):
@@ -68,6 +69,20 @@ class TestTableAndVerify:
         code, out, _ = run(capsys, "verify", "--id", "T2")
         assert code == 1
         assert "unexpected" in out
+
+    def test_verify_pins_each_erratum_to_its_value(self, capsys, monkeypatch):
+        # An erratum documents the value its cell is expected to have; a
+        # flagged cell that moved away from it is a regression, not an erratum.
+        import riskdiv.cli as cli
+        from riskdiv.reference import load_errata
+
+        errata = load_errata()
+        moved = [dict(e, ours=0.9) if e["table"] == "T2" else e for e in errata]
+        monkeypatch.setattr(cli, "load_errata", lambda: moved)
+        code, out, _ = run(capsys, "verify", "--id", "T2")
+        assert code == 1
+        assert "(0 documented, 1 unexpected)" in out
+        assert "[unexpected] TVaR 50 p=1/4: generated 0.607 vs reference 0.707" in out
 
     @pytest.mark.parametrize("command", ["table", "verify"])
     def test_mc_and_sim_flags_reach_the_request(self, capsys, monkeypatch, command):
@@ -247,6 +262,7 @@ def test_loading_reads_sim_flags_with_mc_source(capsys):
     ("simulate", "--workers", "0"),
     ("simulate", "--workers", "-3"),
     ("converge", "--sims-list", "0"),
+    ("converge", "--sims-list", ""),
 ])
 def test_count_flags_must_be_positive(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -343,6 +359,39 @@ class TestConverge:
         lines = out.strip().splitlines()
         assert lines[0] == "sims,loading"
         assert [l.split(",")[0] for l in lines[1:]] == ["20000", "40000"]
+
+    # sha256 of the stdout of converge before it was built through build_grid.
+    @pytest.mark.parametrize("argv,digest", [
+        ("--model crisis --N 20 --ptilde 0.01 --sims-list 20000,40000 --seed 5",
+         "c00a20324d6dfacd5ce1e932f4d18e57eb71b75d6a1ddc658d280382f5ab6dca"),
+        ("--model crisis --N 20 --ptilde 0.01 --measure var --sims-list 20000,40000,40000,10000 "
+         "--seed 5 --block-size 7000",
+         "97b6b24262790defe712b4abbd362bfb85738cd6dead51cd4e7baa51a806a1da"),
+        ("--model common --N 50 --ptilde 0.05 --measure tvar --convention conditional "
+         "--sims-list 30000,60000 --workers 2 --block-size 10000",
+         "70f6fa69f55c431e0f0807d7e7e6cdd13ebf56dad5c757781a0f978ae4e111e2"),
+        ("--model iid --N 10 --p 0.25 --measure var --sims-list 5000 --format json",
+         "ba8aa24ecb06e2b432e43c7f5faa23e34c8c025b3ed9e8aa1c0fa3f286fc95b7"),
+        ("--model crisis --N 100 --ptilde 0 --sims-list 20000 --alpha 0.95 --eta 0.2 "
+         "--severity 3 --exposures 4",
+         "52229ef04b0b883031ae8413b111667e7f2a4543e75e6f002763777b1f237a30"),
+        ("--model common --N 1 --ptilde 0.3 --q 0.9 --measure tvar --sims-list 1000,2000",
+         "26d35ba916895edcf319f6fe63162155c94da72fbc70147cd75a79b91a1c501b"),
+    ])
+    def test_pinned_output(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "converge", *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_is_one_column_of_t5(self, capsys):
+        code, out, _ = run(capsys, "converge", "--model", "crisis", "--N", "100",
+                           "--ptilde", "0.01", "--sims-list", "20000,40000",
+                           "--block-size", "10000", "--seed", "3")
+        t5 = build_table(TableRequest("T5", pt_grid=(0.01,), sims_grid=(20000, 40000),
+                                      block_size=10000, seed=3))
+        assert code == 0
+        assert out.splitlines()[1:] == [",".join(r[1:]) for r in t5.rows if r[0] == "TVaR"]
+        assert out.splitlines()[1:] == ["20000,0.736", "40000,0.736"]
 
 
 class TestErrors:

@@ -17,7 +17,6 @@ from riskdiv.distributions import (
     cdf_at,
     convolve,
     exact_cdf_at,
-    mix,
     mixture,
     moments,
     point_mass,
@@ -86,20 +85,15 @@ class TestBinomial:
 
 
 class TestMix:
-    def test_weight_zero_returns_second_operand(self):
-        d1, d2 = binomial(6, 0.5), binomial(6, 1 / 6)
-        assert mix(d1, d2, 0.0) is d2
-        assert mix(d1, d2, 1.0) is d1
-
     def test_two_point_mixture_mass(self):
         # Independent arithmetic: 0.001*0.5^6 + 0.999*(1/6)^6 at count 6.
-        d = mix(binomial(6, 0.5), binomial(6, 1 / 6), 0.001)
+        d = mixture([binomial(6, 0.5), binomial(6, 1 / 6)], [0.001, 1 - 0.001])
         expected = 0.001 * 0.5**6 + 0.999 * (1 / 6) ** 6
         assert d.masses[6] == pytest.approx(expected, rel=1e-13)
         assert expected == pytest.approx(3.70e-5, abs=5e-8)
 
     def test_mixture_mean(self):
-        d = mix(binomial(6, 0.5), binomial(6, 1 / 6), 0.001)
+        d = mixture([binomial(6, 0.5), binomial(6, 1 / 6)], [0.001, 1 - 0.001])
         mean, _ = moments(d)
         assert mean == pytest.approx(6 * (0.001 * 0.5 + 0.999 / 6), rel=1e-12)
         assert mean == pytest.approx(1.002, abs=1e-12)
@@ -107,9 +101,9 @@ class TestMix:
     def test_invalid_weight(self):
         d = binomial(3, 0.5)
         with pytest.raises(ValueError):
-            mix(d, d, -0.01)
+            mixture([d, d], [-0.01, 1.01])
         with pytest.raises(ValueError):
-            mix(d, d, 1.01)
+            mixture([d, d], [1.01, -0.01])
 
     @given(
         w=st.floats(0.0, 1.0),
@@ -120,7 +114,7 @@ class TestMix:
     @settings(max_examples=60, deadline=None)
     def test_total_mass_and_moment_decomposition(self, w, p1, p2, n):
         d1, d2 = binomial(n, p1), binomial(n, p2)
-        d = mix(d1, d2, w)
+        d = mixture([d1, d2], [w, 1 - w])
         assert abs(d.masses.sum() + d.truncated_mass - 1.0) <= 1e-12
         m1, v1 = moments(d1)
         m2, v2 = moments(d2)

@@ -16,7 +16,6 @@ from riskdiv.montecarlo import (
     LossHistogram,
     SimulationConfig,
     bootstrap_loading_se,
-    convergence_study,
     empirical_distribution,
     mc_loading,
     simulate,
@@ -152,6 +151,22 @@ class TestOracleAgreement:
         slack = max(3 * est.standard_error, 1e-9)
         assert abs(est.value - want) <= slack
 
+    @pytest.mark.parametrize("n_boot", [1, 0, -1])
+    def test_bootstrap_needs_two_replicates(self, n_boot):
+        # One replicate has no sample standard deviation (std with ddof=1
+        # would be nan); the bootstrap refuses rather than return one.
+        h = simulate(CRISIS, 10, 6, SimulationConfig(1_000, seed=29))
+        spec = RiskMeasureSpec(MeasureKind.VAR, 0.99)
+        with pytest.raises(ValueError, match="n_boot must be >= 2"):
+            bootstrap_loading_se(h, CRISIS, PARAMS, 10, spec, n_boot=n_boot)
+
+    def test_mc_loading_without_bootstrap(self):
+        cfg = SimulationConfig(1_000, seed=29)
+        spec = RiskMeasureSpec(MeasureKind.VAR, 0.99)
+        assert mc_loading(CRISIS, PARAMS, 10, spec, cfg, n_boot=0).standard_error is None
+        with pytest.raises(ValueError, match="n_boot must be >= 2"):
+            mc_loading(CRISIS, PARAMS, 10, spec, cfg, n_boot=1)
+
     def test_bootstrap_se_positive_for_tail_measure(self):
         h = simulate(CRISIS, 100, 6, SimulationConfig(100_000, seed=29))
         spec = RiskMeasureSpec(MeasureKind.TVAR, 0.99, TvarConvention.TAIL_AVERAGE)
@@ -160,17 +175,6 @@ class TestOracleAgreement:
 
 
 class TestConvergenceStudy:
-    def test_deterministic_and_ordered(self):
-        spec = RiskMeasureSpec(MeasureKind.TVAR, 0.99, TvarConvention.TAIL_AVERAGE)
-        study = convergence_study(
-            CRISIS, 50, 6, [50_000, 100_000], spec, PARAMS, seed=31, block_size=25_000
-        )
-        assert [s for s, _ in study] == [50_000, 100_000]
-        again = convergence_study(
-            CRISIS, 50, 6, [50_000, 100_000], spec, PARAMS, seed=31, block_size=25_000
-        )
-        assert study == again
-
     def test_budgets_share_leading_blocks(self):
         # The smaller budget is a prefix of the larger one, so with the same
         # seed the first blocks contribute identically.
@@ -180,11 +184,6 @@ class TestConvergenceStudy:
         h_large = simulate(CRISIS, 10, 6, cfg_large)
         assert int(h_large.counts.sum()) == 100_000
         assert (h_large.counts - h_small.counts).min() >= 0
-
-    def test_empty_budget_list_rejected(self):
-        spec = RiskMeasureSpec(MeasureKind.VAR, 0.99)
-        with pytest.raises(ValueError):
-            convergence_study(CRISIS, 10, 6, [], spec, PARAMS)
 
 
 class TestConfigValidation:
