@@ -44,6 +44,7 @@ from .montecarlo import (
     empirical_distribution,
     mc_loading,
     simulate,
+    tally_var_and_tvar,
 )
 from .pricing import (
     PricingResult,

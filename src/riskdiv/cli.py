@@ -201,6 +201,8 @@ def _cmd_verify(args) -> int:
     for tid in _tables(args):
         report = compare_with_reference(build_table(_table_request(args, tid)), tid)
         unexpected = report.unexpected(errata)
+        simulated = tid == "T5" or (args.mc and tid != "T1")
+        stale = [] if simulated else report.stale(errata)
         documented = [c for c in report.flagged if c not in unexpected]
         print(
             f"{tid}: {len(report.cells)} cells, {len(report.flagged)} flagged "
@@ -213,7 +215,12 @@ def _cmd_verify(args) -> int:
                 f"generated {cell.generated} vs reference {cell.reference} "
                 f"(tolerance {cell.tolerance})"
             )
-        if unexpected:
+        for e in stale:
+            print(
+                f"  [stale erratum] {e['measure']} {e['row']} {e['column']}: not flagged, "
+                f"so its erratum (ours {e['ours']}, reference {e['reference']}) no longer applies"
+            )
+        if unexpected or stale:
             failed = True
     return 1 if failed else 0
 

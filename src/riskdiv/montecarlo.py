@@ -3,18 +3,24 @@
 Simulations are split into fixed-size blocks; block b draws from its own
 counter-based Philox stream keyed by (seed, b).  Histograms are merged in
 block order, so results are bit-identical for a given (seed, block_size,
-num_sims) no matter how many workers run the blocks.
+num_sims) no matter how many workers run the blocks.  A budget that is a
+multiple of block_size is the leading blocks of any larger budget, so one run
+can return the histograms of several budgets.  Risk measures are read off the
+integer tallies (tally_var_and_tvar), not a float cdf.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .distributions import DiscreteLossDistribution
-from .measures import RiskMeasureSpec, apply_measure
+from .measures import MeasureKind, RiskMeasureSpec, TvarConvention, apply_measure
 from .models import ModelKind, ModelSpec, PortfolioParams, closed_form_mean_per_policy
 from .models import loss_count_distribution
 
@@ -23,8 +29,9 @@ __all__ = [
     "LossHistogram",
     "LoadingEstimate",
     "simulate",
+    "tally_var_and_tvar",
     "empirical_distribution",
-    "loss_distribution",
+    "rho_in_counts",
     "loading_from_rho",
     "mc_loading",
     "bootstrap_loading_se",
@@ -127,7 +134,8 @@ def simulate(
     n: int,
     config: SimulationConfig,
     workers: int = 1,
-) -> LossHistogram:
+    checkpoints: Sequence[int] | None = None,
+) -> LossHistogram | list[LossHistogram]:
     """Simulate the portfolio loss count and tally a histogram.
 
     Deterministic for fixed (seed, block_size, num_sims) regardless of
@@ -141,38 +149,112 @@ def simulate(
         config: Simulation budget, seed and block layout.
         workers: Process count for block execution; the pool never starts
             more processes than there are blocks.
+        checkpoints: Budgets whose histograms to return, one per entry in
+            the order given, instead of the histogram of num_sims.  Each is
+            num_sims or a multiple of block_size below it; such a budget's
+            blocks are the leading blocks of this run, so its histogram
+            equals that of its own run.
 
     Raises:
-        ValueError: If N or n is less than 1.
+        ValueError: If N or n is less than 1, or a checkpoint is neither
+            num_sims nor a multiple of block_size below it.
     """
     if N < 1 or n < 1:
         raise ValueError(f"N and n must be >= 1, got N={N}, n={n}")
+    wanted = [config.num_sims] if checkpoints is None else list(checkpoints)
+    for budget in wanted:
+        if budget != config.num_sims and not (
+            0 < budget < config.num_sims and budget % config.block_size == 0
+        ):
+            raise ValueError(
+                f"checkpoint {budget} is neither num_sims={config.num_sims} nor a "
+                f"multiple of block_size={config.block_size} below it"
+            )
     sizes = _block_sizes(config.num_sims, config.block_size)
-    total = N * n
-    merged = np.zeros(total + 1, dtype=np.int64)
+
+    def merge(block_hists) -> dict[int, LossHistogram]:
+        """The cumulative histogram at each wanted budget, merging in block order."""
+        merged = np.zeros(N * n + 1, dtype=np.int64)
+        snapshots, done = {}, 0
+        for size, block_hist in zip(sizes, block_hists):
+            merged += block_hist
+            done += size
+            if done in wanted:
+                tallies = merged if done == config.num_sims else merged.copy()
+                snapshots[done] = LossHistogram(tallies, done)
+        return snapshots
+
     if workers <= 1 or len(sizes) == 1:
-        for b, size in enumerate(sizes):
-            merged += _draw_block(model, N, n, config.seed, b, size)
+        snapshots = merge(
+            _draw_block(model, N, n, config.seed, b, size) for b, size in enumerate(sizes)
+        )
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
-            results = pool.map(
-                _draw_block,
-                [model] * len(sizes),
-                [N] * len(sizes),
-                [n] * len(sizes),
-                [config.seed] * len(sizes),
-                range(len(sizes)),
-                sizes,
+            snapshots = merge(
+                pool.map(
+                    _draw_block,
+                    [model] * len(sizes),
+                    [N] * len(sizes),
+                    [n] * len(sizes),
+                    [config.seed] * len(sizes),
+                    range(len(sizes)),
+                    sizes,
+                )
             )
-            for block_hist in results:
-                merged += block_hist
-    return LossHistogram(merged, config.num_sims)
+    hists = [snapshots[budget] for budget in wanted]
+    return hists[0] if checkpoints is None else hists
+
+
+def tally_var_and_tvar(
+    h: LossHistogram,
+    alpha: float,
+    convention: TvarConvention = TvarConvention.CONDITIONAL,
+) -> tuple[int, float]:
+    """VaR and TVaR at level alpha, in counts, decided on the integer tallies.
+
+    The measures of var_and_tvar on the sample distribution counts/num_sims,
+    with alpha taken as the exact binary fraction it holds.  VaR is the
+    smallest count k whose cumulative tally is at least
+    ceil(alpha * num_sims), decided in integers; TVaR is an exact fraction of
+    integer sums, rounded to float once.  A cumulative tally equal to
+    alpha * num_sims therefore reaches the level, as it does in exact
+    arithmetic, where a rounded float cdf may fall an ulp short of it.
+
+    Raises:
+        ValueError: If alpha lies outside (0, 1), or the tallies do not sum
+            to num_sims.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    sims = h.num_sims
+    cum = np.cumsum(h.counts)
+    if sims < 1 or int(cum[-1]) != sims:
+        raise ValueError(f"tallies sum to {int(cum[-1])}, not num_sims={sims}")
+    a = Fraction(alpha)
+    var_count = int(np.searchsorted(cum, math.ceil(a * sims)))
+    reached = int(cum[var_count])
+    beyond = int(np.arange(var_count + 1, len(cum)) @ h.counts[var_count + 1 :])
+    if convention is TvarConvention.CONDITIONAL:
+        # Mean of the outcomes at or beyond the VaR.
+        at = int(h.counts[var_count])
+        tvar = Fraction(beyond + var_count * at, sims - reached + at)
+    else:
+        # Upper-quantile integral: the VaR count carries its share of (alpha, 1].
+        tvar = (beyond + var_count * (reached - a * sims)) / (sims * (1 - a))
+    return var_count, float(tvar)
+
+
+def _tally_rho(h: LossHistogram, measure: RiskMeasureSpec) -> float:
+    """The measure of a histogram, in counts: apply_measure on the tallies."""
+    var_count, tvar = tally_var_and_tvar(h, measure.alpha, measure.convention)
+    return float(var_count) if measure.kind is MeasureKind.VAR else tvar
 
 
 def empirical_distribution(h: LossHistogram) -> DiscreteLossDistribution:
     """Normalise a histogram into a loss-count distribution.
 
-    The result feeds the same risk-measure pipeline as exact distributions.
+    For callers that want the sample distribution itself; the risk measures
+    of a histogram are read off its tallies by tally_var_and_tvar.
 
     Raises:
         ValueError: If the histogram is empty.
@@ -185,15 +267,20 @@ def empirical_distribution(h: LossHistogram) -> DiscreteLossDistribution:
     return DiscreteLossDistribution(lo, masses)
 
 
-def loss_distribution(
-    model: ModelSpec, N: int, n: int, source: str | SimulationConfig = "exact", workers: int = 1
-) -> DiscreteLossDistribution:
-    """The exact loss-count distribution, or the empirical one of a SimulationConfig."""
+def rho_in_counts(
+    model: ModelSpec,
+    N: int,
+    n: int,
+    measure: RiskMeasureSpec,
+    source: str | SimulationConfig = "exact",
+    workers: int = 1,
+) -> float:
+    """The measure of the loss count: exact, or read off a simulation's tallies."""
     if isinstance(source, SimulationConfig):
-        return empirical_distribution(simulate(model, N, n, source, workers=workers))
+        return _tally_rho(simulate(model, N, n, source, workers=workers), measure)
     if source != "exact":
         raise ValueError(f"source must be 'exact' or a SimulationConfig, got {source!r}")
-    return loss_count_distribution(model, N, n)
+    return apply_measure(loss_count_distribution(model, N, n), measure)
 
 
 def loading_from_rho(rho: float, model: ModelSpec, params: PortfolioParams, N: int) -> float:
@@ -229,9 +316,8 @@ def bootstrap_loading_se(
     probs = h.counts / float(h.num_sims)
     values = np.empty(n_boot)
     for i in range(n_boot):
-        resampled = rng.multinomial(h.num_sims, probs)
-        d = empirical_distribution(LossHistogram(resampled, h.num_sims))
-        values[i] = loading_from_rho(apply_measure(d, measure), model, params, N)
+        resampled = LossHistogram(rng.multinomial(h.num_sims, probs), h.num_sims)
+        values[i] = loading_from_rho(_tally_rho(resampled, measure), model, params, N)
     return float(values.std(ddof=1))
 
 
@@ -249,7 +335,6 @@ def mc_loading(
     Pass n_boot=0 to skip the bootstrap (standard_error is then None).
     """
     h = simulate(model, N, params.exposures, config, workers=workers)
-    d = empirical_distribution(h)
-    value = loading_from_rho(apply_measure(d, measure), model, params, N)
+    value = loading_from_rho(_tally_rho(h, measure), model, params, N)
     se = bootstrap_loading_se(h, model, params, N, measure, n_boot, config.seed) if n_boot else None
     return LoadingEstimate(value, se)

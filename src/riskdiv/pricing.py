@@ -9,10 +9,15 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .measures import RiskMeasureSpec, apply_measure
+from .measures import RiskMeasureSpec
 from .models import ModelSpec, PortfolioParams, closed_form_mean_per_policy
-from .montecarlo import LoadingEstimate, SimulationConfig, loading_from_rho, loss_distribution
-from .montecarlo import mc_loading
+from .montecarlo import (
+    LoadingEstimate,
+    SimulationConfig,
+    loading_from_rho,
+    mc_loading,
+    rho_in_counts,
+)
 
 __all__ = [
     "PricingResult",
@@ -75,7 +80,7 @@ def risk_loading_per_policy(
     """
     if isinstance(source, SimulationConfig):
         return mc_loading(model, params, N, measure, source, workers=workers)
-    rho = apply_measure(loss_distribution(model, N, params.exposures, source), measure)
+    rho = rho_in_counts(model, N, params.exposures, measure, source)
     return LoadingEstimate(loading_from_rho(rho, model, params, N), None)
 
 
@@ -119,7 +124,7 @@ def price_policy(
     workers: int = 1,
 ) -> PricingResult:
     """Per-policy pricing for one portfolio size, all read off one evaluation of the measure."""
-    rho = apply_measure(loss_distribution(model, N, params.exposures, source, workers), measure)
+    rho = rho_in_counts(model, N, params.exposures, measure, source, workers)
     expected = closed_form_mean_per_policy(model, params)
     capital = risk_adjusted_capital(rho, model, params, N)
     loading = loading_from_rho(rho, model, params, N)

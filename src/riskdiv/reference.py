@@ -74,6 +74,20 @@ class DiscrepancyReport:
 
         return [c for c in self.flagged if not documented(c)]
 
+    def stale(self, errata: list[dict]) -> list[dict]:
+        """Errata of this table whose cell is not flagged.
+
+        Meaningful for an exact build only: a simulated cell may land within
+        tolerance of its reference by chance.
+        """
+        flagged = {(c.row_key[1], c.row_key[0], c.col_key) for c in self.flagged}
+        return [
+            e
+            for e in errata
+            if e["table"] == self.table_id
+            and (str(e["row"]), e["measure"], e["column"]) not in flagged
+        ]
+
 
 def _read_rows(text: str, where: str) -> tuple[list[str], list[list[str]]]:
     rows = []

@@ -2,7 +2,8 @@
 
 T1 is the pmf and cdf of one policy.  T2-T5 and custom sweeps are loading
 grids: a GridSpec filled in from the TableRequest, built by build_grid, which
-reads VaR and TVaR off one distribution and one quantile search per cell.
+reads VaR and TVaR off one distribution and one quantile search per exact
+cell, and off the integer tallies of one histogram per simulated cell.
 
 Closed-form tables (T1, T2, T3) use the conditional tail convention, which is
 what the published closed-form values print.  The simulation tables (T4, T5)
@@ -15,6 +16,7 @@ instead, which is how the published T4 was produced.  T5 is always simulated.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -33,7 +35,8 @@ from .montecarlo import (
     DEFAULT_SEED,
     SimulationConfig,
     loading_from_rho,
-    loss_distribution,
+    simulate,
+    tally_var_and_tvar,
 )
 
 __all__ = [
@@ -210,26 +213,62 @@ def grid_spec(req: TableRequest) -> GridSpec:
     return GridSpec(tuple(columns), tuple(rows), row_header, convention)
 
 
-def _cell_loadings(
+def _simulated_rhos(
     model: ModelSpec,
-    N: int,
-    source: str | SimulationConfig,
-    params: PortfolioParams,
+    rows: tuple[tuple[str, int, str | SimulationConfig], ...],
+    n: int,
+    alpha: float,
     convention: TvarConvention,
     workers: int,
-) -> list[float]:
-    """VaR and TVaR loadings, read off one distribution with one quantile search."""
-    d = loss_distribution(model, N, params.exposures, source, workers)
-    rhos = var_and_tvar(d, params.alpha, convention)
-    return [loading_from_rho(rho, model, params, N) for rho in rhos]
+) -> dict[tuple[int, SimulationConfig], tuple[int, float]]:
+    """VaR and TVaR counts of one column's simulated rows, keyed (N, config).
+
+    Rows at the same (N, seed, block_size) share one run to their largest
+    budget, which also returns every budget that is a multiple of
+    block_size.  Any other budget ends in a ragged block, a different
+    stream, and gets a run of its own.
+    """
+    groups = defaultdict(set)
+    for _, N, source in rows:
+        if isinstance(source, SimulationConfig):
+            groups[N, source.seed, source.block_size].add(source.num_sims)
+    out = {}
+    for (N, seed, block_size), budgets in groups.items():
+        top = max(budgets)
+        shared = sorted(b for b in budgets if b % block_size == 0 or b == top)
+        ragged = sorted(budgets.difference(shared))
+        for length, checkpoints in [(top, shared)] + [(b, [b]) for b in ragged]:
+            config = SimulationConfig(length, seed, block_size)
+            hists = simulate(model, N, n, config, workers, checkpoints=checkpoints)
+            for budget, h in zip(checkpoints, hists):
+                out[N, SimulationConfig(budget, seed, block_size)] = tally_var_and_tvar(
+                    h, alpha, convention
+                )
+    return out
 
 
 def build_grid(
     table_id: str, spec: GridSpec, params: PortfolioParams, workers: int = 1
 ) -> Table:
-    """VaR rows, TVaR rows and an E[L]/N footer; one distribution per cell."""
+    """VaR rows, TVaR rows and an E[L]/N footer.
+
+    An exact cell builds one distribution and runs one quantile search; the
+    simulated rows of a column share runs as _simulated_rhos describes.
+    """
+    n, alpha = params.exposures, params.alpha
+    simulated = [
+        _simulated_rhos(m, spec.rows, n, alpha, spec.convention, workers) for _, m in spec.columns
+    ]
+
+    def loadings(N: int, source, model: ModelSpec, sim: dict) -> list[float]:
+        if isinstance(source, SimulationConfig):
+            rhos = sim[N, source]
+        else:
+            rhos = var_and_tvar(loss_count_distribution(model, N, n), alpha, spec.convention)
+        return [loading_from_rho(rho, model, params, N) for rho in rhos]
+
     cells = [
-        [_cell_loadings(m, N, source, params, spec.convention, workers) for _, m in spec.columns]
+        [loadings(N, source, m, sim) for (_, m), sim in zip(spec.columns, simulated)]
         for _, N, source in spec.rows
     ]
     table_rows = [

@@ -84,6 +84,34 @@ class TestTableAndVerify:
         assert "(0 documented, 1 unexpected)" in out
         assert "[unexpected] TVaR 50 p=1/4: generated 0.607 vs reference 0.707" in out
 
+    def test_verify_fails_on_stale_erratum(self, capsys, monkeypatch):
+        # An erratum whose cell matches its reference no longer documents
+        # anything: on an exact build it fails verify.
+        import riskdiv.cli as cli
+        from riskdiv.reference import load_errata
+
+        stale = {"table": "T2", "measure": "VaR", "row": "1", "column": "p=1/6",
+                 "reference": 3.0, "ours": 3.0, "reason": "test"}
+        monkeypatch.setattr(cli, "load_errata", lambda: load_errata() + [stale])
+        code, out, _ = run(capsys, "verify", "--id", "T2")
+        assert code == 1
+        assert "(1 documented, 0 unexpected)" in out
+        assert "[stale erratum] VaR 1 p=1/6: not flagged" in out
+
+    def test_simulated_build_skips_stale_check(self, capsys, monkeypatch):
+        # A simulated cell may land within tolerance of its reference by
+        # chance, so an --mc build does not call its erratum stale.
+        import riskdiv.cli as cli
+        from riskdiv.reference import load_errata
+
+        stale = {"table": "T2", "measure": "VaR", "row": "1", "column": "p=1/6",
+                 "reference": 3.0, "ours": 3.0, "reason": "test"}
+        monkeypatch.setattr(cli, "load_errata", lambda: load_errata() + [stale])
+        _, out, _ = run(capsys, "verify", "--id", "T2", "--mc", "--sims", "200000")
+        assert out.startswith("T2: 45 cells")
+        assert "VaR 1 p=1/6" not in out  # the erratum's cell matches its reference
+        assert "stale" not in out
+
     @pytest.mark.parametrize("command", ["table", "verify"])
     def test_mc_and_sim_flags_reach_the_request(self, capsys, monkeypatch, command):
         import riskdiv.cli as cli
@@ -360,10 +388,14 @@ class TestConverge:
         assert lines[0] == "sims,loading"
         assert [l.split(",")[0] for l in lines[1:]] == ["20000", "40000"]
 
-    # sha256 of the stdout of converge before it was built through build_grid.
+    # sha256 of the stdout of converge before it was built through build_grid,
+    # and, from the unsorted budgets on, before budgets shared one run.  The
+    # first digest changed when the measures moved to integer tallies: its
+    # 40000 TVaR loading is the half-unit tie 1.0275 and now prints 1.028
+    # (see test_half_unit_ties_round_up).
     @pytest.mark.parametrize("argv,digest", [
         ("--model crisis --N 20 --ptilde 0.01 --sims-list 20000,40000 --seed 5",
-         "c00a20324d6dfacd5ce1e932f4d18e57eb71b75d6a1ddc658d280382f5ab6dca"),
+         "c4ab478bb1ade64894bbc0e63502e06a5d0e6c8a90a70a47c1756a6e887eac99"),
         ("--model crisis --N 20 --ptilde 0.01 --measure var --sims-list 20000,40000,40000,10000 "
          "--seed 5 --block-size 7000",
          "97b6b24262790defe712b4abbd362bfb85738cd6dead51cd4e7baa51a806a1da"),
@@ -377,11 +409,40 @@ class TestConverge:
          "52229ef04b0b883031ae8413b111667e7f2a4543e75e6f002763777b1f237a30"),
         ("--model common --N 1 --ptilde 0.3 --q 0.9 --measure tvar --sims-list 1000,2000",
          "26d35ba916895edcf319f6fe63162155c94da72fbc70147cd75a79b91a1c501b"),
+        ("--model crisis --N 20 --ptilde 0.01 --convention conditional --sims-list 4000,2000 "
+         "--block-size 1000 --seed 5",
+         "2b45a5c02ca366f9ed1e88c0745fec333dffce45c2fb7b34d6de9b1385f94362"),
+        ("--model crisis --N 20 --ptilde 0.01 --measure var --sims-list 4000,2000 "
+         "--block-size 1000 --seed 5 --workers 2",
+         "5250b8beed00343e17e7cd4a251a4c28dd8000eac85d1def53b6e060a4208cda"),
+        ("--model crisis --N 20 --ptilde 0.01 --convention conditional --sims-list 2000,2000 "
+         "--block-size 1000 --seed 5",
+         "ab675171100f947855db715971e7a9bc8f2af19344e91fe861fbbfffdca52378"),
+        ("--model crisis --N 20 --ptilde 0.01 --sims-list 1500,3000 --block-size 1000 --seed 5",
+         "e95ecc856a6a6a600438cbd7039c15b73f8a67545d8324ec6089b3545461d252"),
+        ("--model crisis --N 20 --ptilde 0.01 --measure var --sims-list 3000,1000,2500,2000 "
+         "--block-size 1000 --seed 5",
+         "68bc3ad471768d481740920b3584506e3173ca7660357795177f1f20d3422d6e"),
     ])
     def test_pinned_output(self, capsys, argv, digest):
         code, out, _ = run(capsys, "converge", *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("budgets,lines", [
+        ("--sims-list 20000,40000", ["20000,1.037", "40000,1.028"]),
+        ("--sims-list 4000,2000 --block-size 1000", ["4000,1.033", "2000,1.013"]),
+        ("--sims-list 2000,2000 --block-size 1000", ["2000,1.013", "2000,1.013"]),
+    ])
+    def test_half_unit_ties_round_up(self, capsys, budgets, lines):
+        # At 2,000 and 40,000 paths the tail-average TVaR is 33.9 and 34.1
+        # (to within 2e-15, alpha being the binary 0.99), so the loadings are
+        # the ties 1.0125 and 1.0275, and fmt_loading rounds them up.  A
+        # float cdf summed the tail 6 ulps low and printed 1.012 and 1.027.
+        code, out, _ = run(capsys, "converge", "--model", "crisis", "--N", "20",
+                           "--ptilde", "0.01", "--seed", "5", *budgets.split())
+        assert code == 0
+        assert out.splitlines()[1:] == lines
 
     def test_is_one_column_of_t5(self, capsys):
         code, out, _ = run(capsys, "converge", "--model", "crisis", "--N", "100",

@@ -1,10 +1,14 @@
-"""Simulation: determinism, empirical distributions, oracle agreement."""
+"""Simulation: determinism, checkpoints, the tally reader, oracle agreement."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskdiv.distributions import moments, pointwise_distance
-from riskdiv.measures import MeasureKind, RiskMeasureSpec, TvarConvention
+from riskdiv.measures import MeasureKind, RiskMeasureSpec, TvarConvention, var_and_tvar
 from riskdiv.models import (
     ModelSpec,
     PortfolioParams,
@@ -19,6 +23,7 @@ from riskdiv.montecarlo import (
     empirical_distribution,
     mc_loading,
     simulate,
+    tally_var_and_tvar,
 )
 
 PARAMS = PortfolioParams()
@@ -184,6 +189,104 @@ class TestConvergenceStudy:
         h_large = simulate(CRISIS, 10, 6, cfg_large)
         assert int(h_large.counts.sum()) == 100_000
         assert (h_large.counts - h_small.counts).min() >= 0
+
+
+class TestCheckpoints:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equal_separate_runs(self, workers):
+        cfg = SimulationConfig(4_000, seed=41, block_size=1_000)
+        budgets = [3_000, 1_000, 4_000, 1_000]
+        hists = simulate(CRISIS, 10, 6, cfg, workers=workers, checkpoints=budgets)
+        for budget, h in zip(budgets, hists):
+            alone = simulate(CRISIS, 10, 6, SimulationConfig(budget, seed=41, block_size=1_000))
+            assert h.num_sims == budget
+            assert h.counts.tobytes() == alone.counts.tobytes()
+
+    def test_ragged_budget_is_its_own_run(self):
+        # 1,500 at block size 1,000 ends in a 500-path block, which is not
+        # the first half of block 1 of a longer run: only its own run has it.
+        alone = simulate(CRISIS, 10, 6, SimulationConfig(1_500, seed=43, block_size=1_000))
+        [h] = simulate(CRISIS, 10, 6, SimulationConfig(1_500, seed=43, block_size=1_000),
+                       checkpoints=[1_500])
+        assert h.counts.tobytes() == alone.counts.tobytes()
+        with pytest.raises(ValueError, match="checkpoint 1500"):
+            simulate(CRISIS, 10, 6, SimulationConfig(3_000, seed=43, block_size=1_000),
+                     checkpoints=[1_500])
+
+    def test_block_multiples_below_a_ragged_run(self):
+        cfg = SimulationConfig(2_500, seed=47, block_size=1_000)
+        first, last = simulate(CRISIS, 10, 6, cfg, checkpoints=[2_000, 2_500])
+        alone = simulate(CRISIS, 10, 6, SimulationConfig(2_000, seed=47, block_size=1_000))
+        assert first.counts.tobytes() == alone.counts.tobytes()
+        assert last.counts.tobytes() == simulate(CRISIS, 10, 6, cfg).counts.tobytes()
+
+    @pytest.mark.parametrize("budget", [0, 5_000, -1_000])
+    def test_checkpoint_outside_the_run_rejected(self, budget):
+        with pytest.raises(ValueError, match="neither num_sims"):
+            simulate(CRISIS, 10, 6, SimulationConfig(4_000, block_size=1_000),
+                     checkpoints=[budget])
+
+
+def _brute_force(counts: list[int], alpha: float, convention: TvarConvention):
+    """VaR by a linear scan of the exact cdf, TVaR as an exact tail integral."""
+    sims = sum(counts)
+    a = Fraction(alpha)
+    cum = [sum(counts[: k + 1]) for k in range(len(counts))]
+    var_count = next(k for k in range(len(counts)) if Fraction(cum[k], sims) >= a)
+    if convention is TvarConvention.CONDITIONAL:
+        tail = range(var_count, len(counts))
+        tvar = Fraction(sum(k * counts[k] for k in tail), sum(counts[k] for k in tail))
+    else:
+        # Each count k owns the cdf interval (F(k-1), F(k)]; average the
+        # quantile over the part of (alpha, 1] it covers.
+        tvar = Fraction(0)
+        for k in range(len(counts)):
+            lo = max(Fraction(cum[k] - counts[k], sims), a)
+            hi = Fraction(cum[k], sims)
+            tvar += k * max(hi - lo, Fraction(0))
+        tvar /= 1 - a
+    return var_count, float(tvar)
+
+
+class TestTallyReader:
+    def test_knife_edge_tally_reaches_alpha(self):
+        # The cumulative tally at 1 is 699,300 = ceil(Fraction(0.999) * 700,000),
+        # so the level is reached at 1; a rounded float cdf at 1 can fall an
+        # ulp below 0.999 and push the VaR to 2.
+        h = LossHistogram(np.array([391_983, 307_317, 700], dtype=np.int64), 700_000)
+        for convention in TvarConvention:
+            assert tally_var_and_tvar(h, 0.999, convention)[0] == 1
+            assert tally_var_and_tvar(h, 0.999, convention) == _brute_force(
+                h.counts.tolist(), 0.999, convention
+            )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        counts=st.lists(st.integers(0, 60), min_size=1, max_size=10).filter(any),
+        alpha=st.sampled_from([0.9, 0.99, 0.999]),
+        convention=st.sampled_from(list(TvarConvention)),
+    )
+    def test_equals_exact_arithmetic(self, counts, alpha, convention):
+        h = LossHistogram(np.array(counts, dtype=np.int64), sum(counts))
+        var_count, tvar = tally_var_and_tvar(h, alpha, convention)
+        assert (var_count, tvar) == _brute_force(counts, alpha, convention)
+        d = empirical_distribution(h)
+        if np.min(np.abs(d.cdf - alpha)) > 1e-12:
+            # Away from a knife edge the float cdf path decides the same VaR.
+            fvar, ftvar = var_and_tvar(d, alpha, convention)
+            assert fvar == var_count
+            assert ftvar == pytest.approx(tvar, rel=1e-12)
+
+    @pytest.mark.parametrize("counts,sims", [([0, 0], 0), ([3, 4], 8), ([3, 4], 6)])
+    def test_tallies_must_sum_to_num_sims(self, counts, sims):
+        with pytest.raises(ValueError, match="tallies sum to"):
+            tally_var_and_tvar(LossHistogram(np.array(counts, dtype=np.int64), sims), 0.99)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        h = LossHistogram(np.array([1, 1], dtype=np.int64), 2)
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            tally_var_and_tvar(h, alpha)
 
 
 class TestConfigValidation:

@@ -7,7 +7,7 @@ import pytest
 
 from riskdiv.measures import MeasureKind, RiskMeasureSpec, TvarConvention
 from riskdiv.models import ModelKind, PortfolioParams
-from riskdiv.montecarlo import SimulationConfig, mc_loading
+from riskdiv.montecarlo import SimulationConfig, mc_loading, simulate
 from riskdiv.pricing import risk_loading_per_policy
 from riskdiv.reference import (
     TableParseError,
@@ -166,6 +166,34 @@ class TestLoadingGrid:
                              ("2000", 100, SimulationConfig(2000, 3)))
         assert spec.convention is TvarConvention.TAIL_AVERAGE
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_t5_draws_each_column_once(self, monkeypatch, workers):
+        # Block multiples share the run to the largest budget; 1,500 ends in
+        # a ragged block and is drawn on its own.  Every cell equals a single
+        # loading at its own budget.
+        import riskdiv.tables as tables
+
+        runs = []
+
+        def recording(model, N, n, config, workers=1, checkpoints=None):
+            runs.append((config.num_sims, list(checkpoints)))
+            return simulate(model, N, n, config, workers, checkpoints)
+
+        monkeypatch.setattr(tables, "simulate", recording)
+        req = TableRequest(table_id="T5", pt_grid=(0.0, 0.05), sims_grid=(2000, 4000, 1500, 2000),
+                           block_size=1000, seed=3, workers=workers)
+        cells = _cells(build_table(req))
+        assert runs == [(4000, [2000, 4000]), (1500, [1500])] * 2
+        params = PortfolioParams()
+        for label, pt in zip(("pt=0", "pt=0.05"), req.pt_grid):
+            model = default_model(ModelKind.PER_EXPOSURE_SHOCK, req.p, req.q, pt)
+            for sims in req.sims_grid:
+                config = SimulationConfig(sims, req.seed, req.block_size)
+                for mk, mlabel in _MEASURES:
+                    spec = RiskMeasureSpec(mk, params.alpha, TvarConvention.TAIL_AVERAGE)
+                    est = mc_loading(model, params, 100, spec, config, n_boot=0)
+                    assert cells[(mlabel, str(sims), label)] == fmt_loading(est.value)
+
 
 class TestRoundTrip:
     def test_csv_reparses_to_printed_values(self, tmp_path):
@@ -240,6 +268,17 @@ class TestErrata:
         rows[0][2] = "9.999"
         report = compare_with_reference(Table("T2", table.headers, rows), "T2")
         assert [(c.row_key, c.col_key) for c in report.unexpected()] == [(("VaR", "1"), "p=1/6")]
+
+    def test_stale_erratum(self):
+        # An erratum for a cell that matches its reference is stale; it is
+        # reported apart from the unexpected flags.
+        report = verify_table("T2")
+        extra = {"table": "T2", "measure": "VaR", "row": "1", "column": "p=1/6",
+                 "reference": 3.0, "ours": 3.0, "reason": "test"}
+        errata = load_errata()
+        assert report.stale(errata) == []
+        assert report.stale(errata + [extra]) == [extra]
+        assert report.unexpected(errata + [extra]) == []
 
     def test_verify_is_deterministic(self):
         first = verify_table("T2")
