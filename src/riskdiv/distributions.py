@@ -99,22 +99,24 @@ class DiscreteLossDistribution:
     def cdf(self) -> np.ndarray:
         """P[count <= k] for every support point k, anchored below.
 
-        Computed with a compensated (Neumaier) running sum so each prefix is
-        correct to the last rounding.  Quantiles of near-degenerate mixtures
-        sit on cdf plateaus only ulps wide; a naive cumsum drifts across them.
+        A compensated (Neumaier) running sum, so each prefix is correct to
+        the last rounding.  Quantiles of near-degenerate mixtures sit on cdf
+        plateaus only ulps wide; a naive cumsum drifts across them.
+
+        The recurrence is formed in whole-array steps with the sequential
+        loop's operations in its order, so the bits are the loop's.  Its
+        running sum s is the plain left-to-right sum anchored at
+        truncated_below, which np.cumsum computes (add.accumulate is
+        sequential, not pairwise).  Each step's rounding error comes from
+        the loop's own branch, chosen elementwise.  The corrections then
+        accumulate from 0.0, again left to right, and prefix i is s_i + c_i.
         """
-        out = np.empty(len(self.masses))
-        s = self.truncated_below
-        c = 0.0
-        for i, x in enumerate(self.masses.tolist()):
-            t = s + x
-            if abs(s) >= abs(x):
-                c += (s - t) + x
-            else:
-                c += (x - t) + s
-            s = t
-            out[i] = s + c
-        return out
+        m = self.masses
+        s = np.cumsum(np.concatenate(([self.truncated_below], m)))
+        prev, t = s[:-1], s[1:]
+        e = np.where(np.abs(prev) >= np.abs(m), (prev - t) + m, (m - t) + prev)
+        c = np.cumsum(np.concatenate(([0.0], e)))[1:]
+        return t + c
 
 
 def point_mass(count: int) -> DiscreteLossDistribution:
@@ -251,8 +253,16 @@ def _mp_binom_cdf(trials: int, prob: float, k: int):
     Sums the pmf by ratio recurrence from the anchor point k, downward for a
     lower-tail k and as one minus the upward sum otherwise, stopping once
     terms stop mattering at the working precision.
+
+    The recurrence runs on raw mpmath.libmp values at mp.prec, rounding to
+    nearest, with the operations the mpf operators would perform in the
+    order they would perform them: t*j*(1-p) / ((trials-j+1)*p) is
+    mpf_mul_int, mpf_mul, mpf_mul_int, mpf_div, and the upward step is
+    formed the same way.  The bits are the operator API's without its
+    per-operation dispatch.
     """
     from mpmath import mp
+    from mpmath.libmp import mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_mul_int, round_nearest
 
     mpf = mp.mpf
     if k < 0:
@@ -263,29 +273,31 @@ def _mp_binom_cdf(trials: int, prob: float, k: int):
     # Once per sum, at the working precision (a module constant would be
     # parsed at 53 bits, a different number).
     one_minus_p = 1 - p
-    negligible = mpf("1e-45")
+    negligible = mpf("1e-45")._mpf_
+    prec, rnd = mp.prec, round_nearest
     lower_tail = k < trials * p
+    # Sum from the anchor term t_j0 outward; each step multiplies by the
+    # term ratio a*num / (b*den).
     if lower_tail:
-        j = k
-        t = mp.binomial(trials, j) * p**j * one_minus_p ** (trials - j)
-        s = t
-        while j > 0:
-            t = t * j * one_minus_p / ((trials - j + 1) * p)
-            s += t
-            j -= 1
-            if t < s * negligible:
-                break
-        return s
-    j = k + 1
-    t = mp.binomial(trials, j) * p**j * one_minus_p ** (trials - j)
+        j0, num, den = k, one_minus_p._mpf_, p._mpf_
+        ratios = ((j, trials - j + 1) for j in range(k, 0, -1))
+    else:
+        j0, num, den = k + 1, p._mpf_, one_minus_p._mpf_
+        ratios = ((trials - j, j + 1) for j in range(k + 1, trials))
+    t = (mp.binomial(trials, j0) * p**j0 * one_minus_p ** (trials - j0))._mpf_
     s = t
-    while j < trials:
-        t = t * (trials - j) * p / ((j + 1) * one_minus_p)
-        s += t
-        j += 1
-        if t < s * negligible:
+    for a, b in ratios:
+        t = mpf_div(
+            mpf_mul(mpf_mul_int(t, a, prec, rnd), num, prec, rnd),
+            mpf_mul_int(den, b, prec, rnd),
+            prec,
+            rnd,
+        )
+        s = mpf_add(s, t, prec, rnd)
+        if mpf_lt(t, mpf_mul(s, negligible, prec, rnd)):
             break
-    return 1 - s
+    s = mp.make_mpf(s)
+    return s if lower_tail else 1 - s
 
 
 @lru_cache(maxsize=4096)

@@ -30,6 +30,73 @@ def exact_binom_pmf(n: int, k: int, p: Fraction) -> Fraction:
     return Fraction(math.comb(n, k)) * p**k * (1 - p) ** (n - k)
 
 
+def neumaier_cdf(masses: np.ndarray, truncated_below: float) -> np.ndarray:
+    """Reference: the compensated cdf as a sequential Python loop."""
+    out = np.empty(len(masses))
+    s = truncated_below
+    c = 0.0
+    for i, x in enumerate(masses.tolist()):
+        t = s + x
+        if abs(s) >= abs(x):
+            c += (s - t) + x
+        else:
+            c += (x - t) + s
+        s = t
+        out[i] = s + c
+    return out
+
+
+def mp_binom_cdf_operators(trials: int, prob: float, k: int):
+    """Reference: the exact binomial cdf written with mpf operators."""
+    mpf = mp.mpf
+    if k < 0:
+        return mpf(0)
+    if k >= trials:
+        return mpf(1)
+    p = mpf(prob)
+    one_minus_p = 1 - p
+    negligible = mpf("1e-45")
+    lower_tail = k < trials * p
+    if lower_tail:
+        j = k
+        t = mp.binomial(trials, j) * p**j * one_minus_p ** (trials - j)
+        s = t
+        while j > 0:
+            t = t * j * one_minus_p / ((trials - j + 1) * p)
+            s += t
+            j -= 1
+            if t < s * negligible:
+                break
+        return s
+    j = k + 1
+    t = mp.binomial(trials, j) * p**j * one_minus_p ** (trials - j)
+    s = t
+    while j < trials:
+        t = t * (trials - j) * p / ((j + 1) * one_minus_p)
+        s += t
+        j += 1
+        if t < s * negligible:
+            break
+    return 1 - s
+
+
+# Zero, the smallest and largest subnormals, and the smallest normal double.
+_EDGE_MASSES = (0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308)
+
+
+@st.composite
+def mass_vectors(draw):
+    """(masses, truncated_below) of a valid distribution, edge values spliced in."""
+    body = draw(st.lists(st.floats(0.0, 1.0), min_size=0, max_size=80))
+    body.insert(draw(st.integers(0, len(body))), draw(st.floats(0.5, 1.0)))
+    below = draw(st.one_of(st.just(0.0), st.floats(0.0, TRUNCATION_BUDGET)))
+    w = np.array(body)
+    masses = list(w * ((1.0 - below) / w.sum()))
+    for _ in range(draw(st.integers(0, 4))):
+        masses.insert(draw(st.integers(0, len(masses))), draw(st.sampled_from(_EDGE_MASSES)))
+    return np.array(masses), below
+
+
 # Reference table T1 probabilities (published at five decimals).
 T1_PMF = [0.33490, 0.40188, 0.20094, 0.05358, 0.00804, 0.00064, 0.00002]
 T1_CDF = [0.33490, 0.73678, 0.93771, 0.99130, 0.99934, 0.99998, 1.00000]
@@ -212,6 +279,37 @@ class TestCdf:
             with mp.workdps(dps):
                 values.append([exact_cdf_at(d, k)._mpf_ for k in range(150, 260, 7)])
         assert values[0] == values[1]
+
+    @given(case=mass_vectors())
+    @settings(max_examples=300, deadline=None)
+    def test_cdf_bits_equal_sequential_loop(self, case):
+        masses, below = case
+        d = DiscreteLossDistribution(3, masses, truncated_below=below)
+        assert d.cdf.tobytes() == neumaier_cdf(d.masses, below).tobytes()
+
+    def test_cdf_bits_equal_sequential_loop_large(self):
+        d = loss_count_distribution(ModelSpec.per_exposure_shock(1 / 6, 0.5, 0.01), 100_000, 6)
+        assert len(d.masses) == 205_106
+        assert d.cdf.tobytes() == neumaier_cdf(d.masses, d.truncated_below).tobytes()
+
+    @pytest.mark.parametrize(
+        "trials, prob, ks",
+        [
+            (1, 1 / 6, (-1, 0, 1, 2)),
+            (6, 1 / 6, (-3, 0, 1, 2, 5, 6, 9)),
+            (6, 0.5, (0, 2, 3, 5)),
+            (600, 1 / 6, (0, 60, 99, 100, 140, 599, 600)),
+            (600, 0.99, (500, 590, 594, 599)),
+            (60_000, 0.001, (0, 30, 60, 61, 120)),
+            (600_000, 1 / 6, (98_000, 99_999, 100_000, 101_500)),
+            (600_000, 0.5, (299_000, 300_500)),
+        ],
+    )
+    def test_mp_binom_cdf_bits_equal_operator_api(self, trials, prob, ks):
+        with mp.workdps(40):
+            for k in ks:
+                got = distributions._mp_binom_cdf(trials, prob, k)._mpf_
+                assert got == mp_binom_cdf_operators(trials, prob, k)._mpf_, k
 
 
 class TestValidation:
