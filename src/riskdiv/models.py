@@ -122,9 +122,7 @@ class PortfolioParams:
             raise ValueError("alpha must lie in (0, 1)")
 
 
-def _max_support(override: int | None) -> int:
-    if override is not None:
-        return override
+def _max_support() -> int:
     env = os.environ.get(_MAX_SUPPORT_ENV)
     if not env:
         return DEFAULT_MAX_SUPPORT
@@ -137,7 +135,6 @@ def loss_count_distribution(
     model: ModelSpec,
     N: int,
     n: int,
-    max_support: int | None = None,
 ) -> DiscreteLossDistribution:
     """Exact distribution of the portfolio loss count.
 
@@ -155,7 +152,7 @@ def loss_count_distribution(
     """
     if N < 1 or n < 1:
         raise ValueError(f"N and n must be >= 1, got N={N}, n={n}")
-    limit = _max_support(max_support)
+    limit = _max_support()
     if N * n > limit:
         raise SupportLimitError(
             f"support of {N * n} counts (N={N}, n={n}) exceeds the limit {limit}"

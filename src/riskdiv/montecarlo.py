@@ -3,10 +3,10 @@
 Simulations are split into fixed-size blocks; block b draws from its own
 counter-based Philox stream keyed by (seed, b).  Histograms are merged in
 block order, so results are bit-identical for a given (seed, block_size,
-num_sims) no matter how many workers run the blocks.  A budget that is a
-multiple of block_size is the leading blocks of any larger budget, so one run
-can return the histograms of several budgets.  Risk measures are read off the
-integer tallies (tally_var_and_tvar), not a float cdf.
+num_sims) no matter how many workers run the blocks.  A budget is its full
+blocks plus at most one cut block, so one run returns the histograms of
+several budgets and draws each block they need once.  Risk measures are read
+off the integer tallies (tally_var_and_tvar), not a float cdf.
 """
 
 from __future__ import annotations
@@ -123,11 +123,6 @@ def _draw_block(model: ModelSpec, N: int, n: int, seed: int, block_index: int, s
     return np.bincount(draws, minlength=total + 1).astype(np.int64)
 
 
-def _block_sizes(num_sims: int, block_size: int) -> list[int]:
-    full, rest = divmod(num_sims, block_size)
-    return [block_size] * full + ([rest] if rest else [])
-
-
 def simulate(
     model: ModelSpec,
     N: int,
@@ -140,7 +135,9 @@ def simulate(
 
     Deterministic for fixed (seed, block_size, num_sims) regardless of
     workers: every block owns a Philox stream keyed by (seed, block index)
-    and the integer tallies are merged in index order.
+    and the integer tallies are merged in index order.  A budget X is full
+    blocks 0 .. X//block_size - 1 plus block X//block_size cut to
+    X % block_size paths, which is exactly what X's own run draws.
 
     Args:
         model: Generative model to simulate.
@@ -148,59 +145,53 @@ def simulate(
         n: Exposures per policy.
         config: Simulation budget, seed and block layout.
         workers: Process count for block execution; the pool never starts
-            more processes than there are blocks.
-        checkpoints: Budgets whose histograms to return, one per entry in
-            the order given, instead of the histogram of num_sims.  Each is
-            num_sims or a multiple of block_size below it; such a budget's
-            blocks are the leading blocks of this run, so its histogram
-            equals that of its own run.
+            more processes than there are blocks to draw.
+        checkpoints: Budgets in 1 .. num_sims whose histograms to return,
+            one per entry in the order given, instead of the histogram of
+            num_sims.  Each block they need is drawn once, and each
+            histogram equals that of the budget's own run.
 
     Raises:
-        ValueError: If N or n is less than 1, or a checkpoint is neither
-            num_sims nor a multiple of block_size below it.
+        ValueError: If N or n is less than 1, or a checkpoint lies outside
+            1 .. num_sims.
     """
     if N < 1 or n < 1:
         raise ValueError(f"N and n must be >= 1, got N={N}, n={n}")
     wanted = [config.num_sims] if checkpoints is None else list(checkpoints)
     for budget in wanted:
-        if budget != config.num_sims and not (
-            0 < budget < config.num_sims and budget % config.block_size == 0
-        ):
+        if not 0 < budget <= config.num_sims:
             raise ValueError(
                 f"checkpoint {budget} is neither num_sims={config.num_sims} nor a "
-                f"multiple of block_size={config.block_size} below it"
+                "positive budget below it"
             )
-    sizes = _block_sizes(config.num_sims, config.block_size)
+    B = config.block_size
+    # Sorted (block, size): a cut block merges after the full blocks below it.
+    jobs = sorted(
+        {(b, B) for b in range(max(wanted, default=0) // B)}
+        | {divmod(budget, B) for budget in wanted if budget % B}
+    )
+    k = len(jobs)
+    blocks, sizes = [b for b, _ in jobs], [size for _, size in jobs]
+    args = [model] * k, [N] * k, [n] * k, [config.seed] * k, blocks, sizes
 
     def merge(block_hists) -> dict[int, LossHistogram]:
-        """The cumulative histogram at each wanted budget, merging in block order."""
-        merged = np.zeros(N * n + 1, dtype=np.int64)
-        snapshots, done = {}, 0
-        for size, block_hist in zip(sizes, block_hists):
-            merged += block_hist
-            done += size
+        """The histogram at each wanted budget: its block plus the full blocks before it."""
+        full = np.zeros(N * n + 1, dtype=np.int64)
+        snapshots = {}
+        for (b, size), tallies in zip(jobs, block_hists):
+            tallies += full
+            if size == B:
+                full = tallies
+            done = b * B + size
             if done in wanted:
-                tallies = merged if done == config.num_sims else merged.copy()
                 snapshots[done] = LossHistogram(tallies, done)
         return snapshots
 
-    if workers <= 1 or len(sizes) == 1:
-        snapshots = merge(
-            _draw_block(model, N, n, config.seed, b, size) for b, size in enumerate(sizes)
-        )
+    if workers <= 1 or k <= 1:
+        snapshots = merge(map(_draw_block, *args))
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
-            snapshots = merge(
-                pool.map(
-                    _draw_block,
-                    [model] * len(sizes),
-                    [N] * len(sizes),
-                    [n] * len(sizes),
-                    [config.seed] * len(sizes),
-                    range(len(sizes)),
-                    sizes,
-                )
-            )
+        with ProcessPoolExecutor(max_workers=min(workers, k)) as pool:
+            snapshots = merge(pool.map(_draw_block, *args))
     hists = [snapshots[budget] for budget in wanted]
     return hists[0] if checkpoints is None else hists
 

@@ -224,9 +224,9 @@ def _simulated_rhos(
     """VaR and TVaR counts of one column's simulated rows, keyed (N, config).
 
     Rows at the same (N, seed, block_size) share one run to their largest
-    budget, which also returns every budget that is a multiple of
-    block_size.  Any other budget ends in a ragged block, a different
-    stream, and gets a run of its own.
+    budget, which returns every budget's histogram; a budget that is not a
+    multiple of block_size adds one cut block to that run, not a run of its
+    own.
     """
     groups = defaultdict(set)
     for _, N, source in rows:
@@ -234,16 +234,12 @@ def _simulated_rhos(
             groups[N, source.seed, source.block_size].add(source.num_sims)
     out = {}
     for (N, seed, block_size), budgets in groups.items():
-        top = max(budgets)
-        shared = sorted(b for b in budgets if b % block_size == 0 or b == top)
-        ragged = sorted(budgets.difference(shared))
-        for length, checkpoints in [(top, shared)] + [(b, [b]) for b in ragged]:
-            config = SimulationConfig(length, seed, block_size)
-            hists = simulate(model, N, n, config, workers, checkpoints=checkpoints)
-            for budget, h in zip(checkpoints, hists):
-                out[N, SimulationConfig(budget, seed, block_size)] = tally_var_and_tvar(
-                    h, alpha, convention
-                )
+        budgets = sorted(budgets)
+        config = SimulationConfig(budgets[-1], seed, block_size)
+        for h in simulate(model, N, n, config, workers, checkpoints=budgets):
+            out[N, SimulationConfig(h.num_sims, seed, block_size)] = tally_var_and_tvar(
+                h, alpha, convention
+            )
     return out
 
 

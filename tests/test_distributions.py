@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from scipy import stats
 
 from riskdiv import distributions
 from riskdiv.distributions import (
     TRUNCATION_BUDGET,
+    TRUNCATION_EPS,
     DiscreteLossDistribution,
     binomial,
     cdf_at,
@@ -103,6 +105,20 @@ T1_CDF = [0.33490, 0.73678, 0.93771, 0.99130, 0.99934, 0.99998, 1.00000]
 
 
 class TestBinomial:
+    def test_stored_support_holds_every_point_above_the_threshold(self):
+        # The pmf just outside each stored end is below TRUNCATION_EPS, so by
+        # unimodality every point beyond it is too.
+        trials_grid = [1, 2, 6, 10, 100, 10**3, 10**4, 10**5, 10**6, 10**7]
+        probs = [1e-300, 1e-100, 1e-20, 1e-10, 1e-6, 1e-3, 0.01, 0.1, 1 / 6, 0.25, 0.5,
+                 0.75, 0.9, 0.99, 1 - 1e-6, 1 - 1e-10, 1 - 1e-15, 1 - 2.0**-52]
+        for trials in trials_grid:
+            for prob in probs:
+                d = binomial(trials, prob)
+                if d.min_count > 0:
+                    assert stats.binom.pmf(d.min_count - 1, trials, prob) < TRUNCATION_EPS
+                if d.max_count < trials:
+                    assert stats.binom.pmf(d.max_count + 1, trials, prob) < TRUNCATION_EPS
+
     def test_single_policy_pmf_matches_reference(self):
         d = binomial(6, 1 / 6)
         assert d.min_count == 0
@@ -324,6 +340,15 @@ class TestValidation:
     def test_budget_enforced(self):
         with pytest.raises(ValueError):
             DiscreteLossDistribution(0, np.array([1.0 - 1e-6]), truncated_below=1e-6)
+
+    def test_nan_mass_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            DiscreteLossDistribution(0, np.array([0.5, np.nan, 0.5]))
+
+    @pytest.mark.parametrize("field", ["truncated_below", "truncated_above"])
+    def test_nan_truncated_mass_rejected(self, field):
+        with pytest.raises(ValueError, match="truncated mass"):
+            DiscreteLossDistribution(0, np.array([1.0]), **{field: np.nan})
 
     def test_masses_read_only(self):
         d = binomial(6, 0.5)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskdiv.distributions import moments, pointwise_distance
@@ -203,15 +203,53 @@ class TestCheckpoints:
             assert h.counts.tobytes() == alone.counts.tobytes()
 
     def test_ragged_budget_is_its_own_run(self):
-        # 1,500 at block size 1,000 ends in a 500-path block, which is not
-        # the first half of block 1 of a longer run: only its own run has it.
+        # 1,500 at block size 1,000 ends in block 1 cut to 500 paths: inside
+        # a longer run it is that cut block plus block 0, as in its own run.
         alone = simulate(CRISIS, 10, 6, SimulationConfig(1_500, seed=43, block_size=1_000))
         [h] = simulate(CRISIS, 10, 6, SimulationConfig(1_500, seed=43, block_size=1_000),
                        checkpoints=[1_500])
         assert h.counts.tobytes() == alone.counts.tobytes()
-        with pytest.raises(ValueError, match="checkpoint 1500"):
-            simulate(CRISIS, 10, 6, SimulationConfig(3_000, seed=43, block_size=1_000),
-                     checkpoints=[1_500])
+        [h] = simulate(CRISIS, 10, 6, SimulationConfig(3_000, seed=43, block_size=1_000),
+                       checkpoints=[1_500])
+        assert h.num_sims == 1_500
+        assert h.counts.tobytes() == alone.counts.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @settings(max_examples=12, deadline=None)
+    @given(
+        block_size=st.integers(200, 1_500),
+        budgets=st.lists(st.integers(1, 4_000), min_size=1, max_size=5),
+        beyond=st.integers(0, 1_000),
+    )
+    @example(block_size=1_000, budgets=[2_500, 700, 2_500, 1_000], beyond=0)
+    def test_any_budgets_equal_their_own_runs(self, workers, block_size, budgets, beyond):
+        # Ragged, below one block, duplicated and unsorted budgets alike.
+        cfg = SimulationConfig(max(budgets) + beyond, seed=53, block_size=block_size)
+        hists = simulate(CRISIS, 10, 6, cfg, workers=workers, checkpoints=budgets)
+        assert [h.num_sims for h in hists] == budgets
+        for budget, h in zip(budgets, hists):
+            alone = simulate(CRISIS, 10, 6, SimulationConfig(budget, 53, block_size))
+            assert h.counts.tobytes() == alone.counts.tobytes()
+
+    def test_each_needed_block_drawn_once(self, monkeypatch):
+        import riskdiv.montecarlo as mc
+
+        drawn = []
+        draw_block = mc._draw_block
+
+        def recording(model, N, n, seed, block_index, size):
+            drawn.append((block_index, size))
+            return draw_block(model, N, n, seed, block_index, size)
+
+        monkeypatch.setattr(mc, "_draw_block", recording)
+        simulate(CRISIS, 10, 6, SimulationConfig(3_000, seed=59, block_size=1_000),
+                 checkpoints=[1_500, 3_000])
+        # 3,500 paths: the 1,500 budget adds only its cut block 1.
+        assert drawn == [(0, 1_000), (1, 500), (1, 1_000), (2, 1_000)]
+
+    def test_no_checkpoints_no_histograms(self):
+        assert simulate(CRISIS, 10, 6, SimulationConfig(4_000, block_size=1_000),
+                        checkpoints=[]) == []
 
     def test_block_multiples_below_a_ragged_run(self):
         cfg = SimulationConfig(2_500, seed=47, block_size=1_000)

@@ -168,9 +168,8 @@ class TestLoadingGrid:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_t5_draws_each_column_once(self, monkeypatch, workers):
-        # Block multiples share the run to the largest budget; 1,500 ends in
-        # a ragged block and is drawn on its own.  Every cell equals a single
-        # loading at its own budget.
+        # All budgets share the run to the largest; 1,500 adds block 1 cut
+        # to 500 paths.  Every cell equals a single loading at its own budget.
         import riskdiv.tables as tables
 
         runs = []
@@ -183,7 +182,7 @@ class TestLoadingGrid:
         req = TableRequest(table_id="T5", pt_grid=(0.0, 0.05), sims_grid=(2000, 4000, 1500, 2000),
                            block_size=1000, seed=3, workers=workers)
         cells = _cells(build_table(req))
-        assert runs == [(4000, [2000, 4000]), (1500, [1500])] * 2
+        assert runs == [(4000, [1500, 2000, 4000])] * 2
         params = PortfolioParams()
         for label, pt in zip(("pt=0", "pt=0.05"), req.pt_grid):
             model = default_model(ModelKind.PER_EXPOSURE_SHOCK, req.p, req.q, pt)
