@@ -55,7 +55,7 @@ from .pricing import (
     risk_adjusted_capital,
     risk_loading_per_policy,
 )
-from .reference import DiscrepancyReport, compare_with_reference, load_errata, verify_table
+from .reference import DiscrepancyReport, compare_with_reference, load_errata
 from .tables import Table, TableRequest, build_table, write_table
 
 __version__ = "0.1.0"

@@ -135,11 +135,12 @@ def _cmd_dist(args) -> int:
     from .distributions import cdf_at
 
     model = _model(args)
-    d = loss_count_distribution(model, args.N, args.exposures)
+    params = PortfolioParams(args.exposures, args.severity)  # validates --severity
+    d = loss_count_distribution(model, args.N, params.exposures)
     rows = []
     for i, mass in enumerate(d.masses):
         k = d.min_count + i
-        rows.append([str(k), f"{args.severity * k:g}", f"{mass:.12g}", f"{cdf_at(d, k):.12g}"])
+        rows.append([str(k), f"{params.severity * k:g}", f"{mass:.12g}", f"{cdf_at(d, k):.12g}"])
     _emit(Table("dist", ["k", "policy_loss", "pmf", "cdf"], rows), args)
     return 0
 

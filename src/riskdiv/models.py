@@ -114,10 +114,12 @@ class PortfolioParams:
     def __post_init__(self):
         if self.exposures < 1:
             raise ValueError("exposures must be >= 1")
-        if self.severity <= 0.0:
-            raise ValueError("severity must be positive")
-        if self.capital_cost < 0.0 or self.expense_ratio < 0.0:
-            raise ValueError("capital_cost and expense_ratio must be >= 0")
+        # Written so that NaN fails each check.
+        if not 0.0 < self.severity < math.inf:
+            raise ValueError(f"severity must be positive and finite, got {self.severity}")
+        for name in ("capital_cost", "expense_ratio"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
 

@@ -6,7 +6,9 @@ block order, so results are bit-identical for a given (seed, block_size,
 num_sims) no matter how many workers run the blocks.  A budget is its full
 blocks plus at most one cut block, so one run returns the histograms of
 several budgets and draws each block they need once.  Risk measures are read
-off the integer tallies (tally_var_and_tvar), not a float cdf.
+off the integer tallies (tally_var_and_tvar), not a float cdf.  A Monte Carlo
+loading carries the standard error of N_BOOT bootstrap resamples of its
+histogram, drawn from a stream keyed by the simulation seed.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ __all__ = [
 
 DEFAULT_SEED = 42
 DEFAULT_BLOCK_SIZE = 250_000
+# Bootstrap replicates behind a Monte Carlo loading's standard error.
+N_BOOT = 200
 
 
 @dataclass(frozen=True)
@@ -56,6 +60,8 @@ class SimulationConfig:
     def __post_init__(self):
         if self.num_sims < 1:
             raise ValueError("num_sims must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
 
@@ -290,23 +296,17 @@ def bootstrap_loading_se(
     params: PortfolioParams,
     N: int,
     measure: RiskMeasureSpec,
-    n_boot: int = 200,
-    seed: int = DEFAULT_SEED,
+    seed: int,
 ) -> float:
     """Bootstrap standard error of a histogram-based loading.
 
-    Resamples the histogram multinomially n_boot times and recomputes the
+    Resamples the histogram multinomially N_BOOT times and recomputes the
     loading on each replicate.
-
-    Raises:
-        ValueError: If n_boot < 2, too few replicates for a standard error.
     """
-    if n_boot < 2:
-        raise ValueError(f"n_boot must be >= 2 for a standard error, got {n_boot}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xB007))))
     probs = h.counts / float(h.num_sims)
-    values = np.empty(n_boot)
-    for i in range(n_boot):
+    values = np.empty(N_BOOT)
+    for i in range(N_BOOT):
         resampled = LossHistogram(rng.multinomial(h.num_sims, probs), h.num_sims)
         values[i] = loading_from_rho(_tally_rho(resampled, measure), model, params, N)
     return float(values.std(ddof=1))
@@ -319,13 +319,8 @@ def mc_loading(
     measure: RiskMeasureSpec,
     config: SimulationConfig,
     workers: int = 1,
-    n_boot: int = 200,
 ) -> LoadingEstimate:
-    """Monte Carlo risk loading per policy, with a bootstrap standard error.
-
-    Pass n_boot=0 to skip the bootstrap (standard_error is then None).
-    """
+    """Monte Carlo risk loading per policy, with a bootstrap standard error."""
     h = simulate(model, N, params.exposures, config, workers=workers)
     value = loading_from_rho(_tally_rho(h, measure), model, params, N)
-    se = bootstrap_loading_se(h, model, params, N, measure, n_boot, config.seed) if n_boot else None
-    return LoadingEstimate(value, se)
+    return LoadingEstimate(value, bootstrap_loading_se(h, model, params, N, measure, config.seed))

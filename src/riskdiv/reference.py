@@ -5,7 +5,9 @@ The reference CSVs under reference_data/ transcribe the published tables
 verbatim.  Cells where our computation deliberately and reproducibly differs
 from the published value are recorded in reference_data/errata.json with an
 explanation; verification treats exactly those flags as expected.  No other
-mechanism may suppress a flagged cell.
+mechanism may suppress a flagged cell.  A comparison takes a built Table, and
+DiscrepancyReport takes the errata list from its caller, as `riskdiv verify`
+loads it once for all tables.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ import csv
 import json
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
-from .tables import Table, TableRequest, build_table
+from .tables import Table
 
 __all__ = [
     "CellComparison",
@@ -26,7 +27,6 @@ __all__ = [
     "load_reference",
     "load_errata",
     "compare_with_reference",
-    "verify_table",
 ]
 
 # Absolute tolerances for |generated - reference| per table: half a printed
@@ -61,11 +61,9 @@ class DiscrepancyReport:
     def flagged(self) -> list[CellComparison]:
         return [c for c in self.cells if c.status == "flagged"]
 
-    def unexpected(self, errata: "list[dict] | None" = None) -> list[CellComparison]:
+    def unexpected(self, errata: list[dict]) -> list[CellComparison]:
         """Flagged cells not covered by an erratum: one at the cell whose "ours"
         lies within the cell's tolerance of the generated value."""
-        if errata is None:
-            errata = load_errata()
         ours = {(e["table"], str(e["row"]), e["measure"], e["column"]): e["ours"] for e in errata}
 
         def documented(c: CellComparison) -> bool:
@@ -143,29 +141,18 @@ def load_errata() -> list[dict]:
     return json.loads(res.read_text(encoding="utf-8"))
 
 
-def compare_with_reference(
-    generated: Table | str | Path,
-    table_id: str,
-) -> DiscrepancyReport:
+def compare_with_reference(generated: Table, table_id: str) -> DiscrepancyReport:
     """Compare a generated table against the shipped reference, cell by cell.
 
     Every reference cell appears exactly once in the report; flagged cells
     are kept, never dropped.
 
-    Args:
-        generated: A Table, or a path to a generated CSV file.
-
     Raises:
-        TableParseError: On malformed CSV, with the row/column location.
+        TableParseError: On a non-numeric cell in either table, or malformed
+            reference CSV, with the row/column location.
         KeyError: If the generated table is missing a reference cell.
     """
-    if isinstance(generated, Table):
-        header = generated.headers
-        rows = generated.rows
-    else:
-        text = Path(generated).read_text(encoding="utf-8")
-        header, rows = _read_rows(text, f"generated {table_id}")
-    gen = _cells(header, rows, f"generated {table_id}")
+    gen = _cells(generated.headers, generated.rows, f"generated {table_id}")
     ref = load_reference(table_id)
     tol = COMPARISON_TOLERANCES[table_id]
     cells = []
@@ -178,10 +165,3 @@ def compare_with_reference(
             CellComparison(table_id, (measure, label), col, g, ref_value, tol, status)
         )
     return DiscrepancyReport(table_id, cells)
-
-
-def verify_table(table_id: str, request: TableRequest | None = None) -> DiscrepancyReport:
-    """Regenerate one table with default settings and compare it."""
-    req = request or TableRequest(table_id=table_id)
-    table = build_table(req)
-    return compare_with_reference(table, table_id)

@@ -96,7 +96,7 @@ def test_criterion_02_iid_loading_table_exact(t2_table):
     assert loading_count == 42
     flagged = report_t2.flagged
     assert len(flagged) <= 1
-    assert report_t2.unexpected() == []
+    assert report_t2.unexpected(load_errata()) == []
     if flagged:
         assert (flagged[0].row_key, flagged[0].col_key) == (("TVaR", "50"), "p=1/4")
     assert elapsed < 10.0
@@ -110,7 +110,7 @@ def test_criterion_03_common_shock_table_exact(t3_table):
     loading_count = sum(1 for c in report_t3.cells if c.row_key[0] in ("VaR", "TVaR"))
     assert loading_count == 70
     assert len(report_t3.flagged) <= 2
-    assert report_t3.unexpected() == []
+    assert report_t3.unexpected(load_errata()) == []
     cells = loading_cells(t3_table)
     for N in ("50", "100", "1000", "10000"):
         assert cells[("TVaR", N, "pt=0.01")] == pytest.approx(2.970, abs=1e-9)

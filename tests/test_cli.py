@@ -42,6 +42,21 @@ class TestLoading:
         assert code == 0
         assert "se=" in out
 
+    # sha256 of the stdout "1.410 se=0.0752", taken when the bootstrap's
+    # replicate count was still a parameter: 199 or 201 replicates, or
+    # another bootstrap stream, print a different standard error.
+    MC_DIGEST = "5b1431fcfec537c574038248191a96ee5c744daa4ce19d42b67a9e2304150334"
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_mc_source_pinned_output(self, capsys, workers):
+        code, out, _ = run(capsys, "loading", "--model", "crisis", "--N", "10",
+                           "--ptilde", "0.01", "--measure", "tvar",
+                           "--convention", "tail-average", "--source", "mc",
+                           "--sims", "2000", "--block-size", "500", "--seed", "7",
+                           "--workers", workers)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.MC_DIGEST
+
 
 class TestTableAndVerify:
     def test_table_then_verify_clean(self, capsys, tmp_path):
@@ -477,6 +492,22 @@ class TestErrors:
         code, out, err = run(capsys, "dist", "--model", "iid", "--N", "1")
         assert code == 1 and out == ""
         assert "RISKDIV_MAX_SUPPORT must be a positive integer" in err
+
+    @pytest.mark.parametrize("argv", [
+        "table --id T2 --eta nan",
+        "loading --model iid --N 1 --severity inf",
+        "dist --model iid --N 1 --severity nan",
+    ])
+    def test_non_finite_economics_reported(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "must be" in err
+
+    def test_negative_seed_reported(self, capsys):
+        code, out, err = run(capsys, "simulate", "--model", "iid", "--N", "2",
+                             "--sims", "10", "--seed", "-1")
+        assert code == 1 and out == ""
+        assert "error: seed must be >= 0, got -1" in err
 
     def test_bad_probability_reported(self, capsys):
         code, _, err = run(capsys, "loading", "--model", "iid", "--N", "1", "--p", "1.5")

@@ -223,3 +223,9 @@ class TestModelSpecValidation:
             PortfolioParams(severity=0.0)
         with pytest.raises(ValueError):
             PortfolioParams(alpha=1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["severity", "capital_cost", "expense_ratio"])
+    def test_params_reject_non_finite_economics(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            PortfolioParams(**{field: value})

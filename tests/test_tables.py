@@ -7,14 +7,14 @@ import pytest
 
 from riskdiv.measures import MeasureKind, RiskMeasureSpec, TvarConvention
 from riskdiv.models import ModelKind, PortfolioParams
-from riskdiv.montecarlo import SimulationConfig, mc_loading, simulate
-from riskdiv.pricing import risk_loading_per_policy
+from riskdiv.montecarlo import SimulationConfig, simulate
+from riskdiv.pricing import price_policy, risk_loading_per_policy
+from riskdiv import reference
 from riskdiv.reference import (
     TableParseError,
     compare_with_reference,
     load_errata,
     load_reference,
-    verify_table,
 )
 from riskdiv.tables import (
     PT_GRID,
@@ -62,7 +62,7 @@ class TestT1:
         assert table.rows[1] == ["1", "10", "0.40188", "0.73678"]
 
     def test_comparison_clean(self):
-        report = verify_table("T1")
+        report = compare_with_reference(build_table(TableRequest(table_id="T1")), "T1")
         assert len(report.flagged) == 0
         assert len(report.cells) == 21  # 7 rows x (loss, pmf, cdf)
 
@@ -78,9 +78,9 @@ class TestT2:
         assert table.rows[-1] == ["E[L]/N", "", "10.00", "15.00", "30.00"]
 
     def test_only_documented_erratum_flagged(self):
-        report = verify_table("T2")
+        report = compare_with_reference(build_table(TableRequest(table_id="T2")), "T2")
         assert [(c.row_key, c.col_key) for c in report.flagged] == [(("TVaR", "50"), "p=1/4")]
-        assert report.unexpected() == []
+        assert report.unexpected(load_errata()) == []
 
 
 class TestCustomSweep:
@@ -146,8 +146,9 @@ class TestLoadingGrid:
             for N in req.N_grid:
                 for mk, mlabel in _MEASURES:
                     spec = RiskMeasureSpec(mk, params.alpha, TvarConvention.TAIL_AVERAGE)
-                    est = mc_loading(model, params, N, spec, config, n_boot=0)
-                    assert cells[(mlabel, str(N), label)] == fmt_loading(est.value)
+                    quote = price_policy(model, params, N, spec, source=config)
+                    value = quote.risk_loading_per_policy
+                    assert cells[(mlabel, str(N), label)] == fmt_loading(value)
 
     @pytest.mark.parametrize("table_id", ["T3", "T4", "T5"])
     def test_every_shock_table_honours_pt_grid(self, table_id):
@@ -190,8 +191,9 @@ class TestLoadingGrid:
                 config = SimulationConfig(sims, req.seed, req.block_size)
                 for mk, mlabel in _MEASURES:
                     spec = RiskMeasureSpec(mk, params.alpha, TvarConvention.TAIL_AVERAGE)
-                    est = mc_loading(model, params, 100, spec, config, n_boot=0)
-                    assert cells[(mlabel, str(sims), label)] == fmt_loading(est.value)
+                    quote = price_policy(model, params, 100, spec, source=config)
+                    value = quote.risk_loading_per_policy
+                    assert cells[(mlabel, str(sims), label)] == fmt_loading(value)
 
 
 class TestRoundTrip:
@@ -222,7 +224,7 @@ class TestComparison:
         assert [(c.row_key, c.col_key) for c in report.flagged] == [(("", "2"), "pmf")]
 
     def test_every_reference_cell_appears_once(self):
-        report = verify_table("T2")
+        report = compare_with_reference(build_table(TableRequest(table_id="T2")), "T2")
         keys = [(c.row_key, c.col_key) for c in report.cells]
         assert len(keys) == len(set(keys)) == len(load_reference("T2"))
 
@@ -232,18 +234,21 @@ class TestComparison:
         with pytest.raises(KeyError):
             compare_with_reference(broken, "T2")
 
-    def test_malformed_csv_location(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("measure,N,p=1/6\nVaR,1,not-a-number\n")
+    def test_malformed_csv_location(self, monkeypatch):
+        monkeypatch.setattr(reference, "_reference_text",
+                            lambda tid: "measure,N,p=1/6\nVaR,1,not-a-number\n")
         with pytest.raises(TableParseError) as err:
-            compare_with_reference(bad, "T2")
+            load_reference("T2")
+        assert "row 1" in str(err.value) and "p=1/6" in str(err.value)
+        generated = Table("T2", ["measure", "N", "p=1/6"], [["VaR", "1", "not-a-number"]])
+        with pytest.raises(TableParseError) as err:
+            compare_with_reference(generated, "T2")
         assert "row 1" in str(err.value) and "p=1/6" in str(err.value)
 
-    def test_ragged_row_rejected(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("measure,N,p=1/6\nVaR,1\n")
+    def test_ragged_row_rejected(self, monkeypatch):
+        monkeypatch.setattr(reference, "_reference_text", lambda tid: "measure,N,p=1/6\nVaR,1\n")
         with pytest.raises(TableParseError):
-            compare_with_reference(bad, "T2")
+            load_reference("T2")
 
 
 class TestErrata:
@@ -254,9 +259,9 @@ class TestErrata:
             assert {"table", "measure", "row", "column", "reference", "ours", "reason"} <= set(entry)
 
     def test_t4_flags_are_all_documented(self):
-        report = verify_table("T4")
+        report = compare_with_reference(build_table(TableRequest(table_id="T4")), "T4")
         assert len(report.flagged) == 5
-        assert report.unexpected() == []
+        assert report.unexpected(load_errata()) == []
 
     def test_undocumented_flag_is_unexpected(self):
         # A perturbed cell outside the registry must surface as unexpected;
@@ -266,12 +271,13 @@ class TestErrata:
         assert rows[0][:2] == ["VaR", "1"]
         rows[0][2] = "9.999"
         report = compare_with_reference(Table("T2", table.headers, rows), "T2")
-        assert [(c.row_key, c.col_key) for c in report.unexpected()] == [(("VaR", "1"), "p=1/6")]
+        unexpected = report.unexpected(load_errata())
+        assert [(c.row_key, c.col_key) for c in unexpected] == [(("VaR", "1"), "p=1/6")]
 
     def test_stale_erratum(self):
         # An erratum for a cell that matches its reference is stale; it is
         # reported apart from the unexpected flags.
-        report = verify_table("T2")
+        report = compare_with_reference(build_table(TableRequest(table_id="T2")), "T2")
         extra = {"table": "T2", "measure": "VaR", "row": "1", "column": "p=1/6",
                  "reference": 3.0, "ours": 3.0, "reason": "test"}
         errata = load_errata()
@@ -280,6 +286,6 @@ class TestErrata:
         assert report.unexpected(errata + [extra]) == []
 
     def test_verify_is_deterministic(self):
-        first = verify_table("T2")
-        second = verify_table("T2")
+        first = compare_with_reference(build_table(TableRequest(table_id="T2")), "T2")
+        second = compare_with_reference(build_table(TableRequest(table_id="T2")), "T2")
         assert first.cells == second.cells
