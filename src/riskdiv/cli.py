@@ -4,8 +4,9 @@ Subcommands: dist, loading, sweep, table, simulate, verify, converge.  The
 flags are three tables: _FLAGS defines each flag once, _COMMANDS names the
 flags each subcommand accepts, and _READ_WHEN gives the condition under which
 a subcommand reads a flag that it reads only for some inputs.  Giving a flag
-whose condition does not hold is a usage error, as are an abbreviated flag
-and a count (--N, --exposures, --sims, ...) that is not a positive integer.
+whose condition does not hold is a usage error, as are an abbreviated flag,
+a count (--N, --exposures, --sims, ...) that is not a positive integer, and a
+float flag outside its range (a probability outside [0, 1], say).
 Exit codes: 0 on success, 1 on verification or computation failure, 2 on
 usage errors.
 """
@@ -13,6 +14,7 @@ usage errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -55,6 +57,27 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _float_flag(rule: str, holds):
+    """The parser of a float flag whose value must satisfy holds; else a usage error."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan  # fails every rule
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    return parse
+
+
+_probability = _float_flag("a probability in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+_level = _float_flag("a level in (0, 1)", lambda v: 0.0 < v < 1.0)
+_rate = _float_flag("finite and >= 0", lambda v: 0.0 <= v < math.inf)
+_amount = _float_flag("finite and > 0", lambda v: 0.0 < v < math.inf)
+
+
 def _grid(kind):
     """The parser of a comma-separated list of kind values."""
 
@@ -67,13 +90,13 @@ def _grid(kind):
 # Every flag once, with its argparse settings and default.
 _FLAGS = {
     "--model": dict(choices=sorted(_MODEL_KINDS), default="iid"),
-    "--p": dict(type=float, default=DEFAULT_P, help="normal-state loss probability"),
-    "--q": dict(type=float, default=DEFAULT_Q, help="crisis-state loss probability"),
+    "--p": dict(type=_probability, default=DEFAULT_P, help="normal-state loss probability"),
+    "--q": dict(type=_probability, default=DEFAULT_Q, help="crisis-state loss probability"),
     "--N": dict(type=_positive_int, default=1, help="number of policies"),
-    "--ptilde": dict(type=float, default=0.0, help="crisis occurrence probability"),
-    "--alpha": dict(type=float, default=0.99, help="risk measure confidence level"),
-    "--eta": dict(type=float, default=0.15, help="cost-of-capital rate"),
-    "--severity": dict(type=float, default=10.0, help="unit loss amount"),
+    "--ptilde": dict(type=_probability, default=0.0, help="crisis occurrence probability"),
+    "--alpha": dict(type=_level, default=0.99, help="risk measure confidence level"),
+    "--eta": dict(type=_rate, default=0.15, help="cost-of-capital rate"),
+    "--severity": dict(type=_amount, default=10.0, help="unit loss amount"),
     "--exposures": dict(type=_positive_int, default=6, help="exposures per policy"),
     "--format": dict(choices=("csv", "json"), default="csv"),
     "--out": dict(type=Path, default=None, help="output file (default stdout)"),
@@ -87,8 +110,8 @@ _FLAGS = {
     "--convention": dict(choices=tuple(c.value for c in TvarConvention), default="conditional"),
     "--source": dict(choices=("exact", "mc"), default="exact"),
     "--N-grid": dict(type=_grid(_positive_int), default=None),
-    "--p-grid": dict(type=_grid(float), default=None),
-    "--ptilde-grid": dict(type=_grid(float), default=None),
+    "--p-grid": dict(type=_grid(_probability), default=None),
+    "--ptilde-grid": dict(type=_grid(_probability), default=None),
     "--sims-list": dict(type=_grid(_positive_int), default=(1_000_000, 10_000_000)),
     "--id": dict(choices=TABLE_IDS + ("all",), default="all"),
 }

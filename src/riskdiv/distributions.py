@@ -121,8 +121,9 @@ class DiscreteLossDistribution:
 
 
 def point_mass(count: int) -> DiscreteLossDistribution:
-    """Distribution concentrated on a single count."""
-    return DiscreteLossDistribution(count, np.array([1.0]))
+    """Distribution concentrated on a single count, with the recipe Binomial(count, 1)."""
+    recipe = ((1.0, count, 1.0, count, count),)
+    return DiscreteLossDistribution(count, np.array([1.0]), components=recipe)
 
 
 def binomial(trials: int, prob: float) -> DiscreteLossDistribution:
@@ -263,6 +264,8 @@ def _mp_binom_cdf(trials: int, prob: float, k: int):
         return mpf(0)
     if k >= trials:
         return mpf(1)
+    if prob == 1.0:
+        return mpf(0)
     p = mpf(prob)
     # Once per sum, at the working precision (a module constant would be
     # parsed at 53 bits, a different number).

@@ -1,12 +1,14 @@
 """The three generative portfolio models and their closed-form moments.
 
-Loss counts for a portfolio of N policies, each exposed n times:
+Loss counts for a portfolio of N policies, each exposed n times.  Each model
+is a law for j, the number of the n exposure rounds in crisis (crisis_rounds),
+and given j the count is Binomial(N*j, q) + Binomial(N*(n-j), p):
 
-* iid: every exposure loses independently with probability p.
-* common shock: one global state draw puts *all* N*n exposures in a crisis
-  (loss probability q) with probability p_tilde, else the normal state.
-* per-exposure shock: each of the n exposure rounds draws its own state,
-  applying to the whole portfolio for that round.
+* iid: j = 0; every exposure loses independently with probability p.
+* common shock: one global state draw puts all n rounds in crisis (j = n)
+  with probability p_tilde, else none (j = 0).
+* per-exposure shock: each round draws its own state for the whole
+  portfolio, so j ~ Binomial(n, p_tilde).
 
 Both shock models carry an N-independent variance term: the part of the risk
 that diversification cannot remove.
@@ -28,6 +30,7 @@ __all__ = [
     "PortfolioParams",
     "SupportLimitError",
     "DEFAULT_MAX_SUPPORT",
+    "crisis_rounds",
     "loss_count_distribution",
     "closed_form_mean_per_policy",
     "closed_form_variance_per_policy",
@@ -67,6 +70,8 @@ class ModelSpec:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        if self.kind is ModelKind.IID and self.crisis_prob != 0.0:
+            raise ValueError(f"iid has no crisis state, got crisis_prob={self.crisis_prob}")
         if self.kind is not ModelKind.IID:
             if self.crisis_loss_prob <= self.loss_prob:
                 warnings.warn(
@@ -133,6 +138,19 @@ def _max_support() -> int:
     return int(env)
 
 
+def crisis_rounds(model: ModelSpec, n: int) -> list[tuple[int, float]]:
+    """The law of j, the rounds in crisis: ordered (j, probability) pairs.
+
+    Zero-weight states stay.  The common shock lists j = n before j = 0, the
+    order in which the sampler draws them; otherwise j ~ Binomial(n, p_tilde),
+    which is j = 0 for iid.
+    """
+    pt = model.crisis_prob
+    if model.kind is ModelKind.COMMON_SHOCK:
+        return [(n, pt), (0, 1.0 - pt)]
+    return [(j, math.comb(n, j) * pt**j * (1.0 - pt) ** (n - j)) for j in range(n + 1)]
+
+
 def loss_count_distribution(
     model: ModelSpec,
     N: int,
@@ -140,11 +158,9 @@ def loss_count_distribution(
 ) -> DiscreteLossDistribution:
     """Exact distribution of the portfolio loss count.
 
-    iid: Binomial(N*n, p).  Common shock: the two-state mixture of
-    Binomial(N*n, q) and Binomial(N*n, p).  Per-exposure shock: for each
-    number j of crisis rounds, the convolution Binomial(N*j, q) +
-    Binomial(N*(n-j), p), mixed with binomial weights in j.  The mixture is
-    accumulated in increasing j so results do not depend on scheduling.
+    The mixture over crisis_rounds of Binomial(N*j, q) + Binomial(N*(n-j), p),
+    skipping zero-weight states and mixing in law order, so results do not
+    depend on scheduling.
 
     Raises:
         ValueError: If N or n is less than 1, or if RISKDIV_MAX_SUPPORT is
@@ -159,23 +175,10 @@ def loss_count_distribution(
         raise SupportLimitError(
             f"support of {N * n} counts (N={N}, n={n}) exceeds the limit {limit}"
         )
-    p, q, pt = model.loss_prob, model.crisis_loss_prob, model.crisis_prob
-    if model.kind is ModelKind.IID:
-        return binomial(N * n, p)
-    if model.kind is ModelKind.COMMON_SHOCK:
-        if pt == 0.0:
-            return binomial(N * n, p)
-        if pt == 1.0:
-            return binomial(N * n, q)
-        return mixture(
-            [binomial(N * n, q), binomial(N * n, p)],
-            [pt, 1.0 - pt],
-        )
-    # Per-exposure shock.
+    p, q = model.loss_prob, model.crisis_loss_prob
     terms: list[DiscreteLossDistribution] = []
     weights: list[float] = []
-    for j in range(n + 1):
-        w = math.comb(n, j) * pt**j * (1.0 - pt) ** (n - j)
+    for j, w in crisis_rounds(model, n):
         if w == 0.0:
             continue
         if j == 0:
@@ -185,20 +188,16 @@ def loss_count_distribution(
         else:
             terms.append(convolve(binomial(N * j, q), binomial(N * (n - j), p)))
         weights.append(w)
-    if len(terms) == 1:
-        return terms[0]
-    return mixture(terms, weights)
+    return terms[0] if len(terms) == 1 else mixture(terms, weights)
 
 
 def closed_form_mean_per_policy(model: ModelSpec, params: PortfolioParams) -> float:
     """Expected loss per policy, in currency.
 
-    Both shock models share l*n*(p_tilde*q + (1-p_tilde)*p); the iid model is
-    the p_tilde = 0 special case.
+    All three models share l*n*(p_tilde*q + (1-p_tilde)*p); the iid model is
+    the p_tilde = 0 case.
     """
     n, l = params.exposures, params.severity
-    if model.kind is ModelKind.IID:
-        return l * n * model.loss_prob
     p, q, pt = model.loss_prob, model.crisis_loss_prob, model.crisis_prob
     return l * n * (pt * q + (1.0 - pt) * p)
 
@@ -229,8 +228,6 @@ def nondiversifiable_floor(model: ModelSpec, params: PortfolioParams) -> float:
     pt(1-pt) under the per-exposure shock: one global state multiplies the
     systemic term by n relative to n independent round states.
     """
-    if model.kind is ModelKind.IID:
-        return 0.0
     n, l = params.exposures, params.severity
     p, q, pt = model.loss_prob, model.crisis_loss_prob, model.crisis_prob
     base = l * l * n * (q - p) ** 2 * pt * (1.0 - pt)

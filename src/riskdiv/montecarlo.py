@@ -24,7 +24,7 @@ import numpy as np
 from .distributions import DiscreteLossDistribution
 from .measures import MeasureKind, RiskMeasureSpec, TvarConvention, apply_measure
 from .models import ModelKind, ModelSpec, PortfolioParams, closed_form_mean_per_policy
-from .models import loss_count_distribution
+from .models import crisis_rounds, loss_count_distribution
 
 __all__ = [
     "SimulationConfig",
@@ -102,29 +102,21 @@ def _draw_block(model: ModelSpec, N: int, n: int, seed: int, block_index: int, s
     p, q, pt = model.loss_prob, model.crisis_loss_prob, model.crisis_prob
     if model.kind is ModelKind.IID:
         draws = rng.binomial(total, p, size=size)
-    elif model.kind is ModelKind.COMMON_SHOCK:
-        crisis = rng.random(size) < pt
-        draws = np.empty(size, dtype=np.int64)
-        n_crisis = int(crisis.sum())
-        if n_crisis:
-            draws[crisis] = rng.binomial(total, q, size=n_crisis)
-        if n_crisis < size:
-            draws[~crisis] = rng.binomial(total, p, size=size - n_crisis)
     else:
-        # Per-exposure shock: j of the n rounds are in crisis; grouped by j so
-        # the expensive binomial sampler runs on scalar parameters.
-        crisis_rounds = rng.binomial(n, pt, size=size)
-        draws = np.zeros(size, dtype=np.int64)
-        for j in range(n + 1):
-            sel = crisis_rounds == j
-            cnt = int(sel.sum())
+        # Draw each path's crisis rounds j, then group the paths by j in law
+        # order, which fixes the stream's use, so binomials take scalar arguments.
+        if model.kind is ModelKind.COMMON_SHOCK:
+            rounds = n * (rng.random(size) < pt)
+        else:
+            rounds = rng.binomial(n, pt, size=size)
+        draws = np.empty(size, dtype=np.int64)
+        for j, _ in crisis_rounds(model, n):
+            sel = rounds == j
+            cnt = np.count_nonzero(sel)
             if cnt == 0:
                 continue
-            part = np.zeros(cnt, dtype=np.int64)
-            if j > 0:
-                part += rng.binomial(N * j, q, size=cnt)
-            if j < n:
-                part += rng.binomial(N * (n - j), p, size=cnt)
+            part = rng.binomial(N * j, q, cnt) if j > 0 else 0
+            part = part + rng.binomial(N * (n - j), p, cnt)
             draws[sel] = part
     return np.bincount(draws, minlength=total + 1).astype(np.int64)
 
@@ -285,9 +277,15 @@ def loading_from_rho(rho: float, model: ModelSpec, params: PortfolioParams, N: i
 
     The one definition of the loading: rho is the portfolio's risk measure in
     counts, E[L] the closed-form mean.
+
+    Raises:
+        ValueError: If the loading is not finite (the inputs overflow).
     """
     expected = closed_form_mean_per_policy(model, params)
-    return params.capital_cost * (params.severity * rho / N - expected)
+    loading = params.capital_cost * (params.severity * rho / N - expected)
+    if not math.isfinite(loading):
+        raise ValueError(f"the risk loading is not finite ({loading}): the inputs overflow")
+    return loading
 
 
 def bootstrap_loading_se(

@@ -6,6 +6,7 @@ loading per policy is the cost-of-capital rate times the capital per policy.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -123,16 +124,26 @@ def price_policy(
     source: str | SimulationConfig = "exact",
     workers: int = 1,
 ) -> PricingResult:
-    """Per-policy pricing for one portfolio size, all read off one evaluation of the measure."""
+    """Per-policy pricing for one portfolio size, all read off one evaluation of the measure.
+
+    Raises:
+        ValueError: If the capital, the loading or either premium is not
+            finite (the inputs overflow).
+    """
     rho = rho_in_counts(model, N, params.exposures, measure, source, workers)
     expected = closed_form_mean_per_policy(model, params)
     capital = risk_adjusted_capital(rho, model, params, N)
     loading = loading_from_rho(rho, model, params, N)
+    gross = premium(params, expected, capital / N)
+    netted = premium_netted(params, expected, params.severity * rho / N)
+    for name, value in (("capital", capital), ("premium", gross), ("premium_netted", netted)):
+        if not math.isfinite(value):
+            raise ValueError(f"the {name} is not finite ({value}): the inputs overflow")
     return PricingResult(
         expected_loss_per_policy=expected,
         capital=capital,
         risk_loading_per_policy=loading,
-        premium=premium(params, expected, capital / N),
-        premium_netted=premium_netted(params, expected, params.severity * rho / N),
+        premium=gross,
+        premium_netted=netted,
         relative_risk=relative_risk(loading, expected),
     )

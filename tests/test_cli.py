@@ -42,6 +42,15 @@ class TestLoading:
         assert code == 0
         assert "se=" in out
 
+    def test_point_mass_crisis_decides_the_plateau(self, capsys):
+        # A common shock with q = 1 mixes a point mass at N*n = 30 into the
+        # normal state.  The exact cdf at 25 is 0.99 * P[Bin(30, 1/6) <= 25],
+        # below 0.99, so VaR is 30: 0.15 * (10 * 30 / 5 - 10.5) = 7.425.
+        code, out, _ = run(capsys, "loading", "--model", "common", "--q", "1",
+                           "--ptilde", "0.01", "--N", "5", "--measure", "var")
+        assert code == 0
+        assert out.strip() == "7.425"
+
     # sha256 of the stdout "1.410 se=0.0752", taken when the bootstrap's
     # replicate count was still a parameter: 199 or 201 replicates, or
     # another bootstrap stream, print a different standard error.
@@ -154,6 +163,17 @@ class TestTableAndVerify:
         code, _, err = run(capsys, "verify", "--id", "T1", *flag)
         assert code == 2 and flag[0] in err
         assert not (tmp_path / "x.csv").exists()
+
+    # sha256 of the stdout, taken before the common shock's exact engine and
+    # sampler were driven by models.crisis_rounds.  The pt=0 column is built
+    # as iid, so it keeps its bytes although the common-shock sampler would
+    # draw uniforms for it.
+    T3_MC_DIGEST = "5f88af302a708bbc29c60c59327cf7e2bc55b11e02000e0e600727626d972588"
+
+    def test_t3_mc_pinned_output(self, capsys):
+        code, out, _ = run(capsys, "table", "--id", "T3", "--mc", "--sims", "100000")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.T3_MC_DIGEST
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "table", "--id", "T1", "--format", "json")
@@ -313,6 +333,39 @@ def test_count_flags_must_be_positive(capsys, argv):
     assert argv[-2] in err and "positive integer" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    ("loading --p -0.1", "--p: must be a probability in [0, 1], got '-0.1'"),
+    ("loading --model common --q 1.5", "--q: must be a probability in [0, 1], got '1.5'"),
+    ("simulate --model crisis --ptilde nan",
+     "--ptilde: must be a probability in [0, 1], got 'nan'"),
+    ("sweep --model iid --p-grid 0.1,nan", "--p-grid: must be a probability in [0, 1], got 'nan'"),
+    ("sweep --model crisis --ptilde-grid 0,2",
+     "--ptilde-grid: must be a probability in [0, 1], got '2'"),
+    ("loading --alpha 1", "--alpha: must be a level in (0, 1), got '1'"),
+    ("converge --alpha 0", "--alpha: must be a level in (0, 1), got '0'"),
+    ("table --id T2 --eta inf", "--eta: must be finite and >= 0, got 'inf'"),
+    ("loading --eta=-0.5", "--eta: must be finite and >= 0, got '-0.5'"),
+    ("dist --severity 0", "--severity: must be finite and > 0, got '0'"),
+    ("loading --severity=-inf", "--severity: must be finite and > 0, got '-inf'"),
+    ("sweep --severity x", "--severity: must be finite and > 0, got 'x'"),
+])
+def test_float_flags_must_lie_in_range(capsys, argv, message):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert f"argument {message}" in err
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("argv", [
+    "loading --p 0 --alpha 0.5 --eta 0",
+    "loading --model common --p 1 --q 1 --ptilde 1",
+    "sweep --model crisis --ptilde-grid 0,1 --N-grid 1",
+])
+def test_float_flags_accept_their_bounds(capsys, argv):
+    code, _, err = run(capsys, *argv.split())
+    assert code == 0, err
+
+
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_every_subcommand_has_help(capsys, command):
     code, out, _ = run(capsys, command, "--help")
@@ -373,6 +426,30 @@ class TestSimulate:
             assert code == 0
             texts.append(path.read_bytes())
         assert texts[0] == texts[1]
+
+    # sha256 of the stdout at --N 50 --sims 30000 --block-size 7000 --seed 5
+    # (four full blocks and a cut one), taken before the exact engine and the
+    # sampler read models.crisis_rounds.  A per-exposure shock at pt=0 draws
+    # the iid stream; a common shock at pt=0 still draws its uniforms.
+    SIM_DIGESTS = {
+        "iid": "49ba720f03a6e451cf3abe08e172bcc1899fd48aea5202be864eda28318e8abf",
+        "common 0": "0b3520e1c4e88a708849ac85caf628b9eaf5da68dbc90c7abc330450087c7e57",
+        "common 0.05": "9798cccc54d0f9ba650b88829c4cd182ddc874b60a397c0cd951aa04d536b62e",
+        "common 1": "54e999299ffe68475b77ddf46a1bf5345b909f5f27d2ab8b4a25a08f315642a2",
+        "crisis 0": "49ba720f03a6e451cf3abe08e172bcc1899fd48aea5202be864eda28318e8abf",
+        "crisis 0.05": "5a283c8fe704c9f71f27ab62865e21021e7c053378f52546b3da3aebea98940a",
+    }
+
+    @pytest.mark.filterwarnings("ignore:crisis_prob > 0.5")
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("model", sorted(SIM_DIGESTS))
+    def test_pinned_output(self, capsys, model, workers):
+        kind, *pt = model.split()
+        argv = ["--model", kind] + (["--ptilde", pt[0]] if pt else [])
+        code, out, _ = run(capsys, "simulate", *argv, "--N", "50", "--sims", "30000",
+                           "--block-size", "7000", "--seed", "5", "--workers", workers)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SIM_DIGESTS[model]
 
     def test_histogram_totals(self, capsys):
         code, out, _ = run(capsys, "simulate", "--model", "iid", "--N", "2",
@@ -500,8 +577,17 @@ class TestErrors:
     ])
     def test_non_finite_economics_reported(self, capsys, argv):
         code, out, err = run(capsys, *argv.split())
+        assert code == 2 and out == ""
+        assert f"argument {argv.split()[-2]}: must be" in err
+
+    @pytest.mark.parametrize("argv", [
+        "loading --model iid --N 1 --eta 1e308 --severity 1e308",
+        "table --id T2 --eta 1e308 --severity 1e308",
+    ])
+    def test_non_finite_result_reported(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
         assert code == 1 and out == ""
-        assert err.startswith("error:") and "must be" in err
+        assert err.startswith("error:") and "not finite" in err
 
     def test_negative_seed_reported(self, capsys):
         code, out, err = run(capsys, "simulate", "--model", "iid", "--N", "2",
@@ -511,5 +597,5 @@ class TestErrors:
 
     def test_bad_probability_reported(self, capsys):
         code, _, err = run(capsys, "loading", "--model", "iid", "--N", "1", "--p", "1.5")
-        assert code == 1
-        assert "error" in err
+        assert code == 2
+        assert "argument --p: must be a probability in [0, 1], got '1.5'" in err

@@ -270,6 +270,28 @@ class TestCdf:
         for k in (80, 100, 120):
             assert float(exact_cdf_at(d, k)) == pytest.approx(cdf_at(d, k), rel=1e-13)
 
+    def test_point_mass_carries_the_unit_binomial_recipe(self):
+        # Bin(c, 1): its exact cdf is the step at c, so a mixture with a
+        # point mass keeps its recipe.
+        for c in (0, 1, 30):
+            d = point_mass(c)
+            assert d.components == ((1.0, c, 1.0, c, c),)
+            assert [float(exact_cdf_at(d, k)) for k in (c - 1, c, c + 1)] == [0.0, 1.0, 1.0]
+        mixed = mixture([point_mass(30), binomial(30, 1 / 6)], [0.01, 0.99])
+        assert mixed.components is not None
+        assert float(exact_cdf_at(mixed, 29)) < 0.99
+
+    def test_unit_prob_exact_cdf_sums_no_terms(self, monkeypatch):
+        # Below the trials every term is zero; the recurrence would walk them all.
+        import mpmath.libmp
+
+        def no_sum(*args):
+            raise AssertionError("summed a term")
+
+        monkeypatch.setattr(mpmath.libmp, "mpf_add", no_sum)
+        assert distributions._mp_binom_cdf(10**6, 1.0, 10**6 - 1) == 0
+        assert distributions._mp_binom_cdf(10**6, 1.0, 10**6) == 1
+
     def test_exact_cdf_needs_recipe(self):
         h = DiscreteLossDistribution(0, np.array([0.5, 0.5]))
         with pytest.raises(ValueError):

@@ -211,6 +211,18 @@ class TestPlateauQuantiles:
         assert len(set(sums)) == len(sums)
 
 
+@pytest.mark.parametrize("pt", [0.001, 0.01, 0.05, 0.1])
+def test_point_mass_crisis_plateau_is_decided_exactly(pt):
+    # A common shock with q = 1 mixes a point mass at N*n into the normal
+    # state.  Below N*n the cdf is (1 - pt) * P[Bin(N*n, p) <= k] < 1 - pt,
+    # so VaR at alpha = 1 - pt is N*n; in double precision the cdf reached
+    # alpha early (VaR 25 at N=5) until the point mass carried a recipe.
+    model = ModelSpec.common_shock(1 / 6, 1.0, pt)
+    for N in (1, 2, 3, 5, 10, 20, 50, 100, 1000, 10_000, 100_000):
+        d = loss_count_distribution(model, N, 6)
+        assert value_at_risk(d, 1.0 - pt) == 6 * N, N
+
+
 # Two-state mixtures with alpha at the normal-state weight: the cdf sits on a
 # plateau at alpha, so the crossing is decided in exact arithmetic.
 plateau_mixtures = st.builds(

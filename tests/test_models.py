@@ -14,6 +14,7 @@ from riskdiv.models import (
     SupportLimitError,
     closed_form_mean_per_policy,
     closed_form_variance_per_policy,
+    crisis_rounds,
     loss_count_distribution,
     nondiversifiable_floor,
 )
@@ -65,6 +66,23 @@ class TestLossCountDistribution:
         d = loss_count_distribution(model, 10, 6)
         assert pointwise_distance(d, binomial(60, 0.5)) == 0.0
 
+    @pytest.mark.filterwarnings("ignore:crisis_prob > 0.5")
+    @pytest.mark.parametrize("N", [1, 7, 300])
+    @pytest.mark.parametrize("kind,pt,prob", [
+        (ModelKind.IID, 0.0, 0.3),
+        (ModelKind.COMMON_SHOCK, 0.0, 0.3),
+        (ModelKind.COMMON_SHOCK, 1.0, 0.8),
+    ], ids=["iid", "common-pt0", "common-pt1"])
+    def test_lone_state_is_the_binomial(self, kind, pt, prob, N):
+        # One state of the crisis-round law carries all the weight: the
+        # result is that state's binomial, recipe included.
+        model = ModelSpec(kind, 0.3, 0.8, pt)
+        d, b = loss_count_distribution(model, N, 6), binomial(6 * N, prob)
+        assert d.min_count == b.min_count
+        assert np.array_equal(d.masses, b.masses)
+        assert (d.truncated_below, d.truncated_above) == (b.truncated_below, b.truncated_above)
+        assert d.components == b.components
+
     def test_support_guard(self):
         with pytest.raises(SupportLimitError):
             loss_count_distribution(ModelSpec.iid(0.5), 10_000_000, 6)
@@ -86,6 +104,33 @@ class TestLossCountDistribution:
         monkeypatch.setenv("RISKDIV_MAX_SUPPORT", value)
         with pytest.raises(ValueError, match="RISKDIV_MAX_SUPPORT must be a positive integer"):
             loss_count_distribution(ModelSpec.iid(0.5), 1, 6)
+
+
+@pytest.mark.filterwarnings("ignore:crisis_prob > 0.5")
+class TestCrisisRounds:
+    @pytest.mark.parametrize("n", [1, 2, 6, 25])
+    @pytest.mark.parametrize("pt", [0.0, 0.001, 0.05, 0.3, 1.0])
+    @pytest.mark.parametrize("kind", [ModelKind.COMMON_SHOCK, ModelKind.PER_EXPOSURE_SHOCK])
+    def test_is_a_law_with_mean_n_pt(self, kind, pt, n):
+        law = crisis_rounds(ModelSpec(kind, 0.1, 0.2, pt), n)
+        weights = [w for _, w in law]
+        assert all(w >= 0.0 for w in weights)
+        assert sum(weights) == pytest.approx(1.0, abs=1e-14)
+        assert sum(j * w for j, w in law) == pytest.approx(n * pt, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("pt", [0.0, 0.05, 1.0])
+    def test_common_shock_puts_its_mass_on_none_or_all(self, pt):
+        # The crisis state first: the sampler draws those paths first.
+        assert crisis_rounds(ModelSpec.common_shock(0.1, 0.2, pt), 6) == [(6, pt), (0, 1.0 - pt)]
+
+    def test_per_exposure_law_is_binomial_in_increasing_j(self):
+        law = crisis_rounds(ModelSpec.per_exposure_shock(0.1, 0.2, 0.25), 4)
+        assert [j for j, _ in law] == [0, 1, 2, 3, 4]
+        assert [w * 256 for _, w in law] == pytest.approx([81, 108, 54, 12, 1])
+
+    def test_iid_is_no_crisis(self):
+        # Zero-weight states stay in the list.
+        assert crisis_rounds(ModelSpec.iid(0.1), 3) == [(0, 1.0), (1, 0.0), (2, 0.0), (3, 0.0)]
 
 
 class TestClosedFormMean:
@@ -209,6 +254,11 @@ class TestModelSpecValidation:
             ModelSpec.iid(1.2)
         with pytest.raises(ValueError):
             ModelSpec.common_shock(0.1, -0.2, 0.01)
+
+    def test_iid_has_no_crisis_state(self):
+        with pytest.raises(ValueError, match="iid has no crisis state"):
+            ModelSpec(ModelKind.IID, 0.1, 0.5, 0.01)
+        ModelSpec(ModelKind.IID, 0.1, 0.5)  # a crisis loss probability is never read
 
     def test_soft_warning_regimes(self):
         with pytest.warns(UserWarning):

@@ -12,7 +12,7 @@ from riskdiv.measures import (
     normal_quantile,
 )
 from riskdiv.models import ModelSpec, PortfolioParams, loss_count_distribution
-from riskdiv.montecarlo import SimulationConfig
+from riskdiv.montecarlo import SimulationConfig, loading_from_rho
 from riskdiv.pricing import (
     premium,
     premium_netted,
@@ -189,6 +189,29 @@ class TestPricePolicy:
         assert free.capital == 20.0
         assert free.capital == price_policy(model, PARAMS, 1, VAR99).capital
         assert free.risk_loading_per_policy == 0.0
+
+    def test_overflowing_loading_raises(self):
+        params = PortfolioParams(severity=1e308, capital_cost=1e308)
+        with pytest.raises(ValueError, match="risk loading is not finite"):
+            loading_from_rho(3.0, ModelSpec.iid(1 / 6), params, 1)
+        with pytest.raises(ValueError, match="risk loading is not finite"):
+            price_policy(ModelSpec.iid(1 / 6), params, 1, VAR99)
+
+    def test_overflowing_premium_raises(self):
+        # The loading and the capital are finite; (1 + a) * E[L] is not.
+        params = PortfolioParams(severity=1e9, expense_ratio=1e300)
+        assert np.isfinite(loading_from_rho(3.0, ModelSpec.iid(1 / 6), params, 1))
+        with pytest.raises(ValueError, match="the premium is not finite"):
+            price_policy(ModelSpec.iid(1 / 6), params, 1, VAR99)
+
+    def test_overflowing_capital_raises(self):
+        # At alpha = 1% the VaR sits below the mean count 10^4, so
+        # severity * VaR stays finite while N * E[L] = 1.8e308 overflows.
+        params = PortfolioParams(severity=1.8e304, alpha=0.01)
+        spec = RiskMeasureSpec(MeasureKind.VAR, 0.01)
+        with pytest.warns(UserWarning, match="negative capital"):
+            with pytest.raises(ValueError, match="the capital is not finite"):
+                price_policy(ModelSpec.iid(1 / 6), params, 10_000, spec)
 
     def test_simulated_loading_is_cost_of_capital(self):
         model = ModelSpec.common_shock(1 / 6, 0.5, 0.05)
