@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .measures import MeasureKind, RiskMeasureSpec, TvarConvention
-from .models import ModelKind, ModelSpec, PortfolioParams
+from .models import AMOUNT, LEVEL, PROBABILITY, RATE, ModelKind, ModelSpec, PortfolioParams
 from .montecarlo import DEFAULT_BLOCK_SIZE, DEFAULT_SEED, SimulationConfig, simulate
 from .pricing import risk_loading_per_policy
 from .tables import (
@@ -57,25 +57,26 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _float_flag(rule: str, holds):
-    """The parser of a float flag whose value must satisfy holds; else a usage error."""
+def _float_flag(kind: tuple):
+    """The parser of a float flag whose value must lie in the library's range kind."""
+    rule, holds = kind
 
     def parse(text: str) -> float:
         try:
             value = float(text)
         except ValueError:
-            value = math.nan  # fails every rule
+            value = math.nan  # fails every range
         if not holds(value):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"must {rule}, got {text!r}")
         return value
 
     return parse
 
 
-_probability = _float_flag("a probability in [0, 1]", lambda v: 0.0 <= v <= 1.0)
-_level = _float_flag("a level in (0, 1)", lambda v: 0.0 < v < 1.0)
-_rate = _float_flag("finite and >= 0", lambda v: 0.0 <= v < math.inf)
-_amount = _float_flag("finite and > 0", lambda v: 0.0 < v < math.inf)
+_probability = _float_flag(PROBABILITY)
+_level = _float_flag(LEVEL)
+_rate = _float_flag(RATE)
+_amount = _float_flag(AMOUNT)
 
 
 def _grid(kind):

@@ -41,6 +41,21 @@ DEFAULT_MAX_SUPPORT = 10_000_000
 _MAX_SUPPORT_ENV = "RISKDIV_MAX_SUPPORT"
 
 
+# The range of each kind of float field, as (rule, test); every test fails NaN.
+# The CLI's float flags are parsed against the same ranges.
+PROBABILITY = ("lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+LEVEL = ("lie in (0, 1)", lambda v: 0.0 < v < 1.0)
+RATE = ("be finite and >= 0", lambda v: 0.0 <= v < math.inf)
+AMOUNT = ("be positive and finite", lambda v: 0.0 < v < math.inf)
+
+
+def _check_range(name: str, value: float, kind: tuple) -> None:
+    """Raise ValueError unless value lies in kind's range."""
+    rule, holds = kind
+    if not holds(value):
+        raise ValueError(f"{name} must {rule}, got {value}")
+
+
 class SupportLimitError(ValueError):
     """Requested portfolio needs a larger support than the configured limit."""
 
@@ -67,9 +82,7 @@ class ModelSpec:
 
     def __post_init__(self):
         for name in ("loss_prob", "crisis_loss_prob", "crisis_prob"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+            _check_range(name, getattr(self, name), PROBABILITY)
         if self.kind is ModelKind.IID and self.crisis_prob != 0.0:
             raise ValueError(f"iid has no crisis state, got crisis_prob={self.crisis_prob}")
         if self.kind is not ModelKind.IID:
@@ -119,14 +132,10 @@ class PortfolioParams:
     def __post_init__(self):
         if self.exposures < 1:
             raise ValueError("exposures must be >= 1")
-        # Written so that NaN fails each check.
-        if not 0.0 < self.severity < math.inf:
-            raise ValueError(f"severity must be positive and finite, got {self.severity}")
+        _check_range("severity", self.severity, AMOUNT)
         for name in ("capital_cost", "expense_ratio"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+            _check_range(name, getattr(self, name), RATE)
+        _check_range("alpha", self.alpha, LEVEL)
 
 
 def _max_support() -> int:
@@ -139,15 +148,17 @@ def _max_support() -> int:
 
 
 def crisis_rounds(model: ModelSpec, n: int) -> list[tuple[int, float]]:
-    """The law of j, the rounds in crisis: ordered (j, probability) pairs.
+    """The law of j, the rounds in crisis: (j, probability) pairs in increasing j.
 
-    Zero-weight states stay.  The common shock lists j = n before j = 0, the
-    order in which the sampler draws them; otherwise j ~ Binomial(n, p_tilde),
-    which is j = 0 for iid.
+    The common shock puts its mass on j = 0 and j = n; otherwise j ~
+    Binomial(n, p_tilde).  A sure j (iid is j = 0) comes alone, since comb(n, j)
+    in its zero weights would exceed a float once n passes about 1030.
     """
     pt = model.crisis_prob
     if model.kind is ModelKind.COMMON_SHOCK:
-        return [(n, pt), (0, 1.0 - pt)]
+        return [(0, 1.0 - pt), (n, pt)]
+    if pt in (0.0, 1.0):
+        return [(n if pt else 0, 1.0)]
     return [(j, math.comb(n, j) * pt**j * (1.0 - pt) ** (n - j)) for j in range(n + 1)]
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .distributions import DiscreteLossDistribution
 from .measures import MeasureKind, RiskMeasureSpec, TvarConvention, apply_measure
 from .models import ModelKind, ModelSpec, PortfolioParams, closed_form_mean_per_policy
-from .models import crisis_rounds, loss_count_distribution
+from .models import loss_count_distribution
 
 __all__ = [
     "SimulationConfig",
@@ -103,14 +103,14 @@ def _draw_block(model: ModelSpec, N: int, n: int, seed: int, block_index: int, s
     if model.kind is ModelKind.IID:
         draws = rng.binomial(total, p, size=size)
     else:
-        # Draw each path's crisis rounds j, then group the paths by j in law
-        # order, which fixes the stream's use, so binomials take scalar arguments.
+        # Draw each path's crisis rounds j, then group the paths by j so binomials
+        # take scalar arguments; the group order (crisis first) fixes the stream.
         if model.kind is ModelKind.COMMON_SHOCK:
-            rounds = n * (rng.random(size) < pt)
+            rounds, states = n * (rng.random(size) < pt), (n, 0)
         else:
-            rounds = rng.binomial(n, pt, size=size)
+            rounds, states = rng.binomial(n, pt, size=size), range(n + 1)
         draws = np.empty(size, dtype=np.int64)
-        for j, _ in crisis_rounds(model, n):
+        for j in states:
             sel = rounds == j
             cnt = np.count_nonzero(sel)
             if cnt == 0:

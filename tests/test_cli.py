@@ -164,10 +164,9 @@ class TestTableAndVerify:
         assert code == 2 and flag[0] in err
         assert not (tmp_path / "x.csv").exists()
 
-    # sha256 of the stdout, taken before the common shock's exact engine and
-    # sampler were driven by models.crisis_rounds.  The pt=0 column is built
-    # as iid, so it keeps its bytes although the common-shock sampler would
-    # draw uniforms for it.
+    # sha256 of the stdout, taken before the models became laws of crisis
+    # rounds.  The pt=0 column is built as iid, so it keeps its bytes
+    # although the common-shock sampler would draw uniforms for it.
     T3_MC_DIGEST = "5f88af302a708bbc29c60c59327cf7e2bc55b11e02000e0e600727626d972588"
 
     def test_t3_mc_pinned_output(self, capsys):
@@ -334,20 +333,20 @@ def test_count_flags_must_be_positive(capsys, argv):
 
 
 @pytest.mark.parametrize("argv,message", [
-    ("loading --p -0.1", "--p: must be a probability in [0, 1], got '-0.1'"),
-    ("loading --model common --q 1.5", "--q: must be a probability in [0, 1], got '1.5'"),
+    ("loading --p -0.1", "--p: must lie in [0, 1], got '-0.1'"),
+    ("loading --model common --q 1.5", "--q: must lie in [0, 1], got '1.5'"),
     ("simulate --model crisis --ptilde nan",
-     "--ptilde: must be a probability in [0, 1], got 'nan'"),
-    ("sweep --model iid --p-grid 0.1,nan", "--p-grid: must be a probability in [0, 1], got 'nan'"),
+     "--ptilde: must lie in [0, 1], got 'nan'"),
+    ("sweep --model iid --p-grid 0.1,nan", "--p-grid: must lie in [0, 1], got 'nan'"),
     ("sweep --model crisis --ptilde-grid 0,2",
-     "--ptilde-grid: must be a probability in [0, 1], got '2'"),
-    ("loading --alpha 1", "--alpha: must be a level in (0, 1), got '1'"),
-    ("converge --alpha 0", "--alpha: must be a level in (0, 1), got '0'"),
+     "--ptilde-grid: must lie in [0, 1], got '2'"),
+    ("loading --alpha 1", "--alpha: must lie in (0, 1), got '1'"),
+    ("converge --alpha 0", "--alpha: must lie in (0, 1), got '0'"),
     ("table --id T2 --eta inf", "--eta: must be finite and >= 0, got 'inf'"),
     ("loading --eta=-0.5", "--eta: must be finite and >= 0, got '-0.5'"),
-    ("dist --severity 0", "--severity: must be finite and > 0, got '0'"),
-    ("loading --severity=-inf", "--severity: must be finite and > 0, got '-inf'"),
-    ("sweep --severity x", "--severity: must be finite and > 0, got 'x'"),
+    ("dist --severity 0", "--severity: must be positive and finite, got '0'"),
+    ("loading --severity=-inf", "--severity: must be positive and finite, got '-inf'"),
+    ("sweep --severity x", "--severity: must be positive and finite, got 'x'"),
 ])
 def test_float_flags_must_lie_in_range(capsys, argv, message):
     code, out, err = run(capsys, *argv.split())
@@ -428,9 +427,9 @@ class TestSimulate:
         assert texts[0] == texts[1]
 
     # sha256 of the stdout at --N 50 --sims 30000 --block-size 7000 --seed 5
-    # (four full blocks and a cut one), taken before the exact engine and the
-    # sampler read models.crisis_rounds.  A per-exposure shock at pt=0 draws
-    # the iid stream; a common shock at pt=0 still draws its uniforms.
+    # (four full blocks and a cut one), taken before the models became laws
+    # of crisis rounds.  A per-exposure shock at pt=0 draws the iid stream;
+    # a common shock at pt=0 still draws its uniforms.
     SIM_DIGESTS = {
         "iid": "49ba720f03a6e451cf3abe08e172bcc1899fd48aea5202be864eda28318e8abf",
         "common 0": "0b3520e1c4e88a708849ac85caf628b9eaf5da68dbc90c7abc330450087c7e57",
@@ -468,6 +467,28 @@ class TestDist:
         assert lines[0] == "k,policy_loss,pmf,cdf"
         assert len(lines) == 8
         assert abs(sum(float(l.split(",")[2]) for l in lines[1:]) - 1.0) < 1e-9
+
+
+class TestManyExposures:
+    # Past about 1030 exposures comb(n, j) exceeds a float, so no path may
+    # build Binomial(n, p_tilde) weights it does not need.  sha256 of the
+    # stdout, taken before the models became laws of crisis rounds; the
+    # per-exposure shock at pt=0 failed there and now prints the iid bytes.
+    IID_DIST = "0aae29dd5f8c594425033b95e148ad805b295e7d310fd47c677a82acd61aaa25"
+    DIGESTS = {
+        "dist --model iid --N 1 --exposures 2000": IID_DIST,
+        "dist --model crisis --N 1 --exposures 2000 --ptilde 0": IID_DIST,
+        "loading --model iid --N 1 --exposures 2000":
+            "e57319e5e41dcfc4d2825511ddb7bcd8903e8ba77b971d2a19734b949f87cebf",
+        "simulate --model crisis --N 1 --exposures 1100 --ptilde 0.01 --sims 5000 "
+        "--block-size 2000": "2673cf9bb69372029a4827d9bb8e5ca508af2a51f35b60b8dc30afd2470e3bee",
+    }
+
+    @pytest.mark.parametrize("argv", sorted(DIGESTS))
+    def test_pinned_output(self, capsys, argv):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[argv]
 
 
 class TestConverge:
@@ -578,7 +599,7 @@ class TestErrors:
     def test_non_finite_economics_reported(self, capsys, argv):
         code, out, err = run(capsys, *argv.split())
         assert code == 2 and out == ""
-        assert f"argument {argv.split()[-2]}: must be" in err
+        assert f"argument {argv.split()[-2]}: must be " in err
 
     @pytest.mark.parametrize("argv", [
         "loading --model iid --N 1 --eta 1e308 --severity 1e308",
@@ -598,4 +619,4 @@ class TestErrors:
     def test_bad_probability_reported(self, capsys):
         code, _, err = run(capsys, "loading", "--model", "iid", "--N", "1", "--p", "1.5")
         assert code == 2
-        assert "argument --p: must be a probability in [0, 1], got '1.5'" in err
+        assert "argument --p: must lie in [0, 1], got '1.5'" in err

@@ -72,7 +72,9 @@ class TestLossCountDistribution:
         (ModelKind.IID, 0.0, 0.3),
         (ModelKind.COMMON_SHOCK, 0.0, 0.3),
         (ModelKind.COMMON_SHOCK, 1.0, 0.8),
-    ], ids=["iid", "common-pt0", "common-pt1"])
+        (ModelKind.PER_EXPOSURE_SHOCK, 0.0, 0.3),
+        (ModelKind.PER_EXPOSURE_SHOCK, 1.0, 0.8),
+    ], ids=["iid", "common-pt0", "common-pt1", "crisis-pt0", "crisis-pt1"])
     def test_lone_state_is_the_binomial(self, kind, pt, prob, N):
         # One state of the crisis-round law carries all the weight: the
         # result is that state's binomial, recipe included.
@@ -120,17 +122,19 @@ class TestCrisisRounds:
 
     @pytest.mark.parametrize("pt", [0.0, 0.05, 1.0])
     def test_common_shock_puts_its_mass_on_none_or_all(self, pt):
-        # The crisis state first: the sampler draws those paths first.
-        assert crisis_rounds(ModelSpec.common_shock(0.1, 0.2, pt), 6) == [(6, pt), (0, 1.0 - pt)]
+        assert crisis_rounds(ModelSpec.common_shock(0.1, 0.2, pt), 6) == [(0, 1.0 - pt), (6, pt)]
 
     def test_per_exposure_law_is_binomial_in_increasing_j(self):
         law = crisis_rounds(ModelSpec.per_exposure_shock(0.1, 0.2, 0.25), 4)
         assert [j for j, _ in law] == [0, 1, 2, 3, 4]
         assert [w * 256 for _, w in law] == pytest.approx([81, 108, 54, 12, 1])
 
-    def test_iid_is_no_crisis(self):
-        # Zero-weight states stay in the list.
-        assert crisis_rounds(ModelSpec.iid(0.1), 3) == [(0, 1.0), (1, 0.0), (2, 0.0), (3, 0.0)]
+    @pytest.mark.parametrize("n", [3, 2000])
+    def test_a_sure_j_comes_alone(self, n):
+        # comb(2000, 1000) exceeds a float: no weight may be built for it.
+        assert crisis_rounds(ModelSpec.iid(0.1), n) == [(0, 1.0)]
+        assert crisis_rounds(ModelSpec.per_exposure_shock(0.1, 0.2, 0.0), n) == [(0, 1.0)]
+        assert crisis_rounds(ModelSpec.per_exposure_shock(0.1, 0.2, 1.0), n) == [(n, 1.0)]
 
 
 class TestClosedFormMean:
