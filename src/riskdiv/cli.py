@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from .measures import MeasureKind, RiskMeasureSpec, TvarConvention
@@ -32,6 +33,7 @@ from .tables import (
     budget_rows,
     build_grid,
     build_table,
+    default_model,
     fmt_loading,
     render_csv,
     render_json,
@@ -141,10 +143,7 @@ def _params(args) -> PortfolioParams:
 
 
 def _model(args) -> ModelSpec:
-    kind = _MODEL_KINDS[args.model]
-    if kind is ModelKind.IID:
-        return ModelSpec.iid(args.p)
-    return ModelSpec(kind, args.p, args.q, args.ptilde)
+    return default_model(_MODEL_KINDS[args.model], args.p, args.q, args.ptilde)
 
 
 def _emit(table: Table, args) -> None:
@@ -362,6 +361,11 @@ def _check_flags(parser: argparse.ArgumentParser, args) -> None:
         parser.error("; ".join(unread))
 
 
+def _show_warning(message, *_) -> None:
+    """Print a warning as one line, without its source path and code."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def cli_main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -371,7 +375,9 @@ def cli_main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 for --help; pass both through.
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command][0](args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return _COMMANDS[args.command][0](args)
     except (ValueError, OSError) as exc:  # SupportLimitError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

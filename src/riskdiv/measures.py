@@ -76,6 +76,7 @@ _PLATEAU_BAND = 1e-11
 
 
 def _quantile_index(d: DiscreteLossDistribution, alpha: float) -> int:
+    """Index of the smallest count whose cdf reaches alpha, bisecting a band exactly."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     cdf = d.cdf
@@ -84,39 +85,22 @@ def _quantile_index(d: DiscreteLossDistribution, alpha: float) -> int:
             f"alpha={alpha} exceeds the resolvable cdf top {cdf[-1]:.17f}; "
             "tail truncation prevents resolving this quantile"
         )
-    idx = int(np.searchsorted(cdf, alpha))
     if d.components is None:
-        return idx
-    flat_before = idx > 0 and cdf[idx - 1] > alpha - _PLATEAU_BAND
-    flat_at = cdf[idx] < alpha + _PLATEAU_BAND
-    if not (flat_before or flat_at):
-        return idx
-    return _exact_quantile_index(d, alpha, idx)
+        return int(np.searchsorted(cdf, alpha))
+    lo = int(np.searchsorted(cdf, alpha - _PLATEAU_BAND, side="right"))
+    hi = min(int(np.searchsorted(cdf, alpha + _PLATEAU_BAND)), len(cdf) - 1)
+    if lo < hi:
+        from mpmath import mpf
 
+        from .distributions import exact_cdf_at
 
-def _exact_quantile_index(d: DiscreteLossDistribution, alpha: float, idx: int) -> int:
-    """Binary-search the exact cdf over the double-precision ambiguity band."""
-    from mpmath import mpf
-
-    from .distributions import exact_cdf_at
-
-    cdf = d.cdf
-    lo = idx
-    while lo > 0 and cdf[lo - 1] > alpha - _PLATEAU_BAND:
-        lo -= 1
-    hi = idx
-    top = len(cdf) - 1
-    while hi < top and cdf[hi] < alpha + _PLATEAU_BAND:
-        hi += 1
-    a = mpf(alpha)
-    if exact_cdf_at(d, d.min_count + hi) < a:
-        return hi  # exact top of the band still below alpha: keep the edge
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if exact_cdf_at(d, d.min_count + mid) >= a:
-            hi = mid
-        else:
-            lo = mid + 1
+        a = mpf(alpha)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if exact_cdf_at(d, d.min_count + mid) >= a:
+                hi = mid
+            else:
+                lo = mid + 1
     return lo
 
 

@@ -152,14 +152,20 @@ def crisis_rounds(model: ModelSpec, n: int) -> list[tuple[int, float]]:
 
     The common shock puts its mass on j = 0 and j = n; otherwise j ~
     Binomial(n, p_tilde).  A sure j (iid is j = 0) comes alone, since comb(n, j)
-    in its zero weights would exceed a float once n passes about 1030.
+    in its zero weights would exceed a float once n passes about 1030; past
+    that, a per-exposure shock with 0 < p_tilde < 1 raises ValueError.
     """
     pt = model.crisis_prob
     if model.kind is ModelKind.COMMON_SHOCK:
         return [(0, 1.0 - pt), (n, pt)]
     if pt in (0.0, 1.0):
         return [(n if pt else 0, 1.0)]
-    return [(j, math.comb(n, j) * pt**j * (1.0 - pt) ** (n - j)) for j in range(n + 1)]
+    try:
+        return [(j, math.comb(n, j) * pt**j * (1.0 - pt) ** (n - j)) for j in range(n + 1)]
+    except OverflowError:
+        raise ValueError(
+            f"exposures={n} is too many for a per-exposure shock: comb({n}, j) exceeds a float"
+        ) from None
 
 
 def loss_count_distribution(
@@ -174,8 +180,8 @@ def loss_count_distribution(
     depend on scheduling.
 
     Raises:
-        ValueError: If N or n is less than 1, or if RISKDIV_MAX_SUPPORT is
-            set but is not a positive integer.
+        ValueError: If N or n is less than 1, if RISKDIV_MAX_SUPPORT is set
+            but is not a positive integer, or if crisis_rounds raises.
         SupportLimitError: If N*n exceeds the support limit (default 1e7,
             override with the RISKDIV_MAX_SUPPORT environment variable).
     """
@@ -221,13 +227,11 @@ def closed_form_variance_per_policy(
     """Variance of the per-policy loss, in currency squared.
 
     The first term diversifies away as 1/N; the shock models add an
-    N-independent term (see nondiversifiable_floor).
+    N-independent term (see nondiversifiable_floor).  The iid model is the
+    p_tilde = 0 case.
     """
     n, l = params.exposures, params.severity
-    p = model.loss_prob
-    if model.kind is ModelKind.IID:
-        return l * l * n * p * (1.0 - p) / N
-    q, pt = model.crisis_loss_prob, model.crisis_prob
+    p, q, pt = model.loss_prob, model.crisis_loss_prob, model.crisis_prob
     diversifiable = l * l * n * (q * (1.0 - q) * pt + p * (1.0 - p) * (1.0 - pt)) / N
     return diversifiable + nondiversifiable_floor(model, params)
 

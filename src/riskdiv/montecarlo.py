@@ -100,7 +100,7 @@ def _draw_block(model: ModelSpec, N: int, n: int, seed: int, block_index: int, s
     rng = _block_rng(seed, block_index)
     total = N * n
     p, q, pt = model.loss_prob, model.crisis_loss_prob, model.crisis_prob
-    if model.kind is ModelKind.IID:
+    if pt == 0.0:  # j = 0 surely, so no j is drawn
         draws = rng.binomial(total, p, size=size)
     else:
         # Draw each path's crisis rounds j, then group the paths by j so binomials

@@ -365,6 +365,12 @@ def test_float_flags_accept_their_bounds(capsys, argv):
     assert code == 0, err
 
 
+def test_warnings_print_one_line_each(capsys):
+    code, _, err = run(capsys, "dist", "--model", "common", "--ptilde", "1", "--N", "3")
+    assert code == 0
+    assert err == "warning: crisis_prob > 0.5: crises are the majority state\n"
+
+
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_every_subcommand_has_help(capsys, command):
     code, out, _ = run(capsys, command, "--help")
@@ -428,11 +434,12 @@ class TestSimulate:
 
     # sha256 of the stdout at --N 50 --sims 30000 --block-size 7000 --seed 5
     # (four full blocks and a cut one), taken before the models became laws
-    # of crisis rounds.  A per-exposure shock at pt=0 draws the iid stream;
-    # a common shock at pt=0 still draws its uniforms.
+    # of crisis rounds.  Either shock at pt=0 draws the iid stream: a sure
+    # j = 0 draws no j.  The common shock's pin moved there from 0b3520e1...,
+    # the stream with one uniform per path that it drew while j was drawn.
     SIM_DIGESTS = {
         "iid": "49ba720f03a6e451cf3abe08e172bcc1899fd48aea5202be864eda28318e8abf",
-        "common 0": "0b3520e1c4e88a708849ac85caf628b9eaf5da68dbc90c7abc330450087c7e57",
+        "common 0": "49ba720f03a6e451cf3abe08e172bcc1899fd48aea5202be864eda28318e8abf",
         "common 0.05": "9798cccc54d0f9ba650b88829c4cd182ddc874b60a397c0cd951aa04d536b62e",
         "common 1": "54e999299ffe68475b77ddf46a1bf5345b909f5f27d2ab8b4a25a08f315642a2",
         "crisis 0": "49ba720f03a6e451cf3abe08e172bcc1899fd48aea5202be864eda28318e8abf",
@@ -489,6 +496,12 @@ class TestManyExposures:
         code, out, _ = run(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[argv]
+
+    def test_per_exposure_weights_past_a_float_fail_cleanly(self, capsys):
+        code, out, err = run(capsys, "dist", "--model", "crisis", "--N", "1",
+                             "--exposures", "2000", "--ptilde", "0.01")
+        assert code == 1 and out == ""
+        assert err.startswith("error: exposures=2000 ") and "Traceback" not in err
 
 
 class TestConverge:

@@ -206,9 +206,18 @@ class TestPlateauQuantiles:
         monkeypatch.setattr(distributions, "_mp_binom_cdf", counted_sum)
         distributions._component_cdf.cache_clear()
         value_at_risk(d, 0.99)
-        assert len(searches) == 16
+        assert len(searches) == 15
         assert 0 < len(sums) <= 12
         assert len(set(sums)) == len(sums)
+
+    @pytest.mark.parametrize("n,p", [(1000, 0.5), (5000, 0.3)])
+    def test_band_whose_exact_top_stays_below_alpha(self, n, p):
+        # At the stored cdf top the band reaches max_count, where the exact
+        # cdf still falls short of alpha: the search keeps the top edge.
+        d = binomial(n, p)
+        alpha = float(d.cdf[-1])
+        assert exact_cdf_at(d, d.max_count) < mpf(alpha)
+        assert value_at_risk(d, alpha) == d.max_count
 
 
 @pytest.mark.parametrize("pt", [0.001, 0.01, 0.05, 0.1])

@@ -136,6 +136,11 @@ class TestCrisisRounds:
         assert crisis_rounds(ModelSpec.per_exposure_shock(0.1, 0.2, 0.0), n) == [(0, 1.0)]
         assert crisis_rounds(ModelSpec.per_exposure_shock(0.1, 0.2, 1.0), n) == [(n, 1.0)]
 
+    def test_weights_past_a_float_raise_a_value_error(self):
+        assert len(crisis_rounds(ModelSpec.per_exposure_shock(0.1, 0.2, 0.01), 1029)) == 1030
+        with pytest.raises(ValueError, match="exposures=1030 "):
+            crisis_rounds(ModelSpec.per_exposure_shock(0.1, 0.2, 0.01), 1030)
+
 
 class TestClosedFormMean:
     def test_iid(self):
