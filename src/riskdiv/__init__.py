@@ -13,7 +13,6 @@ from .distributions import (
     mixture,
     moments,
     point_mass,
-    pointwise_distance,
 )
 from .measures import (
     MeasureKind,

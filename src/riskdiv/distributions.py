@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import stats
+from scipy.special._ufuncs import _binom_cdf, _binom_pmf, _binom_sf
 
 # Support points with mass below this are dropped from each tail.  Two ulps of
 # unity: anything smaller is indistinguishable from the rounding noise of the
@@ -32,7 +32,6 @@ __all__ = [
     "moments",
     "cdf_at",
     "point_mass",
-    "pointwise_distance",
 ]
 
 
@@ -131,7 +130,10 @@ def binomial(trials: int, prob: float) -> DiscreteLossDistribution:
 
     For large supports only the region with mass >= TRUNCATION_EPS is stored;
     the dropped tail masses are recorded exactly via the cdf/sf of the
-    underlying distribution.
+    underlying distribution.  The pmf, cdf and sf are the scipy.special
+    ufuncs that scipy.stats.binom wraps, called directly so that importing
+    riskdiv does not load scipy.stats.  _binom_cdf gives nan at k = -1, so
+    the lower tail is read only when lo_k > 0.
 
     Args:
         trials: Number of independent exposures (>= 0).
@@ -156,14 +158,14 @@ def binomial(trials: int, prob: float) -> DiscreteLossDistribution:
     margin = 12.0 * sd + 40.0
     lo = max(0, int(np.floor(mean - margin)))
     hi = min(trials, int(np.ceil(mean + margin)))
-    pmf = stats.binom.pmf(np.arange(lo, hi + 1), trials, prob)
+    pmf = _binom_pmf(np.arange(lo, hi + 1), trials, prob)
 
     keep = np.nonzero(pmf >= TRUNCATION_EPS)[0]
     lo_k = lo + int(keep[0])
     hi_k = lo + int(keep[-1])
     masses = pmf[keep[0] : keep[-1] + 1]
-    below = float(stats.binom.cdf(lo_k - 1, trials, prob)) if lo_k > 0 else 0.0
-    above = float(stats.binom.sf(hi_k, trials, prob)) if hi_k < trials else 0.0
+    below = float(_binom_cdf(lo_k - 1, trials, prob)) if lo_k > 0 else 0.0
+    above = float(_binom_sf(hi_k, trials, prob)) if hi_k < trials else 0.0
     recipe = ((1.0, trials, float(prob), lo_k, hi_k),)
     return DiscreteLossDistribution(lo_k, masses, below, above, components=recipe)
 
@@ -330,17 +332,3 @@ def exact_cdf_at(d: DiscreteLossDistribution, k: int):
             kk = min(max(k, s_lo - 1), s_hi)
             total += mp.mpf(weight) * _component_cdf(trials, prob, kk)
         return total
-
-
-def pointwise_distance(
-    d1: DiscreteLossDistribution,
-    d2: DiscreteLossDistribution,
-) -> float:
-    """Max absolute pmf difference over the union of supports."""
-    lo = min(d1.min_count, d2.min_count)
-    hi = max(d1.max_count, d2.max_count)
-    a = np.zeros(hi - lo + 1)
-    b = np.zeros(hi - lo + 1)
-    a[d1.min_count - lo : d1.min_count - lo + len(d1.masses)] = d1.masses
-    b[d2.min_count - lo : d2.min_count - lo + len(d2.masses)] = d2.masses
-    return float(np.max(np.abs(a - b)))

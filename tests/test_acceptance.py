@@ -11,7 +11,8 @@ import warnings
 import numpy as np
 import pytest
 
-from riskdiv.distributions import binomial, pointwise_distance
+from _helpers import pointwise_distance
+from riskdiv.distributions import binomial
 from riskdiv.measures import (
     MeasureKind,
     RiskMeasureSpec,

@@ -1,7 +1,11 @@
 """Construction and composition of loss-count distributions."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 from scipy import stats
+from scipy.special._ufuncs import _binom_cdf, _binom_pmf, _binom_sf
 
+from _helpers import pointwise_distance
 from riskdiv import distributions
 from riskdiv.distributions import (
     TRUNCATION_BUDGET,
@@ -22,7 +28,6 @@ from riskdiv.distributions import (
     mixture,
     moments,
     point_mass,
-    pointwise_distance,
 )
 from riskdiv.models import ModelSpec, loss_count_distribution
 
@@ -118,6 +123,38 @@ class TestBinomial:
                     assert stats.binom.pmf(d.min_count - 1, trials, prob) < TRUNCATION_EPS
                 if d.max_count < trials:
                     assert stats.binom.pmf(d.max_count + 1, trials, prob) < TRUNCATION_EPS
+
+    def test_kernels_match_scipy_stats_bit_for_bit(self):
+        # binomial calls the private ufuncs behind scipy.stats.binom, so their
+        # bits are pinned to the public ones over both tails and prob near 0
+        # and 1.  Up to 6000 trials every k is compared; above, the 3000
+        # lowest and highest k and the 6001 around the mean.
+        probs = [1e-9, 1e-3, 1 / 6, 0.5, 0.9, 1 - 1e-9]
+        for trials in [1, 6, 100, 6000, 10**5, 10**6, 10**7]:
+            for prob in probs:
+                m = int(trials * prob)
+                k = np.arange(trials + 1) if trials <= 6000 else np.unique(
+                    np.r_[0:3001, m - 3000 : m + 3001, trials - 3000 : trials + 1].clip(0, trials)
+                )
+                assert np.array_equal(_binom_pmf(k, trials, prob), stats.binom.pmf(k, trials, prob))
+                assert np.array_equal(_binom_cdf(k, trials, prob), stats.binom.cdf(k, trials, prob))
+                assert np.array_equal(_binom_sf(k, trials, prob), stats.binom.sf(k, trials, prob))
+
+    def test_kernel_cdf_below_support_is_nan(self):
+        # stats.binom.cdf(-1) is 0.0 but the ufunc gives nan, which is why
+        # binomial reads the lower tail only when lo_k > 0.
+        assert stats.binom.cdf(-1, 6, 1 / 6) == 0.0
+        assert np.isnan(_binom_cdf(-1, 6, 1 / 6))
+
+    def test_import_does_not_load_scipy_stats(self):
+        # A subprocess, because this test module imports scipy.stats itself.
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = "import riskdiv, sys; assert 'scipy.stats' not in sys.modules"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, env=dict(os.environ, PYTHONPATH=str(src)), check=False,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
 
     def test_single_policy_pmf_matches_reference(self):
         d = binomial(6, 1 / 6)

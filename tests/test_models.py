@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskdiv.distributions import binomial, moments, pointwise_distance
+from _helpers import pointwise_distance
+from riskdiv.distributions import binomial, moments
 from riskdiv.measures import value_at_risk
 from riskdiv.models import (
     ModelKind,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from riskdiv.distributions import moments, pointwise_distance
+from riskdiv.distributions import moments
 from riskdiv.measures import MeasureKind, RiskMeasureSpec, TvarConvention, var_and_tvar
 from riskdiv.models import (
     ModelSpec,
