@@ -9,13 +9,19 @@ several budgets and draws each block they need once.  Risk measures are read
 off the integer tallies (tally_var_and_tvar), not a float cdf.  A Monte Carlo
 loading carries the standard error of N_BOOT bootstrap resamples of its
 histogram, drawn from a stream keyed by the simulation seed.
+
+Blocks run in one process or on a process pool.  The pool belongs to whoever
+opens it with block_pool: a loading grid (tables.build_grid) opens one for
+all its runs and hands it to each simulate call, and a lone simulate call
+opens its own and closes it before it returns.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +36,8 @@ __all__ = [
     "SimulationConfig",
     "LossHistogram",
     "LoadingEstimate",
+    "block_plan",
+    "block_pool",
     "simulate",
     "tally_var_and_tvar",
     "empirical_distribution",
@@ -121,40 +129,18 @@ def _draw_block(model: ModelSpec, N: int, n: int, seed: int, block_index: int, s
     return np.bincount(draws, minlength=total + 1).astype(np.int64)
 
 
-def simulate(
-    model: ModelSpec,
-    N: int,
-    n: int,
-    config: SimulationConfig,
-    workers: int = 1,
-    checkpoints: Sequence[int] | None = None,
-) -> LossHistogram | list[LossHistogram]:
-    """Simulate the portfolio loss count and tally a histogram.
+def block_plan(
+    config: SimulationConfig, checkpoints: Sequence[int] | None = None
+) -> list[tuple[int, int]]:
+    """The (block index, size) pairs a run draws, in merge order.
 
-    Deterministic for fixed (seed, block_size, num_sims) regardless of
-    workers: every block owns a Philox stream keyed by (seed, block index)
-    and the integer tallies are merged in index order.  A budget X is full
-    blocks 0 .. X//block_size - 1 plus block X//block_size cut to
-    X % block_size paths, which is exactly what X's own run draws.
-
-    Args:
-        model: Generative model to simulate.
-        N: Number of policies.
-        n: Exposures per policy.
-        config: Simulation budget, seed and block layout.
-        workers: Process count for block execution; the pool never starts
-            more processes than there are blocks to draw.
-        checkpoints: Budgets in 1 .. num_sims whose histograms to return,
-            one per entry in the order given, instead of the histogram of
-            num_sims.  Each block they need is drawn once, and each
-            histogram equals that of the budget's own run.
+    A budget X is full blocks 0 .. X//block_size - 1 plus block
+    X//block_size cut to X % block_size paths, which is exactly what X's own
+    run draws.  A cut block sorts after the full blocks below it.
 
     Raises:
-        ValueError: If N or n is less than 1, or a checkpoint lies outside
-            1 .. num_sims.
+        ValueError: If a checkpoint lies outside 1 .. num_sims.
     """
-    if N < 1 or n < 1:
-        raise ValueError(f"N and n must be >= 1, got N={N}, n={n}")
     wanted = [config.num_sims] if checkpoints is None else list(checkpoints)
     for budget in wanted:
         if not 0 < budget <= config.num_sims:
@@ -163,11 +149,65 @@ def simulate(
                 "positive budget below it"
             )
     B = config.block_size
-    # Sorted (block, size): a cut block merges after the full blocks below it.
-    jobs = sorted(
+    return sorted(
         {(b, B) for b in range(max(wanted, default=0) // B)}
         | {divmod(budget, B) for budget in wanted if budget % B}
     )
+
+
+def block_pool(workers: int, blocks: int) -> AbstractContextManager[Executor | None]:
+    """A process pool for drawing `blocks` blocks on up to `workers` processes.
+
+    The pool has min(workers, blocks) processes and shuts down when its with
+    block ends.  With one worker or fewer than two blocks no pool starts and
+    the with block gets None: the blocks are drawn in this process.
+    """
+    if workers <= 1 or blocks <= 1:
+        return nullcontext()
+    return ProcessPoolExecutor(max_workers=min(workers, blocks))
+
+
+def simulate(
+    model: ModelSpec,
+    N: int,
+    n: int,
+    config: SimulationConfig,
+    workers: int = 1,
+    checkpoints: Sequence[int] | None = None,
+    pool: Executor | None = None,
+) -> LossHistogram | list[LossHistogram]:
+    """Simulate the portfolio loss count and tally a histogram.
+
+    Deterministic for fixed (seed, block_size, num_sims) regardless of
+    workers or pool: every block owns a Philox stream keyed by (seed, block
+    index) and the integer tallies are merged in index order (block_plan).
+
+    Args:
+        model: Generative model to simulate.
+        N: Number of policies.
+        n: Exposures per policy.
+        config: Simulation budget, seed and block layout.
+        workers: Process count for block execution when no pool is given;
+            the call then opens its own block_pool and shuts it down before
+            returning.
+        checkpoints: Budgets in 1 .. num_sims whose histograms to return,
+            one per entry in the order given, instead of the histogram of
+            num_sims.  Each block they need is drawn once, and each
+            histogram equals that of the budget's own run.
+        pool: An open executor, owned by the caller, that draws the blocks
+            of this call; workers is then not read.  A call with one block
+            draws it in this process, as sending it would only add a pickle.
+            A caller with many runs opens one block_pool for all of them.
+
+    Raises:
+        ValueError: If N or n is less than 1, or a checkpoint lies outside
+            1 .. num_sims.
+    """
+    if N < 1 or n < 1:
+        raise ValueError(f"N and n must be >= 1, got N={N}, n={n}")
+    wanted = [config.num_sims] if checkpoints is None else list(checkpoints)
+    jobs = block_plan(config, wanted)
+    B = config.block_size
     k = len(jobs)
     blocks, sizes = [b for b, _ in jobs], [size for _, size in jobs]
     args = [model] * k, [N] * k, [n] * k, [config.seed] * k, blocks, sizes
@@ -185,11 +225,11 @@ def simulate(
                 snapshots[done] = LossHistogram(tallies, done)
         return snapshots
 
-    if workers <= 1 or k <= 1:
-        snapshots = merge(map(_draw_block, *args))
+    if pool is not None and k > 1:
+        snapshots = merge(pool.map(_draw_block, *args))
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, k)) as pool:
-            snapshots = merge(pool.map(_draw_block, *args))
+        with block_pool(workers, k) as own:
+            snapshots = merge((map if own is None else own.map)(_draw_block, *args))
     hists = [snapshots[budget] for budget in wanted]
     return hists[0] if checkpoints is None else hists
 

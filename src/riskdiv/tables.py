@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass, field
+from concurrent.futures import Executor
+from dataclasses import dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
@@ -34,6 +35,8 @@ from .montecarlo import (
     DEFAULT_BLOCK_SIZE,
     DEFAULT_SEED,
     SimulationConfig,
+    block_plan,
+    block_pool,
     loading_from_rho,
     simulate,
     tally_var_and_tvar,
@@ -213,15 +216,10 @@ def grid_spec(req: TableRequest) -> GridSpec:
     return GridSpec(tuple(columns), tuple(rows), row_header, convention)
 
 
-def _simulated_rhos(
-    model: ModelSpec,
+def _simulation_runs(
     rows: tuple[tuple[str, int, str | SimulationConfig], ...],
-    n: int,
-    alpha: float,
-    convention: TvarConvention,
-    workers: int,
-) -> dict[tuple[int, SimulationConfig], tuple[int, float]]:
-    """VaR and TVaR counts of one column's simulated rows, keyed (N, config).
+) -> list[tuple[int, SimulationConfig, list[int]]]:
+    """The runs behind one column's simulated rows: (N, config, budgets).
 
     Rows at the same (N, seed, block_size) share one run to their largest
     budget, which returns every budget's histogram; a budget that is not a
@@ -232,12 +230,25 @@ def _simulated_rhos(
     for _, N, source in rows:
         if isinstance(source, SimulationConfig):
             groups[N, source.seed, source.block_size].add(source.num_sims)
+    return [
+        (N, SimulationConfig(max(budgets), seed, block_size), sorted(budgets))
+        for (N, seed, block_size), budgets in groups.items()
+    ]
+
+
+def _simulated_rhos(
+    model: ModelSpec,
+    runs: list[tuple[int, SimulationConfig, list[int]]],
+    n: int,
+    alpha: float,
+    convention: TvarConvention,
+    pool: Executor | None,
+) -> dict[tuple[int, SimulationConfig], tuple[int, float]]:
+    """VaR and TVaR counts of one column's simulated rows, keyed (N, config)."""
     out = {}
-    for (N, seed, block_size), budgets in groups.items():
-        budgets = sorted(budgets)
-        config = SimulationConfig(budgets[-1], seed, block_size)
-        for h in simulate(model, N, n, config, workers, checkpoints=budgets):
-            out[N, SimulationConfig(h.num_sims, seed, block_size)] = tally_var_and_tvar(
+    for N, config, budgets in runs:
+        for h in simulate(model, N, n, config, checkpoints=budgets, pool=pool):
+            out[N, replace(config, num_sims=h.num_sims)] = tally_var_and_tvar(
                 h, alpha, convention
             )
     return out
@@ -249,12 +260,19 @@ def build_grid(
     """VaR rows, TVaR rows and an E[L]/N footer.
 
     An exact cell builds one distribution and runs one quantile search; the
-    simulated rows of a column share runs as _simulated_rhos describes.
+    simulated rows of a column share runs as _simulation_runs describes.
+    The grid owns one block_pool for all its runs, sized by workers and the
+    blocks it will draw on it, and shuts it down before it returns.
     """
     n, alpha = params.exposures, params.alpha
-    simulated = [
-        _simulated_rhos(m, spec.rows, n, alpha, spec.convention, workers) for _, m in spec.columns
-    ]
+    runs = _simulation_runs(spec.rows)
+    # A run of one block is drawn in this process (simulate), not on the pool.
+    per_run = [len(block_plan(config, budgets)) for _, config, budgets in runs]
+    blocks = len(spec.columns) * sum(k for k in per_run if k > 1)
+    with block_pool(workers, blocks) as pool:
+        simulated = [
+            _simulated_rhos(m, runs, n, alpha, spec.convention, pool) for _, m in spec.columns
+        ]
 
     def loadings(N: int, source, model: ModelSpec, sim: dict) -> list[float]:
         if isinstance(source, SimulationConfig):

@@ -19,6 +19,7 @@ from riskdiv.models import (
 from riskdiv.montecarlo import (
     LossHistogram,
     SimulationConfig,
+    block_plan,
     bootstrap_loading_se,
     empirical_distribution,
     mc_loading,
@@ -79,6 +80,40 @@ class TestDeterminism:
         h = simulate(CRISIS, 5, 6, cfg, workers=8)
         assert sizes == [2]
         assert h.counts.tobytes() == base.counts.tobytes()
+
+    def test_given_pool_draws_every_block(self, monkeypatch):
+        import riskdiv.montecarlo as mc
+
+        mapped = []
+
+        class InProcess:
+            """A caller's executor: records the blocks and draws them here."""
+
+            def map(self, fn, *iterables):
+                mapped.extend(zip(iterables[4], iterables[5]))
+                return map(fn, *iterables)
+
+        cfg = SimulationConfig(2_000, seed=4, block_size=1_000)
+        base = simulate(CRISIS, 5, 6, cfg, checkpoints=[1_500, 2_000])
+        # A given pool is used as it is: the call opens none of its own.
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", None)
+        hists = simulate(CRISIS, 5, 6, cfg, checkpoints=[1_500, 2_000], pool=InProcess())
+        assert mapped == [(0, 1_000), (1, 500), (1, 1_000)]
+        assert [h.counts.tobytes() for h in hists] == [h.counts.tobytes() for h in base]
+        # A lone block is drawn in this process.
+        one = SimulationConfig(1_000, seed=4, block_size=1_000)
+        h = simulate(CRISIS, 5, 6, one, pool=InProcess())
+        assert len(mapped) == 3
+        assert h.counts.tobytes() == simulate(CRISIS, 5, 6, one).counts.tobytes()
+
+    def test_block_plan(self):
+        cfg = SimulationConfig(4_000, seed=1, block_size=1_000)
+        assert block_plan(cfg) == [(0, 1_000), (1, 1_000), (2, 1_000), (3, 1_000)]
+        # A cut block merges after the full blocks below it.
+        assert block_plan(cfg, [2_500, 1_500, 2_500]) == [(0, 1_000), (1, 500), (1, 1_000),
+                                                          (2, 500)]
+        with pytest.raises(ValueError, match="checkpoint 5000"):
+            block_plan(cfg, [5_000])
 
 
 class TestHistogram:

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import multiprocessing
+from dataclasses import replace
 
 import pytest
 
 from riskdiv.measures import MeasureKind, RiskMeasureSpec, TvarConvention
 from riskdiv.models import ModelKind, PortfolioParams
-from riskdiv.montecarlo import SimulationConfig, simulate
+from riskdiv.montecarlo import SimulationConfig, simulate, tally_var_and_tvar
 from riskdiv.pricing import price_policy, risk_loading_per_policy
 from riskdiv import reference
 from riskdiv.reference import (
@@ -175,9 +177,9 @@ class TestLoadingGrid:
 
         runs = []
 
-        def recording(model, N, n, config, workers=1, checkpoints=None):
+        def recording(model, N, n, config, workers=1, checkpoints=None, pool=None):
             runs.append((config.num_sims, list(checkpoints)))
-            return simulate(model, N, n, config, workers, checkpoints)
+            return simulate(model, N, n, config, workers, checkpoints, pool=pool)
 
         monkeypatch.setattr(tables, "simulate", recording)
         req = TableRequest(table_id="T5", pt_grid=(0.0, 0.05), sims_grid=(2000, 4000, 1500, 2000),
@@ -194,6 +196,70 @@ class TestLoadingGrid:
                     quote = price_policy(model, params, 100, spec, source=config)
                     value = quote.risk_loading_per_policy
                     assert cells[(mlabel, str(sims), label)] == fmt_loading(value)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of each process pool started, through the real class."""
+    import riskdiv.montecarlo as mc
+
+    sizes = []
+
+    class CountedPool(mc.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", CountedPool)
+    return sizes
+
+
+class TestGridPool:
+    """A loading grid draws all its simulated blocks on one pool it owns."""
+
+    T4_MC = TableRequest(table_id="T4", mc=True, sims=4_000, block_size=1_000, N_grid=(1, 10))
+
+    def test_t4_mc_starts_one_pool(self, pool_sizes):
+        parallel = build_table(replace(self.T4_MC, workers=2))
+        assert pool_sizes == [2]
+        serial = build_table(self.T4_MC)
+        assert pool_sizes == [2]
+        assert parallel.rows == serial.rows
+
+    def test_t5_starts_one_pool(self, pool_sizes):
+        req = TableRequest(table_id="T5", pt_grid=(0.0, 0.05), sims_grid=(2000, 1500),
+                           block_size=1000, seed=3)
+        parallel = build_table(replace(req, workers=2))
+        assert pool_sizes == [2]
+        assert parallel.rows == build_table(req).rows
+
+    def test_grid_without_pooled_blocks_starts_no_pool(self, pool_sizes):
+        build_table(TableRequest(table_id="T3", N_grid=(1, 10), workers=2))
+        # Each run is one block, which is drawn in this process.
+        single = replace(self.T4_MC, sims=1_000, workers=2)
+        assert build_table(single).rows == build_table(replace(single, workers=1)).rows
+        assert pool_sizes == []
+
+    def test_no_worker_outlives_the_grid(self, monkeypatch):
+        import riskdiv.tables as tables
+
+        req = replace(self.T4_MC, workers=2)
+        build_table(req)
+        assert multiprocessing.active_children() == []
+
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("tally failed")
+            return tally_var_and_tvar(*args, **kwargs)
+
+        monkeypatch.setattr(tables, "tally_var_and_tvar", failing)
+        with pytest.raises(RuntimeError, match="tally failed"):
+            build_table(req)
+        assert len(calls) == 2
+        assert multiprocessing.active_children() == []
 
 
 class TestRoundTrip:
