@@ -55,6 +55,6 @@ from .pricing import (
     risk_loading_per_policy,
 )
 from .reference import DiscrepancyReport, compare_with_reference, load_errata
-from .tables import Table, TableRequest, build_table, write_table
+from .tables import Table, TableRequest, build_table
 
 __version__ = "0.1.0"

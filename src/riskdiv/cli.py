@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .measures import MeasureKind, RiskMeasureSpec, TvarConvention
 from .models import AMOUNT, LEVEL, PROBABILITY, RATE, ModelKind, ModelSpec, PortfolioParams
+from .models import loss_count_distribution
 from .montecarlo import DEFAULT_BLOCK_SIZE, DEFAULT_SEED, SimulationConfig, simulate
 from .pricing import risk_loading_per_policy
 from .tables import (
@@ -35,9 +36,9 @@ from .tables import (
     build_table,
     default_model,
     fmt_loading,
+    pmf_table,
     render_csv,
     render_json,
-    write_table,
 )
 from .reference import compare_with_reference, load_errata
 
@@ -147,24 +148,17 @@ def _model(args) -> ModelSpec:
 
 
 def _emit(table: Table, args) -> None:
-    if args.out is not None:
-        write_table(table, args.out, args.format)
+    text = render_csv(table) if args.format == "csv" else render_json(table)
+    if args.out is None:
+        sys.stdout.write(text)
     else:
-        sys.stdout.write(render_csv(table) if args.format == "csv" else render_json(table))
+        args.out.write_text(text, encoding="utf-8")
 
 
 def _cmd_dist(args) -> int:
-    from .models import loss_count_distribution
-    from .distributions import cdf_at
-
-    model = _model(args)
-    params = PortfolioParams(args.exposures, args.severity)  # validates --severity
-    d = loss_count_distribution(model, args.N, params.exposures)
-    rows = []
-    for i, mass in enumerate(d.masses):
-        k = d.min_count + i
-        rows.append([str(k), f"{params.severity * k:g}", f"{mass:.12g}", f"{cdf_at(d, k):.12g}"])
-    _emit(Table("dist", ["k", "policy_loss", "pmf", "cdf"], rows), args)
+    d = loss_count_distribution(_model(args), args.N, args.exposures)
+    ks = range(d.min_count, d.max_count + 1)
+    _emit(pmf_table("dist", d, args.severity, ks, lambda x: f"{x:.12g}"), args)
     return 0
 
 

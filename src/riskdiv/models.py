@@ -30,6 +30,7 @@ __all__ = [
     "PortfolioParams",
     "SupportLimitError",
     "DEFAULT_MAX_SUPPORT",
+    "check_support",
     "crisis_rounds",
     "loss_count_distribution",
     "closed_form_mean_per_policy",
@@ -138,13 +139,28 @@ class PortfolioParams:
         _check_range("alpha", self.alpha, LEVEL)
 
 
-def _max_support() -> int:
+def check_support(N: int, n: int) -> None:
+    """Check N policies of n exposures each before any array over their loss counts.
+
+    The exact distribution and each simulated block histogram are dense over
+    0 .. N*n, so both engines call this first.
+
+    Raises:
+        ValueError: If N or n is less than 1, or if RISKDIV_MAX_SUPPORT is
+            set but is not a positive integer.
+        SupportLimitError: If N*n exceeds the support limit (default 1e7,
+            override with the RISKDIV_MAX_SUPPORT environment variable).
+    """
+    if N < 1 or n < 1:
+        raise ValueError(f"N and n must be >= 1, got N={N}, n={n}")
     env = os.environ.get(_MAX_SUPPORT_ENV)
-    if not env:
-        return DEFAULT_MAX_SUPPORT
-    if not env.strip().isdecimal() or int(env) < 1:
+    if env and (not env.strip().isdecimal() or int(env) < 1):
         raise ValueError(f"{_MAX_SUPPORT_ENV} must be a positive integer, got {env!r}")
-    return int(env)
+    limit = int(env) if env else DEFAULT_MAX_SUPPORT
+    if N * n > limit:
+        raise SupportLimitError(
+            f"support of {N * n} counts (N={N}, n={n}) exceeds the limit {limit}"
+        )
 
 
 def crisis_rounds(model: ModelSpec, n: int) -> list[tuple[int, float]]:
@@ -180,18 +196,10 @@ def loss_count_distribution(
     depend on scheduling.
 
     Raises:
-        ValueError: If N or n is less than 1, if RISKDIV_MAX_SUPPORT is set
-            but is not a positive integer, or if crisis_rounds raises.
-        SupportLimitError: If N*n exceeds the support limit (default 1e7,
-            override with the RISKDIV_MAX_SUPPORT environment variable).
+        ValueError: If check_support (a SupportLimitError past the support
+            limit) or crisis_rounds raises.
     """
-    if N < 1 or n < 1:
-        raise ValueError(f"N and n must be >= 1, got N={N}, n={n}")
-    limit = _max_support()
-    if N * n > limit:
-        raise SupportLimitError(
-            f"support of {N * n} counts (N={N}, n={n}) exceeds the limit {limit}"
-        )
+    check_support(N, n)
     p, q = model.loss_prob, model.crisis_loss_prob
     terms: list[DiscreteLossDistribution] = []
     weights: list[float] = []

@@ -19,6 +19,7 @@ opens its own and closes it before it returns.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Sequence
 from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import AbstractContextManager, nullcontext
@@ -29,8 +30,8 @@ import numpy as np
 
 from .distributions import DiscreteLossDistribution
 from .measures import MeasureKind, RiskMeasureSpec, TvarConvention, apply_measure
-from .models import ModelKind, ModelSpec, PortfolioParams, closed_form_mean_per_policy
-from .models import loss_count_distribution
+from .models import ModelKind, ModelSpec, PortfolioParams, check_support
+from .models import closed_form_mean_per_policy, loss_count_distribution
 
 __all__ = [
     "SimulationConfig",
@@ -155,16 +156,22 @@ def block_plan(
     )
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def block_pool(workers: int, blocks: int) -> AbstractContextManager[Executor | None]:
     """A process pool for drawing `blocks` blocks on up to `workers` processes.
 
-    The pool has min(workers, blocks) processes and shuts down when its with
-    block ends.  With one worker or fewer than two blocks no pool starts and
-    the with block gets None: the blocks are drawn in this process.
+    The pool has min(workers, blocks, usable CPUs) processes and shuts down
+    when its with block ends.  When that is one, no pool starts and the with
+    block gets None: the blocks are drawn in this process.
     """
-    if workers <= 1 or blocks <= 1:
-        return nullcontext()
-    return ProcessPoolExecutor(max_workers=min(workers, blocks))
+    size = min(workers, blocks, _usable_cpus())
+    return nullcontext() if size <= 1 else ProcessPoolExecutor(max_workers=size)
 
 
 def simulate(
@@ -200,11 +207,10 @@ def simulate(
             A caller with many runs opens one block_pool for all of them.
 
     Raises:
-        ValueError: If N or n is less than 1, or a checkpoint lies outside
-            1 .. num_sims.
+        ValueError: If check_support raises (a SupportLimitError past the
+            support limit), or a checkpoint lies outside 1 .. num_sims.
     """
-    if N < 1 or n < 1:
-        raise ValueError(f"N and n must be >= 1, got N={N}, n={n}")
+    check_support(N, n)
     wanted = [config.num_sims] if checkpoints is None else list(checkpoints)
     jobs = block_plan(config, wanted)
     B = config.block_size
@@ -302,11 +308,10 @@ def rho_in_counts(
     n: int,
     measure: RiskMeasureSpec,
     source: str | SimulationConfig = "exact",
-    workers: int = 1,
 ) -> float:
     """The measure of the loss count: exact, or read off a simulation's tallies."""
     if isinstance(source, SimulationConfig):
-        return _tally_rho(simulate(model, N, n, source, workers=workers), measure)
+        return _tally_rho(simulate(model, N, n, source), measure)
     if source != "exact":
         raise ValueError(f"source must be 'exact' or a SimulationConfig, got {source!r}")
     return apply_measure(loss_count_distribution(model, N, n), measure)

@@ -100,8 +100,6 @@ def premium_netted(params: PortfolioParams, expected_loss: float, rho_value: flo
     reduces to the expense-loaded expectation.
     """
     eta, a = params.capital_cost, params.expense_ratio
-    if eta <= -1.0:
-        raise ValueError("capital_cost must exceed -1")
     return (1.0 + a - eta) / (1.0 + eta) * expected_loss + eta / (1.0 + eta) * rho_value
 
 
@@ -122,7 +120,6 @@ def price_policy(
     N: int,
     measure: RiskMeasureSpec,
     source: str | SimulationConfig = "exact",
-    workers: int = 1,
 ) -> PricingResult:
     """Per-policy pricing for one portfolio size, all read off one evaluation of the measure.
 
@@ -130,7 +127,7 @@ def price_policy(
         ValueError: If the capital, the loading or either premium is not
             finite (the inputs overflow).
     """
-    rho = rho_in_counts(model, N, params.exposures, measure, source, workers)
+    rho = rho_in_counts(model, N, params.exposures, measure, source)
     expected = closed_form_mean_per_policy(model, params)
     capital = risk_adjusted_capital(rho, model, params, N)
     loading = loading_from_rho(rho, model, params, N)

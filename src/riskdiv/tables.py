@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
+from collections.abc import Callable
 from concurrent.futures import Executor
 from dataclasses import dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
-from pathlib import Path
 
-from .distributions import cdf_at
+from .distributions import DiscreteLossDistribution, cdf_at
 from .measures import TvarConvention, var_and_tvar
 from .models import (
     ModelKind,
@@ -57,7 +57,7 @@ __all__ = [
     "grid_spec",
     "build_grid",
     "build_table",
-    "write_table",
+    "pmf_table",
     "render_csv",
     "render_json",
     "fmt_loading",
@@ -123,17 +123,14 @@ class TableRequest:
             raise ValueError(f"unknown table id {self.table_id!r}")
 
 
+def _half_up(x: float, places: int) -> str:
+    """x to places decimals, ties away from zero: the one rounding rule of the tables."""
+    return str(Decimal(repr(x)).quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_UP))
+
+
 def fmt_loading(x: float) -> str:
-    """Loadings print to 3 decimals, ties away from zero (half-up)."""
-    return str(Decimal(repr(x)).quantize(Decimal("0.001"), rounding=ROUND_HALF_UP))
-
-
-def _fmt2(x: float) -> str:
-    return str(Decimal(repr(x)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
-
-
-def _fmt5(x: float) -> str:
-    return str(Decimal(repr(x)).quantize(Decimal("0.00001"), rounding=ROUND_HALF_UP))
+    """Loadings print to 3 decimals, half-up."""
+    return _half_up(x, 3)
 
 
 def default_model(kind: ModelKind, p: float, q: float, pt: float) -> ModelSpec:
@@ -144,14 +141,19 @@ def default_model(kind: ModelKind, p: float, q: float, pt: float) -> ModelSpec:
     return ModelSpec(kind, p, q, pt)
 
 
+def pmf_table(table_id: str, d: DiscreteLossDistribution, severity: float, ks: range,
+              fmt: Callable[[float], str]) -> Table:
+    """Loss, pmf and cdf of d at each count in ks, probabilities printed by fmt."""
+    pmf = dict(enumerate(d.masses.tolist(), d.min_count))  # 0 off the support
+    rows = [[str(k), f"{severity * k:g}", fmt(pmf.get(k, 0.0)), fmt(cdf_at(d, k))] for k in ks]
+    return Table(table_id, ["k", "policy_loss", "pmf", "cdf"], rows)
+
+
 def build_t1(params: PortfolioParams, p: float = DEFAULT_P) -> Table:
     """Loss distribution of a single policy: pmf and cdf per count."""
     d = loss_count_distribution(ModelSpec.iid(p), 1, params.exposures)
-    rows = []
-    for k in range(0, params.exposures + 1):
-        pmf = d.masses[k - d.min_count] if d.min_count <= k <= d.max_count else 0.0
-        rows.append([str(k), f"{params.severity * k:g}", _fmt5(float(pmf)), _fmt5(cdf_at(d, k))])
-    return Table("T1", ["k", "policy_loss", "pmf", "cdf"], rows)
+    return pmf_table("T1", d, params.severity, range(params.exposures + 1),
+                     lambda x: _half_up(x, 5))
 
 
 @dataclass(frozen=True)
@@ -261,14 +263,13 @@ def build_grid(
 
     An exact cell builds one distribution and runs one quantile search; the
     simulated rows of a column share runs as _simulation_runs describes.
-    The grid owns one block_pool for all its runs, sized by workers and the
-    blocks it will draw on it, and shuts it down before it returns.
+    The grid owns one block_pool for all its runs and shuts it down before it
+    returns.  The runs are drawn one after another, so the pool is sized by
+    the blocks of the largest run.
     """
     n, alpha = params.exposures, params.alpha
     runs = _simulation_runs(spec.rows)
-    # A run of one block is drawn in this process (simulate), not on the pool.
-    per_run = [len(block_plan(config, budgets)) for _, config, budgets in runs]
-    blocks = len(spec.columns) * sum(k for k in per_run if k > 1)
+    blocks = max((len(block_plan(config, budgets)) for _, config, budgets in runs), default=0)
     with block_pool(workers, blocks) as pool:
         simulated = [
             _simulated_rhos(m, runs, n, alpha, spec.convention, pool) for _, m in spec.columns
@@ -291,7 +292,7 @@ def build_grid(
         for (row_label, _, _), row in zip(spec.rows, cells)
     ]
     footer = ["E[L]/N", ""]
-    footer += [_fmt2(closed_form_mean_per_policy(model, params)) for _, model in spec.columns]
+    footer += [_half_up(closed_form_mean_per_policy(m, params), 2) for _, m in spec.columns]
     headers = ["measure", spec.row_header] + [label for label, _ in spec.columns]
     return Table(table_id, headers, table_rows + [footer])
 
@@ -312,10 +313,3 @@ def render_csv(table: Table) -> str:
 def render_json(table: Table) -> str:
     objs = [dict(zip(table.headers, row)) for row in table.rows]
     return json.dumps(objs, indent=2) + "\n"
-
-
-def write_table(table: Table, path: str | Path, fmt: str = "csv") -> Path:
-    path = Path(path)
-    text = render_csv(table) if fmt == "csv" else render_json(table)
-    path.write_text(text, encoding="utf-8")
-    return path

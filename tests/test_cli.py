@@ -465,6 +465,17 @@ class TestSimulate:
         assert sum(int(line.split(",")[1]) for line in lines) == 5000
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", ["table --id T2", "dist --model common --N 5 --ptilde 0.01"])
+def test_out_file_holds_the_printed_bytes(capsys, tmp_path, argv, fmt):
+    argv = argv.split() + ["--format", fmt]
+    code, printed, _ = run(capsys, *argv)
+    path = tmp_path / f"out.{fmt}"
+    assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+    assert code == 0
+    assert path.read_bytes() == printed.encode()
+
+
 class TestDist:
     def test_emits_pmf_rows(self, capsys):
         code, out, _ = run(capsys, "dist", "--model", "common", "--N", "1",
@@ -596,6 +607,17 @@ class TestErrors:
         code, _, err = run(capsys, "dist", "--model", "iid", "--N", "100")
         assert code == 1
         assert "600" in err and "50" in err
+
+    @pytest.mark.parametrize("argv", [
+        "dist --N 50",
+        "simulate --N 50 --sims 10",
+        "loading --N 50 --source mc --sims 10",
+    ])
+    def test_support_guard_covers_the_simulator(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("RISKDIV_MAX_SUPPORT", "100")
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (1, "")
+        assert err == "error: support of 300 counts (N=50, n=6) exceeds the limit 100\n"
 
     @pytest.mark.parametrize("value", ["0", "-5", "abc"])
     def test_bad_support_limit_reported(self, capsys, monkeypatch, value):

@@ -1,5 +1,6 @@
 """Simulation: determinism, checkpoints, the tally reader, oracle agreement."""
 
+import multiprocessing
 from fractions import Fraction
 
 import numpy as np
@@ -7,11 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import riskdiv.montecarlo as mc
+from _helpers import record_pools
 from riskdiv.distributions import moments
 from riskdiv.measures import MeasureKind, RiskMeasureSpec, TvarConvention, var_and_tvar
 from riskdiv.models import (
     ModelSpec,
     PortfolioParams,
+    SupportLimitError,
     closed_form_mean_per_policy,
     closed_form_variance_per_policy,
     loss_count_distribution,
@@ -20,6 +24,7 @@ from riskdiv.montecarlo import (
     LossHistogram,
     SimulationConfig,
     block_plan,
+    block_pool,
     bootstrap_loading_se,
     empirical_distribution,
     mc_loading,
@@ -55,35 +60,34 @@ class TestDeterminism:
         assert int(h.counts.sum()) == 60_001
 
     def test_pool_sized_by_block_count(self, monkeypatch):
-        import riskdiv.montecarlo as mc
-
-        sizes = []
-
-        class RecordingPool:
-            """Records the pool size and runs the blocks in this process."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
         cfg = SimulationConfig(2_000, seed=4, block_size=1_000)
         base = simulate(CRISIS, 5, 6, cfg)
-        monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
+        sizes = record_pools(monkeypatch, cpus=64)
         h = simulate(CRISIS, 5, 6, cfg, workers=8)
         assert sizes == [2]
         assert h.counts.tobytes() == base.counts.tobytes()
 
-    def test_given_pool_draws_every_block(self, monkeypatch):
-        import riskdiv.montecarlo as mc
+    def test_pool_capped_at_usable_cpus(self, monkeypatch):
+        sizes = record_pools(monkeypatch, cpus=3)
+        with block_pool(10**6, 10**6):
+            pass
+        assert sizes == [3]
+        assert multiprocessing.active_children() == []
+        # One usable CPU draws in this process.
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 1)
+        with block_pool(10**6, 10**6) as pool:
+            assert pool is None
+        assert sizes == [3]
 
+    def test_usable_cpus_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(mc.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 5)
+        assert mc._usable_cpus() == 5
+        # cpu_count may not know.
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
+        assert mc._usable_cpus() == 1
+
+    def test_given_pool_draws_every_block(self, monkeypatch):
         mapped = []
 
         class InProcess:
@@ -251,8 +255,6 @@ class TestCheckpoints:
             assert h.counts.tobytes() == alone.counts.tobytes()
 
     def test_each_needed_block_drawn_once(self, monkeypatch):
-        import riskdiv.montecarlo as mc
-
         drawn = []
         draw_block = mc._draw_block
 
@@ -365,3 +367,11 @@ class TestConfigValidation:
     def test_empty_portfolio_rejected(self, N, n):
         with pytest.raises(ValueError, match="N and n must be >= 1"):
             simulate(CRISIS, N, n, SimulationConfig(10))
+
+    def test_support_guard(self, monkeypatch):
+        # Each block tallies a dense histogram over 0 .. N*n, as the exact engine
+        # builds a dense pmf, so both honour the same limit.
+        monkeypatch.setenv("RISKDIV_MAX_SUPPORT", "100")
+        with pytest.raises(SupportLimitError, match=r"^support of 300 counts \(N=50, n=6\) "
+                           "exceeds the limit 100$"):
+            simulate(CRISIS, 50, 6, SimulationConfig(10))

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import pytest
 
+from _helpers import record_pools
+from riskdiv.distributions import point_mass
 from riskdiv.measures import MeasureKind, RiskMeasureSpec, TvarConvention
 from riskdiv.models import ModelKind, PortfolioParams
 from riskdiv.montecarlo import SimulationConfig, simulate, tally_var_and_tvar
@@ -23,13 +25,14 @@ from riskdiv.tables import (
     PT_LABELS,
     Table,
     TableRequest,
+    _half_up,
     build_table,
     default_model,
     fmt_loading,
     grid_spec,
+    pmf_table,
     render_csv,
     render_json,
-    write_table,
 )
 
 _MEASURES = ((MeasureKind.VAR, "VaR"), (MeasureKind.TVAR, "TVaR"))
@@ -51,10 +54,23 @@ class TestFormatting:
         assert fmt_loading(1.0004) == "1.000"
         assert fmt_loading(3.0) == "3.000"
 
+    def test_every_place_count_rounds_half_up(self):
+        assert _half_up(0.125, 2) == "0.13"
+        assert _half_up(0.000125, 5) == "0.00013"
+        assert _half_up(1.0, 5) == "1.00000"
+
     def test_no_thousands_separators(self):
         table = build_table(TableRequest(table_id="T2"))
         text = render_csv(table)
         assert "'" not in text and " " not in text.replace(", ", ",")
+
+
+class TestPmfTable:
+    def test_counts_off_the_support_have_pmf_zero(self):
+        table = pmf_table("x", point_mass(2), 2.5, range(4), str)
+        assert table.headers == ["k", "policy_loss", "pmf", "cdf"]
+        assert table.rows == [["0", "0", "0.0", "0.0"], ["1", "2.5", "0.0", "0.0"],
+                              ["2", "5", "1.0", "1.0"], ["3", "7.5", "0.0", "1.0"]]
 
 
 class TestT1:
@@ -211,6 +227,8 @@ def pool_sizes(monkeypatch):
             super().__init__(max_workers, *args, **kwargs)
 
     monkeypatch.setattr(mc, "ProcessPoolExecutor", CountedPool)
+    # Pool sizes here follow from workers and blocks, not from this machine.
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 64)
     return sizes
 
 
@@ -232,6 +250,13 @@ class TestGridPool:
         parallel = build_table(replace(req, workers=2))
         assert pool_sizes == [2]
         assert parallel.rows == build_table(req).rows
+
+    def test_pool_sized_by_the_largest_run(self, monkeypatch):
+        # The runs are drawn one after another, each on at most its 4 blocks.
+        sizes = record_pools(monkeypatch, cpus=64)
+        parallel = build_table(replace(self.T4_MC, workers=8))
+        assert sizes == [4]
+        assert parallel.rows == build_table(self.T4_MC).rows
 
     def test_grid_without_pooled_blocks_starts_no_pool(self, pool_sizes):
         build_table(TableRequest(table_id="T3", N_grid=(1, 10), workers=2))
@@ -265,7 +290,8 @@ class TestGridPool:
 class TestRoundTrip:
     def test_csv_reparses_to_printed_values(self, tmp_path):
         table = build_table(TableRequest(table_id="T2"))
-        path = write_table(table, tmp_path / "t2.csv")
+        path = tmp_path / "t2.csv"
+        path.write_text(render_csv(table), encoding="utf-8")
         lines = path.read_text().strip().splitlines()
         assert lines[0] == ",".join(table.headers)
         for line, row in zip(lines[1:], table.rows):
