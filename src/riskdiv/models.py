@@ -21,6 +21,10 @@ import os
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
+
+import numpy as np
+from scipy.special._ufuncs import _binom_pmf
 
 from .distributions import DiscreteLossDistribution, binomial, convolve, mixture
 
@@ -32,7 +36,9 @@ __all__ = [
     "DEFAULT_MAX_SUPPORT",
     "check_support",
     "crisis_rounds",
+    "state_terms",
     "loss_count_distribution",
+    "exact_decimal",
     "closed_form_mean_per_policy",
     "closed_form_variance_per_policy",
     "nondiversifiable_floor",
@@ -167,21 +173,40 @@ def crisis_rounds(model: ModelSpec, n: int) -> list[tuple[int, float]]:
     """The law of j, the rounds in crisis: (j, probability) pairs in increasing j.
 
     The common shock puts its mass on j = 0 and j = n; otherwise j ~
-    Binomial(n, p_tilde).  A sure j (iid is j = 0) comes alone, since comb(n, j)
-    in its zero weights would exceed a float once n passes about 1030; past
-    that, a per-exposure shock with 0 < p_tilde < 1 raises ValueError.
+    Binomial(n, p_tilde), whose weights are the pmf kernel of binomial, so any
+    n works.  A sure j (iid is j = 0) comes alone, without n zero weights.
     """
     pt = model.crisis_prob
     if model.kind is ModelKind.COMMON_SHOCK:
         return [(0, 1.0 - pt), (n, pt)]
     if pt in (0.0, 1.0):
         return [(n if pt else 0, 1.0)]
-    try:
-        return [(j, math.comb(n, j) * pt**j * (1.0 - pt) ** (n - j)) for j in range(n + 1)]
-    except OverflowError:
-        raise ValueError(
-            f"exposures={n} is too many for a per-exposure shock: comb({n}, j) exceeds a float"
-        ) from None
+    return list(enumerate(_binom_pmf(np.arange(n + 1), n, pt).tolist()))
+
+
+def state_terms(
+    model: ModelSpec, N: int, n: int
+) -> list[tuple[int, float, DiscreteLossDistribution]]:
+    """The loss count in each state of crisis_rounds: (j, weight, term) triples.
+
+    term is Binomial(N*j, q) + Binomial(N*(n-j), p), the count given j.
+    States of zero weight are skipped; the rest come in increasing j.  Both
+    engines mix these terms: loss_count_distribution exactly, and the Monte
+    Carlo sampler by drawing each block's paths over them.
+    """
+    p, q = model.loss_prob, model.crisis_loss_prob
+    states = []
+    for j, w in crisis_rounds(model, n):
+        if w == 0.0:
+            continue
+        if j == 0:
+            term = binomial(N * n, p)
+        elif j == n:
+            term = binomial(N * n, q)
+        else:
+            term = convolve(binomial(N * j, q), binomial(N * (n - j), p))
+        states.append((j, w, term))
+    return states
 
 
 def loss_count_distribution(
@@ -191,40 +216,38 @@ def loss_count_distribution(
 ) -> DiscreteLossDistribution:
     """Exact distribution of the portfolio loss count.
 
-    The mixture over crisis_rounds of Binomial(N*j, q) + Binomial(N*(n-j), p),
-    skipping zero-weight states and mixing in law order, so results do not
-    depend on scheduling.
+    The mixture of state_terms in law order, so results do not depend on
+    scheduling.
 
     Raises:
-        ValueError: If check_support (a SupportLimitError past the support
-            limit) or crisis_rounds raises.
+        ValueError: If check_support raises (a SupportLimitError past the
+            support limit).
     """
     check_support(N, n)
-    p, q = model.loss_prob, model.crisis_loss_prob
-    terms: list[DiscreteLossDistribution] = []
-    weights: list[float] = []
-    for j, w in crisis_rounds(model, n):
-        if w == 0.0:
-            continue
-        if j == 0:
-            terms.append(binomial(N * n, p))
-        elif j == n:
-            terms.append(binomial(N * n, q))
-        else:
-            terms.append(convolve(binomial(N * j, q), binomial(N * (n - j), p)))
-        weights.append(w)
-    return terms[0] if len(terms) == 1 else mixture(terms, weights)
+    states = state_terms(model, N, n)
+    if len(states) == 1:
+        return states[0][2]
+    return mixture([term for _, _, term in states], [w for _, w, _ in states])
 
 
-def closed_form_mean_per_policy(model: ModelSpec, params: PortfolioParams) -> float:
+def exact_decimal(x: float) -> Fraction:
+    """x as the exact decimal its repr prints: the number a user typed."""
+    return Fraction(repr(x))
+
+
+def closed_form_mean_per_policy(
+    model: ModelSpec, params: PortfolioParams, exact: bool = False
+) -> float | Fraction:
     """Expected loss per policy, in currency.
 
     All three models share l*n*(p_tilde*q + (1-p_tilde)*p); the iid model is
-    the p_tilde = 0 case.
+    the p_tilde = 0 case.  With exact set, every input is read as its decimal
+    and the mean is that exact Fraction.
     """
-    n, l = params.exposures, params.severity
-    p, q, pt = model.loss_prob, model.crisis_loss_prob, model.crisis_prob
-    return l * n * (pt * q + (1.0 - pt) * p)
+    num = exact_decimal if exact else float
+    n, l = params.exposures, num(params.severity)
+    p, q, pt = (num(x) for x in (model.loss_prob, model.crisis_loss_prob, model.crisis_prob))
+    return l * n * (pt * q + (1 - pt) * p)
 
 
 def closed_form_variance_per_policy(

@@ -1,14 +1,20 @@
 """Seeded, reproducibly parallel simulation of the portfolio models.
 
 Simulations are split into fixed-size blocks; block b draws from its own
-counter-based Philox stream keyed by (seed, b).  Histograms are merged in
-block order, so results are bit-identical for a given (seed, block_size,
-num_sims) no matter how many workers run the blocks.  A budget is its full
-blocks plus at most one cut block, so one run returns the histograms of
-several budgets and draws each block they need once.  Risk measures are read
-off the integer tallies (tally_var_and_tvar), not a float cdf.  A Monte Carlo
-loading carries the standard error of N_BOOT bootstrap resamples of its
-histogram, drawn from a stream keyed by the simulation seed.
+counter-based Philox stream keyed by (seed, b).  A block is a histogram of
+iid loss counts, and it is drawn as one: the paths in each crisis-round
+state are Multinomial(size, w) over the law of j, and the tallies of each
+state are Multinomial over its exact term (models.state_terms).  This is
+conditional Monte Carlo (Asmussen & Glynn, Stochastic Simulation, ch. V),
+and a block costs the size of the terms' windows, not of the block.
+Histograms are merged in block order, so results are bit-identical for a
+given (seed, block_size, num_sims) no matter how many workers run the
+blocks.  A budget is its full blocks plus at most one cut block, so one run
+returns the histograms of several budgets and draws each block they need
+once.  Risk measures are read off the integer tallies (tally_var_and_tvar),
+not a float cdf, and a simulated loading is the exact rational they give.  A
+Monte Carlo loading carries the standard error of N_BOOT bootstrap resamples
+of its histogram, drawn from a stream keyed by the simulation seed.
 
 Blocks run in one process or on a process pool.  The pool belongs to whoever
 opens it with block_pool: a loading grid (tables.build_grid) opens one for
@@ -20,17 +26,19 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from collections.abc import Sequence
 from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .distributions import DiscreteLossDistribution
 from .measures import MeasureKind, RiskMeasureSpec, TvarConvention, apply_measure
-from .models import ModelKind, ModelSpec, PortfolioParams, check_support
+from .models import ModelSpec, PortfolioParams, check_support, exact_decimal, state_terms
 from .models import closed_form_mean_per_policy, loss_count_distribution
 
 __all__ = [
@@ -94,9 +102,12 @@ class LossHistogram:
 
 @dataclass(frozen=True)
 class LoadingEstimate:
-    """A risk loading with an optional Monte Carlo standard error."""
+    """A risk loading with an optional Monte Carlo standard error.
 
-    value: float
+    A simulated value is the exact Fraction of its tallies (loading_from_rho).
+    """
+
+    value: float | Fraction
     standard_error: float | None = None
 
 
@@ -104,30 +115,38 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, block_index))))
 
 
+@lru_cache(maxsize=1)
+def _block_law(
+    model: ModelSpec, N: int, n: int
+) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+    """The law of one path: state weights, and each state's window (lo, pmf).
+
+    Memoised for the current run only: every block of a run shares it.
+    """
+    states = state_terms(model, N, n)
+    weights = np.array([w for _, w, _ in states])
+    windows = [(term.min_count, term.masses / term.masses.sum()) for _, _, term in states]
+    return weights / weights.sum(), windows
+
+
 def _draw_block(model: ModelSpec, N: int, n: int, seed: int, block_index: int, size: int) -> np.ndarray:
-    """Tally one block of simulations into a dense histogram."""
+    """One block's dense histogram of `size` loss counts, drawn directly.
+
+    From the block's stream, the paths per state of crisis_rounds are
+    Multinomial(size, w); a lone state (iid, or p_tilde at 0 or 1) draws
+    nothing here.  Each state's c > 0 paths then tally Multinomial(c, pmf)
+    over its term's stored window.  The law is the exact engine's mixture up
+    to each term's truncated mass (at most TRUNCATION_BUDGET = 1e-12), which
+    no draw can reach.
+    """
     rng = _block_rng(seed, block_index)
-    total = N * n
-    p, q, pt = model.loss_prob, model.crisis_loss_prob, model.crisis_prob
-    if pt == 0.0:  # j = 0 surely, so no j is drawn
-        draws = rng.binomial(total, p, size=size)
-    else:
-        # Draw each path's crisis rounds j, then group the paths by j so binomials
-        # take scalar arguments; the group order (crisis first) fixes the stream.
-        if model.kind is ModelKind.COMMON_SHOCK:
-            rounds, states = n * (rng.random(size) < pt), (n, 0)
-        else:
-            rounds, states = rng.binomial(n, pt, size=size), range(n + 1)
-        draws = np.empty(size, dtype=np.int64)
-        for j in states:
-            sel = rounds == j
-            cnt = np.count_nonzero(sel)
-            if cnt == 0:
-                continue
-            part = rng.binomial(N * j, q, cnt) if j > 0 else 0
-            part = part + rng.binomial(N * (n - j), p, cnt)
-            draws[sel] = part
-    return np.bincount(draws, minlength=total + 1).astype(np.int64)
+    weights, windows = _block_law(model, N, n)
+    paths = rng.multinomial(size, weights) if len(windows) > 1 else [size]
+    hist = np.zeros(N * n + 1, dtype=np.int64)
+    for c, (lo, pmf) in zip(paths, windows):
+        if c:
+            hist[lo : lo + len(pmf)] += rng.multinomial(c, pmf)
+    return hist
 
 
 def block_plan(
@@ -244,16 +263,16 @@ def tally_var_and_tvar(
     h: LossHistogram,
     alpha: float,
     convention: TvarConvention = TvarConvention.CONDITIONAL,
-) -> tuple[int, float]:
+) -> tuple[int, Fraction]:
     """VaR and TVaR at level alpha, in counts, decided on the integer tallies.
 
     The measures of var_and_tvar on the sample distribution counts/num_sims,
-    with alpha taken as the exact binary fraction it holds.  VaR is the
+    with alpha read as the decimal it prints (exact_decimal).  VaR is the
     smallest count k whose cumulative tally is at least
-    ceil(alpha * num_sims), decided in integers; TVaR is an exact fraction of
-    integer sums, rounded to float once.  A cumulative tally equal to
-    alpha * num_sims therefore reaches the level, as it does in exact
-    arithmetic, where a rounded float cdf may fall an ulp short of it.
+    ceil(alpha * num_sims), decided in integers; TVaR is the exact Fraction
+    of integer sums.  A cumulative tally equal to alpha * num_sims therefore
+    reaches the level, as it does in exact arithmetic, where a rounded float
+    cdf may fall an ulp short of it.
 
     Raises:
         ValueError: If alpha lies outside (0, 1), or the tallies do not sum
@@ -265,7 +284,7 @@ def tally_var_and_tvar(
     cum = np.cumsum(h.counts)
     if sims < 1 or int(cum[-1]) != sims:
         raise ValueError(f"tallies sum to {int(cum[-1])}, not num_sims={sims}")
-    a = Fraction(alpha)
+    a = exact_decimal(alpha)
     var_count = int(np.searchsorted(cum, math.ceil(a * sims)))
     reached = int(cum[var_count])
     beyond = int(np.arange(var_count + 1, len(cum)) @ h.counts[var_count + 1 :])
@@ -276,13 +295,13 @@ def tally_var_and_tvar(
     else:
         # Upper-quantile integral: the VaR count carries its share of (alpha, 1].
         tvar = (beyond + var_count * (reached - a * sims)) / (sims * (1 - a))
-    return var_count, float(tvar)
+    return var_count, tvar
 
 
-def _tally_rho(h: LossHistogram, measure: RiskMeasureSpec) -> float:
-    """The measure of a histogram, in counts: apply_measure on the tallies."""
+def _tally_rho(h: LossHistogram, measure: RiskMeasureSpec) -> Fraction:
+    """The measure of a histogram, in counts, as an exact Fraction."""
     var_count, tvar = tally_var_and_tvar(h, measure.alpha, measure.convention)
-    return float(var_count) if measure.kind is MeasureKind.VAR else tvar
+    return Fraction(var_count) if measure.kind is MeasureKind.VAR else tvar
 
 
 def empirical_distribution(h: LossHistogram) -> DiscreteLossDistribution:
@@ -308,8 +327,11 @@ def rho_in_counts(
     n: int,
     measure: RiskMeasureSpec,
     source: str | SimulationConfig = "exact",
-) -> float:
-    """The measure of the loss count: exact, or read off a simulation's tallies."""
+) -> float | Fraction:
+    """The measure of the loss count: exact, or read off a simulation's tallies.
+
+    The exact engine's value is a float, a simulation's an exact Fraction.
+    """
     if isinstance(source, SimulationConfig):
         return _tally_rho(simulate(model, N, n, source), measure)
     if source != "exact":
@@ -317,19 +339,28 @@ def rho_in_counts(
     return apply_measure(loss_count_distribution(model, N, n), measure)
 
 
-def loading_from_rho(rho: float, model: ModelSpec, params: PortfolioParams, N: int) -> float:
+def loading_from_rho(
+    rho: float | Fraction, model: ModelSpec, params: PortfolioParams, N: int
+) -> float | Fraction:
     """Risk loading per policy: capital_cost * (severity*rho/N - E[L per policy]).
 
     The one definition of the loading: rho is the portfolio's risk measure in
-    counts, E[L] the closed-form mean.
+    counts, E[L] the closed-form mean.  A float (or int) rho, from the exact
+    engine, gives a float.  A Fraction rho, read off a simulation's tallies,
+    gives the exact Fraction with every input read as its decimal, so the
+    printed digits are decided exactly.
 
     Raises:
-        ValueError: If the loading is not finite (the inputs overflow).
+        ValueError: If the loading is not finite as a float (the inputs
+            overflow).
     """
-    expected = closed_form_mean_per_policy(model, params)
-    loading = params.capital_cost * (params.severity * rho / N - expected)
-    if not math.isfinite(loading):
-        raise ValueError(f"the risk loading is not finite ({loading}): the inputs overflow")
+    exact = isinstance(rho, Fraction)
+    num = exact_decimal if exact else float
+    expected = closed_form_mean_per_policy(model, params, exact)
+    loading = num(params.capital_cost) * (num(params.severity) * rho / N - expected)
+    if not abs(loading) <= sys.float_info.max:
+        shown = (math.inf if loading > 0 else -math.inf) if exact else loading
+        raise ValueError(f"the risk loading is not finite ({shown}): the inputs overflow")
     return loading
 
 

@@ -37,6 +37,7 @@ class PricingResult:
 
     capital is the portfolio-level risk-adjusted capital K_N; it and the
     loading, capital_cost * capital / N, are read off one value of the measure.
+    A simulated loading is the exact Fraction of its tallies (loading_from_rho).
     """
 
     expected_loss_per_policy: float

@@ -3,7 +3,9 @@
 T1 is the pmf and cdf of one policy.  T2-T5 and custom sweeps are loading
 grids: a GridSpec filled in from the TableRequest, built by build_grid, which
 reads VaR and TVaR off one distribution and one quantile search per exact
-cell, and off the integer tallies of one histogram per simulated cell.
+cell, and off the integer tallies of one histogram per simulated cell.  A
+simulated cell's loading is the exact rational of its tallies, so its printed
+digits are decided exactly.
 
 Closed-form tables (T1, T2, T3) use the conditional tail convention, which is
 what the published closed-form values print.  The simulation tables (T4, T5)
@@ -16,11 +18,13 @@ instead, which is how the published T4 was produced.  T5 is always simulated.
 from __future__ import annotations
 
 import json
+import math
 from collections import defaultdict
 from collections.abc import Callable
 from concurrent.futures import Executor
 from dataclasses import dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
+from fractions import Fraction
 
 from .distributions import DiscreteLossDistribution, cdf_at
 from .measures import TvarConvention, var_and_tvar
@@ -123,12 +127,18 @@ class TableRequest:
             raise ValueError(f"unknown table id {self.table_id!r}")
 
 
-def _half_up(x: float, places: int) -> str:
-    """x to places decimals, ties away from zero: the one rounding rule of the tables."""
+def _half_up(x: float | Fraction, places: int) -> str:
+    """x to places decimals, ties away from zero: the one rounding rule of the tables.
+
+    A float is rounded as the decimal its repr prints, a Fraction exactly.
+    """
+    if isinstance(x, Fraction):
+        units = math.floor(abs(x) * 10**places + Fraction(1, 2))
+        return str(Decimal((int(x < 0), tuple(map(int, str(units))), -places)))
     return str(Decimal(repr(x)).quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_UP))
 
 
-def fmt_loading(x: float) -> str:
+def fmt_loading(x: float | Fraction) -> str:
     """Loadings print to 3 decimals, half-up."""
     return _half_up(x, 3)
 
@@ -245,14 +255,13 @@ def _simulated_rhos(
     alpha: float,
     convention: TvarConvention,
     pool: Executor | None,
-) -> dict[tuple[int, SimulationConfig], tuple[int, float]]:
-    """VaR and TVaR counts of one column's simulated rows, keyed (N, config)."""
+) -> dict[tuple[int, SimulationConfig], tuple[Fraction, Fraction]]:
+    """VaR and TVaR counts of one column's simulated rows as Fractions, keyed (N, config)."""
     out = {}
     for N, config, budgets in runs:
         for h in simulate(model, N, n, config, checkpoints=budgets, pool=pool):
-            out[N, replace(config, num_sims=h.num_sims)] = tally_var_and_tvar(
-                h, alpha, convention
-            )
+            var_count, tvar = tally_var_and_tvar(h, alpha, convention)
+            out[N, replace(config, num_sims=h.num_sims)] = Fraction(var_count), tvar
     return out
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 
 from riskdiv.distributions import DiscreteLossDistribution
+from riskdiv.models import ModelKind, ModelSpec
 
 
 def pointwise_distance(d1: DiscreteLossDistribution, d2: DiscreteLossDistribution) -> float:
@@ -43,3 +44,77 @@ def record_pools(monkeypatch, cpus: int) -> list[int]:
     monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
     return sizes
+
+
+def draw_paths(model: ModelSpec, N: int, n: int, seed: int, block_index: int,
+               size: int) -> np.ndarray:
+    """One block's histogram drawn path by path: an oracle for the histogram sampler.
+
+    Each path draws its crisis rounds j (one uniform under the common
+    shock, Binomial(n, p_tilde) under the per-exposure shock, none when
+    p_tilde = 0), then its count given j as Binomial(N*j, q) +
+    Binomial(N*(n-j), p).  It shares no code with the sampler beyond the
+    block's stream, and it never reads the exact engine's terms.
+    """
+    from riskdiv.montecarlo import _block_rng
+
+    rng = _block_rng(seed, block_index)
+    total = N * n
+    p, q, pt = model.loss_prob, model.crisis_loss_prob, model.crisis_prob
+    if pt == 0.0:  # j = 0 surely, so no j is drawn
+        draws = rng.binomial(total, p, size=size)
+    else:
+        # Draw each path's crisis rounds j, then group the paths by j so binomials
+        # take scalar arguments.
+        if model.kind is ModelKind.COMMON_SHOCK:
+            rounds, states = n * (rng.random(size) < pt), (n, 0)
+        else:
+            rounds, states = rng.binomial(n, pt, size=size), range(n + 1)
+        draws = np.empty(size, dtype=np.int64)
+        for j in states:
+            sel = rounds == j
+            cnt = np.count_nonzero(sel)
+            if cnt == 0:
+                continue
+            part = rng.binomial(N * j, q, cnt) if j > 0 else 0
+            part = part + rng.binomial(N * (n - j), p, cnt)
+            draws[sel] = part
+    return np.bincount(draws, minlength=total + 1).astype(np.int64)
+
+
+def pooled_chi_square(observed: np.ndarray, expected: np.ndarray,
+                      min_expected: float = 5.0) -> tuple[float, int]:
+    """Pearson chi-square of observed tallies against expected ones, and its dof.
+
+    Adjacent bins are pooled, left to right, until each pooled bin expects
+    at least min_expected; a short remainder joins the last pooled bin.
+    Returns (statistic, pooled bins - 1).
+    """
+    obs, exp = [], []
+    o_acc = e_acc = 0.0
+    for o, e in zip(observed.tolist(), expected.tolist()):
+        o_acc, e_acc = o_acc + o, e_acc + e
+        if e_acc >= min_expected:
+            obs.append(o_acc)
+            exp.append(e_acc)
+            o_acc = e_acc = 0.0
+    if obs:
+        obs[-1] += o_acc
+        exp[-1] += e_acc
+    obs_a, exp_a = np.array(obs), np.array(exp)
+    return float(((obs_a - exp_a) ** 2 / exp_a).sum()), len(obs) - 1
+
+
+def two_sample_chi_square(a: np.ndarray, b: np.ndarray,
+                          min_pooled: float = 10.0) -> tuple[float, int]:
+    """Two-sample chi-square of two equal-size histograms over the same bins, and its dof.
+
+    The statistic is sum (a - b)^2 / (a + b) over bins pooled until the two
+    samples together hold at least min_pooled, with pooled bins - 1 degrees
+    of freedom.  It is twice the Pearson statistic of a against the pooled
+    mean (a + b) / 2.
+    """
+    if a.sum() != b.sum():
+        raise ValueError("the histograms must hold the same number of draws")
+    stat, dof = pooled_chi_square(a, (a + b) / 2, min_pooled / 2)
+    return 2 * stat, dof

@@ -18,7 +18,9 @@ from riskdiv.models import (
     crisis_rounds,
     loss_count_distribution,
     nondiversifiable_floor,
+    state_terms,
 )
+from riskdiv.montecarlo import SimulationConfig, simulate
 
 PARAMS = PortfolioParams()  # n=6, severity 10, eta 15%, alpha 99%
 
@@ -132,15 +134,46 @@ class TestCrisisRounds:
 
     @pytest.mark.parametrize("n", [3, 2000])
     def test_a_sure_j_comes_alone(self, n):
-        # comb(2000, 1000) exceeds a float: no weight may be built for it.
+        # No zero weight is built for the other j.
         assert crisis_rounds(ModelSpec.iid(0.1), n) == [(0, 1.0)]
         assert crisis_rounds(ModelSpec.per_exposure_shock(0.1, 0.2, 0.0), n) == [(0, 1.0)]
         assert crisis_rounds(ModelSpec.per_exposure_shock(0.1, 0.2, 1.0), n) == [(n, 1.0)]
 
-    def test_weights_past_a_float_raise_a_value_error(self):
-        assert len(crisis_rounds(ModelSpec.per_exposure_shock(0.1, 0.2, 0.01), 1029)) == 1030
-        with pytest.raises(ValueError, match="exposures=1030 "):
-            crisis_rounds(ModelSpec.per_exposure_shock(0.1, 0.2, 0.01), 1030)
+    @pytest.mark.parametrize("n", [1030, 1500])
+    def test_weights_past_comb_overflow_work(self, n):
+        # comb(n, j) exceeds a float past about 1030 exposures; the weights
+        # come from binomial's pmf kernel, so both engines take any n.
+        model = ModelSpec.per_exposure_shock(0.1, 0.2, 0.01)
+        law = crisis_rounds(model, n)
+        assert [j for j, _ in law] == list(range(n + 1))
+        assert sum(w for _, w in law) == pytest.approx(1.0, abs=1e-12)
+        mean = n * (0.01 * 0.2 + 0.99 * 0.1)
+        assert moments(loss_count_distribution(model, 1, n))[0] == pytest.approx(mean, rel=1e-9)
+        h = simulate(model, 1, n, SimulationConfig(4_000, seed=1, block_size=1_000))
+        assert int(h.counts.sum()) == 4_000
+        # Per path the count has sd about sqrt(n * 0.1 * 0.9) < 12.
+        assert abs(np.arange(n + 1) @ h.counts / 4_000 - mean) < 4 * 12 / np.sqrt(4_000)
+
+
+class TestStateTerms:
+    @pytest.mark.filterwarnings("ignore:crisis_prob > 0.5")
+    @pytest.mark.parametrize("pt", [0.0, 0.3, 1.0])
+    def test_common_shock_skips_the_state_of_zero_weight(self, pt):
+        model = ModelSpec.common_shock(0.1, 0.2, pt)
+        states = state_terms(model, 5, 6)
+        assert [(j, w) for j, w, _ in states] == [(j, w) for j, w in crisis_rounds(model, 6) if w]
+        # Given j = 0 or j = n, the count is one binomial over all N*n exposures.
+        for j, _, term in states:
+            want = binomial(30, 0.2 if j else 0.1)
+            assert (term.min_count, term.masses.tolist()) == (want.min_count, want.masses.tolist())
+
+    def test_loss_count_distribution_mixes_the_terms(self):
+        model = ModelSpec.per_exposure_shock(0.1, 0.2, 0.05)
+        states = state_terms(model, 7, 6)
+        assert [j for j, _, _ in states] == list(range(7))
+        mixed = loss_count_distribution(model, 7, 6)
+        manual = sum(w * np.pad(t.masses, (t.min_count, 42 - t.max_count)) for _, w, t in states)
+        assert np.max(np.abs(manual[mixed.min_count : mixed.max_count + 1] - mixed.masses)) < 1e-15
 
 
 class TestClosedFormMean:

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import chdtrc
 
 import riskdiv.montecarlo as mc
-from _helpers import record_pools
+from _helpers import draw_paths, pooled_chi_square, record_pools, two_sample_chi_square
 from riskdiv.distributions import moments
 from riskdiv.measures import MeasureKind, RiskMeasureSpec, TvarConvention, var_and_tvar
 from riskdiv.models import (
@@ -202,6 +203,48 @@ class TestOracleAgreement:
         assert se > 0.0
 
 
+# Small portfolios of each model, with crises frequent enough to sample.
+ORACLE_MODELS = {
+    "iid": ModelSpec.iid(1 / 6),
+    "common": ModelSpec.common_shock(1 / 6, 0.5, 0.1),
+    "crisis": ModelSpec.per_exposure_shock(1 / 6, 0.5, 0.1),
+}
+# A fixed-seed test that a correct sampler fails with this probability.
+FALSE_ALARM = 1e-3
+
+
+class TestPathOracle:
+    """The histogram sampler against path-by-path draws, an independent sampler."""
+
+    BLOCKS, BLOCK_SIZE = 4, 100_000
+
+    @pytest.mark.parametrize("N", [1, 20])
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    def test_same_law_as_paths(self, name, N):
+        model, n = ORACLE_MODELS[name], PARAMS.exposures
+        sims = self.BLOCKS * self.BLOCK_SIZE
+        hist = simulate(model, N, n, SimulationConfig(sims, seed=61, block_size=self.BLOCK_SIZE))
+        # The oracle draws from other streams, so the two samples are independent.
+        paths = sum(draw_paths(model, N, n, 62, b, self.BLOCK_SIZE) for b in range(self.BLOCKS))
+        stat, dof = two_sample_chi_square(hist.counts, paths)
+        assert chdtrc(dof, stat) > FALSE_ALARM, (stat, dof)
+        # Each sample's mean loss per policy within 4 standard errors of the closed form.
+        se = np.sqrt(closed_form_variance_per_policy(model, PARAMS, N) / sims)
+        for counts in (hist.counts, paths):
+            mean = PARAMS.severity * (np.arange(len(counts)) @ counts) / sims / N
+            assert abs(mean - closed_form_mean_per_policy(model, PARAMS)) <= 4 * se
+
+    def test_large_budget_fits_the_exact_pmf(self):
+        # 20 M paths in 80 blocks, merged, against the exact pmf of their law.
+        model, N, n, sims = ORACLE_MODELS["crisis"], 100, PARAMS.exposures, 20_000_000
+        h = simulate(model, N, n, SimulationConfig(sims, seed=67))
+        d = loss_count_distribution(model, N, n)
+        observed = h.counts[d.min_count : d.max_count + 1]
+        assert observed.sum() == sims  # no draw beyond the stored support
+        stat, dof = pooled_chi_square(observed, sims * d.masses)
+        assert chdtrc(dof, stat) > FALSE_ALARM, (stat, dof)
+
+
 class TestConvergenceStudy:
     def test_budgets_share_leading_blocks(self):
         # The smaller budget is a prefix of the larger one, so with the same
@@ -287,9 +330,12 @@ class TestCheckpoints:
 
 
 def _brute_force(counts: list[int], alpha: float, convention: TvarConvention):
-    """VaR by a linear scan of the exact cdf, TVaR as an exact tail integral."""
+    """VaR by a linear scan of the exact cdf, TVaR as an exact tail integral.
+
+    alpha is the decimal it prints, the level a user types.
+    """
     sims = sum(counts)
-    a = Fraction(alpha)
+    a = Fraction(repr(alpha))
     cum = [sum(counts[: k + 1]) for k in range(len(counts))]
     var_count = next(k for k in range(len(counts)) if Fraction(cum[k], sims) >= a)
     if convention is TvarConvention.CONDITIONAL:
@@ -304,12 +350,12 @@ def _brute_force(counts: list[int], alpha: float, convention: TvarConvention):
             hi = Fraction(cum[k], sims)
             tvar += k * max(hi - lo, Fraction(0))
         tvar /= 1 - a
-    return var_count, float(tvar)
+    return var_count, tvar
 
 
 class TestTallyReader:
     def test_knife_edge_tally_reaches_alpha(self):
-        # The cumulative tally at 1 is 699,300 = ceil(Fraction(0.999) * 700,000),
+        # The cumulative tally at 1 is 699,300 = 0.999 * 700,000,
         # so the level is reached at 1; a rounded float cdf at 1 can fall an
         # ulp below 0.999 and push the VaR to 2.
         h = LossHistogram(np.array([391_983, 307_317, 700], dtype=np.int64), 700_000)
@@ -318,6 +364,13 @@ class TestTallyReader:
             assert tally_var_and_tvar(h, 0.999, convention) == _brute_force(
                 h.counts.tolist(), 0.999, convention
             )
+
+    def test_alpha_is_the_decimal_typed(self):
+        # The double nearest 0.9 exceeds 9/10, so as a binary fraction 9 of
+        # 10 tallies would fall short of it; as the decimal they reach it.
+        h = LossHistogram(np.array([9, 1], dtype=np.int64), 10)
+        assert tally_var_and_tvar(h, 0.9, TvarConvention.TAIL_AVERAGE) == (0, Fraction(1))
+        assert tally_var_and_tvar(h, 0.9) == (0, Fraction(1, 10))
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -1,7 +1,11 @@
 """Capital, risk loadings, premiums, relative risk."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskdiv.distributions import moments
 from riskdiv.measures import (
@@ -196,6 +200,28 @@ class TestPricePolicy:
             loading_from_rho(3.0, ModelSpec.iid(1 / 6), params, 1)
         with pytest.raises(ValueError, match="risk loading is not finite"):
             price_policy(ModelSpec.iid(1 / 6), params, 1, VAR99)
+
+    def test_overflowing_simulated_loading_raises(self):
+        # A simulated rho is an exact Fraction: the loading is finite as a
+        # rational but not as a float.
+        params = PortfolioParams(severity=1e308, capital_cost=1e308)
+        with pytest.raises(ValueError, match=r"risk loading is not finite \(inf\)"):
+            loading_from_rho(Fraction(3), ModelSpec.iid(1 / 6), params, 1)
+
+    @pytest.mark.filterwarnings("ignore:crisis_")
+    @settings(max_examples=200, deadline=None)
+    @given(rho=st.fractions(0, 10**6, max_denominator=10**7), N=st.integers(1, 10**6),
+           digits=st.lists(st.integers(0, 999), min_size=5, max_size=5))
+    def test_simulated_loading_is_the_exact_rational(self, rho, N, digits):
+        # Inputs typed as decimals with up to 3 places: the loading of a
+        # Fraction rho is exactly eta * (l * rho / N - l * n * (pt*q + (1-pt)*p)).
+        p, q, pt, eta, l = (Fraction(d, 1000) for d in digits)
+        l += 1
+        model = ModelSpec.per_exposure_shock(float(p), float(q), float(pt))
+        params = PortfolioParams(severity=float(l), capital_cost=float(eta))
+        want = eta * (l * rho / N - l * params.exposures * (pt * q + (1 - pt) * p))
+        got = loading_from_rho(rho, model, params, N)
+        assert isinstance(got, Fraction) and got == want
 
     def test_overflowing_premium_raises(self):
         # The loading and the capital are finite; (1 + a) * E[L] is not.

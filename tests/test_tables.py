@@ -4,8 +4,11 @@ import hashlib
 import json
 import multiprocessing
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _helpers import record_pools
 from riskdiv.distributions import point_mass
@@ -58,6 +61,28 @@ class TestFormatting:
         assert _half_up(0.125, 2) == "0.13"
         assert _half_up(0.000125, 5) == "0.00013"
         assert _half_up(1.0, 5) == "1.00000"
+
+    def test_fraction_rounds_exactly(self):
+        # 1.0515 is a tie exactly; a float near it is not.
+        assert fmt_loading(Fraction(10515, 10000)) == "1.052"
+        assert fmt_loading(Fraction(10515, 10000) - Fraction(1, 10**30)) == "1.051"
+        assert fmt_loading(Fraction(-10515, 10000)) == "-1.052"
+        assert fmt_loading(Fraction(-1, 10**6)) == _half_up(-1e-6, 3) == "-0.000"
+        assert fmt_loading(Fraction(3)) == "3.000"
+        assert _half_up(Fraction(1, 8), 2) == "0.13"
+
+    @settings(max_examples=300, deadline=None)
+    @given(num=st.integers(-10**12, 10**12), den=st.integers(1, 10**9),
+           places=st.integers(0, 6))
+    def test_fraction_rounds_to_nearest_ties_away_from_zero(self, num, den, places):
+        x = Fraction(num, den)
+        printed = _half_up(x, places)
+        assert printed.count(".") == (places > 0) and len(printed.partition(".")[2]) == places
+        half = Fraction(1, 2 * 10**places)
+        if x >= 0:
+            assert x - half < Fraction(printed) <= x + half
+        else:
+            assert x - half <= Fraction(printed) < x + half
 
     def test_no_thousands_separators(self):
         table = build_table(TableRequest(table_id="T2"))
@@ -212,6 +237,27 @@ class TestLoadingGrid:
                     quote = price_policy(model, params, 100, spec, source=config)
                     value = quote.risk_loading_per_policy
                     assert cells[(mlabel, str(sims), label)] == fmt_loading(value)
+
+
+class TestSeedSweep:
+    """Simulated T5 cells against the exact engine over many seeds."""
+
+    def test_t5_budgets_within_the_gate_of_exact(self):
+        # The gate is 0.02 plus one VaR count step, capital_cost * severity / N.
+        params, N, sims_grid = PortfolioParams(), 100, (250_000, 1_000_000, 2_000_000)
+        gate = 0.02 + params.capital_cost * params.severity / N
+        exact = {}
+        for label, pt in zip(PT_LABELS, PT_GRID):
+            model = default_model(ModelKind.PER_EXPOSURE_SHOCK, 1 / 6, 0.5, pt)
+            for mk, mlabel in _MEASURES:
+                spec = RiskMeasureSpec(mk, params.alpha, TvarConvention.TAIL_AVERAGE)
+                exact[mlabel, label] = risk_loading_per_policy(model, params, N, spec).value
+        shares = []
+        for seed in range(60):
+            table = build_table(TableRequest(table_id="T5", sims_grid=sims_grid, seed=seed))
+            shares += [(abs(float(cell) - exact[mlabel, label]) / gate, seed, mlabel, sims, label)
+                       for (mlabel, sims, label), cell in _cells(table).items()]
+        assert max(shares)[0] <= 1.0, max(shares)
 
 
 @pytest.fixture
