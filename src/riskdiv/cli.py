@@ -107,7 +107,6 @@ _FLAGS = {
     "--sims": dict(type=_positive_int, default=1_000_000, help="simulation count"),
     "--seed": dict(type=int, default=DEFAULT_SEED),
     "--block-size": dict(type=_positive_int, default=DEFAULT_BLOCK_SIZE),
-    "--workers": dict(type=_positive_int, default=1),
     "--mc": dict(action="store_true", default=False,
                  help="simulate the loading grids T2-T4 instead of exact"),
     "--measure": dict(choices=("var", "tvar"), default="var"),
@@ -129,7 +128,6 @@ def _table_request(args, table_id: str, **fields) -> TableRequest:
         sims=args.sims,
         seed=args.seed,
         block_size=args.block_size,
-        workers=args.workers,
         **fields,
     )
 
@@ -171,7 +169,7 @@ def _cmd_loading(args) -> int:
     source = "exact"
     if args.source == "mc":
         source = SimulationConfig(args.sims, args.seed, args.block_size)
-    est = risk_loading_per_policy(model, params, args.N, spec, source, workers=args.workers)
+    est = risk_loading_per_policy(model, params, args.N, spec, source)
     line = fmt_loading(est.value)
     if est.standard_error is not None:
         line += f" se={est.standard_error:.4f}"
@@ -202,7 +200,7 @@ def _cmd_table(args) -> int:
 def _cmd_simulate(args) -> int:
     model = _model(args)
     cfg = SimulationConfig(args.sims, args.seed, args.block_size)
-    hist = simulate(model, args.N, args.exposures, cfg, workers=args.workers)
+    hist = simulate(model, args.N, args.exposures, cfg)
     rows = [[str(k), str(tally)] for k, tally in hist.nonzero_items()]
     _emit(Table("histogram", ["count", "tally"], rows), args)
     return 0
@@ -246,7 +244,7 @@ def _cmd_verify(args) -> int:
 def _cmd_converge(args) -> int:
     budgets = budget_rows(args.sims_list, args.N, args.seed, args.block_size)
     spec = GridSpec(((args.model, _model(args)),), budgets, "sims", TvarConvention(args.convention))
-    grid = build_grid("convergence", spec, _params(args), args.workers)
+    grid = build_grid("convergence", spec, _params(args))
     measure = "VaR" if args.measure == "var" else "TVaR"
     rows = [row[1:] for row in grid.rows if row[0] == measure]
     _emit(Table("convergence", ["sims", "loading"], rows), args)
@@ -259,22 +257,22 @@ _COMMANDS = {
              "--severity --exposures --format --out --model --p --q --N --ptilde", {}),
     "loading": (_cmd_loading, "one risk loading per policy",
                 "--alpha --eta --severity --exposures --sims --model --p --q --N --ptilde "
-                "--seed --block-size --workers --measure --convention --source", {}),
+                "--seed --block-size --measure --convention --source", {}),
     "sweep": (_cmd_sweep, "loading grid over N and a probability grid",
               "--alpha --eta --severity --exposures --format --out --model --p --q "
               "--N-grid --p-grid --ptilde-grid", {}),
     "table": (_cmd_table, "regenerate a reference table",
               "--alpha --eta --severity --exposures --format --out --sims --seed "
-              "--block-size --workers --mc --id",
+              "--block-size --mc --id",
               {"--id": dict(choices=TABLE_IDS, required=True)}),
     "simulate": (_cmd_simulate, "simulate a loss histogram",
                  "--exposures --format --out --sims --model --p --q --N --ptilde "
-                 "--seed --block-size --workers", {}),
+                 "--seed --block-size", {}),
     "verify": (_cmd_verify, "regenerate tables and diff against references",
-               "--sims --seed --block-size --workers --mc --id", {}),
+               "--sims --seed --block-size --mc --id", {}),
     "converge": (_cmd_converge, "loading vs simulation budget",
                  "--alpha --eta --severity --exposures --format --out --model --p --q --N "
-                 "--ptilde --seed --block-size --workers --measure --convention --sims-list",
+                 "--ptilde --seed --block-size --measure --convention --sims-list",
                  {"--measure": dict(default="tvar"),
                   "--convention": dict(default="tail-average")}),
 }
@@ -300,12 +298,12 @@ _READ_WHEN = {
         ("sweep", "--p-grid", ("with --model iid", lambda a: a.model == "iid")),
         ("loading converge", "--convention", (
             "with --measure tvar", lambda a: a.measure == "tvar")),
-        ("loading", "--sims --seed --block-size --workers", (
+        ("loading", "--sims --seed --block-size", (
             "with --source mc", lambda a: a.source == "mc")),
         ("table", "--alpha --eta", ("with an id other than T1", lambda a: a.id != "T1")),
         ("table verify", "--mc", ("with an id among T2-T4", _builds_t2_t4)),
         ("table verify", "--sims", ("with --mc and an id among T2-T4", _mc_applies)),
-        ("table verify", "--seed --block-size --workers", (
+        ("table verify", "--seed --block-size", (
             "with --id T5, or with --mc and an id among T2-T4",
             lambda a: "T5" in _tables(a) or _mc_applies(a))),
     )

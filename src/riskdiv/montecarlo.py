@@ -1,4 +1,4 @@
-"""Seeded, reproducibly parallel simulation of the portfolio models.
+"""Seeded, reproducible simulation of the portfolio models.
 
 Simulations are split into fixed-size blocks; block b draws from its own
 counter-based Philox stream keyed by (seed, b).  A block is a histogram of
@@ -6,30 +6,25 @@ iid loss counts, and it is drawn as one: the paths in each crisis-round
 state are Multinomial(size, w) over the law of j, and the tallies of each
 state are Multinomial over its exact term (models.state_terms).  This is
 conditional Monte Carlo (Asmussen & Glynn, Stochastic Simulation, ch. V),
-and a block costs the size of the terms' windows, not of the block.
-Histograms are merged in block order, so results are bit-identical for a
-given (seed, block_size, num_sims) no matter how many workers run the
-blocks.  A budget is its full blocks plus at most one cut block, so one run
-returns the histograms of several budgets and draws each block they need
-once.  Risk measures are read off the integer tallies (tally_var_and_tvar),
-not a float cdf, and a simulated loading is the exact rational they give.  A
-Monte Carlo loading carries the standard error of N_BOOT bootstrap resamples
-of its histogram, drawn from a stream keyed by the simulation seed.
-
-Blocks run in one process or on a process pool.  The pool belongs to whoever
-opens it with block_pool: a loading grid (tables.build_grid) opens one for
-all its runs and hands it to each simulate call, and a lone simulate call
-opens its own and closes it before it returns.
+and a block costs the size of the terms' windows, not of the block, so
+every block is drawn in this process.  Histograms are merged in block
+order, so results are bit-identical for a given (seed, block_size,
+num_sims).  A budget is its full blocks plus at most one cut block, so one
+run returns the histograms of several budgets and draws each block they
+need once.  Risk measures are read off the integer tallies
+(tally_var_and_tvar), not a float cdf, and a simulated loading is the exact
+rational they give.  A Monte Carlo loading carries the standard error of
+N_BOOT bootstrap resamples of its histogram, drawn from a stream keyed by
+the simulation seed.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import sys
 from collections.abc import Sequence
-from concurrent.futures import Executor, ProcessPoolExecutor
-from contextlib import AbstractContextManager, nullcontext
+# Unused: kept for perfbench/tracer.py, which hooks it by name (ROADMAP item 3).
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -46,7 +41,6 @@ __all__ = [
     "LossHistogram",
     "LoadingEstimate",
     "block_plan",
-    "block_pool",
     "simulate",
     "tally_var_and_tvar",
     "empirical_distribution",
@@ -175,55 +169,29 @@ def block_plan(
     )
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def block_pool(workers: int, blocks: int) -> AbstractContextManager[Executor | None]:
-    """A process pool for drawing `blocks` blocks on up to `workers` processes.
-
-    The pool has min(workers, blocks, usable CPUs) processes and shuts down
-    when its with block ends.  When that is one, no pool starts and the with
-    block gets None: the blocks are drawn in this process.
-    """
-    size = min(workers, blocks, _usable_cpus())
-    return nullcontext() if size <= 1 else ProcessPoolExecutor(max_workers=size)
-
-
 def simulate(
     model: ModelSpec,
     N: int,
     n: int,
     config: SimulationConfig,
-    workers: int = 1,
     checkpoints: Sequence[int] | None = None,
-    pool: Executor | None = None,
 ) -> LossHistogram | list[LossHistogram]:
     """Simulate the portfolio loss count and tally a histogram.
 
-    Deterministic for fixed (seed, block_size, num_sims) regardless of
-    workers or pool: every block owns a Philox stream keyed by (seed, block
-    index) and the integer tallies are merged in index order (block_plan).
+    Deterministic for fixed (seed, block_size, num_sims): every block owns a
+    Philox stream keyed by (seed, block index), and the blocks are drawn in
+    this process and their integer tallies merged in index order
+    (block_plan).
 
     Args:
         model: Generative model to simulate.
         N: Number of policies.
         n: Exposures per policy.
         config: Simulation budget, seed and block layout.
-        workers: Process count for block execution when no pool is given;
-            the call then opens its own block_pool and shuts it down before
-            returning.
         checkpoints: Budgets in 1 .. num_sims whose histograms to return,
             one per entry in the order given, instead of the histogram of
             num_sims.  Each block they need is drawn once, and each
             histogram equals that of the budget's own run.
-        pool: An open executor, owned by the caller, that draws the blocks
-            of this call; workers is then not read.  A call with one block
-            draws it in this process, as sending it would only add a pickle.
-            A caller with many runs opens one block_pool for all of them.
 
     Raises:
         ValueError: If check_support raises (a SupportLimitError past the
@@ -233,28 +201,16 @@ def simulate(
     wanted = [config.num_sims] if checkpoints is None else list(checkpoints)
     jobs = block_plan(config, wanted)
     B = config.block_size
-    k = len(jobs)
-    blocks, sizes = [b for b, _ in jobs], [size for _, size in jobs]
-    args = [model] * k, [N] * k, [n] * k, [config.seed] * k, blocks, sizes
-
-    def merge(block_hists) -> dict[int, LossHistogram]:
-        """The histogram at each wanted budget: its block plus the full blocks before it."""
-        full = np.zeros(N * n + 1, dtype=np.int64)
-        snapshots = {}
-        for (b, size), tallies in zip(jobs, block_hists):
-            tallies += full
-            if size == B:
-                full = tallies
-            done = b * B + size
-            if done in wanted:
-                snapshots[done] = LossHistogram(tallies, done)
-        return snapshots
-
-    if pool is not None and k > 1:
-        snapshots = merge(pool.map(_draw_block, *args))
-    else:
-        with block_pool(workers, k) as own:
-            snapshots = merge((map if own is None else own.map)(_draw_block, *args))
+    full = np.zeros(N * n + 1, dtype=np.int64)
+    snapshots = {}
+    for b, size in jobs:
+        tallies = _draw_block(model, N, n, config.seed, b, size)
+        tallies += full
+        if size == B:
+            full = tallies
+        done = b * B + size
+        if done in wanted:
+            snapshots[done] = LossHistogram(tallies, done)
     hists = [snapshots[budget] for budget in wanted]
     return hists[0] if checkpoints is None else hists
 
@@ -392,9 +348,8 @@ def mc_loading(
     N: int,
     measure: RiskMeasureSpec,
     config: SimulationConfig,
-    workers: int = 1,
 ) -> LoadingEstimate:
     """Monte Carlo risk loading per policy, with a bootstrap standard error."""
-    h = simulate(model, N, params.exposures, config, workers=workers)
+    h = simulate(model, N, params.exposures, config)
     value = loading_from_rho(_tally_rho(h, measure), model, params, N)
     return LoadingEstimate(value, bootstrap_loading_se(h, model, params, N, measure, config.seed))

@@ -71,7 +71,6 @@ def risk_loading_per_policy(
     N: int,
     measure: RiskMeasureSpec,
     source: str | SimulationConfig = "exact",
-    workers: int = 1,
 ) -> LoadingEstimate:
     """Risk loading per policy: capital_cost * (severity*rho(S)/N - E[L per policy]).
 
@@ -81,7 +80,7 @@ def risk_loading_per_policy(
             attaches a bootstrap standard error.
     """
     if isinstance(source, SimulationConfig):
-        return mc_loading(model, params, N, measure, source, workers=workers)
+        return mc_loading(model, params, N, measure, source)
     rho = rho_in_counts(model, N, params.exposures, measure, source)
     return LoadingEstimate(loading_from_rho(rho, model, params, N), None)
 

@@ -21,7 +21,6 @@ import json
 import math
 from collections import defaultdict
 from collections.abc import Callable
-from concurrent.futures import Executor
 from dataclasses import dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
@@ -39,8 +38,6 @@ from .montecarlo import (
     DEFAULT_BLOCK_SIZE,
     DEFAULT_SEED,
     SimulationConfig,
-    block_plan,
-    block_pool,
     loading_from_rho,
     simulate,
     tally_var_and_tvar,
@@ -120,6 +117,7 @@ class TableRequest:
     sims: int = 10_000_000
     seed: int = DEFAULT_SEED
     block_size: int = DEFAULT_BLOCK_SIZE
+    # Accepted and never read: perfbench/workloads.py still passes it (ROADMAP item 3).
     workers: int = 1
 
     def __post_init__(self):
@@ -254,35 +252,25 @@ def _simulated_rhos(
     n: int,
     alpha: float,
     convention: TvarConvention,
-    pool: Executor | None,
 ) -> dict[tuple[int, SimulationConfig], tuple[Fraction, Fraction]]:
     """VaR and TVaR counts of one column's simulated rows as Fractions, keyed (N, config)."""
     out = {}
     for N, config, budgets in runs:
-        for h in simulate(model, N, n, config, checkpoints=budgets, pool=pool):
+        for h in simulate(model, N, n, config, checkpoints=budgets):
             var_count, tvar = tally_var_and_tvar(h, alpha, convention)
             out[N, replace(config, num_sims=h.num_sims)] = Fraction(var_count), tvar
     return out
 
 
-def build_grid(
-    table_id: str, spec: GridSpec, params: PortfolioParams, workers: int = 1
-) -> Table:
+def build_grid(table_id: str, spec: GridSpec, params: PortfolioParams) -> Table:
     """VaR rows, TVaR rows and an E[L]/N footer.
 
     An exact cell builds one distribution and runs one quantile search; the
     simulated rows of a column share runs as _simulation_runs describes.
-    The grid owns one block_pool for all its runs and shuts it down before it
-    returns.  The runs are drawn one after another, so the pool is sized by
-    the blocks of the largest run.
     """
     n, alpha = params.exposures, params.alpha
     runs = _simulation_runs(spec.rows)
-    blocks = max((len(block_plan(config, budgets)) for _, config, budgets in runs), default=0)
-    with block_pool(workers, blocks) as pool:
-        simulated = [
-            _simulated_rhos(m, runs, n, alpha, spec.convention, pool) for _, m in spec.columns
-        ]
+    simulated = [_simulated_rhos(m, runs, n, alpha, spec.convention) for _, m in spec.columns]
 
     def loadings(N: int, source, model: ModelSpec, sim: dict) -> list[float]:
         if isinstance(source, SimulationConfig):
@@ -310,7 +298,7 @@ def build_table(req: TableRequest) -> Table:
     """Build the requested table in memory."""
     if req.table_id == "T1":
         return build_t1(req.params, req.p)
-    return build_grid(req.table_id, grid_spec(req), req.params, req.workers)
+    return build_grid(req.table_id, grid_spec(req), req.params)
 
 
 def render_csv(table: Table) -> str:

@@ -17,35 +17,6 @@ def pointwise_distance(d1: DiscreteLossDistribution, d2: DiscreteLossDistributio
     return float(np.max(np.abs(a - b)))
 
 
-def record_pools(monkeypatch, cpus: int) -> list[int]:
-    """Swap the Monte Carlo process pool for an in-process recorder, with `cpus` usable CPUs.
-
-    Returns the list that each pool asked for appends its max_workers to.
-    """
-    import riskdiv.montecarlo as mc
-
-    sizes = []
-
-    class RecordingPool:
-        """Records the pool size and runs the blocks in this process."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
-    return sizes
-
-
 def draw_paths(model: ModelSpec, N: int, n: int, seed: int, block_index: int,
                size: int) -> np.ndarray:
     """One block's histogram drawn path by path: an oracle for the histogram sampler.

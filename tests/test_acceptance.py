@@ -4,9 +4,13 @@ The heavy full-scale checks (N = 10^4 Monte Carlo cross-checks) run when
 RISKDIV_ACCEPT_FULL=1; the default run covers the CI subset (N <= 10^3).
 """
 
+import hashlib
 import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,10 +317,25 @@ def test_criterion_08_gaussian_approximation():
 def test_criterion_09_simulation_determinism():
     model = ModelSpec.per_exposure_shock(1 / 6, 0.5, 0.001)
     cfg = SimulationConfig(num_sims=200_000, seed=SEED, block_size=50_000)
-    runs = {w: simulate(model, 100, 6, cfg, workers=w) for w in (1, 4, 8)}
-    blobs = {w: h.counts.tobytes() for w, h in runs.items()}
-    assert blobs[1] == blobs[4] == blobs[8]
-    report("criterion 9", "histograms byte-identical across 1, 4 and 8 workers")
+    blob = simulate(model, 100, 6, cfg).counts.tobytes()
+    assert simulate(model, 100, 6, cfg).counts.tobytes() == blob
+    longer = SimulationConfig(num_sims=250_000, seed=SEED, block_size=50_000)
+    [checkpoint] = simulate(model, 100, 6, longer, checkpoints=[200_000])
+    assert checkpoint.counts.tobytes() == blob
+    script = (
+        "import hashlib\n"
+        "from riskdiv.models import ModelSpec\n"
+        "from riskdiv.montecarlo import SimulationConfig, simulate\n"
+        "model = ModelSpec.per_exposure_shock(1 / 6, 0.5, 0.001)\n"
+        f"cfg = SimulationConfig(num_sims=200_000, seed={SEED}, block_size=50_000)\n"
+        "print(hashlib.sha256(simulate(model, 100, 6, cfg).counts.tobytes()).hexdigest())\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    fresh = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert fresh.stdout.strip() == hashlib.sha256(blob).hexdigest()
+    report("criterion 9", "200k-path histogram byte-identical on a second call, as the "
+           "200k checkpoint of a 250k-path run and in a fresh interpreter")
 
 
 def test_criterion_10_dominance_and_diversification(t2_table, t3_table, t4_table):

@@ -56,15 +56,16 @@ class TestLoading:
     # stream, print a different standard error.
     MC_DIGEST = "0a1a129da8d5bdc9fa2c2640c12c32998dc68fc39d53f8df14cad32d9bab357c"
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_mc_source_pinned_output(self, capsys, workers):
-        code, out, _ = run(capsys, "loading", "--model", "crisis", "--N", "10",
-                           "--ptilde", "0.01", "--measure", "tvar",
-                           "--convention", "tail-average", "--source", "mc",
-                           "--sims", "2000", "--block-size", "500", "--seed", "7",
-                           "--workers", workers)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == self.MC_DIGEST
+    # A second call in the same process, on warm caches, prints the same bytes.
+    @pytest.mark.parametrize("calls", [1, 2])
+    def test_mc_source_pinned_output(self, capsys, calls):
+        for _ in range(calls):
+            code, out, _ = run(capsys, "loading", "--model", "crisis", "--N", "10",
+                               "--ptilde", "0.01", "--measure", "tvar",
+                               "--convention", "tail-average", "--source", "mc",
+                               "--sims", "2000", "--block-size", "500", "--seed", "7")
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == self.MC_DIGEST
 
 
 class TestTableAndVerify:
@@ -148,10 +149,10 @@ class TestTableAndVerify:
 
         monkeypatch.setattr(cli, "build_table", capture)
         code, _, err = run(capsys, command, "--id", "T4", "--mc", "--sims", "3000",
-                           "--block-size", "1000", "--seed", "9", "--workers", "2")
+                           "--block-size", "1000", "--seed", "9")
         assert code == 1 and "request captured" in err
-        assert [(r.table_id, r.mc, r.sims, r.block_size, r.seed, r.workers) for r in seen] == [
-            ("T4", True, 3000, 1000, 9, 2)
+        assert [(r.table_id, r.mc, r.sims, r.block_size, r.seed) for r in seen] == [
+            ("T4", True, 3000, 1000, 9)
         ]
 
     @pytest.mark.parametrize("flag", [
@@ -231,13 +232,13 @@ _UNREAD_FLAGS = [
     ("table", flag)
     for flag in (
         ("--alpha", "0.5"), ("--eta", "0.2"), ("--mc",), ("--sims", "20000"),
-        ("--seed", "3"), ("--block-size", "1000"), ("--workers", "2"),
+        ("--seed", "3"), ("--block-size", "1000"), ("--sims", "20000", "--mc"),
     )
 ] + [
     # Flags read only with --source mc, and a convention read only with TVaR.
     ("loading", flag)
-    for flag in (("--sims", "5"), ("--seed", "3"), ("--block-size", "7"), ("--workers", "2"),
-                 ("--convention", "tail-average"))
+    for flag in (("--sims", "5"), ("--seed", "3"), ("--block-size", "7"),
+                 ("--sims", "5", "--source", "exact"), ("--convention", "tail-average"))
 ] + [
     ("converge", ("--convention", "conditional", "--measure", "var")),
     # An --id after the flag replaces the base one.  Exact T2-T4 and T1 read
@@ -246,7 +247,8 @@ _UNREAD_FLAGS = [
 ] + [
     (command, (*flag, *id_args))
     for command, id_args in (("table", ("--id", "T2")), ("verify", ()), ("verify", ("--id", "T2")))
-    for flag in (("--sims", "5"), ("--seed", "3"), ("--block-size", "7"), ("--workers", "2"))
+    for flag in (("--sims", "5"), ("--seed", "3"), ("--block-size", "7"),
+                 ("--seed", "3", "--block-size", "7"))
 ] + [("verify", ("--mc",))]
 _BASE_ARGS = {"table": ("--id", "T1"), "verify": ("--id", "T1")} | dict.fromkeys(
     ("dist", "loading", "simulate", "converge"), ("--model", "iid")
@@ -259,6 +261,14 @@ def test_subcommand_rejects_flags_it_does_not_read(capsys, tmp_path, monkeypatch
     code, out, err = run(capsys, command, *_BASE_ARGS.get(command, ()), *flag)
     assert code == 2 and out == "" and flag[0] in err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["loading", "table", "simulate", "verify", "converge"])
+def test_workers_flag_is_gone(capsys, command):
+    # Blocks are drawn in one process: --workers is an unknown flag like any other.
+    code, out, err = run(capsys, command, *_BASE_ARGS[command], "--workers", "2")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --workers 2" in err
 
 
 # A shock-model run of each command that reads --q and --ptilde.
@@ -281,9 +291,9 @@ def test_shock_model_defaults_q_and_ptilde(capsys, command):
 
 def test_every_unread_flag_is_named_with_its_condition(capsys):
     code, out, err = run(capsys, "table", "--id", "T2", "--sims", "5", "--seed", "3",
-                         "--block-size", "7", "--workers", "3")
+                         "--block-size", "7")
     assert code == 2 and out == ""
-    for flag in ("--sims", "--seed", "--block-size", "--workers"):
+    for flag in ("--sims", "--seed", "--block-size"):
         assert f"table: {flag} is read only {_READ_WHEN['table', flag][0]}" in err
     assert "table: --sims is read only with --mc and an id among T2-T4" in err
 
@@ -291,7 +301,7 @@ def test_every_unread_flag_is_named_with_its_condition(capsys):
 @pytest.mark.parametrize("argv,expected", [
     (("verify", "--seed", "3"), {"seed": 3}),  # T5 reads it
     (("verify", "--mc", "--sims", "5"), {"mc": True, "sims": 5}),
-    (("table", "--id", "T5", "--seed", "3", "--workers", "2"), {"seed": 3, "workers": 2}),
+    (("table", "--id", "T5", "--seed", "3", "--block-size", "7"), {"seed": 3, "block_size": 7}),
 ])
 def test_flag_read_for_the_tables_built_is_accepted(capsys, monkeypatch, argv, expected):
     import riskdiv.cli as cli
@@ -320,8 +330,8 @@ def test_loading_reads_sim_flags_with_mc_source(capsys):
     ("dist", "--exposures", "0"),
     ("simulate", "--sims", "0"),
     ("simulate", "--block-size", "0"),
-    ("simulate", "--workers", "0"),
-    ("simulate", "--workers", "-3"),
+    ("simulate", "--sims", "-3"),
+    ("loading", "--model", "iid", "--source", "mc", "--sims", "0"),
     ("converge", "--sims-list", "0"),
     ("converge", "--sims-list", ""),
 ])
@@ -419,18 +429,6 @@ def test_python_m_riskdiv_runs_the_cli(capsys):
 
 
 class TestSimulate:
-    def test_byte_identical_across_workers(self, capsys, tmp_path):
-        texts = []
-        for workers, name in ((1, "a.csv"), (2, "b.csv")):
-            path = tmp_path / name
-            code, _, _ = run(capsys, "simulate", "--model", "crisis", "--N", "20",
-                             "--ptilde", "0.001", "--sims", "60000", "--seed", "42",
-                             "--block-size", "20000", "--workers", str(workers),
-                             "--out", str(path))
-            assert code == 0
-            texts.append(path.read_bytes())
-        assert texts[0] == texts[1]
-
     # sha256 of the stdout at --N 50 --sims 30000 --block-size 7000 --seed 5
     # (four full blocks and a cut one), taken before the models became laws
     # of crisis rounds.  Either shock at pt=0 draws the iid stream: a sure
@@ -446,15 +444,16 @@ class TestSimulate:
     }
 
     @pytest.mark.filterwarnings("ignore:crisis_prob > 0.5")
-    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("calls", [1, 2])  # a repeat call in one process too
     @pytest.mark.parametrize("model", sorted(SIM_DIGESTS))
-    def test_pinned_output(self, capsys, model, workers):
+    def test_pinned_output(self, capsys, model, calls):
         kind, *pt = model.split()
         argv = ["--model", kind] + (["--ptilde", pt[0]] if pt else [])
-        code, out, _ = run(capsys, "simulate", *argv, "--N", "50", "--sims", "30000",
-                           "--block-size", "7000", "--seed", "5", "--workers", workers)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == self.SIM_DIGESTS[model]
+        for _ in range(calls):
+            code, out, _ = run(capsys, "simulate", *argv, "--N", "50", "--sims", "30000",
+                               "--block-size", "7000", "--seed", "5")
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == self.SIM_DIGESTS[model]
 
     def test_histogram_totals(self, capsys):
         code, out, _ = run(capsys, "simulate", "--model", "iid", "--N", "2",
@@ -537,7 +536,7 @@ class TestConverge:
          "--seed 5 --block-size 7000",
          "97b6b24262790defe712b4abbd362bfb85738cd6dead51cd4e7baa51a806a1da"),
         ("--model common --N 50 --ptilde 0.05 --measure tvar --convention conditional "
-         "--sims-list 30000,60000 --workers 2 --block-size 10000",
+         "--sims-list 30000,60000 --block-size 10000",
          "3e76f5dd4cf735c8b04f26294c0316ab6e5249ce4641fd48713a5bcce907ff3e"),
         ("--model iid --N 10 --p 0.25 --measure var --sims-list 5000 --format json",
          "ba8aa24ecb06e2b432e43c7f5faa23e34c8c025b3ed9e8aa1c0fa3f286fc95b7"),
@@ -550,7 +549,7 @@ class TestConverge:
          "--block-size 1000 --seed 5",
          "a201a85f76c537b0380962126af83d7747ce326288b44ce29205e13214f4bed5"),
         ("--model crisis --N 20 --ptilde 0.01 --measure var --sims-list 4000,2000 "
-         "--block-size 1000 --seed 5 --workers 2",
+         "--block-size 1000 --seed 5",
          "5250b8beed00343e17e7cd4a251a4c28dd8000eac85d1def53b6e060a4208cda"),
         ("--model crisis --N 20 --ptilde 0.01 --convention conditional --sims-list 2000,2000 "
          "--block-size 1000 --seed 5",

@@ -1,6 +1,5 @@
 """Simulation: determinism, checkpoints, the tally reader, oracle agreement."""
 
-import multiprocessing
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import chdtrc
 
 import riskdiv.montecarlo as mc
-from _helpers import draw_paths, pooled_chi_square, record_pools, two_sample_chi_square
+from _helpers import draw_paths, pooled_chi_square, two_sample_chi_square
 from riskdiv.distributions import moments
 from riskdiv.measures import MeasureKind, RiskMeasureSpec, TvarConvention, var_and_tvar
 from riskdiv.models import (
@@ -25,7 +24,6 @@ from riskdiv.montecarlo import (
     LossHistogram,
     SimulationConfig,
     block_plan,
-    block_pool,
     bootstrap_loading_se,
     empirical_distribution,
     mc_loading,
@@ -38,14 +36,6 @@ CRISIS = ModelSpec.per_exposure_shock(1 / 6, 0.5, 0.01)
 
 
 class TestDeterminism:
-    def test_identical_across_worker_counts(self):
-        cfg = SimulationConfig(num_sims=200_000, seed=7, block_size=50_000)
-        base = simulate(CRISIS, 50, 6, cfg, workers=1)
-        for workers in (4, 8):
-            again = simulate(CRISIS, 50, 6, cfg, workers=workers)
-            assert np.array_equal(base.counts, again.counts)
-            assert base.counts.tobytes() == again.counts.tobytes()
-
     def test_seed_changes_output(self):
         a = simulate(CRISIS, 10, 6, SimulationConfig(50_000, seed=1, block_size=25_000))
         b = simulate(CRISIS, 10, 6, SimulationConfig(50_000, seed=2, block_size=25_000))
@@ -59,57 +49,6 @@ class TestDeterminism:
     def test_ragged_last_block(self):
         h = simulate(CRISIS, 10, 6, SimulationConfig(60_001, seed=3, block_size=25_000))
         assert int(h.counts.sum()) == 60_001
-
-    def test_pool_sized_by_block_count(self, monkeypatch):
-        cfg = SimulationConfig(2_000, seed=4, block_size=1_000)
-        base = simulate(CRISIS, 5, 6, cfg)
-        sizes = record_pools(monkeypatch, cpus=64)
-        h = simulate(CRISIS, 5, 6, cfg, workers=8)
-        assert sizes == [2]
-        assert h.counts.tobytes() == base.counts.tobytes()
-
-    def test_pool_capped_at_usable_cpus(self, monkeypatch):
-        sizes = record_pools(monkeypatch, cpus=3)
-        with block_pool(10**6, 10**6):
-            pass
-        assert sizes == [3]
-        assert multiprocessing.active_children() == []
-        # One usable CPU draws in this process.
-        monkeypatch.setattr(mc, "_usable_cpus", lambda: 1)
-        with block_pool(10**6, 10**6) as pool:
-            assert pool is None
-        assert sizes == [3]
-
-    def test_usable_cpus_without_affinity(self, monkeypatch):
-        monkeypatch.delattr(mc.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(mc.os, "cpu_count", lambda: 5)
-        assert mc._usable_cpus() == 5
-        # cpu_count may not know.
-        monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
-        assert mc._usable_cpus() == 1
-
-    def test_given_pool_draws_every_block(self, monkeypatch):
-        mapped = []
-
-        class InProcess:
-            """A caller's executor: records the blocks and draws them here."""
-
-            def map(self, fn, *iterables):
-                mapped.extend(zip(iterables[4], iterables[5]))
-                return map(fn, *iterables)
-
-        cfg = SimulationConfig(2_000, seed=4, block_size=1_000)
-        base = simulate(CRISIS, 5, 6, cfg, checkpoints=[1_500, 2_000])
-        # A given pool is used as it is: the call opens none of its own.
-        monkeypatch.setattr(mc, "ProcessPoolExecutor", None)
-        hists = simulate(CRISIS, 5, 6, cfg, checkpoints=[1_500, 2_000], pool=InProcess())
-        assert mapped == [(0, 1_000), (1, 500), (1, 1_000)]
-        assert [h.counts.tobytes() for h in hists] == [h.counts.tobytes() for h in base]
-        # A lone block is drawn in this process.
-        one = SimulationConfig(1_000, seed=4, block_size=1_000)
-        h = simulate(CRISIS, 5, 6, one, pool=InProcess())
-        assert len(mapped) == 3
-        assert h.counts.tobytes() == simulate(CRISIS, 5, 6, one).counts.tobytes()
 
     def test_block_plan(self):
         cfg = SimulationConfig(4_000, seed=1, block_size=1_000)
@@ -258,15 +197,18 @@ class TestConvergenceStudy:
 
 
 class TestCheckpoints:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_equal_separate_runs(self, workers):
+    # `calls` repeats the checkpointed run in one process: the memoised path
+    # law of a warm second call must not change a histogram.
+    @pytest.mark.parametrize("calls", [1, 2])
+    def test_equal_separate_runs(self, calls):
         cfg = SimulationConfig(4_000, seed=41, block_size=1_000)
         budgets = [3_000, 1_000, 4_000, 1_000]
-        hists = simulate(CRISIS, 10, 6, cfg, workers=workers, checkpoints=budgets)
-        for budget, h in zip(budgets, hists):
-            alone = simulate(CRISIS, 10, 6, SimulationConfig(budget, seed=41, block_size=1_000))
-            assert h.num_sims == budget
-            assert h.counts.tobytes() == alone.counts.tobytes()
+        for _ in range(calls):
+            hists = simulate(CRISIS, 10, 6, cfg, checkpoints=budgets)
+            for budget, h in zip(budgets, hists):
+                alone = simulate(CRISIS, 10, 6, SimulationConfig(budget, seed=41, block_size=1_000))
+                assert h.num_sims == budget
+                assert h.counts.tobytes() == alone.counts.tobytes()
 
     def test_ragged_budget_is_its_own_run(self):
         # 1,500 at block size 1,000 ends in block 1 cut to 500 paths: inside
@@ -280,7 +222,7 @@ class TestCheckpoints:
         assert h.num_sims == 1_500
         assert h.counts.tobytes() == alone.counts.tobytes()
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("calls", [1, 2])
     @settings(max_examples=12, deadline=None)
     @given(
         block_size=st.integers(200, 1_500),
@@ -288,14 +230,15 @@ class TestCheckpoints:
         beyond=st.integers(0, 1_000),
     )
     @example(block_size=1_000, budgets=[2_500, 700, 2_500, 1_000], beyond=0)
-    def test_any_budgets_equal_their_own_runs(self, workers, block_size, budgets, beyond):
+    def test_any_budgets_equal_their_own_runs(self, calls, block_size, budgets, beyond):
         # Ragged, below one block, duplicated and unsorted budgets alike.
         cfg = SimulationConfig(max(budgets) + beyond, seed=53, block_size=block_size)
-        hists = simulate(CRISIS, 10, 6, cfg, workers=workers, checkpoints=budgets)
-        assert [h.num_sims for h in hists] == budgets
-        for budget, h in zip(budgets, hists):
-            alone = simulate(CRISIS, 10, 6, SimulationConfig(budget, 53, block_size))
-            assert h.counts.tobytes() == alone.counts.tobytes()
+        for _ in range(calls):
+            hists = simulate(CRISIS, 10, 6, cfg, checkpoints=budgets)
+            assert [h.num_sims for h in hists] == budgets
+            for budget, h in zip(budgets, hists):
+                alone = simulate(CRISIS, 10, 6, SimulationConfig(budget, 53, block_size))
+                assert h.counts.tobytes() == alone.counts.tobytes()
 
     def test_each_needed_block_drawn_once(self, monkeypatch):
         drawn = []

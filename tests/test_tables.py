@@ -2,19 +2,16 @@
 
 import hashlib
 import json
-import multiprocessing
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import record_pools
 from riskdiv.distributions import point_mass
 from riskdiv.measures import MeasureKind, RiskMeasureSpec, TvarConvention
 from riskdiv.models import ModelKind, PortfolioParams
-from riskdiv.montecarlo import SimulationConfig, simulate, tally_var_and_tvar
+from riskdiv.montecarlo import SimulationConfig, simulate
 from riskdiv.pricing import price_policy, risk_loading_per_policy
 from riskdiv import reference
 from riskdiv.reference import (
@@ -177,11 +174,15 @@ class TestLoadingGrid:
                     value = risk_loading_per_policy(model, params, N, spec).value
                     assert cells[(mlabel, str(N), label)] == fmt_loading(value)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_t4_mc_cells_equal_single_loadings(self, workers):
+    # `calls` builds the table again in one process: a warm second build
+    # must print the same cells.
+    @pytest.mark.parametrize("calls", [1, 2])
+    def test_t4_mc_cells_equal_single_loadings(self, calls):
         req = TableRequest(table_id="T4", mc=True, sims=20_000, block_size=5_000,
-                           N_grid=(1, 10), workers=workers)
-        cells = _cells(build_table(req))
+                           N_grid=(1, 10))
+        built = [build_table(req) for _ in range(calls)]
+        assert all(t.rows == built[0].rows for t in built)
+        cells = _cells(built[-1])
         params = PortfolioParams()
         config = SimulationConfig(req.sims, req.seed, req.block_size)
         for label, pt in zip(PT_LABELS, PT_GRID):
@@ -210,23 +211,25 @@ class TestLoadingGrid:
                              ("2000", 100, SimulationConfig(2000, 3)))
         assert spec.convention is TvarConvention.TAIL_AVERAGE
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_t5_draws_each_column_once(self, monkeypatch, workers):
+    @pytest.mark.parametrize("calls", [1, 2])
+    def test_t5_draws_each_column_once(self, monkeypatch, calls):
         # All budgets share the run to the largest; 1,500 adds block 1 cut
         # to 500 paths.  Every cell equals a single loading at its own budget.
         import riskdiv.tables as tables
 
         runs = []
 
-        def recording(model, N, n, config, workers=1, checkpoints=None, pool=None):
+        def recording(model, N, n, config, checkpoints=None):
             runs.append((config.num_sims, list(checkpoints)))
-            return simulate(model, N, n, config, workers, checkpoints, pool=pool)
+            return simulate(model, N, n, config, checkpoints)
 
         monkeypatch.setattr(tables, "simulate", recording)
         req = TableRequest(table_id="T5", pt_grid=(0.0, 0.05), sims_grid=(2000, 4000, 1500, 2000),
-                           block_size=1000, seed=3, workers=workers)
-        cells = _cells(build_table(req))
-        assert runs == [(4000, [1500, 2000, 4000])] * 2
+                           block_size=1000, seed=3)
+        built = [build_table(req) for _ in range(calls)]
+        assert all(t.rows == built[0].rows for t in built)
+        assert runs == [(4000, [1500, 2000, 4000])] * 2 * calls
+        cells = _cells(built[-1])
         params = PortfolioParams()
         for label, pt in zip(("pt=0", "pt=0.05"), req.pt_grid):
             model = default_model(ModelKind.PER_EXPOSURE_SHOCK, req.p, req.q, pt)
@@ -258,79 +261,6 @@ class TestSeedSweep:
             shares += [(abs(float(cell) - exact[mlabel, label]) / gate, seed, mlabel, sims, label)
                        for (mlabel, sims, label), cell in _cells(table).items()]
         assert max(shares)[0] <= 1.0, max(shares)
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """The max_workers of each process pool started, through the real class."""
-    import riskdiv.montecarlo as mc
-
-    sizes = []
-
-    class CountedPool(mc.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
-
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", CountedPool)
-    # Pool sizes here follow from workers and blocks, not from this machine.
-    monkeypatch.setattr(mc, "_usable_cpus", lambda: 64)
-    return sizes
-
-
-class TestGridPool:
-    """A loading grid draws all its simulated blocks on one pool it owns."""
-
-    T4_MC = TableRequest(table_id="T4", mc=True, sims=4_000, block_size=1_000, N_grid=(1, 10))
-
-    def test_t4_mc_starts_one_pool(self, pool_sizes):
-        parallel = build_table(replace(self.T4_MC, workers=2))
-        assert pool_sizes == [2]
-        serial = build_table(self.T4_MC)
-        assert pool_sizes == [2]
-        assert parallel.rows == serial.rows
-
-    def test_t5_starts_one_pool(self, pool_sizes):
-        req = TableRequest(table_id="T5", pt_grid=(0.0, 0.05), sims_grid=(2000, 1500),
-                           block_size=1000, seed=3)
-        parallel = build_table(replace(req, workers=2))
-        assert pool_sizes == [2]
-        assert parallel.rows == build_table(req).rows
-
-    def test_pool_sized_by_the_largest_run(self, monkeypatch):
-        # The runs are drawn one after another, each on at most its 4 blocks.
-        sizes = record_pools(monkeypatch, cpus=64)
-        parallel = build_table(replace(self.T4_MC, workers=8))
-        assert sizes == [4]
-        assert parallel.rows == build_table(self.T4_MC).rows
-
-    def test_grid_without_pooled_blocks_starts_no_pool(self, pool_sizes):
-        build_table(TableRequest(table_id="T3", N_grid=(1, 10), workers=2))
-        # Each run is one block, which is drawn in this process.
-        single = replace(self.T4_MC, sims=1_000, workers=2)
-        assert build_table(single).rows == build_table(replace(single, workers=1)).rows
-        assert pool_sizes == []
-
-    def test_no_worker_outlives_the_grid(self, monkeypatch):
-        import riskdiv.tables as tables
-
-        req = replace(self.T4_MC, workers=2)
-        build_table(req)
-        assert multiprocessing.active_children() == []
-
-        calls = []
-
-        def failing(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == 2:
-                raise RuntimeError("tally failed")
-            return tally_var_and_tvar(*args, **kwargs)
-
-        monkeypatch.setattr(tables, "tally_var_and_tvar", failing)
-        with pytest.raises(RuntimeError, match="tally failed"):
-            build_table(req)
-        assert len(calls) == 2
-        assert multiprocessing.active_children() == []
 
 
 class TestRoundTrip:
