@@ -22,6 +22,9 @@ TRUNCATION_EPS = 2.0 * np.finfo(float).eps
 # Hard ceiling on total dropped mass a distribution may carry.
 TRUNCATION_BUDGET = 1e-12
 
+# ln(2 / TRUNCATION_EPS): the log tail bound of binomial's computed window.
+_BERNSTEIN_L = float(np.log(2.0 / TRUNCATION_EPS))
+
 __all__ = [
     "DiscreteLossDistribution",
     "TRUNCATION_BUDGET",
@@ -153,9 +156,12 @@ def binomial(trials: int, prob: float) -> DiscreteLossDistribution:
 
     mean = trials * prob
     sd = max(np.sqrt(trials * prob * (1.0 - prob)), 1.0)
-    # By Bernstein's inequality each tail beyond mean +- (12 sd + 40) holds
-    # less than e^-72, far below TRUNCATION_EPS (about e^-35).
-    margin = 12.0 * sd + 40.0
+    # Bernstein's inequality bounds each tail beyond mean +- t by
+    # exp(-t^2 / (2 (sd^2 + t/3))).  The margin is the t that sets this to
+    # TRUNCATION_EPS / 2, so every point outside the window has pmf below
+    # half the cut: only points the cut drops go uncomputed, with a factor
+    # of two to spare for the pmf's own rounding.
+    margin = _BERNSTEIN_L / 3.0 + np.sqrt(_BERNSTEIN_L**2 / 9.0 + 2.0 * _BERNSTEIN_L * sd * sd)
     lo = max(0, int(np.floor(mean - margin)))
     hi = min(trials, int(np.ceil(mean + margin)))
     pmf = _binom_pmf(np.arange(lo, hi + 1), trials, prob)
@@ -251,6 +257,13 @@ def _mp_binom_cdf(trials: int, prob: float, k: int):
     lower-tail k and as one minus the upward sum otherwise, stopping once
     terms stop mattering at the working precision.
 
+    The stop is exact.  The terms shrink monotonically away from the anchor,
+    so once a term t is below half an ulp of the sum s, it and every later
+    term round away under round-to-nearest, and summing on would leave s
+    unchanged.  t < 2**(exp_t + bc_t) and s >= 2**(exp_s + bc_s - 1), so
+    exp_t + bc_t < exp_s + bc_s - prec says t < 2**(exp_s + bc_s - prec - 1),
+    which is at most half an ulp of s, from the raw exponents alone.
+
     The recurrence runs on raw mpmath.libmp values at mp.prec, rounding to
     nearest, with the operations the mpf operators would perform in the
     order they would perform them: t*j*(1-p) / ((trials-j+1)*p) is
@@ -259,7 +272,7 @@ def _mp_binom_cdf(trials: int, prob: float, k: int):
     per-operation dispatch.
     """
     from mpmath import mp
-    from mpmath.libmp import mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_mul_int, round_nearest
+    from mpmath.libmp import mpf_add, mpf_div, mpf_mul, mpf_mul_int, round_nearest
 
     mpf = mp.mpf
     if k < 0:
@@ -269,10 +282,8 @@ def _mp_binom_cdf(trials: int, prob: float, k: int):
     if prob == 1.0:
         return mpf(0)
     p = mpf(prob)
-    # Once per sum, at the working precision (a module constant would be
-    # parsed at 53 bits, a different number).
+    # Once per sum, at the working precision.
     one_minus_p = 1 - p
-    negligible = mpf("1e-45")._mpf_
     prec, rnd = mp.prec, round_nearest
     lower_tail = k < trials * p
     # Sum from the anchor term t_j0 outward; each step multiplies by the
@@ -293,7 +304,7 @@ def _mp_binom_cdf(trials: int, prob: float, k: int):
             rnd,
         )
         s = mpf_add(s, t, prec, rnd)
-        if mpf_lt(t, mpf_mul(s, negligible, prec, rnd)):
+        if t[2] + t[3] < s[2] + s[3] - prec:
             break
     s = mp.make_mpf(s)
     return s if lower_tail else 1 - s

@@ -76,7 +76,19 @@ _PLATEAU_BAND = 1e-11
 
 
 def _quantile_index(d: DiscreteLossDistribution, alpha: float) -> int:
-    """Index of the smallest count whose cdf reaches alpha, bisecting a band exactly."""
+    """Index of the smallest count whose cdf reaches alpha, decided exactly on a plateau.
+
+    Without a recipe this is the double-precision answer g.  With one, the
+    band of points whose stored cdf lies within _PLATEAU_BAND of alpha is
+    re-decided on the exact cdf: the result is the first index in the band
+    whose exact cdf reaches alpha, or the band top if none does.  The search
+    starts at g, which is rarely more than a few counts off, gallops away
+    from it with doubling steps until one probe reaches alpha and one does
+    not, and bisects only that bracket.  The exact cdf is monotone in k
+    (each component's clamped cdf is, and so is their rounded weighted
+    sum), so this is the index a bisection of the whole band finds, in two
+    exact evaluations when g is right instead of about log2(width).
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     cdf = d.cdf
@@ -85,22 +97,43 @@ def _quantile_index(d: DiscreteLossDistribution, alpha: float) -> int:
             f"alpha={alpha} exceeds the resolvable cdf top {cdf[-1]:.17f}; "
             "tail truncation prevents resolving this quantile"
         )
+    g = int(np.searchsorted(cdf, alpha))
     if d.components is None:
-        return int(np.searchsorted(cdf, alpha))
+        return g
     lo = int(np.searchsorted(cdf, alpha - _PLATEAU_BAND, side="right"))
     hi = min(int(np.searchsorted(cdf, alpha + _PLATEAU_BAND)), len(cdf) - 1)
-    if lo < hi:
-        from mpmath import mpf
+    if lo >= hi:
+        return lo
+    from mpmath import mpf
 
-        from .distributions import exact_cdf_at
+    from .distributions import exact_cdf_at
 
-        a = mpf(alpha)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if exact_cdf_at(d, d.min_count + mid) >= a:
-                hi = mid
-            else:
-                lo = mid + 1
+    a = mpf(alpha)
+
+    def reaches(i: int) -> bool:
+        return exact_cdf_at(d, d.min_count + i) >= a
+
+    # The band top stands in for "none reaches", so it is never evaluated.
+    g = min(max(g, lo), hi)
+    step = 1
+    if g < hi and not reaches(g):
+        lo = g + 1
+        while g + step < hi and not reaches(g + step):
+            lo = g + step + 1
+            step *= 2
+        hi = min(g + step, hi)
+    else:
+        hi = g
+        while g - step >= lo and reaches(g - step):
+            hi = g - step
+            step *= 2
+        lo = max(g - step + 1, lo)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if reaches(mid):
+            hi = mid
+        else:
+            lo = mid + 1
     return lo
 
 

@@ -17,6 +17,42 @@ def pointwise_distance(d1: DiscreteLossDistribution, d2: DiscreteLossDistributio
     return float(np.max(np.abs(a - b)))
 
 
+def band_edges(d: DiscreteLossDistribution, alpha: float) -> tuple[int, int, int]:
+    """(lo, g, hi): the plateau band of alpha and the double-precision answer g.
+
+    The band is the run of points whose stored cdf lies within the plateau
+    band width of alpha, its top clipped to the support.
+    """
+    from riskdiv.measures import _PLATEAU_BAND
+
+    cdf = d.cdf
+    lo = int(np.searchsorted(cdf, alpha - _PLATEAU_BAND, side="right"))
+    hi = min(int(np.searchsorted(cdf, alpha + _PLATEAU_BAND)), len(cdf) - 1)
+    return lo, int(np.searchsorted(cdf, alpha)), hi
+
+
+def bisect_band(d: DiscreteLossDistribution, alpha: float) -> int:
+    """Oracle for the plateau search: bisect the whole band on the exact cdf.
+
+    Returns the index of the first band point whose exact cdf reaches
+    alpha, or the band top if none does, in about log2(width) exact
+    evaluations.
+    """
+    from mpmath import mpf
+
+    from riskdiv.distributions import exact_cdf_at
+
+    lo, _, hi = band_edges(d, alpha)
+    a = mpf(alpha)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if exact_cdf_at(d, d.min_count + mid) >= a:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def draw_paths(model: ModelSpec, N: int, n: int, seed: int, block_index: int,
                size: int) -> np.ndarray:
     """One block's histogram drawn path by path: an oracle for the histogram sampler.

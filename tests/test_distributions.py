@@ -124,6 +124,34 @@ class TestBinomial:
                 if d.max_count < trials:
                     assert stats.binom.pmf(d.max_count + 1, trials, prob) < TRUNCATION_EPS
 
+    def test_window_from_bernstein_stores_what_the_wide_window_stored(self):
+        # binomial computes the pmf only on the Bernstein window that bounds
+        # each tail below TRUNCATION_EPS / 2.  Over a grid of trials and
+        # probs, the stored object equals one built over the wider
+        # mean +- (12 sd + 40) window, bit for bit.
+        def over_wide_window(trials, prob):
+            mean = trials * prob
+            sd = max(np.sqrt(trials * prob * (1.0 - prob)), 1.0)
+            lo = max(0, int(np.floor(mean - 12.0 * sd - 40.0)))
+            hi = min(trials, int(np.ceil(mean + 12.0 * sd + 40.0)))
+            pmf = _binom_pmf(np.arange(lo, hi + 1), trials, prob)
+            keep = np.nonzero(pmf >= TRUNCATION_EPS)[0]
+            lo_k, hi_k = lo + int(keep[0]), lo + int(keep[-1])
+            below = float(_binom_cdf(lo_k - 1, trials, prob)) if lo_k > 0 else 0.0
+            above = float(_binom_sf(hi_k, trials, prob)) if hi_k < trials else 0.0
+            return lo_k, pmf[keep[0] : keep[-1] + 1], below, above
+
+        trials_grid = [1, 2, 3, 6, 10, 37, 100, 600, 2_500, 10**4, 58_926, 10**5, 362_760,
+                       10**6, 3 * 10**6, 6 * 10**6]
+        probs = [1e-4, 1e-3, 0.01, 0.05, 1 / 6, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999]
+        for trials in trials_grid:
+            for prob in probs:
+                d = binomial(trials, prob)
+                lo_k, masses, below, above = over_wide_window(trials, prob)
+                assert d.min_count == lo_k, (trials, prob)
+                assert d.masses.tobytes() == masses.tobytes(), (trials, prob)
+                assert (d.truncated_below, d.truncated_above) == (below, above), (trials, prob)
+
     def test_kernels_match_scipy_stats_bit_for_bit(self):
         # binomial calls the private ufuncs behind scipy.stats.binom, so their
         # bits are pinned to the public ones over both tails and prob near 0
@@ -385,6 +413,21 @@ class TestCdf:
             for k in ks:
                 got = distributions._mp_binom_cdf(trials, prob, k)._mpf_
                 assert got == mp_binom_cdf_operators(trials, prob, k)._mpf_, k
+
+    @given(
+        trials=st.integers(1, 20_000),
+        prob=st.one_of(st.floats(1e-4, 0.9999), st.floats(1e-7, 1e-2), st.floats(0.99, 1 - 1e-7)),
+        z=st.floats(-12.0, 12.0),
+        dps=st.sampled_from([15, 40]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mp_binom_cdf_stop_changes_no_bit(self, trials, prob, z, dps):
+        # The half-ulp stop ends each sum earlier than the reference's
+        # relative 1e-45 stop; the terms in between round away.
+        k = int(trials * prob + z * math.sqrt(trials * prob * (1 - prob)))
+        with mp.workdps(dps):
+            got = distributions._mp_binom_cdf(trials, prob, k)._mpf_
+            assert got == mp_binom_cdf_operators(trials, prob, k)._mpf_
 
 
 class TestValidation:

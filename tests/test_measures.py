@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 from scipy import stats
 
+from _helpers import band_edges, bisect_band
 from riskdiv import distributions
 from riskdiv.distributions import (
     DiscreteLossDistribution,
@@ -19,6 +20,7 @@ from riskdiv.distributions import (
     point_mass,
 )
 from riskdiv.measures import (
+    _PLATEAU_BAND,
     MeasureKind,
     RiskMeasureSpec,
     TruncationError,
@@ -181,16 +183,9 @@ class TestPlateauQuantiles:
         loading = 0.15 * (10 * tail_value_at_risk(d, 0.99) / 100 - 10.2)
         assert loading == pytest.approx(2.970, abs=5e-4)
 
-    def test_plateau_at_quote_scale(self):
-        # The 114k-count band of a common-shock quote at N=58,926.
-        model = ModelSpec.common_shock(1 / 6, 0.5, 0.01)
-        d = loss_count_distribution(model, 58_926, 6)
-        assert value_at_risk(d, 0.99) == 174_697
-
-    def test_each_component_cdf_summed_once(self, monkeypatch):
-        # The band search clamps k to each component's support, so most of
-        # its exact evaluations repeat a component value already summed.
-        d = loss_count_distribution(ModelSpec.common_shock(1 / 6, 0.5, 0.01), 10_000, 6)
+    @staticmethod
+    def count_exact_work(monkeypatch, d, alpha):
+        """VaR at alpha, with the exact cdf evaluations and component sums it made."""
         searches, sums = [], []
 
         def counted_search(*args):
@@ -205,10 +200,39 @@ class TestPlateauQuantiles:
         monkeypatch.setattr(distributions, "exact_cdf_at", counted_search)
         monkeypatch.setattr(distributions, "_mp_binom_cdf", counted_sum)
         distributions._component_cdf.cache_clear()
-        value_at_risk(d, 0.99)
-        assert len(searches) == 15
-        assert 0 < len(sums) <= 12
+        return value_at_risk(d, alpha), searches, sums
+
+    def test_each_component_cdf_summed_once(self, monkeypatch):
+        # The search clamps k to each component's support, so the normal
+        # state's value is summed once and reused by every probe.  Here the
+        # double answer is 2 counts above the VaR: 5 probes, 6 sums.
+        d = loss_count_distribution(ModelSpec.common_shock(1 / 6, 0.5, 0.01), 10_000, 6)
+        var, searches, sums = self.count_exact_work(monkeypatch, d, 0.99)
+        assert var == 29_127
+        assert len(searches) == 5
+        assert len(sums) == 6
         assert len(set(sums)) == len(sums)
+
+    def test_plateau_at_quote_scale(self, monkeypatch):
+        # The 114k-count band of a common-shock quote at N=58,926, which a
+        # bisection of the whole band decided in 17 exact evaluations.  The
+        # double answer is the VaR, so one probe reaches alpha and the one
+        # below it does not; the normal state is summed once.
+        model = ModelSpec.common_shock(1 / 6, 0.5, 0.01)
+        d = loss_count_distribution(model, 58_926, 6)
+        var, searches, sums = self.count_exact_work(monkeypatch, d, 0.99)
+        assert var == 174_697
+        assert [k for _, k in searches] == [174_697, 174_696]
+        assert len(sums) == 3
+
+    def test_plateau_at_a_million_exposures(self, monkeypatch):
+        # The double answer is 4 counts below the VaR, so the search gallops
+        # up from it: probes at +0, +1, +2, +4, then +3 inside the bracket.
+        d = loss_count_distribution(ModelSpec.common_shock(1 / 6, 0.5, 0.01), 10**6, 6)
+        assert d.min_count + int(np.searchsorted(d.cdf, 0.99)) == 2_991_671
+        var, searches, _ = self.count_exact_work(monkeypatch, d, 0.99)
+        assert var == 2_991_675
+        assert [k - 2_991_671 for _, k in searches] == [0, 1, 2, 4, 3]
 
     @pytest.mark.parametrize("n,p", [(1000, 0.5), (5000, 0.3)])
     def test_band_whose_exact_top_stays_below_alpha(self, n, p):
@@ -218,6 +242,7 @@ class TestPlateauQuantiles:
         alpha = float(d.cdf[-1])
         assert exact_cdf_at(d, d.max_count) < mpf(alpha)
         assert value_at_risk(d, alpha) == d.max_count
+        assert d.min_count + bisect_band(d, alpha) == d.max_count
 
 
 @pytest.mark.parametrize("pt", [0.001, 0.01, 0.05, 0.1])
@@ -250,6 +275,72 @@ def first_index_reaching(d, alpha):
         if exact_cdf_at(d, d.min_count + i) >= a:
             return d.min_count + i
     raise AssertionError("alpha not reached")
+
+
+class TestPlateauSearchEqualsBisection:
+    """The gallop from the double answer finds what bisecting the whole band finds."""
+
+    # The normal state's upper tail flattens onto the plateau at 1 - 0.01
+    # between counts 26 and 36; the crisis state lifts it off after 36.
+    d = mixture([binomial(60, 0.9), binomial(60, 0.1)], [0.01, 0.99])
+
+    def test_double_answer_at_band_bottom(self):
+        # alpha is the stored cdf at 26, the last step wider than the band,
+        # but the exact cdf there falls short: the search gallops up.
+        alpha = float(self.d.cdf[26])
+        assert band_edges(self.d, alpha) == (26, 26, 36)
+        assert exact_cdf_at(self.d, 26) < mpf(alpha)
+        assert value_at_risk(self.d, alpha) == self.d.min_count + bisect_band(self.d, alpha) == 27
+        assert first_index_reaching(self.d, alpha) == 27
+
+    def test_double_answer_at_band_top(self):
+        # Just above the stored cdf at 36 the next step clears the band, so
+        # the double answer is the band top, which is never probed.
+        alpha = math.nextafter(float(self.d.cdf[36]), 1.0)
+        assert band_edges(self.d, alpha) == (28, 37, 37)
+        assert value_at_risk(self.d, alpha) == self.d.min_count + bisect_band(self.d, alpha) == 37
+        assert first_index_reaching(self.d, alpha) == 37
+
+    @given(offset=st.integers(-4_500, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_gallop_brackets_any_crossing(self, offset):
+        # A monotone stand-in for the exact cdf steps from 0 to 1 at g +
+        # offset, anywhere in a band of 4,495 counts around the double
+        # answer g (or beyond its top).  The search finds the step, or the
+        # band top past it, in at most 2 log2|offset| + 3 probes.
+        d = mixture([binomial(6000, 0.9), binomial(6000, 0.1)], [0.01, 0.99])
+        lo, g, hi = band_edges(d, 0.99)
+        assert (lo, g, hi) == (336, 4799, 4831)
+        step_at = d.min_count + g + offset
+        probes = []
+
+        def step(dist, k):
+            probes.append(k)
+            return mpf(k >= step_at)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(distributions, "exact_cdf_at", step)
+            expected = d.min_count + min(max(g + offset, lo), hi)
+            assert d.min_count + bisect_band(d, 0.99) == expected
+            probes.clear()
+            assert value_at_risk(d, 0.99) == expected
+        assert len(probes) <= 2 * math.log2(abs(offset) + 1) + 3
+
+    @given(case=plateau_mixtures, on_point=st.booleans(), u=st.floats(0.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_alpha_anywhere_in_the_band(self, case, on_point, u):
+        # alpha is either the stored cdf of a band point, so that the double
+        # answer lands on that point, or any level within the band width of
+        # the plateau.
+        d, plateau = case
+        if on_point:
+            lo, _, hi = band_edges(d, plateau)
+            alpha = float(d.cdf[lo + round(u * (hi - lo))])
+            assume(alpha < 1.0)
+        else:
+            alpha = plateau + (2.0 * u - 1.0) * _PLATEAU_BAND
+        expected = d.min_count + bisect_band(d, alpha)
+        assert value_at_risk(d, alpha) == expected == first_index_reaching(d, alpha)
 
 
 class TestPlateauProperties:
