@@ -1,7 +1,7 @@
 """Insurance portfolio pricing under systemic-risk loss models.
 
 Exact loss-count distributions for three generative models, VaR/TVaR risk
-loadings, reproducible parallel Monte Carlo, and regeneration of the
+loadings, reproducible Monte Carlo, and regeneration of the
 published reference tables.
 """
 
@@ -21,8 +21,6 @@ from .measures import (
     TvarConvention,
     gaussian_var_approx,
     normal_quantile,
-    tail_value_at_risk,
-    value_at_risk,
     var_and_tvar,
 )
 from .models import (

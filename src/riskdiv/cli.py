@@ -22,7 +22,7 @@ from pathlib import Path
 from .measures import MeasureKind, RiskMeasureSpec, TvarConvention
 from .models import AMOUNT, LEVEL, PROBABILITY, RATE, ModelKind, ModelSpec, PortfolioParams
 from .models import loss_count_distribution
-from .montecarlo import DEFAULT_BLOCK_SIZE, DEFAULT_SEED, SimulationConfig, simulate
+from .montecarlo import DEFAULT_SEED, SimulationConfig, simulate
 from .pricing import risk_loading_per_policy
 from .tables import (
     DEFAULT_P,
@@ -106,7 +106,6 @@ _FLAGS = {
     "--out": dict(type=Path, default=None, help="output file (default stdout)"),
     "--sims": dict(type=_positive_int, default=1_000_000, help="simulation count"),
     "--seed": dict(type=int, default=DEFAULT_SEED),
-    "--block-size": dict(type=_positive_int, default=DEFAULT_BLOCK_SIZE),
     "--mc": dict(action="store_true", default=False,
                  help="simulate the loading grids T2-T4 instead of exact"),
     "--measure": dict(choices=("var", "tvar"), default="var"),
@@ -122,14 +121,7 @@ _FLAGS = {
 
 def _table_request(args, table_id: str, **fields) -> TableRequest:
     """A named table's request, from --mc and the simulation flags."""
-    return TableRequest(
-        table_id=table_id,
-        mc=args.mc,
-        sims=args.sims,
-        seed=args.seed,
-        block_size=args.block_size,
-        **fields,
-    )
+    return TableRequest(table_id=table_id, mc=args.mc, sims=args.sims, seed=args.seed, **fields)
 
 
 def _params(args) -> PortfolioParams:
@@ -168,7 +160,7 @@ def _cmd_loading(args) -> int:
     )
     source = "exact"
     if args.source == "mc":
-        source = SimulationConfig(args.sims, args.seed, args.block_size)
+        source = SimulationConfig(args.sims, args.seed)
     est = risk_loading_per_policy(model, params, args.N, spec, source)
     line = fmt_loading(est.value)
     if est.standard_error is not None:
@@ -199,7 +191,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_simulate(args) -> int:
     model = _model(args)
-    cfg = SimulationConfig(args.sims, args.seed, args.block_size)
+    cfg = SimulationConfig(args.sims, args.seed)
     hist = simulate(model, args.N, args.exposures, cfg)
     rows = [[str(k), str(tally)] for k, tally in hist.nonzero_items()]
     _emit(Table("histogram", ["count", "tally"], rows), args)
@@ -242,7 +234,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    budgets = budget_rows(args.sims_list, args.N, args.seed, args.block_size)
+    budgets = budget_rows(args.sims_list, args.N, args.seed)
     spec = GridSpec(((args.model, _model(args)),), budgets, "sims", TvarConvention(args.convention))
     grid = build_grid("convergence", spec, _params(args))
     measure = "VaR" if args.measure == "var" else "TVaR"
@@ -257,22 +249,20 @@ _COMMANDS = {
              "--severity --exposures --format --out --model --p --q --N --ptilde", {}),
     "loading": (_cmd_loading, "one risk loading per policy",
                 "--alpha --eta --severity --exposures --sims --model --p --q --N --ptilde "
-                "--seed --block-size --measure --convention --source", {}),
+                "--seed --measure --convention --source", {}),
     "sweep": (_cmd_sweep, "loading grid over N and a probability grid",
               "--alpha --eta --severity --exposures --format --out --model --p --q "
               "--N-grid --p-grid --ptilde-grid", {}),
     "table": (_cmd_table, "regenerate a reference table",
-              "--alpha --eta --severity --exposures --format --out --sims --seed "
-              "--block-size --mc --id",
+              "--alpha --eta --severity --exposures --format --out --sims --seed --mc --id",
               {"--id": dict(choices=TABLE_IDS, required=True)}),
     "simulate": (_cmd_simulate, "simulate a loss histogram",
-                 "--exposures --format --out --sims --model --p --q --N --ptilde "
-                 "--seed --block-size", {}),
+                 "--exposures --format --out --sims --model --p --q --N --ptilde --seed", {}),
     "verify": (_cmd_verify, "regenerate tables and diff against references",
-               "--sims --seed --block-size --mc --id", {}),
+               "--sims --seed --mc --id", {}),
     "converge": (_cmd_converge, "loading vs simulation budget",
                  "--alpha --eta --severity --exposures --format --out --model --p --q --N "
-                 "--ptilde --seed --block-size --measure --convention --sims-list",
+                 "--ptilde --seed --measure --convention --sims-list",
                  {"--measure": dict(default="tvar"),
                   "--convention": dict(default="tail-average")}),
 }
@@ -298,14 +288,12 @@ _READ_WHEN = {
         ("sweep", "--p-grid", ("with --model iid", lambda a: a.model == "iid")),
         ("loading converge", "--convention", (
             "with --measure tvar", lambda a: a.measure == "tvar")),
-        ("loading", "--sims --seed --block-size", (
-            "with --source mc", lambda a: a.source == "mc")),
+        ("loading", "--sims --seed", ("with --source mc", lambda a: a.source == "mc")),
         ("table", "--alpha --eta", ("with an id other than T1", lambda a: a.id != "T1")),
         ("table verify", "--mc", ("with an id among T2-T4", _builds_t2_t4)),
         ("table verify", "--sims", ("with --mc and an id among T2-T4", _mc_applies)),
-        ("table verify", "--seed --block-size", (
-            "with --id T5, or with --mc and an id among T2-T4",
-            lambda a: "T5" in _tables(a) or _mc_applies(a))),
+        ("table verify", "--seed", ("with --id T5, or with --mc and an id among T2-T4",
+                                    lambda a: "T5" in _tables(a) or _mc_applies(a))),
     )
     for command in commands.split()
     for flag in flags.split()

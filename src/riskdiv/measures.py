@@ -22,8 +22,6 @@ __all__ = [
     "RiskMeasureSpec",
     "TruncationError",
     "var_and_tvar",
-    "value_at_risk",
-    "tail_value_at_risk",
     "apply_measure",
     "normal_quantile",
     "gaussian_var_approx",
@@ -169,20 +167,6 @@ def var_and_tvar(
         raw = float((ks @ w) / (1.0 - alpha))
     # Both conventions dominate the VaR mathematically; guard the last ulp.
     return var_count, max(raw, float(var_count))
-
-
-def value_at_risk(d: DiscreteLossDistribution, alpha: float) -> int:
-    """The VaR of var_and_tvar."""
-    return var_and_tvar(d, alpha)[0]
-
-
-def tail_value_at_risk(
-    d: DiscreteLossDistribution,
-    alpha: float,
-    convention: TvarConvention = TvarConvention.CONDITIONAL,
-) -> float:
-    """The TVaR of var_and_tvar."""
-    return var_and_tvar(d, alpha, convention)[1]
 
 
 def apply_measure(d: DiscreteLossDistribution, spec: RiskMeasureSpec) -> float:

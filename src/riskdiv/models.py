@@ -148,7 +148,7 @@ class PortfolioParams:
 def check_support(N: int, n: int) -> None:
     """Check N policies of n exposures each before any array over their loss counts.
 
-    The exact distribution and each simulated block histogram are dense over
+    The exact distribution and each simulated histogram are dense over
     0 .. N*n, so both engines call this first.
 
     Raises:
@@ -192,7 +192,7 @@ def state_terms(
     term is Binomial(N*j, q) + Binomial(N*(n-j), p), the count given j.
     States of zero weight are skipped; the rest come in increasing j.  Both
     engines mix these terms: loss_count_distribution exactly, and the Monte
-    Carlo sampler by drawing each block's paths over them.
+    Carlo sampler by drawing each simulation's paths over them.
     """
     p, q = model.loss_prob, model.crisis_loss_prob
     states = []

@@ -1,17 +1,13 @@
 """Seeded, reproducible simulation of the portfolio models.
 
-Simulations are split into fixed-size blocks; block b draws from its own
-counter-based Philox stream keyed by (seed, b).  A block is a histogram of
-iid loss counts, and it is drawn as one: the paths in each crisis-round
-state are Multinomial(size, w) over the law of j, and the tallies of each
-state are Multinomial over its exact term (models.state_terms).  This is
-conditional Monte Carlo (Asmussen & Glynn, Stochastic Simulation, ch. V),
-and a block costs the size of the terms' windows, not of the block, so
-every block is drawn in this process.  Histograms are merged in block
-order, so results are bit-identical for a given (seed, block_size,
-num_sims).  A budget is its full blocks plus at most one cut block, so one
-run returns the histograms of several budgets and draws each block they
-need once.  Risk measures are read off the integer tallies
+A simulation of num_sims paths is one histogram of iid loss counts, and it
+is drawn as one from the counter-based Philox stream keyed by (seed, 0): the
+paths in each crisis-round state are Multinomial(num_sims, w) over the law of
+j, and the tallies of each state are Multinomial over its exact term
+(models.state_terms).  This is conditional Monte Carlo (Asmussen & Glynn,
+Stochastic Simulation, ch. V), and a draw costs the size of the terms'
+windows, not the number of paths.  Results are bit-identical for a given
+(seed, num_sims).  Risk measures are read off the integer tallies
 (tally_var_and_tvar), not a float cdf, and a simulated loading is the exact
 rational they give.  A Monte Carlo loading carries the standard error of
 N_BOOT bootstrap resamples of its histogram, drawn from a stream keyed by
@@ -22,7 +18,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Sequence
 # Unused: kept for perfbench/tracer.py, which hooks it by name (ROADMAP item 3).
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
@@ -40,7 +35,6 @@ __all__ = [
     "SimulationConfig",
     "LossHistogram",
     "LoadingEstimate",
-    "block_plan",
     "simulate",
     "tally_var_and_tvar",
     "empirical_distribution",
@@ -51,30 +45,25 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 42
-DEFAULT_BLOCK_SIZE = 250_000
+# The largest int64: a histogram's sum of count * tally, at most
+# num_sims * N * n, must stay at or below it (tally_var_and_tvar).
+_INT64_MAX = 2**63 - 1
 # Bootstrap replicates behind a Monte Carlo loading's standard error.
 N_BOOT = 200
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """A reproducible simulation plan.
-
-    block_size fixes the RNG blocking, and with it the exact output; changing
-    it changes the stream layout and therefore the (equally valid) draws.
-    """
+    """A reproducible simulation plan: num_sims paths from the stream of seed."""
 
     num_sims: int
     seed: int = DEFAULT_SEED
-    block_size: int = DEFAULT_BLOCK_SIZE
 
     def __post_init__(self):
         if self.num_sims < 1:
             raise ValueError("num_sims must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
 
 
 @dataclass
@@ -105,8 +94,13 @@ class LoadingEstimate:
     standard_error: float | None = None
 
 
-def _block_rng(seed: int, block_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, block_index))))
+def _stream(seed: int) -> np.random.Generator:
+    """The Philox stream of a simulation.
+
+    Keyed (seed, 0), the first block's key when simulations were drawn in
+    blocks of 250,000 paths, so a budget of at most that many kept its bytes.
+    """
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0))))
 
 
 @lru_cache(maxsize=1)
@@ -115,7 +109,8 @@ def _block_law(
 ) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
     """The law of one path: state weights, and each state's window (lo, pmf).
 
-    Memoised for the current run only: every block of a run shares it.
+    Memoised for the latest (model, N, n) only: the budgets of one table
+    column, simulated one after another, share it.
     """
     states = state_terms(model, N, n)
     weights = np.array([w for _, w, _ in states])
@@ -123,17 +118,17 @@ def _block_law(
     return weights / weights.sum(), windows
 
 
-def _draw_block(model: ModelSpec, N: int, n: int, seed: int, block_index: int, size: int) -> np.ndarray:
-    """One block's dense histogram of `size` loss counts, drawn directly.
+def _draw_block(model: ModelSpec, N: int, n: int, seed: int, size: int) -> np.ndarray:
+    """The dense histogram of `size` loss counts, drawn directly.
 
-    From the block's stream, the paths per state of crisis_rounds are
+    From the stream of seed, the paths per state of crisis_rounds are
     Multinomial(size, w); a lone state (iid, or p_tilde at 0 or 1) draws
     nothing here.  Each state's c > 0 paths then tally Multinomial(c, pmf)
     over its term's stored window.  The law is the exact engine's mixture up
     to each term's truncated mass (at most TRUNCATION_BUDGET = 1e-12), which
     no draw can reach.
     """
-    rng = _block_rng(seed, block_index)
+    rng = _stream(seed)
     weights, windows = _block_law(model, N, n)
     paths = rng.multinomial(size, weights) if len(windows) > 1 else [size]
     hist = np.zeros(N * n + 1, dtype=np.int64)
@@ -143,76 +138,25 @@ def _draw_block(model: ModelSpec, N: int, n: int, seed: int, block_index: int, s
     return hist
 
 
-def block_plan(
-    config: SimulationConfig, checkpoints: Sequence[int] | None = None
-) -> list[tuple[int, int]]:
-    """The (block index, size) pairs a run draws, in merge order.
-
-    A budget X is full blocks 0 .. X//block_size - 1 plus block
-    X//block_size cut to X % block_size paths, which is exactly what X's own
-    run draws.  A cut block sorts after the full blocks below it.
-
-    Raises:
-        ValueError: If a checkpoint lies outside 1 .. num_sims.
-    """
-    wanted = [config.num_sims] if checkpoints is None else list(checkpoints)
-    for budget in wanted:
-        if not 0 < budget <= config.num_sims:
-            raise ValueError(
-                f"checkpoint {budget} is neither num_sims={config.num_sims} nor a "
-                "positive budget below it"
-            )
-    B = config.block_size
-    return sorted(
-        {(b, B) for b in range(max(wanted, default=0) // B)}
-        | {divmod(budget, B) for budget in wanted if budget % B}
-    )
-
-
-def simulate(
-    model: ModelSpec,
-    N: int,
-    n: int,
-    config: SimulationConfig,
-    checkpoints: Sequence[int] | None = None,
-) -> LossHistogram | list[LossHistogram]:
+def simulate(model: ModelSpec, N: int, n: int, config: SimulationConfig) -> LossHistogram:
     """Simulate the portfolio loss count and tally a histogram.
 
-    Deterministic for fixed (seed, block_size, num_sims): every block owns a
-    Philox stream keyed by (seed, block index), and the blocks are drawn in
-    this process and their integer tallies merged in index order
-    (block_plan).
-
-    Args:
-        model: Generative model to simulate.
-        N: Number of policies.
-        n: Exposures per policy.
-        config: Simulation budget, seed and block layout.
-        checkpoints: Budgets in 1 .. num_sims whose histograms to return,
-            one per entry in the order given, instead of the histogram of
-            num_sims.  Each block they need is drawn once, and each
-            histogram equals that of the budget's own run.
+    The num_sims paths are one histogram drawn from the stream of seed
+    (_draw_block), so the output is deterministic for fixed (seed, num_sims).
 
     Raises:
         ValueError: If check_support raises (a SupportLimitError past the
-            support limit), or a checkpoint lies outside 1 .. num_sims.
+            support limit), or num_sims * N * n exceeds 2**63 - 1, past which
+            the int64 tally sums would overflow.
     """
     check_support(N, n)
-    wanted = [config.num_sims] if checkpoints is None else list(checkpoints)
-    jobs = block_plan(config, wanted)
-    B = config.block_size
-    full = np.zeros(N * n + 1, dtype=np.int64)
-    snapshots = {}
-    for b, size in jobs:
-        tallies = _draw_block(model, N, n, config.seed, b, size)
-        tallies += full
-        if size == B:
-            full = tallies
-        done = b * B + size
-        if done in wanted:
-            snapshots[done] = LossHistogram(tallies, done)
-    hists = [snapshots[budget] for budget in wanted]
-    return hists[0] if checkpoints is None else hists
+    if config.num_sims * N * n > _INT64_MAX:
+        raise ValueError(
+            f"num_sims * N * n = {config.num_sims} * {N} * {n} exceeds 2**63 - 1, "
+            "past which the int64 tallies overflow"
+        )
+    return LossHistogram(_draw_block(model, N, n, config.seed, size=config.num_sims),
+                         config.num_sims)
 
 
 def tally_var_and_tvar(

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import json
 import math
-from collections import defaultdict
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
@@ -35,7 +34,6 @@ from .models import (
     loss_count_distribution,
 )
 from .montecarlo import (
-    DEFAULT_BLOCK_SIZE,
     DEFAULT_SEED,
     SimulationConfig,
     loading_from_rho,
@@ -116,8 +114,8 @@ class TableRequest:
     mc: bool = False
     sims: int = 10_000_000
     seed: int = DEFAULT_SEED
-    block_size: int = DEFAULT_BLOCK_SIZE
-    # Accepted and never read: perfbench/workloads.py still passes it (ROADMAP item 3).
+    # Accepted and never read: perfbench/workloads.py still passes them (ROADMAP item 3).
+    block_size: int = 250_000
     workers: int = 1
 
     def __post_init__(self):
@@ -183,10 +181,10 @@ class GridSpec:
 
 
 def budget_rows(
-    sims_grid: tuple[int, ...], N: int, seed: int, block_size: int
+    sims_grid: tuple[int, ...], N: int, seed: int
 ) -> tuple[tuple[str, int, SimulationConfig], ...]:
     """GridSpec rows of simulation budgets at one N: the rows of T5 and converge."""
-    return tuple((str(sims), N, SimulationConfig(sims, seed, block_size)) for sims in sims_grid)
+    return tuple((str(sims), N, SimulationConfig(sims, seed)) for sims in sims_grid)
 
 
 def grid_spec(req: TableRequest) -> GridSpec:
@@ -211,10 +209,10 @@ def grid_spec(req: TableRequest) -> GridSpec:
             (f"pt={pt:g}", default_model(kind, req.p, req.q, pt)) for pt in req.pt_grid or PT_GRID
         ]
     if req.table_id == "T5":
-        rows = budget_rows(req.sims_grid or SIMS_GRID, T5_N, req.seed, req.block_size)
+        rows = budget_rows(req.sims_grid or SIMS_GRID, T5_N, req.seed)
         row_header = "sims"
     else:
-        source = SimulationConfig(req.sims, req.seed, req.block_size) if req.mc else "exact"
+        source = SimulationConfig(req.sims, req.seed) if req.mc else "exact"
         N_grid = req.N_grid or (N_GRID_T4 if req.table_id == "T4" else N_GRID)
         rows = [(str(N), N, source) for N in N_grid]
         row_header = "N"
@@ -226,67 +224,29 @@ def grid_spec(req: TableRequest) -> GridSpec:
     return GridSpec(tuple(columns), tuple(rows), row_header, convention)
 
 
-def _simulation_runs(
-    rows: tuple[tuple[str, int, str | SimulationConfig], ...],
-) -> list[tuple[int, SimulationConfig, list[int]]]:
-    """The runs behind one column's simulated rows: (N, config, budgets).
-
-    Rows at the same (N, seed, block_size) share one run to their largest
-    budget, which returns every budget's histogram; a budget that is not a
-    multiple of block_size adds one cut block to that run, not a run of its
-    own.
-    """
-    groups = defaultdict(set)
-    for _, N, source in rows:
-        if isinstance(source, SimulationConfig):
-            groups[N, source.seed, source.block_size].add(source.num_sims)
-    return [
-        (N, SimulationConfig(max(budgets), seed, block_size), sorted(budgets))
-        for (N, seed, block_size), budgets in groups.items()
-    ]
-
-
-def _simulated_rhos(
-    model: ModelSpec,
-    runs: list[tuple[int, SimulationConfig, list[int]]],
-    n: int,
-    alpha: float,
-    convention: TvarConvention,
-) -> dict[tuple[int, SimulationConfig], tuple[Fraction, Fraction]]:
-    """VaR and TVaR counts of one column's simulated rows as Fractions, keyed (N, config)."""
-    out = {}
-    for N, config, budgets in runs:
-        for h in simulate(model, N, n, config, checkpoints=budgets):
-            var_count, tvar = tally_var_and_tvar(h, alpha, convention)
-            out[N, replace(config, num_sims=h.num_sims)] = Fraction(var_count), tvar
-    return out
-
-
 def build_grid(table_id: str, spec: GridSpec, params: PortfolioParams) -> Table:
     """VaR rows, TVaR rows and an E[L]/N footer.
 
-    An exact cell builds one distribution and runs one quantile search; the
-    simulated rows of a column share runs as _simulation_runs describes.
+    An exact cell builds one distribution and runs one quantile search, a
+    simulated cell draws one histogram.  The cells are filled a column at a
+    time, so the simulated rows of a column share its memoised path law.
     """
     n, alpha = params.exposures, params.alpha
-    runs = _simulation_runs(spec.rows)
-    simulated = [_simulated_rhos(m, runs, n, alpha, spec.convention) for _, m in spec.columns]
 
-    def loadings(N: int, source, model: ModelSpec, sim: dict) -> list[float]:
+    def loadings(N: int, source, model: ModelSpec) -> list[float | Fraction]:
         if isinstance(source, SimulationConfig):
-            rhos = sim[N, source]
+            h = simulate(model, N, n, source)
+            var_count, tvar = tally_var_and_tvar(h, alpha, spec.convention)
+            rhos = Fraction(var_count), tvar
         else:
             rhos = var_and_tvar(loss_count_distribution(model, N, n), alpha, spec.convention)
         return [loading_from_rho(rho, model, params, N) for rho in rhos]
 
-    cells = [
-        [loadings(N, source, m, sim) for (_, m), sim in zip(spec.columns, simulated)]
-        for _, N, source in spec.rows
-    ]
+    columns = [[loadings(N, source, m) for _, N, source in spec.rows] for _, m in spec.columns]
     table_rows = [
-        [mlabel, row_label] + [fmt_loading(cell[i]) for cell in row]
+        [mlabel, row_label] + [fmt_loading(column[r][i]) for column in columns]
         for i, mlabel in enumerate(("VaR", "TVaR"))
-        for (row_label, _, _), row in zip(spec.rows, cells)
+        for r, (row_label, _, _) in enumerate(spec.rows)
     ]
     footer = ["E[L]/N", ""]
     footer += [_half_up(closed_form_mean_per_policy(m, params), 2) for _, m in spec.columns]

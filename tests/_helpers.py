@@ -53,19 +53,18 @@ def bisect_band(d: DiscreteLossDistribution, alpha: float) -> int:
     return lo
 
 
-def draw_paths(model: ModelSpec, N: int, n: int, seed: int, block_index: int,
-               size: int) -> np.ndarray:
-    """One block's histogram drawn path by path: an oracle for the histogram sampler.
+def draw_paths(model: ModelSpec, N: int, n: int, seed: int, size: int) -> np.ndarray:
+    """A histogram of `size` paths drawn path by path: an oracle for the histogram sampler.
 
     Each path draws its crisis rounds j (one uniform under the common
     shock, Binomial(n, p_tilde) under the per-exposure shock, none when
     p_tilde = 0), then its count given j as Binomial(N*j, q) +
     Binomial(N*(n-j), p).  It shares no code with the sampler beyond the
-    block's stream, and it never reads the exact engine's terms.
+    seed's stream, and it never reads the exact engine's terms.
     """
-    from riskdiv.montecarlo import _block_rng
+    from riskdiv.montecarlo import _stream
 
-    rng = _block_rng(seed, block_index)
+    rng = _stream(seed)
     total = N * n
     p, q, pt = model.loss_prob, model.crisis_loss_prob, model.crisis_prob
     if pt == 0.0:  # j = 0 surely, so no j is drawn

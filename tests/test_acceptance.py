@@ -22,8 +22,7 @@ from riskdiv.measures import (
     RiskMeasureSpec,
     TvarConvention,
     gaussian_var_approx,
-    tail_value_at_risk,
-    value_at_risk,
+    var_and_tvar,
 )
 from riskdiv.models import (
     ModelSpec,
@@ -132,20 +131,13 @@ def _mc_cross_check_cell(model, N, sims, seed):
     cfg = SimulationConfig(num_sims=sims, seed=seed)
     hist = simulate(model, N, PARAMS.exposures, cfg)
     expected = closed_form_mean_per_policy(model, PARAMS)
-    specs = {
-        MeasureKind.VAR: RiskMeasureSpec(MeasureKind.VAR, 0.99, TvarConvention.TAIL_AVERAGE),
-        MeasureKind.TVAR: RiskMeasureSpec(MeasureKind.TVAR, 0.99, TvarConvention.TAIL_AVERAGE),
-    }
 
     def loadings(h):
         d = empirical_distribution(h)
-        out = {}
-        for kind, spec in specs.items():
-            rho = value_at_risk(d, 0.99) if kind is MeasureKind.VAR else tail_value_at_risk(
-                d, 0.99, TvarConvention.TAIL_AVERAGE
-            )
-            out[kind] = PARAMS.capital_cost * (PARAMS.severity * rho / N - expected)
-        return out
+        rhos = dict(zip((MeasureKind.VAR, MeasureKind.TVAR),
+                        var_and_tvar(d, 0.99, TvarConvention.TAIL_AVERAGE)))
+        return {kind: PARAMS.capital_cost * (PARAMS.severity * rho / N - expected)
+                for kind, rho in rhos.items()}
 
     point = loadings(hist)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xB007))))
@@ -307,7 +299,7 @@ def test_criterion_08_gaussian_approximation():
     counts = gaussian_var_approx(N, 6, 1 / 6, 0.99)
     approx_loading = PARAMS.capital_cost * (PARAMS.severity * counts / N - 10.0)
     assert approx_loading == pytest.approx(0.032, abs=0.002)
-    exact_v = value_at_risk(binomial(N * 6, 1 / 6), 0.99)
+    exact_v = var_and_tvar(binomial(N * 6, 1 / 6), 0.99)[0]
     exact_loading = PARAMS.capital_cost * (PARAMS.severity * exact_v / N - 10.0)
     assert abs(approx_loading - exact_loading) / exact_loading <= 0.10
     report("criterion 8", f"Gaussian loading {approx_loading:.4f} within ±0.002 of 0.032 "
@@ -316,26 +308,23 @@ def test_criterion_08_gaussian_approximation():
 
 def test_criterion_09_simulation_determinism():
     model = ModelSpec.per_exposure_shock(1 / 6, 0.5, 0.001)
-    cfg = SimulationConfig(num_sims=200_000, seed=SEED, block_size=50_000)
+    cfg = SimulationConfig(num_sims=200_000, seed=SEED)
     blob = simulate(model, 100, 6, cfg).counts.tobytes()
     assert simulate(model, 100, 6, cfg).counts.tobytes() == blob
-    longer = SimulationConfig(num_sims=250_000, seed=SEED, block_size=50_000)
-    [checkpoint] = simulate(model, 100, 6, longer, checkpoints=[200_000])
-    assert checkpoint.counts.tobytes() == blob
     script = (
         "import hashlib\n"
         "from riskdiv.models import ModelSpec\n"
         "from riskdiv.montecarlo import SimulationConfig, simulate\n"
         "model = ModelSpec.per_exposure_shock(1 / 6, 0.5, 0.001)\n"
-        f"cfg = SimulationConfig(num_sims=200_000, seed={SEED}, block_size=50_000)\n"
+        f"cfg = SimulationConfig(num_sims=200_000, seed={SEED})\n"
         "print(hashlib.sha256(simulate(model, 100, 6, cfg).counts.tobytes()).hexdigest())\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     fresh = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                            env=dict(os.environ, PYTHONPATH=str(src)), check=True)
     assert fresh.stdout.strip() == hashlib.sha256(blob).hexdigest()
-    report("criterion 9", "200k-path histogram byte-identical on a second call, as the "
-           "200k checkpoint of a 250k-path run and in a fresh interpreter")
+    report("criterion 9", "200k-path histogram byte-identical on a second call and in a "
+           "fresh interpreter")
 
 
 def test_criterion_10_dominance_and_diversification(t2_table, t3_table, t4_table):

@@ -51,10 +51,10 @@ class TestLoading:
         assert code == 0
         assert out.strip() == "7.425"
 
-    # sha256 of the stdout, taken when blocks became histograms drawn over
-    # the law of j: 199 or 201 bootstrap replicates, or another bootstrap
+    # sha256 of the stdout, taken when each budget became one histogram drawn
+    # over the law of j: 199 or 201 bootstrap replicates, or another bootstrap
     # stream, print a different standard error.
-    MC_DIGEST = "0a1a129da8d5bdc9fa2c2640c12c32998dc68fc39d53f8df14cad32d9bab357c"
+    MC_DIGEST = "b72bbfa6173f7230302fb591b5d37572aadb6dd7b1f666fadc6e8ce1a2450828"
 
     # A second call in the same process, on warm caches, prints the same bytes.
     @pytest.mark.parametrize("calls", [1, 2])
@@ -63,7 +63,7 @@ class TestLoading:
             code, out, _ = run(capsys, "loading", "--model", "crisis", "--N", "10",
                                "--ptilde", "0.01", "--measure", "tvar",
                                "--convention", "tail-average", "--source", "mc",
-                               "--sims", "2000", "--block-size", "500", "--seed", "7")
+                               "--sims", "2000", "--seed", "7")
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == self.MC_DIGEST
 
@@ -149,11 +149,9 @@ class TestTableAndVerify:
 
         monkeypatch.setattr(cli, "build_table", capture)
         code, _, err = run(capsys, command, "--id", "T4", "--mc", "--sims", "3000",
-                           "--block-size", "1000", "--seed", "9")
+                           "--seed", "9")
         assert code == 1 and "request captured" in err
-        assert [(r.table_id, r.mc, r.sims, r.block_size, r.seed) for r in seen] == [
-            ("T4", True, 3000, 1000, 9)
-        ]
+        assert [(r.table_id, r.mc, r.sims, r.seed) for r in seen] == [("T4", True, 3000, 9)]
 
     @pytest.mark.parametrize("flag", [
         ("--alpha", "0.5"), ("--eta", "0.2"), ("--severity", "5"), ("--expense", "0.1"),
@@ -232,12 +230,12 @@ _UNREAD_FLAGS = [
     ("table", flag)
     for flag in (
         ("--alpha", "0.5"), ("--eta", "0.2"), ("--mc",), ("--sims", "20000"),
-        ("--seed", "3"), ("--block-size", "1000"), ("--sims", "20000", "--mc"),
+        ("--seed", "3"), ("--seed", "3", "--mc"), ("--sims", "20000", "--mc"),
     )
 ] + [
     # Flags read only with --source mc, and a convention read only with TVaR.
     ("loading", flag)
-    for flag in (("--sims", "5"), ("--seed", "3"), ("--block-size", "7"),
+    for flag in (("--sims", "5"), ("--seed", "3"), ("--seed", "3", "--source", "exact"),
                  ("--sims", "5", "--source", "exact"), ("--convention", "tail-average"))
 ] + [
     ("converge", ("--convention", "conditional", "--measure", "var")),
@@ -247,8 +245,9 @@ _UNREAD_FLAGS = [
 ] + [
     (command, (*flag, *id_args))
     for command, id_args in (("table", ("--id", "T2")), ("verify", ()), ("verify", ("--id", "T2")))
-    for flag in (("--sims", "5"), ("--seed", "3"), ("--block-size", "7"),
-                 ("--seed", "3", "--block-size", "7"))
+    # Each simulation flag alone, then both, in either order.
+    for flag in (("--sims", "5"), ("--seed", "3"), ("--sims", "5", "--seed", "3"),
+                 ("--seed", "3", "--sims", "5"))
 ] + [("verify", ("--mc",))]
 _BASE_ARGS = {"table": ("--id", "T1"), "verify": ("--id", "T1")} | dict.fromkeys(
     ("dist", "loading", "simulate", "converge"), ("--model", "iid")
@@ -271,6 +270,14 @@ def test_workers_flag_is_gone(capsys, command):
     assert "unrecognized arguments: --workers 2" in err
 
 
+@pytest.mark.parametrize("command", ["loading", "table", "simulate", "verify", "converge"])
+def test_block_size_flag_is_gone(capsys, command):
+    # A budget is one draw: --block-size is an unknown flag like any other.
+    code, out, err = run(capsys, command, *_BASE_ARGS[command], "--block-size", "1000")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --block-size 1000" in err
+
+
 # A shock-model run of each command that reads --q and --ptilde.
 _SHOCK_RUNS = {
     "dist": (),
@@ -290,10 +297,9 @@ def test_shock_model_defaults_q_and_ptilde(capsys, command):
 
 
 def test_every_unread_flag_is_named_with_its_condition(capsys):
-    code, out, err = run(capsys, "table", "--id", "T2", "--sims", "5", "--seed", "3",
-                         "--block-size", "7")
+    code, out, err = run(capsys, "table", "--id", "T2", "--sims", "5", "--seed", "3")
     assert code == 2 and out == ""
-    for flag in ("--sims", "--seed", "--block-size"):
+    for flag in ("--sims", "--seed"):
         assert f"table: {flag} is read only {_READ_WHEN['table', flag][0]}" in err
     assert "table: --sims is read only with --mc and an id among T2-T4" in err
 
@@ -301,7 +307,7 @@ def test_every_unread_flag_is_named_with_its_condition(capsys):
 @pytest.mark.parametrize("argv,expected", [
     (("verify", "--seed", "3"), {"seed": 3}),  # T5 reads it
     (("verify", "--mc", "--sims", "5"), {"mc": True, "sims": 5}),
-    (("table", "--id", "T5", "--seed", "3", "--block-size", "7"), {"seed": 3, "block_size": 7}),
+    (("table", "--id", "T5", "--seed", "3"), {"seed": 3}),
 ])
 def test_flag_read_for_the_tables_built_is_accepted(capsys, monkeypatch, argv, expected):
     import riskdiv.cli as cli
@@ -329,7 +335,7 @@ def test_loading_reads_sim_flags_with_mc_source(capsys):
     ("sweep", "--model", "iid", "--N-grid", "0,1"),
     ("dist", "--exposures", "0"),
     ("simulate", "--sims", "0"),
-    ("simulate", "--block-size", "0"),
+    ("simulate", "--N", "0"),
     ("simulate", "--sims", "-3"),
     ("loading", "--model", "iid", "--source", "mc", "--sims", "0"),
     ("converge", "--sims-list", "0"),
@@ -429,18 +435,16 @@ def test_python_m_riskdiv_runs_the_cli(capsys):
 
 
 class TestSimulate:
-    # sha256 of the stdout at --N 50 --sims 30000 --block-size 7000 --seed 5
-    # (four full blocks and a cut one), taken before the models became laws
-    # of crisis rounds.  Either shock at pt=0 draws the iid stream: a sure
-    # j = 0 draws no j.  The common shock's pin moved there from 0b3520e1...,
-    # the stream with one uniform per path that it drew while j was drawn.
+    # sha256 of the stdout at --N 50 --sims 30000 --seed 5, taken when each
+    # budget became one histogram drawn over the law of j.  Either shock at
+    # pt=0 draws the iid stream: a sure j = 0 draws no j.
     SIM_DIGESTS = {
-        "iid": "302fda210c7d54f67c3d63ba87634c0f8dc9602b8c26b835dafc1d6d8ac1d40a",
-        "common 0": "302fda210c7d54f67c3d63ba87634c0f8dc9602b8c26b835dafc1d6d8ac1d40a",
-        "common 0.05": "6353065604b7742ccc0d9d9aaf656ada88fe916d272c20089db1d7723db62c69",
-        "common 1": "a222864f83ebaed365da06a274aa133d4e6e7039472fb04368f30c0cb5ef4576",
-        "crisis 0": "302fda210c7d54f67c3d63ba87634c0f8dc9602b8c26b835dafc1d6d8ac1d40a",
-        "crisis 0.05": "c6a65e75ffca222e68014a994083e177d3579cd65315d594d7a19383f6aa006a",
+        "iid": "88cff34733ad3756ad2d9acecb511212fbed375df31d3940626d328c7bb05c5b",
+        "common 0": "88cff34733ad3756ad2d9acecb511212fbed375df31d3940626d328c7bb05c5b",
+        "common 0.05": "06c15f698075f954249c8deea1bbe59b68f6d22e5bc32781c85d54ee6a27df61",
+        "common 1": "039c72ce9b636c4fd8efc077eaea11bc1a16355c2a023a94824123e340f16b15",
+        "crisis 0": "88cff34733ad3756ad2d9acecb511212fbed375df31d3940626d328c7bb05c5b",
+        "crisis 0.05": "d734fc722fa33953b93c9b44338d31be08d370a74722a28599745a45bc2c5b75",
     }
 
     @pytest.mark.filterwarnings("ignore:crisis_prob > 0.5")
@@ -451,7 +455,7 @@ class TestSimulate:
         argv = ["--model", kind] + (["--ptilde", pt[0]] if pt else [])
         for _ in range(calls):
             code, out, _ = run(capsys, "simulate", *argv, "--N", "50", "--sims", "30000",
-                               "--block-size", "7000", "--seed", "5")
+                               "--seed", "5")
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == self.SIM_DIGESTS[model]
 
@@ -489,16 +493,15 @@ class TestManyExposures:
     # Past about 1030 exposures comb(n, j) exceeds a float, which the weights
     # of crisis rounds never form.  sha256 of the stdout, taken before the
     # models became laws of crisis rounds (the per-exposure shock at pt=0
-    # failed there and now prints the iid bytes), and for simulate when
-    # blocks became histograms drawn over the law of j.
+    # failed there and now prints the iid bytes), and for simulate when each
+    # budget became one histogram drawn over the law of j.
     IID_DIST = "0aae29dd5f8c594425033b95e148ad805b295e7d310fd47c677a82acd61aaa25"
     DIGESTS = {
         "dist --model iid --N 1 --exposures 2000": IID_DIST,
         "dist --model crisis --N 1 --exposures 2000 --ptilde 0": IID_DIST,
         "loading --model iid --N 1 --exposures 2000":
             "e57319e5e41dcfc4d2825511ddb7bcd8903e8ba77b971d2a19734b949f87cebf",
-        "simulate --model crisis --N 1 --exposures 1100 --ptilde 0.01 --sims 5000 "
-        "--block-size 2000": "8f32cc0b019c7dadc04858018eb488b592f145df8b6425665bbf738fa99ee464",
+        "simulate --model crisis --N 1 --exposures 1100 --ptilde 0.01 --sims 5000": "9808ec4dbb7b147877d4445339140c2e358d2cea09c4b1bf5e5d285a1b8b37f8",
     }
 
     @pytest.mark.parametrize("argv", sorted(DIGESTS))
@@ -525,19 +528,19 @@ class TestConverge:
         assert lines[0] == "sims,loading"
         assert [l.split(",")[0] for l in lines[1:]] == ["20000", "40000"]
 
-    # sha256 of the stdout of converge before it was built through build_grid,
-    # and, from the unsorted budgets on, before budgets shared one run.  The
-    # digests of simulated TVaR and of some VaR rows changed when blocks
-    # became histograms drawn over the law of j.
+    # sha256 of the stdout of converge before it was built through build_grid.
+    # The digests of simulated TVaR and of some VaR rows changed when blocks
+    # became histograms drawn over the law of j, and those of budgets past
+    # their block size when each budget became one draw.
     @pytest.mark.parametrize("argv,digest", [
         ("--model crisis --N 20 --ptilde 0.01 --sims-list 20000,40000 --seed 5",
          "6664dfb80a58f5b4c06679c91d42b0847cff9ee24fcb7fe117fc05a25aa5cf26"),
         ("--model crisis --N 20 --ptilde 0.01 --measure var --sims-list 20000,40000,40000,10000 "
-         "--seed 5 --block-size 7000",
-         "97b6b24262790defe712b4abbd362bfb85738cd6dead51cd4e7baa51a806a1da"),
+         "--seed 5",
+         "daf0841579ecb3e7bc031c786f9d5793e4dc8ef22112579daab7a14b5606210d"),
         ("--model common --N 50 --ptilde 0.05 --measure tvar --convention conditional "
-         "--sims-list 30000,60000 --block-size 10000",
-         "3e76f5dd4cf735c8b04f26294c0316ab6e5249ce4641fd48713a5bcce907ff3e"),
+         "--sims-list 30000,60000",
+         "e42af78414a9ac8d107d243a73dae730b2099d474541f1b8cda334f8cd7afca1"),
         ("--model iid --N 10 --p 0.25 --measure var --sims-list 5000 --format json",
          "ba8aa24ecb06e2b432e43c7f5faa23e34c8c025b3ed9e8aa1c0fa3f286fc95b7"),
         ("--model crisis --N 100 --ptilde 0 --sims-list 20000 --alpha 0.95 --eta 0.2 "
@@ -546,19 +549,19 @@ class TestConverge:
         ("--model common --N 1 --ptilde 0.3 --q 0.9 --measure tvar --sims-list 1000,2000",
          "26d35ba916895edcf319f6fe63162155c94da72fbc70147cd75a79b91a1c501b"),
         ("--model crisis --N 20 --ptilde 0.01 --convention conditional --sims-list 4000,2000 "
-         "--block-size 1000 --seed 5",
-         "a201a85f76c537b0380962126af83d7747ce326288b44ce29205e13214f4bed5"),
+         "--seed 5",
+         "77d430cef9d4885b098de5f8116adf70ab8e43d57863da5241553c4b3088aed9"),
         ("--model crisis --N 20 --ptilde 0.01 --measure var --sims-list 4000,2000 "
-         "--block-size 1000 --seed 5",
+         "--seed 5",
          "5250b8beed00343e17e7cd4a251a4c28dd8000eac85d1def53b6e060a4208cda"),
         ("--model crisis --N 20 --ptilde 0.01 --convention conditional --sims-list 2000,2000 "
-         "--block-size 1000 --seed 5",
-         "24ccbcf910c33de56f8ed012168f3d187c59dc73f88467972e5f7c501f0e3115"),
-        ("--model crisis --N 20 --ptilde 0.01 --sims-list 1500,3000 --block-size 1000 --seed 5",
-         "99b656d8efdf9d300c719300ae5b73b20cc5762cb194dc53ead86fba0e00bf95"),
+         "--seed 5",
+         "40aaf0a9d2aedf60f1de4c02a77ca996c242b66cddfb0aa1277ab51a2de33493"),
+        ("--model crisis --N 20 --ptilde 0.01 --sims-list 1500,3000 --seed 5",
+         "db76bd875e81e087969cf2c64d83c3bbdd3189aefc270669cdb5f163c68ebb8d"),
         ("--model crisis --N 20 --ptilde 0.01 --measure var --sims-list 3000,1000,2500,2000 "
-         "--block-size 1000 --seed 5",
-         "68bc3ad471768d481740920b3584506e3173ca7660357795177f1f20d3422d6e"),
+         "--seed 5",
+         "ba34b73dafe2c0cb6963360d4a63acf948d7a1c3d8d23195e2617abed36a2dda"),
     ])
     def test_pinned_output(self, capsys, argv, digest):
         code, out, _ = run(capsys, "converge", *argv.split())
@@ -569,22 +572,23 @@ class TestConverge:
     # is a half-unit tie.
     TIE_SEEDS = {
         "--sims-list 20000,40000": 3,
-        "--sims-list 4000,2000 --block-size 1000": 1,
-        "--sims-list 2000,2000 --block-size 1000": 1,
+        "--sims-list 4000,2000": 1,
+        "--sims-list 2000,2000": 3,
     }
 
     @pytest.mark.parametrize("budgets,lines", [
         ("--sims-list 20000,40000", ["20000,1.052", "40000,1.029"]),
-        ("--sims-list 4000,2000 --block-size 1000", ["4000,1.037", "2000,1.013"]),
-        ("--sims-list 2000,2000 --block-size 1000", ["2000,1.013", "2000,1.013"]),
+        ("--sims-list 4000,2000", ["4000,0.938", "2000,0.911"]),
+        ("--sims-list 2000,2000", ["2000,0.983", "2000,0.983"]),
     ])
     def test_half_unit_ties_round_up(self, capsys, budgets, lines):
-        # The tail-average TVaR at 20,000 paths (seed 3) is 1721/50 and at
-        # 2,000 (seed 1) 339/10, with alpha the decimal 0.99.  With p = 1/6
-        # the loadings 0.15 * (TVaR/2 - 10.2) are the ties 1.0515 and 1.0125;
-        # with p the typed decimal 0.16666666666666666, E[L] is 4e-16 lower
-        # and they sit 6e-17 above.  Either way they print rounded up.  The
-        # float loading of the binary alpha printed 1.051 for the first.
+        # The tail-average TVaR at 20,000 paths (seed 3) is 1721/50, at 4,000
+        # (seed 1) 329/10 and at 2,000 (seed 3) 67/2, with alpha the decimal
+        # 0.99.  With p = 1/6 the loadings 0.15 * (TVaR/2 - 10.2) are the ties
+        # 1.0515, 0.9375 and 0.9825; with p the typed decimal
+        # 0.16666666666666666, E[L] is 4e-16 lower and they sit 6e-17 above.
+        # Either way they print rounded up.  The float loading of the binary
+        # alpha printed 1.051 for the first.
         code, out, _ = run(capsys, "converge", "--model", "crisis", "--N", "20",
                            "--ptilde", "0.01", "--seed", str(self.TIE_SEEDS[budgets]),
                            *budgets.split())
@@ -593,13 +597,11 @@ class TestConverge:
 
     def test_is_one_column_of_t5(self, capsys):
         code, out, _ = run(capsys, "converge", "--model", "crisis", "--N", "100",
-                           "--ptilde", "0.01", "--sims-list", "20000,40000",
-                           "--block-size", "10000", "--seed", "3")
-        t5 = build_table(TableRequest("T5", pt_grid=(0.01,), sims_grid=(20000, 40000),
-                                      block_size=10000, seed=3))
+                           "--ptilde", "0.01", "--sims-list", "20000,40000", "--seed", "3")
+        t5 = build_table(TableRequest("T5", pt_grid=(0.01,), sims_grid=(20000, 40000), seed=3))
         assert code == 0
         assert out.splitlines()[1:] == [",".join(r[1:]) for r in t5.rows if r[0] == "TVaR"]
-        assert out.splitlines()[1:] == ["20000,0.751", "40000,0.743"]
+        assert out.splitlines()[1:] == ["20000,0.733", "40000,0.729"]
 
 
 class TestErrors:
@@ -654,6 +656,16 @@ class TestErrors:
         code, out, err = run(capsys, *argv.split())
         assert code == 1 and out == ""
         assert err.startswith("error:") and "not finite" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "loading --source mc"])
+    def test_tally_bound_reported(self, capsys, command):
+        # One path past (2**63 - 1) // 600 at N=100, n=6: the int64 tallies
+        # would overflow, so nothing is drawn.
+        sims = (2**63 - 1) // 600 + 1
+        code, out, err = run(capsys, *command.split(), "--N", "100", "--sims", str(sims))
+        assert (code, out) == (1, "")
+        assert err == (f"error: num_sims * N * n = {sims} * 100 * 6 exceeds 2**63 - 1, "
+                       "past which the int64 tallies overflow\n")
 
     def test_negative_seed_reported(self, capsys):
         code, out, err = run(capsys, "simulate", "--model", "iid", "--N", "2",

@@ -28,8 +28,6 @@ from riskdiv.measures import (
     apply_measure,
     gaussian_var_approx,
     normal_quantile,
-    tail_value_at_risk,
-    value_at_risk,
     var_and_tvar,
 )
 from riskdiv.models import ModelSpec, loss_count_distribution
@@ -63,47 +61,47 @@ def brute_tail_mean(d, v):
 
 class TestValueAtRisk:
     def test_fair_binomial_99(self):
-        assert value_at_risk(binomial(6, 1 / 6), 0.99) == 3
+        assert var_and_tvar(binomial(6, 1 / 6), 0.99)[0] == 3
 
     def test_quarter_binomial_99(self):
         d = binomial(6, 0.25)
         # cdf oracle: F(3) ~ 0.9624 < 0.99 <= F(4) ~ 0.99536
         assert stats.binom(6, 0.25).cdf(3) < 0.99 <= stats.binom(6, 0.25).cdf(4)
-        assert value_at_risk(d, 0.99) == 4
+        assert var_and_tvar(d, 0.99)[0] == 4
 
     @given(c=st.integers(0, 50), alpha=st.floats(0.01, 0.99))
     @settings(max_examples=30, deadline=None)
     def test_point_mass(self, c, alpha):
-        assert value_at_risk(point_mass(c), alpha) == c
+        assert var_and_tvar(point_mass(c), alpha)[0] == c
 
     @given(n=st.integers(1, 60), p=st.floats(0.05, 0.95), alpha=st.floats(0.05, 0.99))
     @settings(max_examples=60, deadline=None)
     def test_against_brute_force(self, n, p, alpha):
         d = binomial(n, p)
-        assert value_at_risk(d, alpha) == brute_binom_var(n, p, alpha)
+        assert var_and_tvar(d, alpha)[0] == brute_binom_var(n, p, alpha)
 
     def test_monotone_in_alpha(self):
         d = binomial(60, 0.3)
-        values = [value_at_risk(d, a) for a in np.linspace(0.05, 0.995, 40)]
+        values = [var_and_tvar(d, a)[0] for a in np.linspace(0.05, 0.995, 40)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_truncated_tail_unresolvable(self):
         d = binomial(1_000_000, 0.5)
         assert d.truncated_above > 0
         with pytest.raises(TruncationError):
-            value_at_risk(d, 1 - 1e-16)
+            var_and_tvar(d, 1 - 1e-16)[0]
 
     def test_alpha_domain(self):
         with pytest.raises(ValueError):
-            value_at_risk(binomial(6, 0.5), 0.0)
+            var_and_tvar(binomial(6, 0.5), 0.0)[0]
         with pytest.raises(ValueError):
-            value_at_risk(binomial(6, 0.5), 1.0)
+            var_and_tvar(binomial(6, 0.5), 1.0)[0]
 
 
 class TestTailValueAtRisk:
     def test_conditional_fair_binomial(self):
         d = binomial(6, 1 / 6)
-        got = tail_value_at_risk(d, 0.99)
+        got = var_and_tvar(d, 0.99)[1]
         assert got == pytest.approx(brute_tail_mean(d, 3), rel=1e-12)
         assert got == pytest.approx(3.1507, abs=5e-5)
         # Loading cross-check: 0.15 * (10 * 3.1507 - 10) rounds to 3.226.
@@ -112,13 +110,13 @@ class TestTailValueAtRisk:
     def test_conditional_top_support(self):
         # VaR is the top support point, so the conditional mean equals it.
         d = binomial(6, 0.5)
-        assert value_at_risk(d, 0.99) == 6
-        assert tail_value_at_risk(d, 0.99) == pytest.approx(6.0, rel=1e-12)
+        assert var_and_tvar(d, 0.99)[0] == 6
+        assert var_and_tvar(d, 0.99)[1] == pytest.approx(6.0, rel=1e-12)
         assert 0.15 * (10 * 6.0 - 30.0) == pytest.approx(4.500, abs=1e-12)
 
     def test_tail_average_fair_binomial(self):
         d = binomial(6, 1 / 6)
-        got = tail_value_at_risk(d, 0.99, TvarConvention.TAIL_AVERAGE)
+        got = var_and_tvar(d, 0.99, TvarConvention.TAIL_AVERAGE)[1]
         # Oracle: integrate the quantile function over (alpha, 1].
         cdf = np.cumsum(d.masses)
         acc = 0.0
@@ -137,20 +135,20 @@ class TestTailValueAtRisk:
         counts = np.bincount(draws, minlength=61)
         d = DiscreteLossDistribution(0, counts / 20_000)
         worst = np.sort(draws)[-200:]
-        got = tail_value_at_risk(d, 0.99, TvarConvention.TAIL_AVERAGE)
+        got = var_and_tvar(d, 0.99, TvarConvention.TAIL_AVERAGE)[1]
         assert got == pytest.approx(worst.mean(), rel=1e-12)
 
     @given(n=st.integers(2, 50), p=st.floats(0.05, 0.95), alpha=st.floats(0.5, 0.99))
     @settings(max_examples=60, deadline=None)
     def test_dominates_var(self, n, p, alpha):
         d = binomial(n, p)
-        v = value_at_risk(d, alpha)
-        assert tail_value_at_risk(d, alpha) >= v
-        assert tail_value_at_risk(d, alpha, TvarConvention.TAIL_AVERAGE) >= v
+        v = var_and_tvar(d, alpha)[0]
+        assert var_and_tvar(d, alpha)[1] >= v
+        assert var_and_tvar(d, alpha, TvarConvention.TAIL_AVERAGE)[1] >= v
 
     def test_monotone_in_alpha(self):
         d = binomial(60, 0.3)
-        values = [tail_value_at_risk(d, a) for a in np.linspace(0.5, 0.995, 30)]
+        values = [var_and_tvar(d, a)[1] for a in np.linspace(0.5, 0.995, 30)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_translation_shifts_both_measures(self):
@@ -158,9 +156,9 @@ class TestTailValueAtRisk:
         shifted = DiscreteLossDistribution(
             d.min_count + 11, d.masses, d.truncated_below, d.truncated_above
         )
-        assert value_at_risk(shifted, 0.95) == value_at_risk(d, 0.95) + 11
-        assert tail_value_at_risk(shifted, 0.95) == pytest.approx(
-            tail_value_at_risk(d, 0.95) + 11, rel=1e-12
+        assert var_and_tvar(shifted, 0.95)[0] == var_and_tvar(d, 0.95)[0] + 11
+        assert var_and_tvar(shifted, 0.95)[1] == pytest.approx(
+            var_and_tvar(d, 0.95)[1] + 11, rel=1e-12
         )
 
 
@@ -170,17 +168,17 @@ class TestPlateauQuantiles:
     def test_common_shock_plateau_small(self):
         model = ModelSpec.common_shock(1 / 6, 0.5, 0.01)
         d = loss_count_distribution(model, 100, 6)
-        assert value_at_risk(d, 0.99) == 209
+        assert var_and_tvar(d, 0.99)[0] == 209
 
     def test_common_shock_plateau_medium(self):
         model = ModelSpec.common_shock(1 / 6, 0.5, 0.01)
         d = loss_count_distribution(model, 1000, 6)
-        assert value_at_risk(d, 0.99) == 2719
+        assert var_and_tvar(d, 0.99)[0] == 2719
 
     def test_conditional_tail_stable_on_plateau(self):
         model = ModelSpec.common_shock(1 / 6, 0.5, 0.01)
         d = loss_count_distribution(model, 100, 6)
-        loading = 0.15 * (10 * tail_value_at_risk(d, 0.99) / 100 - 10.2)
+        loading = 0.15 * (10 * var_and_tvar(d, 0.99)[1] / 100 - 10.2)
         assert loading == pytest.approx(2.970, abs=5e-4)
 
     @staticmethod
@@ -200,7 +198,7 @@ class TestPlateauQuantiles:
         monkeypatch.setattr(distributions, "exact_cdf_at", counted_search)
         monkeypatch.setattr(distributions, "_mp_binom_cdf", counted_sum)
         distributions._component_cdf.cache_clear()
-        return value_at_risk(d, alpha), searches, sums
+        return var_and_tvar(d, alpha)[0], searches, sums
 
     def test_each_component_cdf_summed_once(self, monkeypatch):
         # The search clamps k to each component's support, so the normal
@@ -241,7 +239,7 @@ class TestPlateauQuantiles:
         d = binomial(n, p)
         alpha = float(d.cdf[-1])
         assert exact_cdf_at(d, d.max_count) < mpf(alpha)
-        assert value_at_risk(d, alpha) == d.max_count
+        assert var_and_tvar(d, alpha)[0] == d.max_count
         assert d.min_count + bisect_band(d, alpha) == d.max_count
 
 
@@ -254,7 +252,7 @@ def test_point_mass_crisis_plateau_is_decided_exactly(pt):
     model = ModelSpec.common_shock(1 / 6, 1.0, pt)
     for N in (1, 2, 3, 5, 10, 20, 50, 100, 1000, 10_000, 100_000):
         d = loss_count_distribution(model, N, 6)
-        assert value_at_risk(d, 1.0 - pt) == 6 * N, N
+        assert var_and_tvar(d, 1.0 - pt)[0] == 6 * N, N
 
 
 # Two-state mixtures with alpha at the normal-state weight: the cdf sits on a
@@ -290,7 +288,7 @@ class TestPlateauSearchEqualsBisection:
         alpha = float(self.d.cdf[26])
         assert band_edges(self.d, alpha) == (26, 26, 36)
         assert exact_cdf_at(self.d, 26) < mpf(alpha)
-        assert value_at_risk(self.d, alpha) == self.d.min_count + bisect_band(self.d, alpha) == 27
+        assert var_and_tvar(self.d, alpha)[0] == self.d.min_count + bisect_band(self.d, alpha) == 27
         assert first_index_reaching(self.d, alpha) == 27
 
     def test_double_answer_at_band_top(self):
@@ -298,7 +296,7 @@ class TestPlateauSearchEqualsBisection:
         # the double answer is the band top, which is never probed.
         alpha = math.nextafter(float(self.d.cdf[36]), 1.0)
         assert band_edges(self.d, alpha) == (28, 37, 37)
-        assert value_at_risk(self.d, alpha) == self.d.min_count + bisect_band(self.d, alpha) == 37
+        assert var_and_tvar(self.d, alpha)[0] == self.d.min_count + bisect_band(self.d, alpha) == 37
         assert first_index_reaching(self.d, alpha) == 37
 
     @given(offset=st.integers(-4_500, 40))
@@ -323,7 +321,7 @@ class TestPlateauSearchEqualsBisection:
             expected = d.min_count + min(max(g + offset, lo), hi)
             assert d.min_count + bisect_band(d, 0.99) == expected
             probes.clear()
-            assert value_at_risk(d, 0.99) == expected
+            assert var_and_tvar(d, 0.99)[0] == expected
         assert len(probes) <= 2 * math.log2(abs(offset) + 1) + 3
 
     @given(case=plateau_mixtures, on_point=st.booleans(), u=st.floats(0.0, 1.0))
@@ -340,7 +338,7 @@ class TestPlateauSearchEqualsBisection:
         else:
             alpha = plateau + (2.0 * u - 1.0) * _PLATEAU_BAND
         expected = d.min_count + bisect_band(d, alpha)
-        assert value_at_risk(d, alpha) == expected == first_index_reaching(d, alpha)
+        assert var_and_tvar(d, alpha)[0] == expected == first_index_reaching(d, alpha)
 
 
 class TestPlateauProperties:
@@ -348,12 +346,12 @@ class TestPlateauProperties:
     @settings(max_examples=100, deadline=None)
     def test_search_equals_linear_scan_and_is_monotone(self, case, other):
         d, alpha = case
-        assert value_at_risk(d, alpha) == first_index_reaching(d, alpha)
+        assert var_and_tvar(d, alpha)[0] == first_index_reaching(d, alpha)
         levels = sorted({
             alpha, other, math.nextafter(alpha, 0.0), math.nextafter(alpha, 1.0),
             alpha - 1e-12, alpha + 1e-12, alpha - 1e-9, alpha + 1e-9,
         })
-        vars_ = [value_at_risk(d, a) for a in levels]
+        vars_ = [var_and_tvar(d, a)[0] for a in levels]
         assert vars_ == sorted(vars_)
 
 
@@ -394,7 +392,7 @@ class TestGaussianApprox:
 
     def test_close_to_exact_at_moderate_size(self):
         # Within 15% of the exact VaR loading at N=100.
-        exact_v = value_at_risk(binomial(600, 1 / 6), 0.99)
+        exact_v = var_and_tvar(binomial(600, 1 / 6), 0.99)[0]
         exact_loading = 0.15 * (10 * exact_v / 100 - 10.0)
         approx_loading = 0.15 * (10 * gaussian_var_approx(100, 6, 1 / 6, 0.99) / 100 - 10.0)
         assert exact_loading == pytest.approx(0.330, abs=5e-4)
@@ -405,7 +403,7 @@ class TestGaussianApprox:
         for p in (1 / 6, 0.25):
             trials = 60_000
             approx = gaussian_var_approx(10_000, 6, p, 0.99)
-            exact = value_at_risk(binomial(trials, p), 0.99)
+            exact = var_and_tvar(binomial(trials, p), 0.99)[0]
             sd = np.sqrt(trials * p * (1 - p))
             assert abs(approx - exact) / sd <= 0.05
 
@@ -447,9 +445,8 @@ class TestVarAndTvar:
     def test_one_search_gives_both_measures(self, d, alpha):
         conditional = var_and_tvar(d, alpha, TvarConvention.CONDITIONAL)
         tail_average = var_and_tvar(d, alpha, TvarConvention.TAIL_AVERAGE)
-        v = value_at_risk(d, alpha)
-        assert conditional == (v, tail_value_at_risk(d, alpha, TvarConvention.CONDITIONAL))
-        assert tail_average == (v, tail_value_at_risk(d, alpha, TvarConvention.TAIL_AVERAGE))
+        v = conditional[0]
+        assert tail_average[0] == v
         assert conditional[1] == pytest.approx(brute_tail_mean(d, v), rel=1e-9)
         # The conditional tail adds the rest of the VaR atom, the smallest
         # count in the tail, so it averages lower; the slack covers rounding

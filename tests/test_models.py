@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from _helpers import pointwise_distance
 from riskdiv.distributions import binomial, moments
-from riskdiv.measures import value_at_risk
+from riskdiv.measures import var_and_tvar
 from riskdiv.models import (
     ModelKind,
     ModelSpec,
@@ -41,7 +41,7 @@ class TestLossCountDistribution:
         # Mixture at N=1: VaR count 3 and loading 2.997.
         model = ModelSpec.common_shock(1 / 6, 0.5, 0.001)
         d = loss_count_distribution(model, 1, 6)
-        assert value_at_risk(d, 0.99) == 3
+        assert var_and_tvar(d, 0.99)[0] == 3
         loading = 0.15 * (10 * 3 - closed_form_mean_per_policy(model, PARAMS))
         assert loading == pytest.approx(2.997, abs=5e-4)
 
@@ -149,7 +149,7 @@ class TestCrisisRounds:
         assert sum(w for _, w in law) == pytest.approx(1.0, abs=1e-12)
         mean = n * (0.01 * 0.2 + 0.99 * 0.1)
         assert moments(loss_count_distribution(model, 1, n))[0] == pytest.approx(mean, rel=1e-9)
-        h = simulate(model, 1, n, SimulationConfig(4_000, seed=1, block_size=1_000))
+        h = simulate(model, 1, n, SimulationConfig(4_000, seed=1))
         assert int(h.counts.sum()) == 4_000
         # Per path the count has sd about sqrt(n * 0.1 * 0.9) < 12.
         assert abs(np.arange(n + 1) @ h.counts / 4_000 - mean) < 4 * 12 / np.sqrt(4_000)

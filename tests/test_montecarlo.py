@@ -1,10 +1,11 @@
-"""Simulation: determinism, checkpoints, the tally reader, oracle agreement."""
+"""Simulation: determinism, the tally bound, the tally reader, oracle agreement."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import chdtrc
 
@@ -23,7 +24,6 @@ from riskdiv.models import (
 from riskdiv.montecarlo import (
     LossHistogram,
     SimulationConfig,
-    block_plan,
     bootstrap_loading_se,
     empirical_distribution,
     mc_loading,
@@ -37,27 +37,48 @@ CRISIS = ModelSpec.per_exposure_shock(1 / 6, 0.5, 0.01)
 
 class TestDeterminism:
     def test_seed_changes_output(self):
-        a = simulate(CRISIS, 10, 6, SimulationConfig(50_000, seed=1, block_size=25_000))
-        b = simulate(CRISIS, 10, 6, SimulationConfig(50_000, seed=2, block_size=25_000))
-        assert not np.array_equal(a.counts, b.counts)
-
-    def test_block_size_changes_stream_layout(self):
-        a = simulate(CRISIS, 10, 6, SimulationConfig(50_000, seed=1, block_size=25_000))
-        b = simulate(CRISIS, 10, 6, SimulationConfig(50_000, seed=1, block_size=10_000))
+        a = simulate(CRISIS, 10, 6, SimulationConfig(50_000, seed=1))
+        b = simulate(CRISIS, 10, 6, SimulationConfig(50_000, seed=2))
         assert not np.array_equal(a.counts, b.counts)
 
     def test_ragged_last_block(self):
-        h = simulate(CRISIS, 10, 6, SimulationConfig(60_001, seed=3, block_size=25_000))
+        h = simulate(CRISIS, 10, 6, SimulationConfig(60_001, seed=3))
         assert int(h.counts.sum()) == 60_001
 
-    def test_block_plan(self):
-        cfg = SimulationConfig(4_000, seed=1, block_size=1_000)
-        assert block_plan(cfg) == [(0, 1_000), (1, 1_000), (2, 1_000), (3, 1_000)]
-        # A cut block merges after the full blocks below it.
-        assert block_plan(cfg, [2_500, 1_500, 2_500]) == [(0, 1_000), (1, 500), (1, 1_000),
-                                                          (2, 500)]
-        with pytest.raises(ValueError, match="checkpoint 5000"):
-            block_plan(cfg, [5_000])
+    def test_each_budget_is_one_draw(self, monkeypatch):
+        drawn = []
+        draw_block = mc._draw_block
+
+        def recording(model, N, n, seed, size):
+            drawn.append((seed, size))
+            return draw_block(model, N, n, seed, size)
+
+        monkeypatch.setattr(mc, "_draw_block", recording)
+        for budget in (3_000, 1_500, 20_000_000):
+            simulate(CRISIS, 10, 6, SimulationConfig(budget, seed=59))
+        assert drawn == [(59, 3_000), (59, 1_500), (59, 20_000_000)]
+
+    # sha256 of the tallies at 250,000 paths, the default block size when
+    # budgets were drawn in blocks: a budget of one block kept its bytes.
+    ONE_BLOCK_DIGEST = "4e974530419345adcf819966dbbde8019a065b28c3211cb2cc62242981230fcc"
+
+    def test_one_block_budget_kept_its_bytes(self):
+        h = simulate(CRISIS, 100, 6, SimulationConfig(250_000, seed=7))
+        assert hashlib.sha256(h.counts.tobytes()).hexdigest() == self.ONE_BLOCK_DIGEST
+
+    # `calls` repeats the budgets in one process.  Each budget is drawn on
+    # the memoised law of the one before it, as the rows of a table column
+    # are, and must equal its own draw on a freshly built law.
+    @pytest.mark.parametrize("calls", [1, 2])
+    def test_warm_law_changes_no_histogram(self, calls):
+        budgets = [3_000, 1_000, 4_000, 1_000]
+        warm = [simulate(CRISIS, 10, 6, SimulationConfig(b, seed=41)).counts.tobytes()
+                for _ in range(calls) for b in budgets]
+        cold = []
+        for b in budgets * calls:
+            mc._block_law.cache_clear()
+            cold.append(simulate(CRISIS, 10, 6, SimulationConfig(b, seed=41)).counts.tobytes())
+        assert warm == cold
 
 
 class TestHistogram:
@@ -128,7 +149,7 @@ class TestOracleAgreement:
     def test_mc_loading_within_three_bootstrap_se(self, model, kind):
         N = 100
         spec = RiskMeasureSpec(kind, 0.99, TvarConvention.TAIL_AVERAGE)
-        cfg = SimulationConfig(num_sims=400_000, seed=23, block_size=100_000)
+        cfg = SimulationConfig(num_sims=400_000, seed=23)
         est = mc_loading(model, PARAMS, N, spec, cfg)
         exact = __import__("riskdiv.pricing", fromlist=["risk_loading_per_policy"])
         want = exact.risk_loading_per_policy(model, PARAMS, N, spec).value
@@ -155,16 +176,15 @@ FALSE_ALARM = 1e-3
 class TestPathOracle:
     """The histogram sampler against path-by-path draws, an independent sampler."""
 
-    BLOCKS, BLOCK_SIZE = 4, 100_000
+    SIMS = 400_000
 
     @pytest.mark.parametrize("N", [1, 20])
     @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
     def test_same_law_as_paths(self, name, N):
-        model, n = ORACLE_MODELS[name], PARAMS.exposures
-        sims = self.BLOCKS * self.BLOCK_SIZE
-        hist = simulate(model, N, n, SimulationConfig(sims, seed=61, block_size=self.BLOCK_SIZE))
-        # The oracle draws from other streams, so the two samples are independent.
-        paths = sum(draw_paths(model, N, n, 62, b, self.BLOCK_SIZE) for b in range(self.BLOCKS))
+        model, n, sims = ORACLE_MODELS[name], PARAMS.exposures, self.SIMS
+        hist = simulate(model, N, n, SimulationConfig(sims, seed=61))
+        # The oracle draws from another seed's stream, so the two samples are independent.
+        paths = draw_paths(model, N, n, 62, sims)
         stat, dof = two_sample_chi_square(hist.counts, paths)
         assert chdtrc(dof, stat) > FALSE_ALARM, (stat, dof)
         # Each sample's mean loss per policy within 4 standard errors of the closed form.
@@ -174,7 +194,7 @@ class TestPathOracle:
             assert abs(mean - closed_form_mean_per_policy(model, PARAMS)) <= 4 * se
 
     def test_large_budget_fits_the_exact_pmf(self):
-        # 20 M paths in 80 blocks, merged, against the exact pmf of their law.
+        # 20 M paths in one draw against the exact pmf of their law.
         model, N, n, sims = ORACLE_MODELS["crisis"], 100, PARAMS.exposures, 20_000_000
         h = simulate(model, N, n, SimulationConfig(sims, seed=67))
         d = loss_count_distribution(model, N, n)
@@ -182,94 +202,6 @@ class TestPathOracle:
         assert observed.sum() == sims  # no draw beyond the stored support
         stat, dof = pooled_chi_square(observed, sims * d.masses)
         assert chdtrc(dof, stat) > FALSE_ALARM, (stat, dof)
-
-
-class TestConvergenceStudy:
-    def test_budgets_share_leading_blocks(self):
-        # The smaller budget is a prefix of the larger one, so with the same
-        # seed the first blocks contribute identically.
-        cfg_small = SimulationConfig(50_000, seed=37, block_size=25_000)
-        cfg_large = SimulationConfig(100_000, seed=37, block_size=25_000)
-        h_small = simulate(CRISIS, 10, 6, cfg_small)
-        h_large = simulate(CRISIS, 10, 6, cfg_large)
-        assert int(h_large.counts.sum()) == 100_000
-        assert (h_large.counts - h_small.counts).min() >= 0
-
-
-class TestCheckpoints:
-    # `calls` repeats the checkpointed run in one process: the memoised path
-    # law of a warm second call must not change a histogram.
-    @pytest.mark.parametrize("calls", [1, 2])
-    def test_equal_separate_runs(self, calls):
-        cfg = SimulationConfig(4_000, seed=41, block_size=1_000)
-        budgets = [3_000, 1_000, 4_000, 1_000]
-        for _ in range(calls):
-            hists = simulate(CRISIS, 10, 6, cfg, checkpoints=budgets)
-            for budget, h in zip(budgets, hists):
-                alone = simulate(CRISIS, 10, 6, SimulationConfig(budget, seed=41, block_size=1_000))
-                assert h.num_sims == budget
-                assert h.counts.tobytes() == alone.counts.tobytes()
-
-    def test_ragged_budget_is_its_own_run(self):
-        # 1,500 at block size 1,000 ends in block 1 cut to 500 paths: inside
-        # a longer run it is that cut block plus block 0, as in its own run.
-        alone = simulate(CRISIS, 10, 6, SimulationConfig(1_500, seed=43, block_size=1_000))
-        [h] = simulate(CRISIS, 10, 6, SimulationConfig(1_500, seed=43, block_size=1_000),
-                       checkpoints=[1_500])
-        assert h.counts.tobytes() == alone.counts.tobytes()
-        [h] = simulate(CRISIS, 10, 6, SimulationConfig(3_000, seed=43, block_size=1_000),
-                       checkpoints=[1_500])
-        assert h.num_sims == 1_500
-        assert h.counts.tobytes() == alone.counts.tobytes()
-
-    @pytest.mark.parametrize("calls", [1, 2])
-    @settings(max_examples=12, deadline=None)
-    @given(
-        block_size=st.integers(200, 1_500),
-        budgets=st.lists(st.integers(1, 4_000), min_size=1, max_size=5),
-        beyond=st.integers(0, 1_000),
-    )
-    @example(block_size=1_000, budgets=[2_500, 700, 2_500, 1_000], beyond=0)
-    def test_any_budgets_equal_their_own_runs(self, calls, block_size, budgets, beyond):
-        # Ragged, below one block, duplicated and unsorted budgets alike.
-        cfg = SimulationConfig(max(budgets) + beyond, seed=53, block_size=block_size)
-        for _ in range(calls):
-            hists = simulate(CRISIS, 10, 6, cfg, checkpoints=budgets)
-            assert [h.num_sims for h in hists] == budgets
-            for budget, h in zip(budgets, hists):
-                alone = simulate(CRISIS, 10, 6, SimulationConfig(budget, 53, block_size))
-                assert h.counts.tobytes() == alone.counts.tobytes()
-
-    def test_each_needed_block_drawn_once(self, monkeypatch):
-        drawn = []
-        draw_block = mc._draw_block
-
-        def recording(model, N, n, seed, block_index, size):
-            drawn.append((block_index, size))
-            return draw_block(model, N, n, seed, block_index, size)
-
-        monkeypatch.setattr(mc, "_draw_block", recording)
-        simulate(CRISIS, 10, 6, SimulationConfig(3_000, seed=59, block_size=1_000),
-                 checkpoints=[1_500, 3_000])
-        # 3,500 paths: the 1,500 budget adds only its cut block 1.
-        assert drawn == [(0, 1_000), (1, 500), (1, 1_000), (2, 1_000)]
-
-    def test_no_checkpoints_no_histograms(self):
-        assert simulate(CRISIS, 10, 6, SimulationConfig(4_000, block_size=1_000),
-                        checkpoints=[]) == []
-
-    def test_block_multiples_below_a_ragged_run(self):
-        cfg = SimulationConfig(2_500, seed=47, block_size=1_000)
-        first, last = simulate(CRISIS, 10, 6, cfg, checkpoints=[2_000, 2_500])
-        alone = simulate(CRISIS, 10, 6, SimulationConfig(2_000, seed=47, block_size=1_000))
-        assert first.counts.tobytes() == alone.counts.tobytes()
-        assert last.counts.tobytes() == simulate(CRISIS, 10, 6, cfg).counts.tobytes()
-
-    @pytest.mark.parametrize("budget", [0, 5_000, -1_000])
-    def test_checkpoint_outside_the_run_rejected(self, budget):
-        with pytest.raises(ValueError, match="neither num_sims"):
-            simulate(CRISIS, 10, 6, SimulationConfig(4_000, block_size=1_000),
-                     checkpoints=[budget])
 
 
 def _brute_force(counts: list[int], alpha: float, convention: TvarConvention):
@@ -349,10 +281,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimulationConfig(0)
 
-    def test_bad_block(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(10, block_size=0)
-
     def test_negative_seed_rejected(self):
         # numpy's SeedSequence would reject it only at the first draw, with a
         # message that names no input.
@@ -365,9 +293,28 @@ class TestConfigValidation:
             simulate(CRISIS, N, n, SimulationConfig(10))
 
     def test_support_guard(self, monkeypatch):
-        # Each block tallies a dense histogram over 0 .. N*n, as the exact engine
+        # A simulation tallies a dense histogram over 0 .. N*n, as the exact engine
         # builds a dense pmf, so both honour the same limit.
         monkeypatch.setenv("RISKDIV_MAX_SUPPORT", "100")
         with pytest.raises(SupportLimitError, match=r"^support of 300 counts \(N=50, n=6\) "
                            "exceeds the limit 100$"):
             simulate(CRISIS, 50, 6, SimulationConfig(10))
+
+    # The largest budget at N=100, n=6 whose sum of count * tally fits an int64.
+    LAST_BUDGET = (2**63 - 1) // 600
+
+    def test_tally_bound(self, monkeypatch):
+        # Just past the bound nothing is drawn: numpy would wrap the int64 sums.
+        monkeypatch.setattr(mc, "_draw_block", lambda *a, **k: pytest.fail("drew past the bound"))
+        with pytest.raises(ValueError, match=rf"^num_sims \* N \* n = {self.LAST_BUDGET + 1} "
+                           r"\* 100 \* 6 exceeds 2\*\*63 - 1"):
+            simulate(CRISIS, 100, 6, SimulationConfig(self.LAST_BUDGET + 1))
+
+    def test_budget_at_the_tally_bound(self):
+        h = simulate(CRISIS, 100, 6, SimulationConfig(self.LAST_BUDGET, seed=71))
+        assert int(h.counts.sum()) == h.num_sims == self.LAST_BUDGET
+        spec = RiskMeasureSpec(MeasureKind.TVAR, 0.99, TvarConvention.TAIL_AVERAGE)
+        d = loss_count_distribution(CRISIS, 100, 6)
+        # So many paths read the exact engine's measures off the tallies.
+        assert float(mc._tally_rho(h, spec)) == pytest.approx(
+            var_and_tvar(d, 0.99, TvarConvention.TAIL_AVERAGE)[1], rel=1e-6)

@@ -91,7 +91,7 @@ class TestRiskLoading:
 
     def test_mc_source_attaches_standard_error(self):
         model = ModelSpec.iid(1 / 6)
-        cfg = SimulationConfig(num_sims=50_000, seed=11, block_size=25_000)
+        cfg = SimulationConfig(num_sims=50_000, seed=11)
         est = risk_loading_per_policy(model, PARAMS, 10, VAR99, source=cfg)
         assert est.standard_error is not None and est.standard_error >= 0.0
 
@@ -241,7 +241,7 @@ class TestPricePolicy:
 
     def test_simulated_loading_is_cost_of_capital(self):
         model = ModelSpec.common_shock(1 / 6, 0.5, 0.05)
-        cfg = SimulationConfig(num_sims=40_000, seed=7, block_size=20_000)
+        cfg = SimulationConfig(num_sims=40_000, seed=7)
         for spec in (VAR99, TVAR99):
             result = price_policy(model, PARAMS, 50, spec, source=cfg)
             assert result.capital > 0.0

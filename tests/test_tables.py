@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from riskdiv.distributions import point_mass
 from riskdiv.measures import MeasureKind, RiskMeasureSpec, TvarConvention
 from riskdiv.models import ModelKind, PortfolioParams
-from riskdiv.montecarlo import SimulationConfig, simulate
+from riskdiv.cli import cli_main
+from riskdiv.montecarlo import SimulationConfig
 from riskdiv.pricing import price_policy, risk_loading_per_policy
 from riskdiv import reference
 from riskdiv.reference import (
@@ -23,6 +24,7 @@ from riskdiv.reference import (
 from riskdiv.tables import (
     PT_GRID,
     PT_LABELS,
+    SIMS_GRID,
     Table,
     TableRequest,
     _half_up,
@@ -178,13 +180,12 @@ class TestLoadingGrid:
     # must print the same cells.
     @pytest.mark.parametrize("calls", [1, 2])
     def test_t4_mc_cells_equal_single_loadings(self, calls):
-        req = TableRequest(table_id="T4", mc=True, sims=20_000, block_size=5_000,
-                           N_grid=(1, 10))
+        req = TableRequest(table_id="T4", mc=True, sims=20_000, N_grid=(1, 10))
         built = [build_table(req) for _ in range(calls)]
         assert all(t.rows == built[0].rows for t in built)
         cells = _cells(built[-1])
         params = PortfolioParams()
-        config = SimulationConfig(req.sims, req.seed, req.block_size)
+        config = SimulationConfig(req.sims, req.seed)
         for label, pt in zip(PT_LABELS, PT_GRID):
             model = default_model(ModelKind.PER_EXPOSURE_SHOCK, req.p, req.q, pt)
             for N in req.N_grid:
@@ -211,30 +212,49 @@ class TestLoadingGrid:
                              ("2000", 100, SimulationConfig(2000, 3)))
         assert spec.convention is TvarConvention.TAIL_AVERAGE
 
+    # `calls` builds T5 again in one process: the second build starts on the
+    # last column's law, so it builds every law again and prints the same cells.
     @pytest.mark.parametrize("calls", [1, 2])
     def test_t5_draws_each_column_once(self, monkeypatch, calls):
-        # All budgets share the run to the largest; 1,500 adds block 1 cut
-        # to 500 paths.  Every cell equals a single loading at its own budget.
-        import riskdiv.tables as tables
+        # One draw per budget, filled a column at a time, so the budgets of a
+        # column share its memoised law: 5 laws, not one per cell.
+        import riskdiv.montecarlo as mc
 
-        runs = []
+        draws, laws = [], []
+        draw_block, state_terms = mc._draw_block, mc.state_terms
 
-        def recording(model, N, n, config, checkpoints=None):
-            runs.append((config.num_sims, list(checkpoints)))
-            return simulate(model, N, n, config, checkpoints)
+        def recording_draw(model, N, n, seed, size):
+            draws.append(size)
+            return draw_block(model, N, n, seed, size)
 
-        monkeypatch.setattr(tables, "simulate", recording)
-        req = TableRequest(table_id="T5", pt_grid=(0.0, 0.05), sims_grid=(2000, 4000, 1500, 2000),
-                           block_size=1000, seed=3)
-        built = [build_table(req) for _ in range(calls)]
+        def recording_law(model, N, n):
+            laws.append(model)
+            return state_terms(model, N, n)
+
+        monkeypatch.setattr(mc, "_draw_block", recording_draw)
+        monkeypatch.setattr(mc, "state_terms", recording_law)
+        mc._block_law.cache_clear()
+        built = [build_table(TableRequest(table_id="T5")) for _ in range(calls)]
         assert all(t.rows == built[0].rows for t in built)
-        assert runs == [(4000, [1500, 2000, 4000])] * 2 * calls
-        cells = _cells(built[-1])
+        assert draws == list(SIMS_GRID) * len(PT_GRID) * calls
+        assert len(laws) == len(PT_GRID) * calls
+        # converge is one such column: one law for all its budgets.
+        laws.clear()
+        argv = "converge --model crisis --N 100 --ptilde 0.05 --sims-list 2000,4000,1500,2000"
+        assert cli_main(argv.split()) == 0
+        assert len(laws) == 1
+
+    def test_t5_cells_equal_single_loadings(self):
+        # Unsorted and repeated budgets alike: every cell equals a single
+        # loading at its own budget.
+        req = TableRequest(table_id="T5", pt_grid=(0.0, 0.05), sims_grid=(2000, 4000, 1500, 2000),
+                           seed=3)
+        cells = _cells(build_table(req))
         params = PortfolioParams()
         for label, pt in zip(("pt=0", "pt=0.05"), req.pt_grid):
             model = default_model(ModelKind.PER_EXPOSURE_SHOCK, req.p, req.q, pt)
             for sims in req.sims_grid:
-                config = SimulationConfig(sims, req.seed, req.block_size)
+                config = SimulationConfig(sims, req.seed)
                 for mk, mlabel in _MEASURES:
                     spec = RiskMeasureSpec(mk, params.alpha, TvarConvention.TAIL_AVERAGE)
                     quote = price_policy(model, params, 100, spec, source=config)
