@@ -22,6 +22,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.special._ufuncs import _binom_pmf
@@ -184,6 +185,25 @@ def crisis_rounds(model: ModelSpec, n: int) -> list[tuple[int, float]]:
     return list(enumerate(_binom_pmf(np.arange(n + 1), n, pt).tolist()))
 
 
+@lru_cache(maxsize=64)
+def _state_term(
+    crisis_trials: int, q: float, normal_trials: int, p: float
+) -> DiscreteLossDistribution:
+    """Binomial(crisis_trials, q) + Binomial(normal_trials, p), built once.
+
+    Keyed by the term's content, with the probability of an empty side set to
+    0.0 by the caller, so a state shared by several models or crisis
+    probabilities is one entry.  64 entries hold one T4 column (8 N x 7
+    states).  binomial and convolve are looked up in this module at call
+    time, so a caller that rebinds them sees every build.
+    """
+    if not crisis_trials:
+        return binomial(normal_trials, p)
+    if not normal_trials:
+        return binomial(crisis_trials, q)
+    return convolve(binomial(crisis_trials, q), binomial(normal_trials, p))
+
+
 def state_terms(
     model: ModelSpec, N: int, n: int
 ) -> list[tuple[int, float, DiscreteLossDistribution]]:
@@ -192,21 +212,17 @@ def state_terms(
     term is Binomial(N*j, q) + Binomial(N*(n-j), p), the count given j.
     States of zero weight are skipped; the rest come in increasing j.  Both
     engines mix these terms: loss_count_distribution exactly, and the Monte
-    Carlo sampler by drawing each simulation's paths over them.
+    Carlo sampler by drawing each simulation's paths over them.  A term does
+    not depend on p_tilde, so each is built once per process (_state_term)
+    and every crisis probability, column and engine gets the same frozen
+    object: sharing it cannot change a bit.
     """
     p, q = model.loss_prob, model.crisis_loss_prob
-    states = []
-    for j, w in crisis_rounds(model, n):
-        if w == 0.0:
-            continue
-        if j == 0:
-            term = binomial(N * n, p)
-        elif j == n:
-            term = binomial(N * n, q)
-        else:
-            term = convolve(binomial(N * j, q), binomial(N * (n - j), p))
-        states.append((j, w, term))
-    return states
+    return [
+        (j, w, _state_term(N * j, q if j else 0.0, N * (n - j), p if j < n else 0.0))
+        for j, w in crisis_rounds(model, n)
+        if w != 0.0
+    ]
 
 
 def loss_count_distribution(

@@ -109,8 +109,10 @@ def _block_law(
 ) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
     """The law of one path: state weights, and each state's window (lo, pmf).
 
-    Memoised for the latest (model, N, n) only: the budgets of one table
-    column, simulated one after another, share it.
+    The terms themselves are the exact engine's, built once per process by
+    state_terms; this keeps only the normalised windows of the latest
+    (model, N, n), which the budgets of one table column, simulated one
+    after another, share.
     """
     states = state_terms(model, N, n)
     weights = np.array([w for _, w, _ in states])

@@ -228,8 +228,11 @@ def build_grid(table_id: str, spec: GridSpec, params: PortfolioParams) -> Table:
     """VaR rows, TVaR rows and an E[L]/N footer.
 
     An exact cell builds one distribution and runs one quantile search, a
-    simulated cell draws one histogram.  The cells are filled a column at a
-    time, so the simulated rows of a column share its memoised path law.
+    simulated cell draws one histogram.  Both read each crisis state's term
+    from models.state_terms, which builds it once per process, so the
+    columns of a grid and its exact and simulated builds share their terms.
+    The cells are filled a column at a time, so the simulated rows of a
+    column share its memoised path law.
     """
     n, alpha = params.exposures, params.alpha
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import pointwise_distance
+from riskdiv import models
 from riskdiv.distributions import binomial, moments
 from riskdiv.measures import var_and_tvar
 from riskdiv.models import (
@@ -166,6 +167,30 @@ class TestStateTerms:
         for j, _, term in states:
             want = binomial(30, 0.2 if j else 0.1)
             assert (term.min_count, term.masses.tolist()) == (want.min_count, want.masses.tolist())
+
+    def test_a_hit_returns_the_same_frozen_term(self):
+        # A term does not depend on p_tilde, and the probability of an empty
+        # side is not part of its key: the iid term is the j = 0 state of
+        # every shock model with the same p, and the j = n state of both
+        # shock models is one term too.
+        shock = ModelSpec.per_exposure_shock(0.1, 0.2, 0.05)
+        first = state_terms(shock, 5, 6)
+        again = state_terms(ModelSpec.per_exposure_shock(0.1, 0.2, 0.3), 5, 6)
+        assert all(a[2] is b[2] for a, b in zip(first, again))
+        (_, _, iid), = state_terms(ModelSpec.iid(0.1), 5, 6)
+        common = state_terms(ModelSpec.common_shock(0.1, 0.2, 0.05), 5, 6)
+        assert iid is first[0][2] is common[0][2]
+        assert common[1][2] is first[-1][2]
+        assert loss_count_distribution(ModelSpec.iid(0.1), 5, 6) is iid
+        assert not any(term.masses.flags.writeable for _, _, term in first)
+
+    def test_the_memo_is_bounded(self):
+        memo = models._state_term
+        memo.cache_clear()
+        size = memo.cache_info().maxsize
+        for N in range(1, size + 10):
+            state_terms(ModelSpec.iid(0.1), N, 2)
+        assert memo.cache_info().currsize == size
 
     def test_loss_count_distribution_mixes_the_terms(self):
         model = ModelSpec.per_exposure_shock(0.1, 0.2, 0.05)

@@ -14,7 +14,7 @@ from riskdiv.models import ModelKind, PortfolioParams
 from riskdiv.cli import cli_main
 from riskdiv.montecarlo import SimulationConfig
 from riskdiv.pricing import price_policy, risk_loading_per_policy
-from riskdiv import reference
+from riskdiv import models, reference
 from riskdiv.reference import (
     TableParseError,
     compare_with_reference,
@@ -260,6 +260,47 @@ class TestLoadingGrid:
                     quote = price_policy(model, params, 100, spec, source=config)
                     value = quote.risk_loading_per_policy
                     assert cells[(mlabel, str(sims), label)] == fmt_loading(value)
+
+
+class TestStateTermMemo:
+    """Each crisis state's term is built once per process (models._state_term)."""
+
+    T4 = TableRequest(table_id="T4")
+    T4_MC = TableRequest(table_id="T4", mc=True, sims=200_000)
+
+    @staticmethod
+    def _clear():
+        import riskdiv.montecarlo as mc
+
+        models._state_term.cache_clear()
+        mc._block_law.cache_clear()
+
+    def test_t4_builds_each_term_once(self, monkeypatch):
+        # A T4 column holds 8 N x 7 states: per N, the j = 0 and j = 6 terms
+        # are one binomial each and j = 1..5 two binomials and a convolution.
+        calls = []
+        for name in ("binomial", "convolve"):
+            fn = getattr(models, name)
+            monkeypatch.setattr(models, name,
+                                lambda *args, name=name, fn=fn: calls.append(name) or fn(*args))
+        self._clear()
+        made = []
+        for req in (self.T4, self.T4, self.T4_MC):
+            calls.clear()
+            build_table(req)
+            made.append((calls.count("binomial"), calls.count("convolve")))
+        # Warm: a second exact build, and a simulated one, read the same terms.
+        assert made == [(96, 40), (0, 0), (0, 0)]
+
+    def test_a_warm_memo_changes_no_byte(self):
+        reqs = (TableRequest(table_id="T3"), self.T4, self.T4_MC, TableRequest(table_id="T5"))
+        cold = []
+        for req in reqs:
+            self._clear()
+            cold.append(render_csv(build_table(req)))
+        self._clear()
+        warm = [render_csv(build_table(req)) for req in reqs]
+        assert warm == cold
 
 
 class TestSeedSweep:
