@@ -7,7 +7,10 @@ downstream by the pricing layer.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -314,8 +317,9 @@ def _mp_binom_cdf(trials: int, prob: float, k: int):
 def _component_cdf(trials: int, prob: float, k: int):
     """_mp_binom_cdf at _EXACT_DPS digits, summed once per (trials, prob, k).
 
+    Only a probe the residual cannot decide (cdf_reaches) asks for these.
     A plateau search clamps k to each component's support, so across one
-    band it asks for the same component value again and again.  The
+    band such probes ask for the same component value again and again.  The
     precision is set here, so the value does not depend on the caller's.
     """
     from mpmath import mp
@@ -331,7 +335,9 @@ def exact_cdf_at(d: DiscreteLossDistribution, k: int):
     component contributes its exact cdf clamped to its stored support, so
     the value matches what cdf_at computes, free of double rounding.  Only
     available when the distribution carries a component recipe.  The value
-    does not depend on the caller's mpmath precision.
+    does not depend on the caller's mpmath precision.  The quantile search
+    reaches it only through cdf_reaches, when the double-precision residual
+    cannot order the cdf and alpha.
     """
     if d.components is None:
         raise ValueError("no generative recipe available for exact evaluation")
@@ -343,3 +349,93 @@ def exact_cdf_at(d: DiscreteLossDistribution, k: int):
             kk = min(max(k, s_lo - 1), s_hi)
             total += mp.mpf(weight) * _component_cdf(trials, prob, kk)
         return total
+
+
+# Range of the binomial tail kernels the residual trusts.  For 0 < prob < 1
+# and 0 <= k < trials <= _KERNEL_MAX_TRIALS, _binom_cdf and _binom_sf are
+# within (2**13 + trials)·u of the exact tail, relative, with u = 2**-53.
+# The trials term is real: for small prob the kernels lose up to about
+# trials·u/2 (Bin(3,056,654, 1.65e-5) at k = 38 is off by 1.3e6 u); elsewhere
+# they stay within a few thousand u.  tests/test_distributions.py checks the
+# bound against _mp_binom_cdf.  Within the range it is at most kappa·u.
+_KERNEL_MAX_TRIALS = 2**25
+_KERNEL_KAPPA = 2**13 + _KERNEL_MAX_TRIALS
+
+# Error bound B of the residual, relative to the sum of its terms'
+# magnitudes.  Each tail term fl(w_i·T_i) carries the kernel's relative error
+# (kappa·u) and one rounding of the product (u); the constant carries one
+# rounding of float(Fraction) (u); math.fsum rounds the sum once (u, where a
+# running sum would cost gamma_{m+1}, so B does not depend on the number of
+# components m); and the sum of magnitudes, also an fsum, is low by at most a
+# factor 1 - u.  That is (kappa + 3)·u to first order; the second-order
+# terms come to about kappa**2·u**2 < u/4 (kappa·u < 2**-27) and fit in one
+# more u.
+RESIDUAL_BOUND = (_KERNEL_KAPPA + 4) * 2.0**-53
+
+# The residual decides only beyond this margin as well.  Where the residual
+# decides, exact_cdf_at sums at most _KERNEL_MAX_TRIALS terms per component
+# at 40 digits (136 bits), so its absolute error stays far below the margin
+# and its comparison with alpha has the residual's sign.  The margin also
+# covers the absolute rounding of a subnormal product or constant.
+_RESIDUAL_FLOOR = 2.0**-100
+
+
+def _residual_sign(d: DiscreteLossDistribution, k: int, alpha: float) -> bool | None:
+    """Whether cdf(k) >= alpha, decided on a small-tail residual in double precision.
+
+    Each component, clamped to its stored support as in exact_cdf_at,
+    enters on the side where its tail is small:
+
+        cdf(k) − alpha = sum_{F_i < 1/2} w_i F_i − sum_{F_i >= 1/2} w_i S_i
+                         + (sum_{F_i >= 1/2} w_i − alpha)
+
+    The constant is an exact Fraction of doubles, rounded once.  Structural
+    values are constants, not tails: a clamp below 0 gives 0, one at or
+    above the trials gives w, and prob = 1 below the trials gives 0 (the
+    point mass).  Returns the residual's sign when its magnitude exceeds
+    RESIDUAL_BOUND times the sum of the terms' magnitudes plus
+    _RESIDUAL_FLOOR, and None when it does not, when a tail is 0, subnormal
+    or not a number, or when a component lies outside the kernels' range.
+    """
+    const = -Fraction(alpha)
+    terms = []
+    for weight, trials, prob, s_lo, s_hi in d.components:
+        kk = min(max(k, s_lo - 1), s_hi)
+        if kk < 0 or (prob == 1.0 and kk < trials):
+            continue
+        if kk >= trials:
+            const += Fraction(weight)
+            continue
+        if trials > _KERNEL_MAX_TRIALS:
+            return None
+        tail = float(_binom_cdf(kk, trials, prob))
+        if tail >= 0.5:
+            tail = float(_binom_sf(kk, trials, prob))
+            const += Fraction(weight)
+            weight = -weight
+        if not tail >= sys.float_info.min:
+            return None
+        terms.append(weight * tail)
+    terms.append(float(const))
+    residual = math.fsum(terms)
+    if abs(residual) > RESIDUAL_BOUND * math.fsum(map(abs, terms)) + _RESIDUAL_FLOOR:
+        return residual > 0.0
+    return None
+
+
+def cdf_reaches(d: DiscreteLossDistribution, k: int, alpha: float) -> bool:
+    """exact_cdf_at(d, k) >= alpha, in double precision wherever the error bound decides it.
+
+    The probe of every plateau search.  It takes the small-tail residual's
+    sign (_residual_sign) when the residual's error bound decides it, and
+    otherwise compares exact_cdf_at in mpmath, which is imported only then.
+    Needs a component recipe.
+    """
+    if d.components is None:
+        raise ValueError("no generative recipe available for exact evaluation")
+    sign = _residual_sign(d, k, alpha)
+    if sign is not None:
+        return sign
+    from mpmath import mpf
+
+    return exact_cdf_at(d, k) >= mpf(alpha)

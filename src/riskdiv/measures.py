@@ -14,6 +14,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import ndtri
 
+from . import distributions
 from .distributions import DiscreteLossDistribution
 
 __all__ = [
@@ -85,7 +86,10 @@ def _quantile_index(d: DiscreteLossDistribution, alpha: float) -> int:
     not, and bisects only that bracket.  The exact cdf is monotone in k
     (each component's clamped cdf is, and so is their rounded weighted
     sum), so this is the index a bisection of the whole band finds, in two
-    exact evaluations when g is right instead of about log2(width).
+    probes when g is right instead of about log2(width).  Every probe is
+    distributions.cdf_reaches: a double-precision small-tail residual with
+    a derived error bound, and the mpmath cdf only where that bound cannot
+    order the cdf and alpha.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -102,14 +106,9 @@ def _quantile_index(d: DiscreteLossDistribution, alpha: float) -> int:
     hi = min(int(np.searchsorted(cdf, alpha + _PLATEAU_BAND)), len(cdf) - 1)
     if lo >= hi:
         return lo
-    from mpmath import mpf
-
-    from .distributions import exact_cdf_at
-
-    a = mpf(alpha)
 
     def reaches(i: int) -> bool:
-        return exact_cdf_at(d, d.min_count + i) >= a
+        return distributions.cdf_reaches(d, d.min_count + i, alpha)
 
     # The band top stands in for "none reaches", so it is never evaluated.
     g = min(max(g, lo), hi)

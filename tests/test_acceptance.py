@@ -31,7 +31,7 @@ from riskdiv.models import (
     closed_form_variance_per_policy,
     loss_count_distribution,
 )
-from riskdiv.montecarlo import LossHistogram, SimulationConfig, empirical_distribution, simulate
+from riskdiv.montecarlo import LossHistogram, SimulationConfig, simulate, tally_var_and_tvar
 from riskdiv.pricing import risk_loading_per_policy
 from riskdiv.reference import load_errata, load_reference, compare_with_reference
 from riskdiv.tables import N_GRID, PT_GRID, PT_LABELS, TableRequest, build_table
@@ -133,9 +133,8 @@ def _mc_cross_check_cell(model, N, sims, seed):
     expected = closed_form_mean_per_policy(model, PARAMS)
 
     def loadings(h):
-        d = empirical_distribution(h)
         rhos = dict(zip((MeasureKind.VAR, MeasureKind.TVAR),
-                        var_and_tvar(d, 0.99, TvarConvention.TAIL_AVERAGE)))
+                        tally_var_and_tvar(h, 0.99, TvarConvention.TAIL_AVERAGE)))
         return {kind: PARAMS.capital_cost * (PARAMS.severity * rho / N - expected)
                 for kind, rho in rhos.items()}
 

@@ -422,6 +422,27 @@ def test_readme_flag_table_matches_the_parser():
         }, command
 
 
+def test_exact_tables_and_verify_do_not_load_mpmath():
+    # A subprocess, because the test modules import mpmath themselves.  Every
+    # plateau probe of T3 and T4 exact, and of verify without --mc, is
+    # decided on the double-precision residual, so mpmath never loads.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "from riskdiv.cli import cli_main\n"
+        "from riskdiv.tables import TableRequest, build_table\n"
+        "for table_id in ('T3', 'T4'):\n"
+        "    build_table(TableRequest(table_id=table_id))\n"
+        "assert cli_main(['verify']) == 0\n"
+        "assert 'mpmath' not in sys.modules\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=str(src)), check=False,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
 def test_python_m_riskdiv_runs_the_cli(capsys):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

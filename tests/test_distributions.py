@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 from scipy import stats
@@ -428,6 +428,59 @@ class TestCdf:
         with mp.workdps(dps):
             got = distributions._mp_binom_cdf(trials, prob, k)._mpf_
             assert got == mp_binom_cdf_operators(trials, prob, k)._mpf_
+
+
+def exact_tails(trials: int, prob: float, k: int):
+    """Oracle: the binomial cdf and sf at k, each to at least 20 significant digits.
+
+    _mp_binom_cdf forms an upper tail as 1 minus a sum, so its absolute
+    error is about 10**-dps; the precision doubles until both tails clear
+    that by 25 digits.
+    """
+    dps = 40
+    while True:
+        with mp.workdps(dps):
+            cdf = distributions._mp_binom_cdf(trials, prob, k)
+            sf = 1 - cdf
+            if min(cdf, sf) > mp.mpf(10) ** (25 - dps):
+                return cdf, sf
+        dps *= 2
+
+
+@st.composite
+def kernel_points(draw):
+    """(trials, prob, k) inside the residual's kernel range, tails included."""
+    trials = draw(st.integers(1, 10**6))
+    prob = draw(st.one_of(
+        st.floats(1e-4, 1 - 1e-4),
+        # Small means, where the kernels' error grows with the trials.
+        st.floats(0.1, 1000.0).map(lambda mean: min(mean / trials, 0.5)),
+        st.floats(1e-12, 1e-2),
+    ))
+    if draw(st.booleans()):
+        prob = 1.0 - prob
+    sd = max(math.sqrt(trials * prob * (1.0 - prob)), 1.0)
+    k = int(trials * prob + draw(st.floats(-12.0, 12.0)) * sd)
+    return trials, prob, min(max(k, 0), trials - 1)
+
+
+class TestTailKernels:
+    """The stated error of the kernels behind the plateau residual."""
+
+    @given(point=kernel_points())
+    @example(point=(3_056_654, 1.6492982579725833e-05, 38))  # off by 1.3e6 u
+    @example(point=(5_001_448, 0.5, 2_511_887))
+    @settings(max_examples=150, deadline=None)
+    def test_relative_error_within_the_stated_bound(self, point):
+        trials, prob, k = point
+        assert trials <= distributions._KERNEL_MAX_TRIALS
+        bound = (2**13 + trials) * 2.0**-53
+        assert bound <= distributions._KERNEL_KAPPA * 2.0**-53
+        for got, want in zip((_binom_cdf(k, trials, prob), _binom_sf(k, trials, prob)),
+                             exact_tails(trials, prob, k)):
+            if want < sys.float_info.min:
+                continue  # the residual falls back on such a tail
+            assert abs(mp.mpf(float(got)) - want) <= bound * want, (point, got)
 
 
 class TestValidation:

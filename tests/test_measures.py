@@ -1,6 +1,7 @@
 """Risk measures: VaR, both TVaR conventions, the Gaussian approximation."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 from scipy import stats
+from scipy.special._ufuncs import _binom_cdf, _binom_pmf
 
 from _helpers import band_edges, bisect_band
 from riskdiv import distributions
@@ -183,31 +185,37 @@ class TestPlateauQuantiles:
 
     @staticmethod
     def count_exact_work(monkeypatch, d, alpha):
-        """VaR at alpha, with the exact cdf evaluations and component sums it made."""
-        searches, sums = [], []
+        """VaR at alpha, with the counts it probed, the probes that fell back to
+        the exact cdf, and the component sums those made."""
+        probes, fallbacks, sums = [], [], []
 
-        def counted_search(*args):
-            searches.append(args)
-            return exact_cdf_at(*args)
+        def counted(calls, fn):
+            def wrapper(*args):
+                calls.append(args)
+                return fn(*args)
 
-        def counted_sum(*args):
-            sums.append(args)
-            return mp_binom_cdf(*args)
+            return wrapper
 
-        mp_binom_cdf = distributions._mp_binom_cdf
-        monkeypatch.setattr(distributions, "exact_cdf_at", counted_search)
-        monkeypatch.setattr(distributions, "_mp_binom_cdf", counted_sum)
+        for name, calls in (("cdf_reaches", probes), ("exact_cdf_at", fallbacks),
+                            ("_mp_binom_cdf", sums)):
+            monkeypatch.setattr(distributions, name, counted(calls, getattr(distributions, name)))
         distributions._component_cdf.cache_clear()
-        return var_and_tvar(d, alpha)[0], searches, sums
+        return var_and_tvar(d, alpha)[0], [k for _, k, _ in probes], fallbacks, sums
 
     def test_each_component_cdf_summed_once(self, monkeypatch):
-        # The search clamps k to each component's support, so the normal
-        # state's value is summed once and reused by every probe.  Here the
-        # double answer is 2 counts above the VaR: 5 probes, 6 sums.
+        # The double answer is 2 counts above the VaR: 5 probes, all decided
+        # on the residual.  Forced onto the exact cdf, the probes clamp k to
+        # each component's support, so the normal state's value is summed
+        # once and reused by every probe: 5 fallbacks, 6 sums.
         d = loss_count_distribution(ModelSpec.common_shock(1 / 6, 0.5, 0.01), 10_000, 6)
-        var, searches, sums = self.count_exact_work(monkeypatch, d, 0.99)
+        var, probes, fallbacks, _ = self.count_exact_work(monkeypatch, d, 0.99)
         assert var == 29_127
-        assert len(searches) == 5
+        assert len(probes) == 5
+        assert fallbacks == []
+        monkeypatch.setattr(distributions, "RESIDUAL_BOUND", 1.0)
+        var, probes, fallbacks, sums = self.count_exact_work(monkeypatch, d, 0.99)
+        assert var == 29_127
+        assert len(probes) == len(fallbacks) == 5
         assert len(sums) == 6
         assert len(set(sums)) == len(sums)
 
@@ -215,22 +223,33 @@ class TestPlateauQuantiles:
         # The 114k-count band of a common-shock quote at N=58,926, which a
         # bisection of the whole band decided in 17 exact evaluations.  The
         # double answer is the VaR, so one probe reaches alpha and the one
-        # below it does not; the normal state is summed once.
+        # below it does not; the residual decides both.
         model = ModelSpec.common_shock(1 / 6, 0.5, 0.01)
         d = loss_count_distribution(model, 58_926, 6)
-        var, searches, sums = self.count_exact_work(monkeypatch, d, 0.99)
+        var, probes, fallbacks, sums = self.count_exact_work(monkeypatch, d, 0.99)
         assert var == 174_697
-        assert [k for _, k in searches] == [174_697, 174_696]
-        assert len(sums) == 3
+        assert probes == [174_697, 174_696]
+        assert fallbacks == sums == []
 
     def test_plateau_at_a_million_exposures(self, monkeypatch):
         # The double answer is 4 counts below the VaR, so the search gallops
         # up from it: probes at +0, +1, +2, +4, then +3 inside the bracket.
         d = loss_count_distribution(ModelSpec.common_shock(1 / 6, 0.5, 0.01), 10**6, 6)
         assert d.min_count + int(np.searchsorted(d.cdf, 0.99)) == 2_991_671
-        var, searches, _ = self.count_exact_work(monkeypatch, d, 0.99)
+        var, probes, fallbacks, _ = self.count_exact_work(monkeypatch, d, 0.99)
         assert var == 2_991_675
-        assert [k - 2_991_671 for _, k in searches] == [0, 1, 2, 4, 3]
+        assert [k - 2_991_671 for k in probes] == [0, 1, 2, 4, 3]
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("N,var", [(100, 209), (1000, 2719), (10_000, 29_127)])
+    def test_every_probe_falls_back_under_a_unit_bound(self, monkeypatch, N, var):
+        # No residual is larger than the sum of its terms' magnitudes, so a
+        # bound of 1 sends every probe to the exact cdf, with the same VaR.
+        d = loss_count_distribution(ModelSpec.common_shock(1 / 6, 0.5, 0.01), N, 6)
+        monkeypatch.setattr(distributions, "RESIDUAL_BOUND", 1.0)
+        got, probes, fallbacks, _ = self.count_exact_work(monkeypatch, d, 0.99)
+        assert got == var
+        assert len(fallbacks) == len(probes) > 0
 
     @pytest.mark.parametrize("n,p", [(1000, 0.5), (5000, 0.3)])
     def test_band_whose_exact_top_stays_below_alpha(self, n, p):
@@ -249,10 +268,18 @@ def test_point_mass_crisis_plateau_is_decided_exactly(pt):
     # state.  Below N*n the cdf is (1 - pt) * P[Bin(N*n, p) <= k] < 1 - pt,
     # so VaR at alpha = 1 - pt is N*n; in double precision the cdf reached
     # alpha early (VaR 25 at N=5) until the point mass carried a recipe.
+    # The point mass is a structural constant of the residual, which decides
+    # every probe.
     model = ModelSpec.common_shock(1 / 6, 1.0, pt)
-    for N in (1, 2, 3, 5, 10, 20, 50, 100, 1000, 10_000, 100_000):
-        d = loss_count_distribution(model, N, 6)
-        assert var_and_tvar(d, 1.0 - pt)[0] == 6 * N, N
+
+    def no_fallback(*args):
+        raise AssertionError("a probe fell back to the exact cdf")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distributions, "exact_cdf_at", no_fallback)
+        for N in (1, 2, 3, 5, 10, 20, 50, 100, 1000, 10_000, 100_000):
+            d = loss_count_distribution(model, N, 6)
+            assert var_and_tvar(d, 1.0 - pt)[0] == 6 * N, N
 
 
 # Two-state mixtures with alpha at the normal-state weight: the cdf sits on a
@@ -312,15 +339,17 @@ class TestPlateauSearchEqualsBisection:
         step_at = d.min_count + g + offset
         probes = []
 
-        def step(dist, k):
+        def step(dist, k, alpha):
             probes.append(k)
-            return mpf(k >= step_at)
+            return k >= step_at
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(distributions, "exact_cdf_at", step)
+            # The search probes through cdf_reaches; the bisection oracle
+            # reads exact_cdf_at.  Both see the same step.
+            patch.setattr(distributions, "cdf_reaches", step)
+            patch.setattr(distributions, "exact_cdf_at", lambda dist, k: mpf(k >= step_at))
             expected = d.min_count + min(max(g + offset, lo), hi)
             assert d.min_count + bisect_band(d, 0.99) == expected
-            probes.clear()
             assert var_and_tvar(d, 0.99)[0] == expected
         assert len(probes) <= 2 * math.log2(abs(offset) + 1) + 3
 
@@ -353,6 +382,92 @@ class TestPlateauProperties:
         })
         vars_ = [var_and_tvar(d, a)[0] for a in levels]
         assert vars_ == sorted(vars_)
+
+
+def decided_where_exact(d, alpha, ks):
+    """Check the residual's sign against the exact cdf at each k it decides; count them."""
+    a = mpf(alpha)
+    decided = 0
+    for k in ks:
+        sign = distributions._residual_sign(d, k, alpha)
+        if sign is not None:
+            gap = exact_cdf_at(d, k) - a
+            assert gap != 0 and sign == (gap > 0), (k, alpha)
+            decided += 1
+    return decided
+
+
+def level_on_plateau(d, plateau, on_point, u):
+    """The plateau level itself, or the stored cdf of a point in its band."""
+    if not on_point:
+        return plateau
+    lo, _, hi = band_edges(d, plateau)
+    alpha = float(d.cdf[lo + round(u * (hi - lo))])
+    assume(0.0 < alpha < 1.0)
+    return alpha
+
+
+class TestResidualProbe:
+    """The double-precision residual decides a probe only with the exact cdf's sign."""
+
+    @given(case=plateau_mixtures, on_point=st.booleans(), u=st.floats(0.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_sign_on_plateau_mixtures(self, case, on_point, u):
+        d, plateau = case
+        alpha = level_on_plateau(d, plateau, on_point, u)
+        ks = range(d.min_count - 1, d.max_count + 2)
+        assert decided_where_exact(d, alpha, ks) > 0
+
+    @given(
+        N=st.integers(1, 3000),
+        q=st.one_of(st.floats(0.3, 0.99), st.just(1.0)),
+        pt=st.sampled_from([0.001, 0.01, 0.05, 0.1]),
+        on_point=st.booleans(),
+        u=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sign_on_common_shock_plateaus(self, N, q, pt, on_point, u):
+        d = loss_count_distribution(ModelSpec.common_shock(1 / 6, q, pt), N, 6)
+        alpha = level_on_plateau(d, 1.0 - pt, on_point, u)
+        lo, g, hi = band_edges(d, alpha)
+        spread = np.linspace(lo - 2, hi + 2, 9).round().astype(int).tolist()
+        ks = {d.min_count + i for i in [*spread, g - 1, g, g + 1]}
+        decided_where_exact(d, alpha, sorted(ks))
+
+    @given(n=st.integers(1, 400), p=st.floats(0.01, 0.99), u=st.floats(0.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_sign_at_stored_cdf_points(self, n, p, u):
+        # alpha is the stored cdf at a point of a binomial, so the residual
+        # there is a few ulps of the cdf, which the bound must not decide
+        # unless the sign is right.
+        d = binomial(n, p)
+        i = round(u * (len(d.masses) - 1))
+        alpha = float(d.cdf[i])
+        assume(0.0 < alpha < 1.0)
+        decided_where_exact(d, alpha, [d.min_count + i + j for j in (-1, 0, 1)])
+
+    @pytest.mark.parametrize("tail", ["zero", "subnormal"])
+    def test_tail_that_underflows_falls_back(self, monkeypatch, tail):
+        # Bin(2000, 1/2) stored over its whole support: its lower cdf is 0.0
+        # in double precision up to about k = 40, then subnormal.
+        masses = _binom_pmf(np.arange(2001), 2000, 0.5)
+        d = DiscreteLossDistribution(0, masses, components=((1.0, 2000, 0.5, 0, 2000),))
+        low = _binom_cdf(np.arange(200), 2000, 0.5)
+        pick = low == 0.0 if tail == "zero" else (0.0 < low) & (low < sys.float_info.min)
+        k = int(np.nonzero(pick)[0][-1])
+        assert distributions._residual_sign(d, k, 0.5) is None
+        fallbacks = []
+        monkeypatch.setattr(distributions, "exact_cdf_at",
+                            lambda *args: fallbacks.append(args) or exact_cdf_at(*args))
+        assert distributions.cdf_reaches(d, k, 0.5) is False
+        assert fallbacks == [(d, k)]
+
+    def test_component_beyond_the_kernel_range_is_not_decided(self):
+        trials = distributions._KERNEL_MAX_TRIALS + 1
+        d = DiscreteLossDistribution(
+            0, np.array([1.0]), components=((1.0, trials, 0.5, 0, trials),)
+        )
+        assert distributions._residual_sign(d, trials // 2, 0.5) is None
 
 
 class TestNormalQuantile:
