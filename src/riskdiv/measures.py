@@ -6,6 +6,7 @@ approximation to the binomial VaR.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -77,19 +78,14 @@ _PLATEAU_BAND = 1e-11
 def _quantile_index(d: DiscreteLossDistribution, alpha: float) -> int:
     """Index of the smallest count whose cdf reaches alpha, decided exactly on a plateau.
 
-    Without a recipe this is the double-precision answer g.  With one, the
+    Without a recipe this is the double-precision answer.  With one, the
     band of points whose stored cdf lies within _PLATEAU_BAND of alpha is
-    re-decided on the exact cdf: the result is the first index in the band
-    whose exact cdf reaches alpha, or the band top if none does.  The search
-    starts at g, which is rarely more than a few counts off, gallops away
-    from it with doubling steps until one probe reaches alpha and one does
-    not, and bisects only that bracket.  The exact cdf is monotone in k
-    (each component's clamped cdf is, and so is their rounded weighted
-    sum), so this is the index a bisection of the whole band finds, in two
-    probes when g is right instead of about log2(width).  Every probe is
-    distributions.cdf_reaches: a double-precision small-tail residual with
-    a derived error bound, and the mpmath cdf only where that bound cannot
-    order the cdf and alpha.
+    bisected on the exact cdf, which is monotone in k (each component's
+    clamped cdf is, and so is their rounded weighted sum): the result is the
+    first index in the band whose exact cdf reaches alpha, or the band top,
+    never probed, if none does.  Every probe is distributions.cdf_reaches: a
+    double-precision small-tail residual with a derived error bound, and the
+    mpmath cdf only where that bound cannot order the cdf and alpha.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -99,39 +95,14 @@ def _quantile_index(d: DiscreteLossDistribution, alpha: float) -> int:
             f"alpha={alpha} exceeds the resolvable cdf top {cdf[-1]:.17f}; "
             "tail truncation prevents resolving this quantile"
         )
-    g = int(np.searchsorted(cdf, alpha))
     if d.components is None:
-        return g
+        return int(np.searchsorted(cdf, alpha))
     lo = int(np.searchsorted(cdf, alpha - _PLATEAU_BAND, side="right"))
     hi = min(int(np.searchsorted(cdf, alpha + _PLATEAU_BAND)), len(cdf) - 1)
-    if lo >= hi:
-        return lo
-
-    def reaches(i: int) -> bool:
-        return distributions.cdf_reaches(d, d.min_count + i, alpha)
-
-    # The band top stands in for "none reaches", so it is never evaluated.
-    g = min(max(g, lo), hi)
-    step = 1
-    if g < hi and not reaches(g):
-        lo = g + 1
-        while g + step < hi and not reaches(g + step):
-            lo = g + step + 1
-            step *= 2
-        hi = min(g + step, hi)
-    else:
-        hi = g
-        while g - step >= lo and reaches(g - step):
-            hi = g - step
-            step *= 2
-        lo = max(g - step + 1, lo)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if reaches(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return lo + bisect.bisect_left(
+        range(lo, hi), True,
+        key=lambda i: distributions.cdf_reaches(d, d.min_count + i, alpha),
+    )
 
 
 def var_and_tvar(

@@ -18,16 +18,16 @@ from __future__ import annotations
 
 import math
 import sys
-# Unused: kept for perfbench/tracer.py, which hooks it by name (ROADMAP item 3).
+# Unused: kept for perfbench/tracer.py, which hooks it by name (ROADMAP,
+# "In-package spans, `verify --json`, one quote path").
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .distributions import DiscreteLossDistribution
-from .measures import MeasureKind, RiskMeasureSpec, TvarConvention, apply_measure
+from .measures import MeasureKind, RiskMeasureSpec, TvarConvention, var_and_tvar
 from .models import ModelSpec, PortfolioParams, check_support, exact_decimal, state_terms
 from .models import closed_form_mean_per_policy, loss_count_distribution
 
@@ -38,7 +38,7 @@ __all__ = [
     "simulate",
     "tally_var_and_tvar",
     "empirical_distribution",
-    "rho_in_counts",
+    "measures_in_counts",
     "loading_from_rho",
     "mc_loading",
     "bootstrap_loading_se",
@@ -103,40 +103,26 @@ def _stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0))))
 
 
-@lru_cache(maxsize=1)
-def _block_law(
-    model: ModelSpec, N: int, n: int
-) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
-    """The law of one path: state weights, and each state's window (lo, pmf).
-
-    The terms themselves are the exact engine's, built once per process by
-    state_terms; this keeps only the normalised windows of the latest
-    (model, N, n), which the budgets of one table column, simulated one
-    after another, share.
-    """
-    states = state_terms(model, N, n)
-    weights = np.array([w for _, w, _ in states])
-    windows = [(term.min_count, term.masses / term.masses.sum()) for _, _, term in states]
-    return weights / weights.sum(), windows
-
-
 def _draw_block(model: ModelSpec, N: int, n: int, seed: int, size: int) -> np.ndarray:
     """The dense histogram of `size` loss counts, drawn directly.
 
     From the stream of seed, the paths per state of crisis_rounds are
     Multinomial(size, w); a lone state (iid, or p_tilde at 0 or 1) draws
     nothing here.  Each state's c > 0 paths then tally Multinomial(c, pmf)
-    over its term's stored window.  The law is the exact engine's mixture up
-    to each term's truncated mass (at most TRUNCATION_BUDGET = 1e-12), which
-    no draw can reach.
+    over its term's stored window, normalised.  The terms are the exact
+    engine's, read from the memo of models.state_terms, and the law is its
+    mixture up to each term's truncated mass (at most TRUNCATION_BUDGET =
+    1e-12), which no draw can reach.
     """
     rng = _stream(seed)
-    weights, windows = _block_law(model, N, n)
-    paths = rng.multinomial(size, weights) if len(windows) > 1 else [size]
+    states = state_terms(model, N, n)
+    weights = np.array([w for _, w, _ in states])
+    paths = rng.multinomial(size, weights / weights.sum()) if len(states) > 1 else [size]
     hist = np.zeros(N * n + 1, dtype=np.int64)
-    for c, (lo, pmf) in zip(paths, windows):
+    for c, (_, _, term) in zip(paths, states):
         if c:
-            hist[lo : lo + len(pmf)] += rng.multinomial(c, pmf)
+            hist[term.min_count : term.max_count + 1] += rng.multinomial(
+                c, term.masses / term.masses.sum())
     return hist
 
 
@@ -200,12 +186,6 @@ def tally_var_and_tvar(
     return var_count, tvar
 
 
-def _tally_rho(h: LossHistogram, measure: RiskMeasureSpec) -> Fraction:
-    """The measure of a histogram, in counts, as an exact Fraction."""
-    var_count, tvar = tally_var_and_tvar(h, measure.alpha, measure.convention)
-    return Fraction(var_count) if measure.kind is MeasureKind.VAR else tvar
-
-
 def empirical_distribution(h: LossHistogram) -> DiscreteLossDistribution:
     """Normalise a histogram into a loss-count distribution.
 
@@ -223,22 +203,27 @@ def empirical_distribution(h: LossHistogram) -> DiscreteLossDistribution:
     return DiscreteLossDistribution(lo, masses)
 
 
-def rho_in_counts(
+def measures_in_counts(
     model: ModelSpec,
     N: int,
     n: int,
-    measure: RiskMeasureSpec,
-    source: str | SimulationConfig = "exact",
-) -> float | Fraction:
-    """The measure of the loss count: exact, or read off a simulation's tallies.
+    alpha: float,
+    convention: TvarConvention,
+    source: str | SimulationConfig,
+) -> tuple[int, float] | tuple[Fraction, Fraction]:
+    """VaR and TVaR of the loss count, in counts: exact, or read off a simulation's tallies.
 
-    The exact engine's value is a float, a simulation's an exact Fraction.
+    The one place that chooses the engine.  The exact engine gives an int
+    VaR and a float TVaR (var_and_tvar); a simulation gives the exact
+    Fractions of its tallies (tally_var_and_tvar), so loading_from_rho
+    decides their digits exactly.
     """
     if isinstance(source, SimulationConfig):
-        return _tally_rho(simulate(model, N, n, source), measure)
+        var_count, tvar = tally_var_and_tvar(simulate(model, N, n, source), alpha, convention)
+        return Fraction(var_count), tvar
     if source != "exact":
         raise ValueError(f"source must be 'exact' or a SimulationConfig, got {source!r}")
-    return apply_measure(loss_count_distribution(model, N, n), measure)
+    return var_and_tvar(loss_count_distribution(model, N, n), alpha, convention)
 
 
 def loading_from_rho(
@@ -281,10 +266,12 @@ def bootstrap_loading_se(
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xB007))))
     probs = h.counts / float(h.num_sims)
+    is_tvar = measure.kind is MeasureKind.TVAR
     values = np.empty(N_BOOT)
     for i in range(N_BOOT):
         resampled = LossHistogram(rng.multinomial(h.num_sims, probs), h.num_sims)
-        values[i] = loading_from_rho(_tally_rho(resampled, measure), model, params, N)
+        rho = tally_var_and_tvar(resampled, measure.alpha, measure.convention)[is_tvar]
+        values[i] = loading_from_rho(Fraction(rho), model, params, N)
     return float(values.std(ddof=1))
 
 
@@ -297,5 +284,6 @@ def mc_loading(
 ) -> LoadingEstimate:
     """Monte Carlo risk loading per policy, with a bootstrap standard error."""
     h = simulate(model, N, params.exposures, config)
-    value = loading_from_rho(_tally_rho(h, measure), model, params, N)
+    pair = tally_var_and_tvar(h, measure.alpha, measure.convention)
+    value = loading_from_rho(Fraction(pair[measure.kind is MeasureKind.TVAR]), model, params, N)
     return LoadingEstimate(value, bootstrap_loading_se(h, model, params, N, measure, config.seed))

@@ -10,14 +10,14 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .measures import RiskMeasureSpec
+from .measures import MeasureKind, RiskMeasureSpec
 from .models import ModelSpec, PortfolioParams, closed_form_mean_per_policy
 from .montecarlo import (
     LoadingEstimate,
     SimulationConfig,
     loading_from_rho,
     mc_loading,
-    rho_in_counts,
+    measures_in_counts,
 )
 
 __all__ = [
@@ -81,7 +81,8 @@ def risk_loading_per_policy(
     """
     if isinstance(source, SimulationConfig):
         return mc_loading(model, params, N, measure, source)
-    rho = rho_in_counts(model, N, params.exposures, measure, source)
+    rho = measures_in_counts(model, N, params.exposures, measure.alpha, measure.convention,
+                             source)[measure.kind is MeasureKind.TVAR]
     return LoadingEstimate(loading_from_rho(rho, model, params, N), None)
 
 
@@ -127,7 +128,8 @@ def price_policy(
         ValueError: If the capital, the loading or either premium is not
             finite (the inputs overflow).
     """
-    rho = rho_in_counts(model, N, params.exposures, measure, source)
+    rho = measures_in_counts(model, N, params.exposures, measure.alpha, measure.convention,
+                             source)[measure.kind is MeasureKind.TVAR]
     expected = closed_form_mean_per_policy(model, params)
     capital = risk_adjusted_capital(rho, model, params, N)
     loading = loading_from_rho(rho, model, params, N)

@@ -25,7 +25,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 from .distributions import DiscreteLossDistribution, cdf_at
-from .measures import TvarConvention, var_and_tvar
+from .measures import TvarConvention
 from .models import (
     ModelKind,
     ModelSpec,
@@ -37,8 +37,7 @@ from .montecarlo import (
     DEFAULT_SEED,
     SimulationConfig,
     loading_from_rho,
-    simulate,
-    tally_var_and_tvar,
+    measures_in_counts,
 )
 
 __all__ = [
@@ -114,7 +113,8 @@ class TableRequest:
     mc: bool = False
     sims: int = 10_000_000
     seed: int = DEFAULT_SEED
-    # Accepted and never read: perfbench/workloads.py still passes them (ROADMAP item 3).
+    # Accepted and never read: perfbench/workloads.py still passes them (ROADMAP,
+    # "In-package spans, `verify --json`, one quote path").
     block_size: int = 250_000
     workers: int = 1
 
@@ -227,22 +227,16 @@ def grid_spec(req: TableRequest) -> GridSpec:
 def build_grid(table_id: str, spec: GridSpec, params: PortfolioParams) -> Table:
     """VaR rows, TVaR rows and an E[L]/N footer.
 
-    An exact cell builds one distribution and runs one quantile search, a
-    simulated cell draws one histogram.  Both read each crisis state's term
-    from models.state_terms, which builds it once per process, so the
-    columns of a grid and its exact and simulated builds share their terms.
-    The cells are filled a column at a time, so the simulated rows of a
-    column share its memoised path law.
+    Each cell reads VaR and TVaR off one evaluation (measures_in_counts):
+    one distribution and one quantile search if exact, one histogram if
+    simulated.  Both read each crisis state's term from models.state_terms,
+    which builds it once per process, so the columns of a grid and its exact
+    and simulated builds share their terms.
     """
     n, alpha = params.exposures, params.alpha
 
     def loadings(N: int, source, model: ModelSpec) -> list[float | Fraction]:
-        if isinstance(source, SimulationConfig):
-            h = simulate(model, N, n, source)
-            var_count, tvar = tally_var_and_tvar(h, alpha, spec.convention)
-            rhos = Fraction(var_count), tvar
-        else:
-            rhos = var_and_tvar(loss_count_distribution(model, N, n), alpha, spec.convention)
+        rhos = measures_in_counts(model, N, n, alpha, spec.convention, source)
         return [loading_from_rho(rho, model, params, N) for rho in rhos]
 
     columns = [[loadings(N, source, m) for _, N, source in spec.rows] for _, m in spec.columns]

@@ -11,6 +11,7 @@ from scipy.special import chdtrc
 
 import riskdiv.montecarlo as mc
 from _helpers import draw_paths, pooled_chi_square, two_sample_chi_square
+from riskdiv import models
 from riskdiv.distributions import moments
 from riskdiv.measures import MeasureKind, RiskMeasureSpec, TvarConvention, var_and_tvar
 from riskdiv.models import (
@@ -67,8 +68,8 @@ class TestDeterminism:
         assert hashlib.sha256(h.counts.tobytes()).hexdigest() == self.ONE_BLOCK_DIGEST
 
     # `calls` repeats the budgets in one process.  Each budget is drawn on
-    # the memoised law of the one before it, as the rows of a table column
-    # are, and must equal its own draw on a freshly built law.
+    # the memoised terms of the one before it, as the rows of a table column
+    # are, and must equal its own draw on freshly built terms.
     @pytest.mark.parametrize("calls", [1, 2])
     def test_warm_law_changes_no_histogram(self, calls):
         budgets = [3_000, 1_000, 4_000, 1_000]
@@ -76,7 +77,7 @@ class TestDeterminism:
                 for _ in range(calls) for b in budgets]
         cold = []
         for b in budgets * calls:
-            mc._block_law.cache_clear()
+            models._state_term.cache_clear()
             cold.append(simulate(CRISIS, 10, 6, SimulationConfig(b, seed=41)).counts.tobytes())
         assert warm == cold
 
@@ -313,8 +314,8 @@ class TestConfigValidation:
     def test_budget_at_the_tally_bound(self):
         h = simulate(CRISIS, 100, 6, SimulationConfig(self.LAST_BUDGET, seed=71))
         assert int(h.counts.sum()) == h.num_sims == self.LAST_BUDGET
-        spec = RiskMeasureSpec(MeasureKind.TVAR, 0.99, TvarConvention.TAIL_AVERAGE)
         d = loss_count_distribution(CRISIS, 100, 6)
         # So many paths read the exact engine's measures off the tallies.
-        assert float(mc._tally_rho(h, spec)) == pytest.approx(
+        tvar = tally_var_and_tvar(h, 0.99, TvarConvention.TAIL_AVERAGE)[1]
+        assert float(tvar) == pytest.approx(
             var_and_tvar(d, 0.99, TvarConvention.TAIL_AVERAGE)[1], rel=1e-6)

@@ -212,12 +212,11 @@ class TestLoadingGrid:
                              ("2000", 100, SimulationConfig(2000, 3)))
         assert spec.convention is TvarConvention.TAIL_AVERAGE
 
-    # `calls` builds T5 again in one process: the second build starts on the
-    # last column's law, so it builds every law again and prints the same cells.
+    # `calls` builds T5 again in one process and prints the same cells.
     @pytest.mark.parametrize("calls", [1, 2])
     def test_t5_draws_each_column_once(self, monkeypatch, calls):
-        # One draw per budget, filled a column at a time, so the budgets of a
-        # column share its memoised law: 5 laws, not one per cell.
+        # One draw per budget, and each draw reads its crisis-state terms
+        # from the memo of state_terms: 15 lookups per build, one per cell.
         import riskdiv.montecarlo as mc
 
         draws, laws = [], []
@@ -233,16 +232,15 @@ class TestLoadingGrid:
 
         monkeypatch.setattr(mc, "_draw_block", recording_draw)
         monkeypatch.setattr(mc, "state_terms", recording_law)
-        mc._block_law.cache_clear()
         built = [build_table(TableRequest(table_id="T5")) for _ in range(calls)]
         assert all(t.rows == built[0].rows for t in built)
         assert draws == list(SIMS_GRID) * len(PT_GRID) * calls
-        assert len(laws) == len(PT_GRID) * calls
-        # converge is one such column: one law for all its budgets.
+        assert len(laws) == len(SIMS_GRID) * len(PT_GRID) * calls
+        # converge is one such column: one lookup per budget.
         laws.clear()
         argv = "converge --model crisis --N 100 --ptilde 0.05 --sims-list 2000,4000,1500,2000"
         assert cli_main(argv.split()) == 0
-        assert len(laws) == 1
+        assert len(laws) == 4
 
     def test_t5_cells_equal_single_loadings(self):
         # Unsorted and repeated budgets alike: every cell equals a single
@@ -268,13 +266,6 @@ class TestStateTermMemo:
     T4 = TableRequest(table_id="T4")
     T4_MC = TableRequest(table_id="T4", mc=True, sims=200_000)
 
-    @staticmethod
-    def _clear():
-        import riskdiv.montecarlo as mc
-
-        models._state_term.cache_clear()
-        mc._block_law.cache_clear()
-
     def test_t4_builds_each_term_once(self, monkeypatch):
         # A T4 column holds 8 N x 7 states: per N, the j = 0 and j = 6 terms
         # are one binomial each and j = 1..5 two binomials and a convolution.
@@ -283,7 +274,7 @@ class TestStateTermMemo:
             fn = getattr(models, name)
             monkeypatch.setattr(models, name,
                                 lambda *args, name=name, fn=fn: calls.append(name) or fn(*args))
-        self._clear()
+        models._state_term.cache_clear()
         made = []
         for req in (self.T4, self.T4, self.T4_MC):
             calls.clear()
@@ -296,9 +287,9 @@ class TestStateTermMemo:
         reqs = (TableRequest(table_id="T3"), self.T4, self.T4_MC, TableRequest(table_id="T5"))
         cold = []
         for req in reqs:
-            self._clear()
+            models._state_term.cache_clear()
             cold.append(render_csv(build_table(req)))
-        self._clear()
+        models._state_term.cache_clear()
         warm = [render_csv(build_table(req)) for req in reqs]
         assert warm == cold
 
