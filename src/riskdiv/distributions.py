@@ -14,7 +14,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special._ufuncs import _binom_cdf, _binom_pmf, _binom_sf
+
+from .binom import pmf_window, small_tail
 
 # Support points with mass below this are dropped from each tail.  Two ulps of
 # unity: anything smaller is indistinguishable from the rounding noise of the
@@ -25,8 +26,8 @@ TRUNCATION_EPS = 2.0 * np.finfo(float).eps
 # Hard ceiling on total dropped mass a distribution may carry.
 TRUNCATION_BUDGET = 1e-12
 
-# ln(2 / TRUNCATION_EPS): the log tail bound of binomial's computed window.
-_BERNSTEIN_L = float(np.log(2.0 / TRUNCATION_EPS))
+# ln(2**54 / TRUNCATION_EPS): the log tail bound of binomial's computed window.
+_BERNSTEIN_L = math.log(2.0**54 / TRUNCATION_EPS)
 
 __all__ = [
     "DiscreteLossDistribution",
@@ -134,12 +135,12 @@ def point_mass(count: int) -> DiscreteLossDistribution:
 def binomial(trials: int, prob: float) -> DiscreteLossDistribution:
     """Binomial loss-count distribution with tail truncation.
 
-    For large supports only the region with mass >= TRUNCATION_EPS is stored;
-    the dropped tail masses are recorded exactly via the cdf/sf of the
-    underlying distribution.  The pmf, cdf and sf are the scipy.special
-    ufuncs that scipy.stats.binom wraps, called directly so that importing
-    riskdiv does not load scipy.stats.  _binom_cdf gives nan at k = -1, so
-    the lower tail is read only when lo_k > 0.
+    For large supports only the region with mass >= TRUNCATION_EPS is stored.
+    The pmf comes from binom.pmf_window over a window wide enough that the
+    mass beyond each side is below 2**-105, a quarter ulp of the cut.  Each
+    dropped tail is the sum of the window's points outside the stored
+    region, so it is recorded to that accuracy, and every value is divided
+    by the window's total.
 
     Args:
         trials: Number of independent exposures (>= 0).
@@ -158,23 +159,27 @@ def binomial(trials: int, prob: float) -> DiscreteLossDistribution:
         return point_mass(trials)
 
     mean = trials * prob
-    sd = max(np.sqrt(trials * prob * (1.0 - prob)), 1.0)
+    sd = max(math.sqrt(trials * prob * (1.0 - prob)), 1.0)
     # Bernstein's inequality bounds each tail beyond mean +- t by
     # exp(-t^2 / (2 (sd^2 + t/3))).  The margin is the t that sets this to
-    # TRUNCATION_EPS / 2, so every point outside the window has pmf below
-    # half the cut: only points the cut drops go uncomputed, with a factor
-    # of two to spare for the pmf's own rounding.
-    margin = _BERNSTEIN_L / 3.0 + np.sqrt(_BERNSTEIN_L**2 / 9.0 + 2.0 * _BERNSTEIN_L * sd * sd)
-    lo = max(0, int(np.floor(mean - margin)))
-    hi = min(trials, int(np.ceil(mean + margin)))
-    pmf = _binom_pmf(np.arange(lo, hi + 1), trials, prob)
+    # TRUNCATION_EPS * 2**-54 = 2**-105, so every point outside the window
+    # falls far below the cut, and the window holds each dropped tail up to
+    # that much mass.
+    margin = _BERNSTEIN_L / 3.0 + math.sqrt(_BERNSTEIN_L**2 / 9.0 + 2.0 * _BERNSTEIN_L * sd * sd)
+    lo = max(0, math.floor(mean - margin))
+    hi = min(trials, math.ceil(mean + margin))
+    pmf = pmf_window(trials, prob, lo, hi)
 
     keep = np.nonzero(pmf >= TRUNCATION_EPS)[0]
-    lo_k = lo + int(keep[0])
-    hi_k = lo + int(keep[-1])
-    masses = pmf[keep[0] : keep[-1] + 1]
-    below = float(_binom_cdf(lo_k - 1, trials, prob)) if lo_k > 0 else 0.0
-    above = float(_binom_sf(hi_k, trials, prob)) if hi_k < trials else 0.0
+    i, e = int(keep[0]), int(keep[-1]) + 1
+    masses = pmf[i:e]
+    below = float(pmf[:i].sum()) if i else 0.0
+    above = float(pmf[e:].sum()) if e < len(pmf) else 0.0
+    # The window holds all but 2**-104 of the mass, so dividing by its sum
+    # cancels the error common to every term (the anchor's).
+    total = float(masses.sum()) + below + above
+    lo_k, hi_k = lo + i, lo + e - 1
+    masses, below, above = masses / total, below / total, above / total
     recipe = ((1.0, trials, float(prob), lo_k, hi_k),)
     return DiscreteLossDistribution(lo_k, masses, below, above, components=recipe)
 
@@ -351,15 +356,31 @@ def exact_cdf_at(d: DiscreteLossDistribution, k: int):
         return total
 
 
-# Range of the binomial tail kernels the residual trusts.  For 0 < prob < 1
-# and 0 <= k < trials <= _KERNEL_MAX_TRIALS, _binom_cdf and _binom_sf are
-# within (2**13 + trials)·u of the exact tail, relative, with u = 2**-53.
-# The trials term is real: for small prob the kernels lose up to about
-# trials·u/2 (Bin(3,056,654, 1.65e-5) at k = 38 is off by 1.3e6 u); elsewhere
-# they stay within a few thousand u.  tests/test_distributions.py checks the
-# bound against _mp_binom_cdf.  Within the range it is at most kappa·u.
+# Range of the binomial tail kernel the residual trusts.  For 0 < prob < 1
+# and 0 <= k < trials <= _KERNEL_MAX_TRIALS, binom.small_tail is within
+# (2**18 + 2**8·sqrt(trials))·u of the exact tail, relative, with u = 2**-53,
+# whenever the tail is a normal double.  Its parts:
+# - The anchor, the tail's first term t = exp(z), Loader's saddle point.
+#   t >= 2**-1022, so |z| < 747.  bd0's direct branch errs by at most
+#   132·u times its value (the cancellation at x/m = 11/9), the partial sums
+#   of z by 5·|z|·u, the rest of z and exp by under 100 u: below 2**17 u in
+#   all.  Rounding n·p and n·q moves the two deviances by 3·|a − n p|·u more.
+# - The recurrence.  A ratio (n − j)/(j + 1)·c, c = prob/(1 − prob), takes
+#   two roundings, c itself is within u (the same u each step), and the
+#   running product takes one more, so a term i steps from the anchor errs
+#   by 4·i·u more than the anchor.
+# - The sum: numpy's pairwise sum of positive terms (within 40 u at this
+#   length) and the dropped remainder (below u/4).
+# Bernstein's inequality with t >= 2**-1022 puts the anchor within
+# 473 + 37.7·sd of n p, and small_tail sums at most 501 + 38.7·sd terms,
+# sd = sqrt(n p q) <= sqrt(trials) / 2.  So 3·|a − n p| + 4·steps + 41 <=
+# 3,465 + 268·sd <= 3,465 + 134·sqrt(trials), and the total fits the bound.
+# Measured errors stay within about 1.3e4 u (Bin(25,492,142, 0.8325) at
+# k = 21,237,864, where scipy's kernel is off by 5.7e3 u);
+# tests/test_distributions.py checks the bound against _mp_binom_cdf.
+# Within the range it is at most kappa·u (2**8·sqrt(2**25) < 2**21).
 _KERNEL_MAX_TRIALS = 2**25
-_KERNEL_KAPPA = 2**13 + _KERNEL_MAX_TRIALS
+_KERNEL_KAPPA = 2**18 + 2**21
 
 # Error bound B of the residual, relative to the sum of its terms'
 # magnitudes.  Each tail term fl(w_i·T_i) carries the kernel's relative error
@@ -384,10 +405,12 @@ def _residual_sign(d: DiscreteLossDistribution, k: int, alpha: float) -> bool | 
     """Whether cdf(k) >= alpha, decided on a small-tail residual in double precision.
 
     Each component, clamped to its stored support as in exact_cdf_at,
-    enters on the side where its tail is small:
+    enters by its tail on the far side of its mean (binom.small_tail): the
+    cdf F_i when its clamped count k_i lies below its mean m_i, else the
+    survival S_i:
 
-        cdf(k) − alpha = sum_{F_i < 1/2} w_i F_i − sum_{F_i >= 1/2} w_i S_i
-                         + (sum_{F_i >= 1/2} w_i − alpha)
+        cdf(k) − alpha = sum_{k_i < m_i} w_i F_i − sum_{k_i >= m_i} w_i S_i
+                         + (sum_{k_i >= m_i} w_i − alpha)
 
     The constant is an exact Fraction of doubles, rounded once.  Structural
     values are constants, not tails: a clamp below 0 gives 0, one at or
@@ -395,7 +418,7 @@ def _residual_sign(d: DiscreteLossDistribution, k: int, alpha: float) -> bool | 
     point mass).  Returns the residual's sign when its magnitude exceeds
     RESIDUAL_BOUND times the sum of the terms' magnitudes plus
     _RESIDUAL_FLOOR, and None when it does not, when a tail is 0, subnormal
-    or not a number, or when a component lies outside the kernels' range.
+    or not a number, or when a component lies outside the kernel's range.
     """
     const = -Fraction(alpha)
     terms = []
@@ -408,9 +431,8 @@ def _residual_sign(d: DiscreteLossDistribution, k: int, alpha: float) -> bool | 
             continue
         if trials > _KERNEL_MAX_TRIALS:
             return None
-        tail = float(_binom_cdf(kk, trials, prob))
-        if tail >= 0.5:
-            tail = float(_binom_sf(kk, trials, prob))
+        tail, upper = small_tail(kk, trials, prob)
+        if upper:
             const += Fraction(weight)
             weight = -weight
         if not tail >= sys.float_info.min:

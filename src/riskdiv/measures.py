@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import bisect
 import math
+import statistics
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import distributions
 from .distributions import DiscreteLossDistribution
@@ -146,14 +146,14 @@ def apply_measure(d: DiscreteLossDistribution, spec: RiskMeasureSpec) -> float:
 
 
 def normal_quantile(u: float) -> float:
-    """Inverse standard normal cdf.
+    """Inverse standard normal cdf, by statistics.NormalDist (Wichura's AS 241).
 
     Raises:
         ValueError: If u is outside (0, 1).
     """
     if not 0.0 < u < 1.0:
         raise ValueError(f"quantile level must lie in (0, 1), got {u}")
-    return float(ndtri(u))
+    return statistics.NormalDist().inv_cdf(u)
 
 
 def gaussian_var_approx(N: int, n: int, p: float, alpha: float) -> float:

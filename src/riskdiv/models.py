@@ -24,9 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-from scipy.special._ufuncs import _binom_pmf
-
+from .binom import pmf_window
 from .distributions import DiscreteLossDistribution, binomial, convolve, mixture
 
 __all__ = [
@@ -182,7 +180,17 @@ def crisis_rounds(model: ModelSpec, n: int) -> list[tuple[int, float]]:
         return [(0, 1.0 - pt), (n, pt)]
     if pt in (0.0, 1.0):
         return [(n if pt else 0, 1.0)]
-    return list(enumerate(_binom_pmf(np.arange(n + 1), n, pt).tolist()))
+    return list(enumerate(_round_weights(n, pt)))
+
+
+@lru_cache(maxsize=64)
+def _round_weights(n: int, pt: float) -> tuple[float, ...]:
+    """The Binomial(n, pt) weights of crisis_rounds, computed once per (n, pt).
+
+    Every draw and every exact build asks for the law of its model's crisis
+    rounds, and a short numpy window costs more in calls than in arithmetic.
+    """
+    return tuple(pmf_window(n, pt, 0, n).tolist())
 
 
 @lru_cache(maxsize=64)

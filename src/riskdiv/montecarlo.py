@@ -25,6 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+# numpy loads numpy.random on first use; load it with this module, so that
+# the first draw does not pay for it.
+import numpy.random  # noqa: F401
 
 from .distributions import DiscreteLossDistribution
 from .measures import MeasureKind, RiskMeasureSpec, TvarConvention, var_and_tvar

@@ -12,11 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from scipy import stats
-from scipy.special._ufuncs import _binom_cdf, _binom_pmf, _binom_sf
 
 from _helpers import pointwise_distance
-from riskdiv import distributions
+from riskdiv import binom, distributions
 from riskdiv.distributions import (
     TRUNCATION_BUDGET,
     TRUNCATION_EPS,
@@ -35,6 +33,21 @@ from riskdiv.models import ModelSpec, loss_count_distribution
 def exact_binom_pmf(n: int, k: int, p: Fraction) -> Fraction:
     """Independent oracle: binomial pmf in exact rational arithmetic."""
     return Fraction(math.comb(n, k)) * p**k * (1 - p) ** (n - k)
+
+
+def pmf_below_cut(n: int, k: int, p: float) -> bool:
+    """Oracle: whether the binomial pmf at k lies below TRUNCATION_EPS.
+
+    Exact rationals up to 1000 trials.  Beyond, where they take seconds to
+    minutes, mpmath at 60 digits, which decides unless the pmf lies within
+    a relative 1e-50 of the cut.
+    """
+    if n <= 1000:
+        return exact_binom_pmf(n, k, Fraction(p)) < TRUNCATION_EPS
+    with mp.workdps(60):
+        pmf = mp.binomial(n, k) * mp.mpf(p) ** k * (1 - mp.mpf(p)) ** (n - k)
+        assert abs(pmf / TRUNCATION_EPS - 1) > mp.mpf(10) ** -50
+        return pmf < TRUNCATION_EPS
 
 
 def neumaier_cdf(masses: np.ndarray, truncated_below: float) -> np.ndarray:
@@ -112,7 +125,8 @@ T1_CDF = [0.33490, 0.73678, 0.93771, 0.99130, 0.99934, 0.99998, 1.00000]
 class TestBinomial:
     def test_stored_support_holds_every_point_above_the_threshold(self):
         # The pmf just outside each stored end is below TRUNCATION_EPS, so by
-        # unimodality every point beyond it is too.
+        # unimodality every point beyond it is too.  At n = 2, p = 1 - 2**-52
+        # the pmf at 1 is 2**-51 - 2**-103, just below the cut, and is dropped.
         trials_grid = [1, 2, 6, 10, 100, 10**3, 10**4, 10**5, 10**6, 10**7]
         probs = [1e-300, 1e-100, 1e-20, 1e-10, 1e-6, 1e-3, 0.01, 0.1, 1 / 6, 0.25, 0.5,
                  0.75, 0.9, 0.99, 1 - 1e-6, 1 - 1e-10, 1 - 1e-15, 1 - 2.0**-52]
@@ -120,26 +134,29 @@ class TestBinomial:
             for prob in probs:
                 d = binomial(trials, prob)
                 if d.min_count > 0:
-                    assert stats.binom.pmf(d.min_count - 1, trials, prob) < TRUNCATION_EPS
+                    assert pmf_below_cut(trials, d.min_count - 1, prob), (trials, prob)
                 if d.max_count < trials:
-                    assert stats.binom.pmf(d.max_count + 1, trials, prob) < TRUNCATION_EPS
+                    assert pmf_below_cut(trials, d.max_count + 1, prob), (trials, prob)
+        assert binomial(2, 1 - 2.0**-52).max_count == 2
 
     def test_window_from_bernstein_stores_what_the_wide_window_stored(self):
-        # binomial computes the pmf only on the Bernstein window that bounds
-        # each tail below TRUNCATION_EPS / 2.  Over a grid of trials and
-        # probs, the stored object equals one built over the wider
-        # mean +- (12 sd + 40) window, bit for bit.
+        # binomial computes the pmf only on the Bernstein window that leaves
+        # at most 2**-105 of mass beyond each side.  Over a grid of trials and
+        # probs, the stored object equals one built the same way over the
+        # wider mean +- (16 sd + 60) window: the same support and masses, bit
+        # for bit, and each dropped tail within 2**-105 plus the rounding of
+        # a sum regrouped over more points.
         def over_wide_window(trials, prob):
             mean = trials * prob
             sd = max(np.sqrt(trials * prob * (1.0 - prob)), 1.0)
-            lo = max(0, int(np.floor(mean - 12.0 * sd - 40.0)))
-            hi = min(trials, int(np.ceil(mean + 12.0 * sd + 40.0)))
-            pmf = _binom_pmf(np.arange(lo, hi + 1), trials, prob)
+            lo = max(0, int(np.floor(mean - 16.0 * sd - 60.0)))
+            hi = min(trials, int(np.ceil(mean + 16.0 * sd + 60.0)))
+            pmf = binom.pmf_window(trials, prob, lo, hi)
             keep = np.nonzero(pmf >= TRUNCATION_EPS)[0]
-            lo_k, hi_k = lo + int(keep[0]), lo + int(keep[-1])
-            below = float(_binom_cdf(lo_k - 1, trials, prob)) if lo_k > 0 else 0.0
-            above = float(_binom_sf(hi_k, trials, prob)) if hi_k < trials else 0.0
-            return lo_k, pmf[keep[0] : keep[-1] + 1], below, above
+            i, e = int(keep[0]), int(keep[-1]) + 1
+            below, above = float(pmf[:i].sum()), float(pmf[e:].sum())
+            total = float(pmf[i:e].sum()) + below + above
+            return lo + i, pmf[i:e] / total, below / total, above / total
 
         trials_grid = [1, 2, 3, 6, 10, 37, 100, 600, 2_500, 10**4, 58_926, 10**5, 362_760,
                        10**6, 3 * 10**6, 6 * 10**6]
@@ -150,34 +167,44 @@ class TestBinomial:
                 lo_k, masses, below, above = over_wide_window(trials, prob)
                 assert d.min_count == lo_k, (trials, prob)
                 assert d.masses.tobytes() == masses.tobytes(), (trials, prob)
-                assert (d.truncated_below, d.truncated_above) == (below, above), (trials, prob)
+                for got, want in ((d.truncated_below, below), (d.truncated_above, above)):
+                    assert abs(got - want) <= 2.0**-105 + 2.0**-46 * want, (trials, prob)
 
-    def test_kernels_match_scipy_stats_bit_for_bit(self):
-        # binomial calls the private ufuncs behind scipy.stats.binom, so their
-        # bits are pinned to the public ones over both tails and prob near 0
-        # and 1.  Up to 6000 trials every k is compared; above, the 3000
-        # lowest and highest k and the 6001 around the mean.
-        probs = [1e-9, 1e-3, 1 / 6, 0.5, 0.9, 1 - 1e-9]
-        for trials in [1, 6, 100, 6000, 10**5, 10**6, 10**7]:
-            for prob in probs:
-                m = int(trials * prob)
-                k = np.arange(trials + 1) if trials <= 6000 else np.unique(
-                    np.r_[0:3001, m - 3000 : m + 3001, trials - 3000 : trials + 1].clip(0, trials)
-                )
-                assert np.array_equal(_binom_pmf(k, trials, prob), stats.binom.pmf(k, trials, prob))
-                assert np.array_equal(_binom_cdf(k, trials, prob), stats.binom.cdf(k, trials, prob))
-                assert np.array_equal(_binom_sf(k, trials, prob), stats.binom.sf(k, trials, prob))
-
-    def test_kernel_cdf_below_support_is_nan(self):
-        # stats.binom.cdf(-1) is 0.0 but the ufunc gives nan, which is why
-        # binomial reads the lower tail only when lo_k > 0.
-        assert stats.binom.cdf(-1, 6, 1 / 6) == 0.0
-        assert np.isnan(_binom_cdf(-1, 6, 1 / 6))
+    @given(point=st.one_of(
+        st.integers(1, distributions._KERNEL_MAX_TRIALS).flatmap(
+            lambda n: st.tuples(st.just(n), st.floats(1e-6, 1 - 1e-6), st.floats(-12.0, 12.0))),
+        st.tuples(st.integers(1, 100), st.floats(0.01, 0.99), st.floats(-3.0, 3.0)),
+    ))
+    @example(point=(25_492_142, 0.83246442246905, 8.784002647645824))  # k = 21,237,864
+    @settings(max_examples=40, deadline=None)
+    def test_kernels_within_the_stated_bound_of_mpmath(self, point):
+        # The pmf, evaluated at k and carried to k from the mode by
+        # pmf_window, and the tail on k's side of the mean, against 40-digit
+        # values, up to the largest trials the residual trusts: each within
+        # (2**18 + 2**8 sqrt(trials)) u, the bound the residual is built on.
+        trials, prob, z = point
+        sd = math.sqrt(trials * prob * (1 - prob))
+        k = min(max(int(trials * prob + z * sd), 0), trials - 1)
+        mode = int((trials + 1) * prob)
+        lo, hi = min(k, mode), max(k, mode)
+        bound = (2**18 + 2**8 * math.sqrt(trials)) * 2.0**-53
+        with mp.workdps(40):
+            pmf = mp.binomial(trials, k) * mp.mpf(prob) ** k * (1 - mp.mpf(prob)) ** (trials - k)
+            if pmf >= sys.float_info.min:
+                for got in (binom.pmf(k, trials, prob),
+                            binom.pmf_window(trials, prob, lo, hi)[k - lo]):
+                    assert abs(got - pmf) <= bound * pmf, (point, got)
+        tail, upper = binom.small_tail(k, trials, prob)
+        assert upper == (k >= trials * prob)
+        want = exact_tails(trials, prob, k)[upper]
+        if want >= sys.float_info.min:
+            assert abs(mp.mpf(tail) - want) <= bound * want, point
 
     def test_import_does_not_load_scipy_stats(self):
-        # A subprocess, because this test module imports scipy.stats itself.
+        # Nor any other part of scipy.  A subprocess, because other test
+        # modules import scipy as an oracle.
         src = Path(__file__).resolve().parents[1] / "src"
-        code = "import riskdiv, sys; assert 'scipy.stats' not in sys.modules"
+        code = "import riskdiv, sys; assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)"
         proc = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True, env=dict(os.environ, PYTHONPATH=str(src)), check=False,
@@ -465,22 +492,23 @@ def kernel_points(draw):
 
 
 class TestTailKernels:
-    """The stated error of the kernels behind the plateau residual."""
+    """The stated error of the kernel behind the plateau residual."""
 
     @given(point=kernel_points())
-    @example(point=(3_056_654, 1.6492982579725833e-05, 38))  # off by 1.3e6 u
+    @example(point=(25_492_142, 0.83246442246905, 21_237_864))  # off by 1.3e4 u
+    @example(point=(3_056_654, 1.6492982579725833e-05, 38))
     @example(point=(5_001_448, 0.5, 2_511_887))
     @settings(max_examples=150, deadline=None)
     def test_relative_error_within_the_stated_bound(self, point):
         trials, prob, k = point
         assert trials <= distributions._KERNEL_MAX_TRIALS
-        bound = (2**13 + trials) * 2.0**-53
+        bound = (2**18 + 2**8 * math.sqrt(trials)) * 2.0**-53
         assert bound <= distributions._KERNEL_KAPPA * 2.0**-53
-        for got, want in zip((_binom_cdf(k, trials, prob), _binom_sf(k, trials, prob)),
-                             exact_tails(trials, prob, k)):
-            if want < sys.float_info.min:
-                continue  # the residual falls back on such a tail
-            assert abs(mp.mpf(float(got)) - want) <= bound * want, (point, got)
+        tail, upper = binom.small_tail(k, trials, prob)
+        want = exact_tails(trials, prob, k)[upper]
+        if want < sys.float_info.min:
+            return  # the residual falls back on such a tail
+        assert abs(mp.mpf(tail) - want) <= bound * want, (point, tail)
 
 
 class TestValidation:

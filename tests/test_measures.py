@@ -10,10 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 from scipy import stats
-from scipy.special._ufuncs import _binom_cdf, _binom_pmf
 
 from _helpers import band_edges, bisect_band
-from riskdiv import distributions
+from riskdiv import binom, distributions
 from riskdiv.distributions import (
     DiscreteLossDistribution,
     binomial,
@@ -236,10 +235,10 @@ class TestPlateauQuantiles:
         assert fallbacks == sums == []
 
     def test_plateau_at_a_million_exposures(self, monkeypatch):
-        # The double answer is 4 counts below the VaR; the bisection of the
-        # 2-million-count band finds the VaR on the residual alone (21 probes).
+        # The double answer is the VaR; the bisection of the 2-million-count
+        # band confirms it on the residual alone (21 probes).
         d = loss_count_distribution(ModelSpec.common_shock(1 / 6, 0.5, 0.01), 10**6, 6)
-        assert d.min_count + int(np.searchsorted(d.cdf, 0.99)) == 2_991_671
+        assert d.min_count + int(np.searchsorted(d.cdf, 0.99)) == 2_991_675
         var, probes, fallbacks, _ = self.count_exact_work(monkeypatch, d, 0.99)
         assert var == 2_991_675
         assert len(probes) <= bisection_bound(d, 0.99)
@@ -255,7 +254,7 @@ class TestPlateauQuantiles:
         assert got == var
         assert len(fallbacks) == len(probes) > 0
 
-    @pytest.mark.parametrize("n,p", [(1000, 0.5), (5000, 0.3)])
+    @pytest.mark.parametrize("n,p", [(2000, 0.5), (5000, 0.5)])
     def test_band_whose_exact_top_stays_below_alpha(self, n, p):
         # At the stored cdf top the band reaches max_count, where the exact
         # cdf still falls short of alpha: the search keeps the top edge.
@@ -339,7 +338,7 @@ class TestPlateauSearchEqualsBisection:
         # band top past it, in at most ceil(log2(hi - lo + 1)) probes.
         d = mixture([binomial(6000, 0.9), binomial(6000, 0.1)], [0.01, 0.99])
         lo, g, hi = band_edges(d, 0.99)
-        assert (lo, g, hi) == (336, 4799, 4831)
+        assert (lo, g, hi) == (336, 4798, 4831)
         step_at = d.min_count + g + offset
         probes = []
 
@@ -452,11 +451,13 @@ class TestResidualProbe:
 
     @pytest.mark.parametrize("tail", ["zero", "subnormal"])
     def test_tail_that_underflows_falls_back(self, monkeypatch, tail):
-        # Bin(2000, 1/2) stored over its whole support: its lower cdf is 0.0
-        # in double precision up to about k = 40, then subnormal.
-        masses = _binom_pmf(np.arange(2001), 2000, 0.5)
+        # Bin(2000, 1/2) stored over its whole support: its lower cdf,
+        # sum(comb(2000, j) for j <= k) / 2**2000, rounds to 0.0 in double
+        # precision up to about k = 40, then to a subnormal.
+        masses = binom.pmf_window(2000, 0.5, 0, 2000)
         d = DiscreteLossDistribution(0, masses, components=((1.0, 2000, 0.5, 0, 2000),))
-        low = _binom_cdf(np.arange(200), 2000, 0.5)
+        low = np.array([float(Fraction(sum(math.comb(2000, j) for j in range(k + 1)), 2**2000))
+                        for k in range(200)])
         pick = low == 0.0 if tail == "zero" else (0.0 < low) & (low < sys.float_info.min)
         k = int(np.nonzero(pick)[0][-1])
         assert distributions._residual_sign(d, k, 0.5) is None
