@@ -9,8 +9,8 @@ by the ratio of consecutive terms,
     t(j + 1) / t(j) = (n - j) p / ((j + 1) q),    q = 1 - p,
 
 accumulated outward with np.cumprod.  pmf_window anchors at the mode and
-fills a window of counts; small_tail anchors at the first term of a tail
-and sums outward until the remaining terms cannot matter.
+fills a window of counts; small_tail sums the window of a tail's terms
+that can matter, which pmf_window anchors at the tail's first term.
 """
 
 from __future__ import annotations
@@ -157,10 +157,10 @@ def small_tail(k: int, n: int, p: float) -> tuple[float, bool]:
     """The tail of Bin(n, p) beyond k on the side away from the mean, and that side.
 
     For 0 <= k < n and 0 < p < 1: (P[X <= k], False) when k < n p, else
-    (P[X > k], True).  The sum starts at the tail's first term, its largest,
-    evaluated by pmf, and runs outward over the term ratios, which only
-    shrink, so the remainder after L terms is at most first·r0**L / (1 - r0)
-    for the first ratio r0.  By Bernstein's inequality it is also at most
+    (P[X > k], True).  It sums the tail's first L terms as a pmf_window,
+    anchored at the first term, the largest: the ratios only shrink outward,
+    so the remainder is at most first·r0**L / (1 - r0) for the first ratio
+    r0.  By Bernstein's inequality it is also at most
     exp(-dev**2 / (2 (npq + dev / 3))) beyond n p -+ dev.  L is the fewer
     terms either bound needs to hold the remainder below u/4 of the first
     term, u = 2**-53.  A tail whose first term is below the smallest normal
@@ -185,14 +185,5 @@ def small_tail(k: int, n: int, p: float) -> tuple[float, bool]:
         count = min(k + 1, a + 2 - math.floor(mean - dev))
     if 0.0 < r0 < 1.0:
         count = min(count, math.ceil(math.log(0.25 * 2.0**-53 * (1.0 - r0)) / math.log(r0)) + 1)
-    if count <= 1 or r0 == 0.0:
-        return t, upper
-    c = p / q
-    if upper:
-        j = np.arange(a, a + count - 1, dtype=np.float64)
-        ratio = (n - j) / (j + 1.0) * c
-    else:
-        j = np.arange(a, a - count + 1, -1, dtype=np.float64)
-        ratio = j / (n - j + 1.0) / c
-    ratio[0] *= t
-    return t + float(np.cumprod(ratio).sum()), upper
+    lo, hi = (a, a + count - 1) if upper else (a - count + 1, a)
+    return float(pmf_window(n, p, lo, hi).sum()), upper

@@ -240,8 +240,8 @@ def moments(d: DiscreteLossDistribution) -> tuple[float, float]:
     moment, which is far below every tolerance used here.
     """
     ks = d.counts
-    mean = float(ks @ d.masses)
-    var = float(((ks - mean) ** 2) @ d.masses)
+    mean = float((ks * d.masses).sum())
+    var = float(((ks - mean) ** 2 * d.masses).sum())
     return mean, var
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "TvarConvention",
     "RiskMeasureSpec",
     "TruncationError",
+    "tail_value",
     "var_and_tvar",
     "apply_measure",
     "normal_quantile",
@@ -105,6 +106,29 @@ def _quantile_index(d: DiscreteLossDistribution, alpha: float) -> int:
     )
 
 
+def tail_value(var_count, at, reached, beyond, total, alpha, convention: TvarConvention):
+    """TVaR from the VaR v's atom and the tail beyond it: the one formula of both engines.
+
+    at and reached are the weights of v and of the counts up to it, beyond
+    sums count times weight above v, and total is the law's weight.  The
+    exact engine passes floats; a simulation passes its integer tallies and
+    Fractions, and gets an exact Fraction.
+
+    Raises:
+        RuntimeError: If the tail carries no weight.
+    """
+    if convention is TvarConvention.CONDITIONAL:
+        # Mean of the outcomes at or beyond v.
+        weight, mass = total - reached + at, beyond + var_count * at
+    else:
+        # Upper-quantile integral: v carries its share of (alpha, 1].
+        weight, mass = total * (1 - alpha), beyond + var_count * (reached - alpha * total)
+    if not weight > 0:
+        raise RuntimeError("empty tail beyond VaR on a valid distribution")
+    # Both conventions dominate the VaR mathematically; guard the last ulp.
+    return max(mass / weight, var_count)
+
+
 def var_and_tvar(
     d: DiscreteLossDistribution,
     alpha: float,
@@ -112,31 +136,21 @@ def var_and_tvar(
 ) -> tuple[int, float]:
     """VaR and TVaR at level alpha, in counts, from one quantile search.
 
-    VaR is the smallest count k with P[count <= k] >= alpha; TVaR is the tail
-    average beyond it (see TvarConvention), never below the VaR.
+    VaR is the smallest count k with P[count <= k] >= alpha; TVaR is
+    tail_value on the stored law at the VaR index, whose sum beyond it is a
+    numpy product-sum, not a BLAS dot.  On a plateau the tail average takes
+    its VaR-atom share at the decided index, not at the stored cdf's
+    crossing, about 1e-13 of mass away.
 
     Raises:
         TruncationError: If alpha lies beyond the stored cdf top, i.e. the
             quantile cannot be resolved on the truncated support.
     """
     idx = _quantile_index(d, alpha)
-    ks = d.counts
-    m = d.masses
-    cdf = d.cdf
     var_count = d.min_count + idx
-    if convention is TvarConvention.CONDITIONAL:
-        below = cdf[idx - 1] if idx > 0 else d.truncated_below
-        tail_prob = 1.0 - float(below)
-        if tail_prob <= 0.0:
-            raise RuntimeError("empty tail beyond VaR on a valid distribution")
-        raw = float((ks[idx:] @ m[idx:]) / tail_prob)
-    else:
-        # Upper-quantile integral: weight each count by its share of (alpha, 1].
-        prev = np.concatenate([[d.truncated_below], cdf[:-1]])
-        w = np.clip(np.minimum(cdf, 1.0) - np.maximum(prev, alpha), 0.0, None)
-        raw = float((ks @ w) / (1.0 - alpha))
-    # Both conventions dominate the VaR mathematically; guard the last ulp.
-    return var_count, max(raw, float(var_count))
+    beyond = (np.arange(var_count + 1, d.max_count + 1, dtype=float) * d.masses[idx + 1 :]).sum()
+    tvar = tail_value(var_count, d.masses[idx], d.cdf[idx], beyond, 1.0, alpha, convention)
+    return var_count, float(tvar)
 
 
 def apply_measure(d: DiscreteLossDistribution, spec: RiskMeasureSpec) -> float:

@@ -30,7 +30,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .distributions import DiscreteLossDistribution
-from .measures import MeasureKind, RiskMeasureSpec, TvarConvention, var_and_tvar
+from .measures import MeasureKind, RiskMeasureSpec, TvarConvention, tail_value, var_and_tvar
 from .models import ModelSpec, PortfolioParams, check_support, exact_decimal, state_terms
 from .models import closed_form_mean_per_policy, loss_count_distribution
 
@@ -160,10 +160,10 @@ def tally_var_and_tvar(
     The measures of var_and_tvar on the sample distribution counts/num_sims,
     with alpha read as the decimal it prints (exact_decimal).  VaR is the
     smallest count k whose cumulative tally is at least
-    ceil(alpha * num_sims), decided in integers; TVaR is the exact Fraction
-    of integer sums.  A cumulative tally equal to alpha * num_sims therefore
-    reaches the level, as it does in exact arithmetic, where a rounded float
-    cdf may fall an ulp short of it.
+    ceil(alpha * num_sims), decided in integers; TVaR is tail_value on the
+    integer tallies, an exact Fraction.  A cumulative tally equal to
+    alpha * num_sims therefore reaches the level, as it does in exact
+    arithmetic, where a rounded float cdf may fall an ulp short of it.
 
     Raises:
         ValueError: If alpha lies outside (0, 1), or the tallies do not sum
@@ -177,16 +177,9 @@ def tally_var_and_tvar(
         raise ValueError(f"tallies sum to {int(cum[-1])}, not num_sims={sims}")
     a = exact_decimal(alpha)
     var_count = int(np.searchsorted(cum, math.ceil(a * sims)))
-    reached = int(cum[var_count])
-    beyond = int(np.arange(var_count + 1, len(cum)) @ h.counts[var_count + 1 :])
-    if convention is TvarConvention.CONDITIONAL:
-        # Mean of the outcomes at or beyond the VaR.
-        at = int(h.counts[var_count])
-        tvar = Fraction(beyond + var_count * at, sims - reached + at)
-    else:
-        # Upper-quantile integral: the VaR count carries its share of (alpha, 1].
-        tvar = (beyond + var_count * (reached - a * sims)) / (sims * (1 - a))
-    return var_count, tvar
+    beyond = Fraction(int(np.arange(var_count + 1, len(cum)) @ h.counts[var_count + 1 :]))
+    at, reached = int(h.counts[var_count]), int(cum[var_count])
+    return var_count, tail_value(var_count, at, reached, beyond, sims, a, convention)
 
 
 def empirical_distribution(h: LossHistogram) -> DiscreteLossDistribution:

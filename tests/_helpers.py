@@ -124,3 +124,22 @@ def two_sample_chi_square(a: np.ndarray, b: np.ndarray,
         raise ValueError("the histograms must hold the same number of draws")
     stat, dof = pooled_chi_square(a, (a + b) / 2, min_pooled / 2)
     return 2 * stat, dof
+
+
+def exact_tvar_loading_bits() -> list[str]:
+    """.hex() of exact TVaR loadings per policy, in both conventions, at alpha = 0.99.
+
+    The cases are the iid model at N = 100,000 and the common shock at
+    pt = 0.001, N = 16,996 and at pt = 0.05, N = 50,000.
+    """
+    from riskdiv.measures import MeasureKind, RiskMeasureSpec, TvarConvention
+    from riskdiv.models import PortfolioParams
+    from riskdiv.pricing import price_policy
+
+    cases = ((ModelSpec.iid(1 / 6), 100_000), (ModelSpec.common_shock(1 / 6, 0.5, 0.001), 16_996),
+             (ModelSpec.common_shock(1 / 6, 0.5, 0.05), 50_000))
+    return [
+        price_policy(model, PortfolioParams(), N,
+                     RiskMeasureSpec(MeasureKind.TVAR, 0.99, conv)).risk_loading_per_policy.hex()
+        for model, N in cases for conv in TvarConvention
+    ]

@@ -29,6 +29,7 @@ from riskdiv.measures import (
     apply_measure,
     gaussian_var_approx,
     normal_quantile,
+    tail_value,
     var_and_tvar,
 )
 from riskdiv.models import ModelSpec, loss_count_distribution
@@ -128,6 +129,25 @@ class TestTailValueAtRisk:
                 acc += k * (hi - lo)
         assert got == pytest.approx(acc / 0.01, rel=1e-10)
         assert got == pytest.approx(3.9388, abs=5e-4)
+
+    def test_one_formula_for_tallies_and_floats(self):
+        # Tallies [0, 3, 5, 2] of 10 paths at alpha = 7/10: VaR 2, its atom
+        # 5, 8 paths at or below it, and 3 * 2 beyond it.
+        a = Fraction(7, 10)
+        assert tail_value(2, 5, 8, Fraction(6), 10, a, TvarConvention.CONDITIONAL) == Fraction(16, 7)
+        assert tail_value(2, 5, 8, Fraction(6), 10, a, TvarConvention.TAIL_AVERAGE) == Fraction(8, 3)
+        # The same law as floats.
+        got = tail_value(2, 0.5, 0.8, 0.6, 1.0, 0.7, TvarConvention.CONDITIONAL)
+        assert got == pytest.approx(16 / 7, rel=1e-15)
+
+    def test_guards(self):
+        # A whole atom at the top: the conditional tail is the VaR, even
+        # where (v·at) / at rounds below it.
+        at = float.fromhex("0x1.88c8e28022816p-1")
+        assert 45 * at / at < 45
+        assert tail_value(45, at, 1.0, 0.0, 1.0, 0.99, TvarConvention.CONDITIONAL) == 45
+        with pytest.raises(RuntimeError, match="empty tail"):
+            tail_value(3, 0.0, 1.0, 0.0, 1.0, 0.99, TvarConvention.CONDITIONAL)
 
     def test_tail_average_matches_sorted_tail(self):
         # The tail average equals the mean of the worst (1-alpha) fraction.
@@ -254,15 +274,22 @@ class TestPlateauQuantiles:
         assert got == var
         assert len(fallbacks) == len(probes) > 0
 
-    @pytest.mark.parametrize("n,p", [(2000, 0.5), (5000, 0.5)])
-    def test_band_whose_exact_top_stays_below_alpha(self, n, p):
-        # At the stored cdf top the band reaches max_count, where the exact
-        # cdf still falls short of alpha: the search keeps the top edge.
-        d = binomial(n, p)
-        alpha = float(d.cdf[-1])
-        assert exact_cdf_at(d, d.max_count) < mpf(alpha)
-        assert var_and_tvar(d, alpha)[0] == d.max_count
-        assert d.min_count + bisect_band(d, alpha) == d.max_count
+    def test_band_whose_exact_top_stays_below_alpha(self):
+        # At the stored cdf top the band reaches max_count.  Whether the
+        # exact cdf there falls short of the stored double turns on its last
+        # bits, so the cases are searched for on a grid; where it does, the
+        # search keeps the top edge.
+        qualifying = 0
+        for n in range(1000, 6001, 500):
+            for p in (0.3, 0.5, 0.7):
+                d = binomial(n, p)
+                alpha = float(d.cdf[-1])
+                if not exact_cdf_at(d, d.max_count) < mpf(alpha):
+                    continue
+                qualifying += 1
+                assert var_and_tvar(d, alpha)[0] == d.max_count, (n, p)
+                assert d.min_count + bisect_band(d, alpha) == d.max_count, (n, p)
+        assert qualifying >= 2
 
 
 @pytest.mark.parametrize("pt", [0.001, 0.01, 0.05, 0.1])

@@ -1,12 +1,17 @@
 """Capital, risk loadings, premiums, relative risk."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import exact_tvar_loading_bits
 from riskdiv.distributions import moments
 from riskdiv.measures import (
     MeasureKind,
@@ -252,3 +257,20 @@ class TestPricePolicy:
             assert result.risk_loading_per_policy == risk_loading_per_policy(
                 model, PARAMS, 50, spec, source=cfg
             ).value
+
+
+@pytest.mark.parametrize("setting", ["OPENBLAS_CORETYPE=Prescott", "OPENBLAS_NUM_THREADS=1"])
+def test_exact_tvar_bits_do_not_depend_on_openblas(setting):
+    # In a fresh process under another CPU's OpenBLAS kernel, or on one
+    # thread, the iid and common-shock TVaR loadings keep every bit: no sum
+    # behind them goes through BLAS.  A BLAS that ignores these variables
+    # passes this test trivially.
+    tests = Path(__file__).resolve().parent
+    name, value = setting.split("=")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    env[name] = value
+    code = "from _helpers import exact_tvar_loading_bits; print(*exact_tvar_loading_bits())"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == exact_tvar_loading_bits()
