@@ -55,9 +55,10 @@ class DiscreteLossDistribution:
         components: Generative recipe when the distribution is a weighted
             combination of (truncated) binomials: tuple of
             (weight, trials, prob, support_lo, support_hi).  Lets the
-            quantile search re-evaluate the cdf in exact arithmetic when a
-            confidence level lands on a cdf plateau that double precision
-            cannot order.  None when no such recipe exists.
+            quantile search decide a confidence level that lands on a cdf
+            plateau double precision cannot order: on a small-tail residual
+            (cdf_reaches), with exact arithmetic only as its fallback.
+            None when no such recipe exists.
     """
 
     min_count: int
@@ -262,25 +263,15 @@ def _mp_binom_cdf(trials: int, prob: float, k: int):
     """Exact lower binomial cdf, efficient in either tail.
 
     Sums the pmf by ratio recurrence from the anchor point k, downward for a
-    lower-tail k and as one minus the upward sum otherwise, stopping once
-    terms stop mattering at the working precision.
+    lower-tail k and as one minus the upward sum otherwise, at the caller's
+    mpmath precision.
 
-    The stop is exact.  The terms shrink monotonically away from the anchor,
-    so once a term t is below half an ulp of the sum s, it and every later
-    term round away under round-to-nearest, and summing on would leave s
-    unchanged.  t < 2**(exp_t + bc_t) and s >= 2**(exp_s + bc_s - 1), so
-    exp_t + bc_t < exp_s + bc_s - prec says t < 2**(exp_s + bc_s - prec - 1),
-    which is at most half an ulp of s, from the raw exponents alone.
-
-    The recurrence runs on raw mpmath.libmp values at mp.prec, rounding to
-    nearest, with the operations the mpf operators would perform in the
-    order they would perform them: t*j*(1-p) / ((trials-j+1)*p) is
-    mpf_mul_int, mpf_mul, mpf_mul_int, mpf_div, and the upward step is
-    formed the same way.  The bits are the operator API's without its
-    per-operation dispatch.
+    The sum stops at the first term t that leaves it unchanged (s + t == s).
+    The terms shrink away from the anchor, so every later term is no larger
+    and, rounding being monotone, leaves the sum unchanged too: the stop
+    changes no bit.
     """
     from mpmath import mp
-    from mpmath.libmp import mpf_add, mpf_div, mpf_mul, mpf_mul_int, round_nearest
 
     mpf = mp.mpf
     if k < 0:
@@ -292,29 +283,23 @@ def _mp_binom_cdf(trials: int, prob: float, k: int):
     p = mpf(prob)
     # Once per sum, at the working precision.
     one_minus_p = 1 - p
-    prec, rnd = mp.prec, round_nearest
     lower_tail = k < trials * p
     # Sum from the anchor term t_j0 outward; each step multiplies by the
     # term ratio a*num / (b*den).
     if lower_tail:
-        j0, num, den = k, one_minus_p._mpf_, p._mpf_
+        j0, num, den = k, one_minus_p, p
         ratios = ((j, trials - j + 1) for j in range(k, 0, -1))
     else:
-        j0, num, den = k + 1, p._mpf_, one_minus_p._mpf_
+        j0, num, den = k + 1, p, one_minus_p
         ratios = ((trials - j, j + 1) for j in range(k + 1, trials))
-    t = (mp.binomial(trials, j0) * p**j0 * one_minus_p ** (trials - j0))._mpf_
+    t = mp.binomial(trials, j0) * p**j0 * one_minus_p ** (trials - j0)
     s = t
     for a, b in ratios:
-        t = mpf_div(
-            mpf_mul(mpf_mul_int(t, a, prec, rnd), num, prec, rnd),
-            mpf_mul_int(den, b, prec, rnd),
-            prec,
-            rnd,
-        )
-        s = mpf_add(s, t, prec, rnd)
-        if t[2] + t[3] < s[2] + s[3] - prec:
+        t = t * a * num / (den * b)
+        grown = s + t
+        if grown == s:
             break
-    s = mp.make_mpf(s)
+        s = grown
     return s if lower_tail else 1 - s
 
 

@@ -72,7 +72,8 @@ class RiskMeasureSpec:
 
 # Width of the cdf band around alpha inside which double precision cannot
 # order the plateau of a near-degenerate mixture; crossings this flat are
-# re-decided in exact arithmetic when the distribution carries a recipe.
+# re-decided on the small-tail residual (distributions.cdf_reaches), with
+# exact arithmetic as its fallback, when the distribution carries a recipe.
 _PLATEAU_BAND = 1e-11
 
 

@@ -147,8 +147,10 @@ class PortfolioParams:
 def check_support(N: int, n: int) -> None:
     """Check N policies of n exposures each before any array over their loss counts.
 
-    The exact distribution and each simulated histogram are dense over
-    0 .. N*n, so both engines call this first.
+    N*n is the largest loss count.  Each simulated histogram is dense over
+    0 .. N*n, and the exact distribution stores the counts from its lowest
+    to its highest of non-negligible mass, which lie inside that range.
+    The guard bounds both, so both engines call this first.
 
     Raises:
         ValueError: If N or n is less than 1, or if RISKDIV_MAX_SUPPORT is

@@ -21,7 +21,7 @@ import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 
 from .distributions import DiscreteLossDistribution, cdf_at
@@ -127,11 +127,13 @@ def _half_up(x: float | Fraction, places: int) -> str:
     """x to places decimals, ties away from zero: the one rounding rule of the tables.
 
     A float is rounded as the decimal its repr prints, a Fraction exactly.
+    The float's context holds 309 integer digits, so any finite double fits.
     """
     if isinstance(x, Fraction):
         units = math.floor(abs(x) * 10**places + Fraction(1, 2))
         return str(Decimal((int(x < 0), tuple(map(int, str(units))), -places)))
-    return str(Decimal(repr(x)).quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_UP))
+    exact = Context(prec=309 + places, rounding=ROUND_HALF_UP)
+    return str(Decimal(repr(x)).quantize(Decimal(1).scaleb(-places), context=exact))
 
 
 def fmt_loading(x: float | Fraction) -> str:

@@ -678,6 +678,18 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "not finite" in err
 
+    def test_loading_past_28_digits_prints(self, capsys):
+        # Decimal's default context holds 28 digits; a printed value needs 33.
+        code, out, err = run(capsys, *"loading --model iid --N 1 --severity 1e30 --measure var".split())
+        assert (code, out, err) == (0, "300000000000000030000000000000.000\n", "")
+
+    def test_table_past_28_digits_prints(self, capsys):
+        code, out, err = run(capsys, "table", "--id", "T2", "--severity", "1e30")
+        assert code == 0 and err == ""
+        rows = out.splitlines()
+        assert rows[1].split(",")[2] == "300000000000000030000000000000.000"
+        assert rows[-1].split(",")[2] == "1000000000000000000000000000000.00"
+
     @pytest.mark.parametrize("command", ["simulate", "loading --source mc"])
     def test_tally_bound_reported(self, capsys, command):
         # One path past (2**63 - 1) // 600 at N=100, n=6: the int64 tallies
