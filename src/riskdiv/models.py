@@ -147,9 +147,9 @@ class PortfolioParams:
 def check_support(N: int, n: int) -> None:
     """Check N policies of n exposures each before any array over their loss counts.
 
-    N*n is the largest loss count.  Each simulated histogram is dense over
-    0 .. N*n, and the exact distribution stores the counts from its lowest
-    to its highest of non-negligible mass, which lie inside that range.
+    N*n is the largest loss count.  The exact distribution stores the
+    counts from its lowest to its highest of non-negligible mass, which lie
+    inside 0 .. N*n, and a simulation draws over the same terms' windows.
     The guard bounds both, so both engines call this first.
 
     Raises:
@@ -256,8 +256,12 @@ def loss_count_distribution(
     return mixture([term for _, _, term in states], [w for _, w, _ in states])
 
 
+@lru_cache(maxsize=1024)
 def exact_decimal(x: float) -> Fraction:
-    """x as the exact decimal its repr prints: the number a user typed."""
+    """x as the exact decimal its repr prints: the number a user typed.
+
+    Memoised: a simulated table reads the same few inputs in every cell.
+    """
     return Fraction(repr(x))
 
 

@@ -7,20 +7,18 @@ j, and the tallies of each state are Multinomial over its exact term
 (models.state_terms).  This is conditional Monte Carlo (Asmussen & Glynn,
 Stochastic Simulation, ch. V), and a draw costs the size of the terms'
 windows, not the number of paths.  Results are bit-identical for a given
-(seed, num_sims).  Risk measures are read off the integer tallies
-(tally_var_and_tvar), not a float cdf, and a simulated loading is the exact
-rational they give.  A Monte Carlo loading carries the standard error of
-N_BOOT bootstrap resamples of its histogram, drawn from a stream keyed by
-the simulation seed.
+(seed, num_sims).  A histogram holds only its occupied loss counts and their
+tallies, never an array over 0 .. N*n.  Risk measures are read off the
+integer tallies (tally_var_and_tvar), not a float cdf, and a simulated
+loading is the exact rational they give.  A Monte Carlo loading carries the
+standard error of N_BOOT bootstrap resamples of its histogram, drawn in one
+multinomial call from a stream keyed by the simulation seed.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-# Unused: kept for perfbench/tracer.py, which hooks it by name (ROADMAP,
-# "In-package spans, `verify --json`, one quote path").
-from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,6 +53,17 @@ _INT64_MAX = 2**63 - 1
 N_BOOT = 200
 
 
+def __getattr__(name: str):
+    # ProcessPoolExecutor is unused here and loaded only when asked for:
+    # perfbench/tracer.py hooks it by name (ROADMAP, "In-package spans,
+    # `verify --json`, one quote path"), and importing concurrent.futures
+    # would slow every start-up.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """A reproducible simulation plan: num_sims paths from the stream of seed."""
@@ -71,19 +80,23 @@ class SimulationConfig:
 
 @dataclass
 class LossHistogram:
-    """Tallies of simulated portfolio loss counts.
+    """Tallies of simulated portfolio loss counts, held at the occupied counts.
 
-    counts[k] is the number of simulations that produced loss count k; the
-    array covers 0 .. N*n inclusive.
+    values holds ascending loss counts and tallies[i] the number of
+    simulations that produced values[i], both int64.  simulate keeps exactly
+    the occupied counts; a bootstrap replicate keeps its histogram's values
+    and may tally zero at some.  top is N*n, the largest loss count the
+    portfolio can produce, occupied or not.
     """
 
-    counts: np.ndarray
+    values: np.ndarray
+    tallies: np.ndarray
     num_sims: int
+    top: int
 
     def nonzero_items(self) -> list[tuple[int, int]]:
         """(count, tally) pairs for the observed counts, ascending."""
-        idx = np.nonzero(self.counts)[0]
-        return [(int(k), int(self.counts[k])) for k in idx]
+        return list(zip(self.values.tolist(), self.tallies.tolist()))
 
 
 @dataclass(frozen=True)
@@ -106,8 +119,9 @@ def _stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0))))
 
 
-def _draw_block(model: ModelSpec, N: int, n: int, seed: int, size: int) -> np.ndarray:
-    """The dense histogram of `size` loss counts, drawn directly.
+def _draw_block(model: ModelSpec, N: int, n: int, seed: int,
+                size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The occupied counts and tallies of `size` loss counts, drawn directly.
 
     From the stream of seed, the paths per state of crisis_rounds are
     Multinomial(size, w); a lone state (iid, or p_tilde at 0 or 1) draws
@@ -115,18 +129,22 @@ def _draw_block(model: ModelSpec, N: int, n: int, seed: int, size: int) -> np.nd
     over its term's stored window, normalised.  The terms are the exact
     engine's, read from the memo of models.state_terms, and the law is its
     mixture up to each term's truncated mass (at most TRUNCATION_BUDGET =
-    1e-12), which no draw can reach.
+    1e-12), which no draw can reach.  The tallies are merged in a box over
+    the drawn states' windows only, and returned as (values, tallies) at its
+    nonzero bins.
     """
     rng = _stream(seed)
     states = state_terms(model, N, n)
     weights = np.array([w for _, w, _ in states])
     paths = rng.multinomial(size, weights / weights.sum()) if len(states) > 1 else [size]
-    hist = np.zeros(N * n + 1, dtype=np.int64)
-    for c, (_, _, term) in zip(paths, states):
-        if c:
-            hist[term.min_count : term.max_count + 1] += rng.multinomial(
-                c, term.masses / term.masses.sum())
-    return hist
+    drawn = [(c, term) for c, (_, _, term) in zip(paths, states) if c]
+    lo = min(term.min_count for _, term in drawn)
+    box = np.zeros(max(term.max_count for _, term in drawn) - lo + 1, dtype=np.int64)
+    for c, term in drawn:
+        box[term.min_count - lo : term.max_count - lo + 1] += rng.multinomial(
+            c, term.masses / term.masses.sum())
+    occupied = np.flatnonzero(box)
+    return occupied + lo, box[occupied]
 
 
 def simulate(model: ModelSpec, N: int, n: int, config: SimulationConfig) -> LossHistogram:
@@ -146,8 +164,8 @@ def simulate(model: ModelSpec, N: int, n: int, config: SimulationConfig) -> Loss
             f"num_sims * N * n = {config.num_sims} * {N} * {n} exceeds 2**63 - 1, "
             "past which the int64 tallies overflow"
         )
-    return LossHistogram(_draw_block(model, N, n, config.seed, size=config.num_sims),
-                         config.num_sims)
+    values, tallies = _draw_block(model, N, n, config.seed, size=config.num_sims)
+    return LossHistogram(values, tallies, config.num_sims, N * n)
 
 
 def tally_var_and_tvar(
@@ -172,13 +190,15 @@ def tally_var_and_tvar(
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     sims = h.num_sims
-    cum = np.cumsum(h.counts)
-    if sims < 1 or int(cum[-1]) != sims:
-        raise ValueError(f"tallies sum to {int(cum[-1])}, not num_sims={sims}")
+    cum = np.cumsum(h.tallies)
+    total = int(cum[-1]) if len(cum) else 0
+    if sims < 1 or total != sims:
+        raise ValueError(f"tallies sum to {total}, not num_sims={sims}")
     a = exact_decimal(alpha)
-    var_count = int(np.searchsorted(cum, math.ceil(a * sims)))
-    beyond = Fraction(int(np.arange(var_count + 1, len(cum)) @ h.counts[var_count + 1 :]))
-    at, reached = int(h.counts[var_count]), int(cum[var_count])
+    i = int(np.searchsorted(cum, math.ceil(a * sims)))
+    var_count = int(h.values[i])
+    beyond = Fraction(int(h.values[i + 1 :] @ h.tallies[i + 1 :]))
+    at, reached = int(h.tallies[i]), int(cum[i])
     return var_count, tail_value(var_count, at, reached, beyond, sims, a, convention)
 
 
@@ -191,11 +211,11 @@ def empirical_distribution(h: LossHistogram) -> DiscreteLossDistribution:
     Raises:
         ValueError: If the histogram is empty.
     """
-    if h.num_sims < 1 or not np.any(h.counts):
+    if h.num_sims < 1 or not np.any(h.tallies):
         raise ValueError("empty histogram")
-    nz = np.nonzero(h.counts)[0]
-    lo, hi = int(nz[0]), int(nz[-1])
-    masses = h.counts[lo : hi + 1] / float(h.num_sims)
+    lo = int(h.values[0])
+    masses = np.zeros(int(h.values[-1]) - lo + 1)
+    masses[h.values - lo] = h.tallies / float(h.num_sims)
     return DiscreteLossDistribution(lo, masses)
 
 
@@ -257,18 +277,25 @@ def bootstrap_loading_se(
 ) -> float:
     """Bootstrap standard error of a histogram-based loading.
 
-    Resamples the histogram multinomially N_BOOT times and recomputes the
-    loading on each replicate.
+    Resamples the histogram's occupied counts in one Multinomial(num_sims,
+    tallies / num_sims) call of N_BOOT rows and recomputes the loading on
+    each replicate.  numpy draws one binomial per category but the last, and
+    nothing for a category of zero weight, so when N*n is not occupied a
+    zero-weight category at N*n closes the list: each replicate then equals
+    the draw over every count 0 .. N*n.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xB007))))
-    probs = h.counts / float(h.num_sims)
+    values, tallies = h.values, h.tallies
+    if values[-1] != h.top:
+        values, tallies = np.append(values, h.top), np.append(tallies, 0)
+    draws = rng.multinomial(h.num_sims, tallies / float(h.num_sims), size=N_BOOT)
     is_tvar = measure.kind is MeasureKind.TVAR
-    values = np.empty(N_BOOT)
-    for i in range(N_BOOT):
-        resampled = LossHistogram(rng.multinomial(h.num_sims, probs), h.num_sims)
-        rho = tally_var_and_tvar(resampled, measure.alpha, measure.convention)[is_tvar]
-        values[i] = loading_from_rho(Fraction(rho), model, params, N)
-    return float(values.std(ddof=1))
+    loadings = np.empty(N_BOOT)
+    for i, resampled in enumerate(draws):
+        rho = tally_var_and_tvar(LossHistogram(values, resampled, h.num_sims, h.top),
+                                 measure.alpha, measure.convention)[is_tvar]
+        loadings[i] = loading_from_rho(Fraction(rho), model, params, N)
+    return float(loadings.std(ddof=1))
 
 
 def mc_loading(

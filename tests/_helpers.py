@@ -88,6 +88,64 @@ def draw_paths(model: ModelSpec, N: int, n: int, seed: int, size: int) -> np.nda
     return np.bincount(draws, minlength=total + 1).astype(np.int64)
 
 
+def dense(h) -> np.ndarray:
+    """A LossHistogram's tallies as a dense int64 array over 0 .. N*n."""
+    out = np.zeros(h.top + 1, dtype=np.int64)
+    out[h.values] = h.tallies
+    return out
+
+
+def histogram(counts, num_sims: int):
+    """The LossHistogram of dense tallies over 0 .. len(counts) - 1."""
+    from riskdiv.montecarlo import LossHistogram
+
+    counts = np.asarray(counts, dtype=np.int64)
+    values = np.flatnonzero(counts)
+    return LossHistogram(values, counts[values], num_sims, len(counts) - 1)
+
+
+def dense_tally_var_and_tvar(counts: np.ndarray, alpha: float, convention):
+    """VaR and TVaR read off dense tallies over 0 .. N*n: the dense-layout tally reader.
+
+    An oracle for montecarlo.tally_var_and_tvar: a cumsum over every count,
+    and the tail beyond the VaR as arange @ tallies.
+    """
+    from fractions import Fraction
+    from math import ceil
+
+    from riskdiv.measures import tail_value
+    from riskdiv.models import exact_decimal
+
+    cum = np.cumsum(counts)
+    sims, a = int(cum[-1]), exact_decimal(alpha)
+    var_count = int(np.searchsorted(cum, ceil(a * sims)))
+    beyond = Fraction(int(np.arange(var_count + 1, len(cum)) @ counts[var_count + 1 :]))
+    at, reached = int(counts[var_count]), int(cum[var_count])
+    return var_count, tail_value(var_count, at, reached, beyond, sims, a, convention)
+
+
+def dense_bootstrap_se(h, model: ModelSpec, params, N: int, measure, seed: int) -> float:
+    """Bootstrap SE by N_BOOT dense multinomials over 0 .. N*n, one call each.
+
+    An oracle for montecarlo.bootstrap_loading_se: the same stream, one
+    replicate per call over every count, read by dense_tally_var_and_tvar.
+    """
+    from fractions import Fraction
+
+    from riskdiv.measures import MeasureKind
+    from riskdiv.montecarlo import N_BOOT, loading_from_rho
+
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xB007))))
+    probs = dense(h) / float(h.num_sims)
+    is_tvar = measure.kind is MeasureKind.TVAR
+    values = np.empty(N_BOOT)
+    for i in range(N_BOOT):
+        resampled = rng.multinomial(h.num_sims, probs)
+        rho = dense_tally_var_and_tvar(resampled, measure.alpha, measure.convention)[is_tvar]
+        values[i] = loading_from_rho(Fraction(rho), model, params, N)
+    return float(values.std(ddof=1))
+
+
 def pooled_chi_square(observed: np.ndarray, expected: np.ndarray,
                       min_expected: float = 5.0) -> tuple[float, int]:
     """Pearson chi-square of observed tallies against expected ones, and its dof.

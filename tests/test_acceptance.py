@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _helpers import pointwise_distance
+from _helpers import dense, histogram, pointwise_distance
 from riskdiv.distributions import binomial
 from riskdiv.measures import (
     MeasureKind,
@@ -31,7 +31,7 @@ from riskdiv.models import (
     closed_form_variance_per_policy,
     loss_count_distribution,
 )
-from riskdiv.montecarlo import LossHistogram, SimulationConfig, simulate, tally_var_and_tvar
+from riskdiv.montecarlo import SimulationConfig, simulate, tally_var_and_tvar
 from riskdiv.pricing import risk_loading_per_policy
 from riskdiv.reference import load_errata, load_reference, compare_with_reference
 from riskdiv.tables import N_GRID, PT_GRID, PT_LABELS, TableRequest, build_table
@@ -140,10 +140,10 @@ def _mc_cross_check_cell(model, N, sims, seed):
 
     point = loadings(hist)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xB007))))
-    probs = hist.counts / float(sims)
+    probs = dense(hist) / float(sims)
     reps = {MeasureKind.VAR: [], MeasureKind.TVAR: []}
     for _ in range(200):
-        resampled = LossHistogram(rng.multinomial(sims, probs), sims)
+        resampled = histogram(rng.multinomial(sims, probs), sims)
         rep_vals = loadings(resampled)
         for kind in reps:
             reps[kind].append(rep_vals[kind])
@@ -308,19 +308,21 @@ def test_criterion_08_gaussian_approximation():
 def test_criterion_09_simulation_determinism():
     model = ModelSpec.per_exposure_shock(1 / 6, 0.5, 0.001)
     cfg = SimulationConfig(num_sims=200_000, seed=SEED)
-    blob = simulate(model, 100, 6, cfg).counts.tobytes()
-    assert simulate(model, 100, 6, cfg).counts.tobytes() == blob
+    blob = dense(simulate(model, 100, 6, cfg)).tobytes()
+    assert dense(simulate(model, 100, 6, cfg)).tobytes() == blob
     script = (
         "import hashlib\n"
+        "from _helpers import dense\n"
         "from riskdiv.models import ModelSpec\n"
         "from riskdiv.montecarlo import SimulationConfig, simulate\n"
         "model = ModelSpec.per_exposure_shock(1 / 6, 0.5, 0.001)\n"
         f"cfg = SimulationConfig(num_sims=200_000, seed={SEED})\n"
-        "print(hashlib.sha256(simulate(model, 100, 6, cfg).counts.tobytes()).hexdigest())\n"
+        "print(hashlib.sha256(dense(simulate(model, 100, 6, cfg)).tobytes()).hexdigest())\n"
     )
-    src = Path(__file__).resolve().parents[1] / "src"
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(str(d) for d in (here.parent / "src", here))
     fresh = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                           env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+                           env=dict(os.environ, PYTHONPATH=path), check=True)
     assert fresh.stdout.strip() == hashlib.sha256(blob).hexdigest()
     report("criterion 9", "200k-path histogram byte-identical on a second call and in a "
            "fresh interpreter")

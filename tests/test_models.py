@@ -1,11 +1,13 @@
 """Generative models: exact distributions, closed-form moments, reductions."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _helpers import pointwise_distance
+from _helpers import dense, pointwise_distance
 from riskdiv import models
 from riskdiv.distributions import binomial, moments
 from riskdiv.measures import var_and_tvar
@@ -17,6 +19,7 @@ from riskdiv.models import (
     closed_form_mean_per_policy,
     closed_form_variance_per_policy,
     crisis_rounds,
+    exact_decimal,
     loss_count_distribution,
     nondiversifiable_floor,
     state_terms,
@@ -150,10 +153,10 @@ class TestCrisisRounds:
         assert sum(w for _, w in law) == pytest.approx(1.0, abs=1e-12)
         mean = n * (0.01 * 0.2 + 0.99 * 0.1)
         assert moments(loss_count_distribution(model, 1, n))[0] == pytest.approx(mean, rel=1e-9)
-        h = simulate(model, 1, n, SimulationConfig(4_000, seed=1))
-        assert int(h.counts.sum()) == 4_000
+        counts = dense(simulate(model, 1, n, SimulationConfig(4_000, seed=1)))
+        assert int(counts.sum()) == 4_000
         # Per path the count has sd about sqrt(n * 0.1 * 0.9) < 12.
-        assert abs(np.arange(n + 1) @ h.counts / 4_000 - mean) < 4 * 12 / np.sqrt(4_000)
+        assert abs(np.arange(n + 1) @ counts / 4_000 - mean) < 4 * 12 / np.sqrt(4_000)
 
 
 class TestStateTerms:
@@ -199,6 +202,17 @@ class TestStateTerms:
         mixed = loss_count_distribution(model, 7, 6)
         manual = sum(w * np.pad(t.masses, (t.min_count, 42 - t.max_count)) for _, w, t in states)
         assert np.max(np.abs(manual[mixed.min_count : mixed.max_count + 1] - mixed.masses)) < 1e-15
+
+
+class TestExactDecimal:
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(allow_nan=False, allow_infinity=False))
+    @example(x=-0.0)
+    @example(x=0.0)
+    def test_memo_returns_the_decimal_of_repr(self, x):
+        # The second call is served from the memo.
+        assert exact_decimal(x) == Fraction(repr(x))
+        assert exact_decimal(x) == Fraction(repr(x))
 
 
 class TestClosedFormMean:

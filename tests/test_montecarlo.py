@@ -1,7 +1,11 @@
 """Simulation: determinism, the tally bound, the tally reader, oracle agreement."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,14 @@ from hypothesis import strategies as st
 from scipy.special import chdtrc
 
 import riskdiv.montecarlo as mc
-from _helpers import draw_paths, pooled_chi_square, two_sample_chi_square
+from _helpers import (
+    dense,
+    dense_bootstrap_se,
+    draw_paths,
+    histogram,
+    pooled_chi_square,
+    two_sample_chi_square,
+)
 from riskdiv import models
 from riskdiv.distributions import moments
 from riskdiv.measures import MeasureKind, RiskMeasureSpec, TvarConvention, var_and_tvar
@@ -40,11 +51,11 @@ class TestDeterminism:
     def test_seed_changes_output(self):
         a = simulate(CRISIS, 10, 6, SimulationConfig(50_000, seed=1))
         b = simulate(CRISIS, 10, 6, SimulationConfig(50_000, seed=2))
-        assert not np.array_equal(a.counts, b.counts)
+        assert not np.array_equal(dense(a), dense(b))
 
     def test_ragged_last_block(self):
         h = simulate(CRISIS, 10, 6, SimulationConfig(60_001, seed=3))
-        assert int(h.counts.sum()) == 60_001
+        assert int(dense(h).sum()) == 60_001
 
     def test_each_budget_is_one_draw(self, monkeypatch):
         drawn = []
@@ -65,7 +76,7 @@ class TestDeterminism:
 
     def test_one_block_budget_kept_its_bytes(self):
         h = simulate(CRISIS, 100, 6, SimulationConfig(250_000, seed=7))
-        assert hashlib.sha256(h.counts.tobytes()).hexdigest() == self.ONE_BLOCK_DIGEST
+        assert hashlib.sha256(dense(h).tobytes()).hexdigest() == self.ONE_BLOCK_DIGEST
 
     # `calls` repeats the budgets in one process.  Each budget is drawn on
     # the memoised terms of the one before it, as the rows of a table column
@@ -73,20 +84,30 @@ class TestDeterminism:
     @pytest.mark.parametrize("calls", [1, 2])
     def test_warm_law_changes_no_histogram(self, calls):
         budgets = [3_000, 1_000, 4_000, 1_000]
-        warm = [simulate(CRISIS, 10, 6, SimulationConfig(b, seed=41)).counts.tobytes()
+        warm = [dense(simulate(CRISIS, 10, 6, SimulationConfig(b, seed=41))).tobytes()
                 for _ in range(calls) for b in budgets]
         cold = []
         for b in budgets * calls:
             models._state_term.cache_clear()
-            cold.append(simulate(CRISIS, 10, 6, SimulationConfig(b, seed=41)).counts.tobytes())
+            cold.append(dense(simulate(CRISIS, 10, 6, SimulationConfig(b, seed=41))).tobytes())
         assert warm == cold
 
 
 class TestHistogram:
     def test_tally_totals(self):
         h = simulate(ModelSpec.iid(1 / 6), 5, 6, SimulationConfig(30_000, seed=5))
-        assert int(h.counts.sum()) == h.num_sims == 30_000
-        assert len(h.counts) == 31
+        assert int(dense(h).sum()) == h.num_sims == 30_000
+        assert len(dense(h)) == 31
+
+    @pytest.mark.parametrize("name", ["iid", "common", "crisis"])
+    def test_holds_only_the_occupied_counts(self, name):
+        # Ascending occupied counts with positive int64 tallies; top is N*n.
+        h = simulate(ORACLE_MODELS[name], 20, 6, SimulationConfig(50_000, seed=5))
+        assert h.top == 120
+        assert h.values.dtype == h.tallies.dtype == np.int64
+        assert np.all(np.diff(h.values) > 0) and np.all(h.tallies > 0)
+        assert 0 <= h.values[0] and h.values[-1] <= h.top
+        assert h.values.tolist() == np.flatnonzero(dense(h)).tolist()
 
     def test_nonzero_items_sorted(self):
         h = simulate(ModelSpec.iid(1 / 6), 2, 6, SimulationConfig(10_000, seed=5))
@@ -97,13 +118,13 @@ class TestHistogram:
 
 class TestEmpiricalDistribution:
     def test_single_observation(self):
-        h = LossHistogram(np.array([1], dtype=np.int64), 1)
+        h = histogram([1], 1)
         d = empirical_distribution(h)
         assert d.min_count == 0 and list(d.masses) == [1.0]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            empirical_distribution(LossHistogram(np.zeros(3, dtype=np.int64), 0))
+            empirical_distribution(histogram(np.zeros(3), 0))
 
     def test_pointwise_close_to_exact(self):
         sims = 200_000
@@ -164,6 +185,34 @@ class TestOracleAgreement:
         assert se > 0.0
 
 
+# Models whose top count N*n is occupied at small N, beside the ones above.
+HEAVY_MODELS = {
+    "iid": ModelSpec.iid(0.9),
+    "common": ModelSpec.common_shock(0.5, 0.99, 0.3),
+    "crisis": ModelSpec.per_exposure_shock(0.5, 0.99, 0.5),
+}
+# The cases whose 2,000 paths at seed 7 occupy N*n.
+TOP_OCCUPIED = {(False, "common", 1), (True, "iid", 1), (True, "iid", 3), (True, "common", 1),
+                (True, "common", 3), (True, "common", 100), (True, "crisis", 1),
+                (True, "crisis", 3)}
+
+
+class TestBootstrap:
+    """The one-call occupied-bin bootstrap against one dense multinomial per replicate."""
+
+    @pytest.mark.parametrize("N", [1, 3, 100, 10_000])
+    @pytest.mark.parametrize("name", ["iid", "common", "crisis"])
+    @pytest.mark.parametrize("heavy", [False, True])
+    def test_equals_the_dense_bootstrap(self, heavy, name, N):
+        model = (HEAVY_MODELS if heavy else ORACLE_MODELS)[name]
+        h = simulate(model, N, PARAMS.exposures, SimulationConfig(2_000, seed=7))
+        assert (h.values[-1] == h.top) == ((heavy, name, N) in TOP_OCCUPIED)
+        spec = (RiskMeasureSpec(MeasureKind.TVAR, 0.99, TvarConvention.TAIL_AVERAGE) if heavy
+                else RiskMeasureSpec(MeasureKind.VAR, 0.99))
+        assert bootstrap_loading_se(h, model, PARAMS, N, spec, seed=7) == dense_bootstrap_se(
+            h, model, PARAMS, N, spec, seed=7)
+
+
 # Small portfolios of each model, with crises frequent enough to sample.
 ORACLE_MODELS = {
     "iid": ModelSpec.iid(1 / 6),
@@ -186,11 +235,11 @@ class TestPathOracle:
         hist = simulate(model, N, n, SimulationConfig(sims, seed=61))
         # The oracle draws from another seed's stream, so the two samples are independent.
         paths = draw_paths(model, N, n, 62, sims)
-        stat, dof = two_sample_chi_square(hist.counts, paths)
+        stat, dof = two_sample_chi_square(dense(hist), paths)
         assert chdtrc(dof, stat) > FALSE_ALARM, (stat, dof)
         # Each sample's mean loss per policy within 4 standard errors of the closed form.
         se = np.sqrt(closed_form_variance_per_policy(model, PARAMS, N) / sims)
-        for counts in (hist.counts, paths):
+        for counts in (dense(hist), paths):
             mean = PARAMS.severity * (np.arange(len(counts)) @ counts) / sims / N
             assert abs(mean - closed_form_mean_per_policy(model, PARAMS)) <= 4 * se
 
@@ -199,7 +248,7 @@ class TestPathOracle:
         model, N, n, sims = ORACLE_MODELS["crisis"], 100, PARAMS.exposures, 20_000_000
         h = simulate(model, N, n, SimulationConfig(sims, seed=67))
         d = loss_count_distribution(model, N, n)
-        observed = h.counts[d.min_count : d.max_count + 1]
+        observed = dense(h)[d.min_count : d.max_count + 1]
         assert observed.sum() == sims  # no draw beyond the stored support
         stat, dof = pooled_chi_square(observed, sims * d.masses)
         assert chdtrc(dof, stat) > FALSE_ALARM, (stat, dof)
@@ -234,17 +283,18 @@ class TestTallyReader:
         # The cumulative tally at 1 is 699,300 = 0.999 * 700,000,
         # so the level is reached at 1; a rounded float cdf at 1 can fall an
         # ulp below 0.999 and push the VaR to 2.
-        h = LossHistogram(np.array([391_983, 307_317, 700], dtype=np.int64), 700_000)
+        counts = [391_983, 307_317, 700]
+        h = histogram(counts, 700_000)
         for convention in TvarConvention:
             assert tally_var_and_tvar(h, 0.999, convention)[0] == 1
             assert tally_var_and_tvar(h, 0.999, convention) == _brute_force(
-                h.counts.tolist(), 0.999, convention
+                counts, 0.999, convention
             )
 
     def test_alpha_is_the_decimal_typed(self):
         # The double nearest 0.9 exceeds 9/10, so as a binary fraction 9 of
         # 10 tallies would fall short of it; as the decimal they reach it.
-        h = LossHistogram(np.array([9, 1], dtype=np.int64), 10)
+        h = histogram([9, 1], 10)
         assert tally_var_and_tvar(h, 0.9, TvarConvention.TAIL_AVERAGE) == (0, Fraction(1))
         assert tally_var_and_tvar(h, 0.9) == (0, Fraction(1, 10))
 
@@ -255,7 +305,7 @@ class TestTallyReader:
         convention=st.sampled_from(list(TvarConvention)),
     )
     def test_equals_exact_arithmetic(self, counts, alpha, convention):
-        h = LossHistogram(np.array(counts, dtype=np.int64), sum(counts))
+        h = histogram(counts, sum(counts))
         var_count, tvar = tally_var_and_tvar(h, alpha, convention)
         assert (var_count, tvar) == _brute_force(counts, alpha, convention)
         d = empirical_distribution(h)
@@ -265,14 +315,29 @@ class TestTallyReader:
             assert fvar == var_count
             assert ftvar == pytest.approx(tvar, rel=1e-12)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bins=st.dictionaries(st.integers(0, 80), st.integers(1, 60), min_size=1, max_size=10),
+        top_gap=st.integers(0, 3),
+        alpha=st.sampled_from([0.9, 0.99, 0.999]),
+        convention=st.sampled_from(list(TvarConvention)),
+    )
+    def test_occupied_bins_equal_the_dense_expansion(self, bins, top_gap, alpha, convention):
+        values = sorted(bins)
+        tallies = np.array([bins[v] for v in values], dtype=np.int64)
+        h = LossHistogram(np.array(values, dtype=np.int64), tallies, int(tallies.sum()),
+                          values[-1] + top_gap)
+        assert tally_var_and_tvar(h, alpha, convention) == _brute_force(
+            dense(h).tolist(), alpha, convention)
+
     @pytest.mark.parametrize("counts,sims", [([0, 0], 0), ([3, 4], 8), ([3, 4], 6)])
     def test_tallies_must_sum_to_num_sims(self, counts, sims):
         with pytest.raises(ValueError, match="tallies sum to"):
-            tally_var_and_tvar(LossHistogram(np.array(counts, dtype=np.int64), sims), 0.99)
+            tally_var_and_tvar(histogram(counts, sims), 0.99)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
-        h = LossHistogram(np.array([1, 1], dtype=np.int64), 2)
+        h = histogram([1, 1], 2)
         with pytest.raises(ValueError, match="alpha must lie in"):
             tally_var_and_tvar(h, alpha)
 
@@ -294,8 +359,8 @@ class TestConfigValidation:
             simulate(CRISIS, N, n, SimulationConfig(10))
 
     def test_support_guard(self, monkeypatch):
-        # A simulation tallies a dense histogram over 0 .. N*n, as the exact engine
-        # builds a dense pmf, so both honour the same limit.
+        # A simulation draws over the exact engine's terms, so both honour
+        # the same limit.
         monkeypatch.setenv("RISKDIV_MAX_SUPPORT", "100")
         with pytest.raises(SupportLimitError, match=r"^support of 300 counts \(N=50, n=6\) "
                            "exceeds the limit 100$"):
@@ -313,9 +378,21 @@ class TestConfigValidation:
 
     def test_budget_at_the_tally_bound(self):
         h = simulate(CRISIS, 100, 6, SimulationConfig(self.LAST_BUDGET, seed=71))
-        assert int(h.counts.sum()) == h.num_sims == self.LAST_BUDGET
+        assert int(h.tallies.sum()) == h.num_sims == self.LAST_BUDGET
         d = loss_count_distribution(CRISIS, 100, 6)
         # So many paths read the exact engine's measures off the tallies.
         tvar = tally_var_and_tvar(h, 0.99, TvarConvention.TAIL_AVERAGE)[1]
         assert float(tvar) == pytest.approx(
             var_and_tvar(d, 0.99, TvarConvention.TAIL_AVERAGE)[1], rel=1e-6)
+
+
+def test_import_does_not_load_concurrent_futures():
+    # montecarlo hands out ProcessPoolExecutor only on request.  A
+    # subprocess, because pytest itself may have loaded concurrent.futures.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import riskdiv, sys; from riskdiv import montecarlo; "
+            "assert 'concurrent.futures' not in sys.modules; "
+            "assert montecarlo.ProcessPoolExecutor.__module__ == 'concurrent.futures.process'")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), check=False)
+    assert proc.returncode == 0, proc.stderr.decode()
