@@ -17,7 +17,6 @@ that diversification cannot remove.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -32,7 +31,7 @@ __all__ = [
     "ModelSpec",
     "PortfolioParams",
     "SupportLimitError",
-    "DEFAULT_MAX_SUPPORT",
+    "MAX_SUPPORT",
     "check_support",
     "crisis_rounds",
     "state_terms",
@@ -43,8 +42,7 @@ __all__ = [
     "nondiversifiable_floor",
 ]
 
-DEFAULT_MAX_SUPPORT = 10_000_000
-_MAX_SUPPORT_ENV = "RISKDIV_MAX_SUPPORT"
+MAX_SUPPORT = 10_000_000
 
 
 # The range of each kind of float field, as (rule, test); every test fails NaN.
@@ -63,7 +61,7 @@ def _check_range(name: str, value: float, kind: tuple) -> None:
 
 
 class SupportLimitError(ValueError):
-    """Requested portfolio needs a larger support than the configured limit."""
+    """Requested portfolio needs a larger support than the fixed limit, MAX_SUPPORT."""
 
 
 class ModelKind(str, Enum):
@@ -150,23 +148,18 @@ def check_support(N: int, n: int) -> None:
     N*n is the largest loss count.  The exact distribution stores the
     counts from its lowest to its highest of non-negligible mass, which lie
     inside 0 .. N*n, and a simulation draws over the same terms' windows.
-    The guard bounds both, so both engines call this first.
+    The guard bounds both, so both engines call this first.  The limit is
+    the fixed MAX_SUPPORT (1e7 counts), with no override.
 
     Raises:
-        ValueError: If N or n is less than 1, or if RISKDIV_MAX_SUPPORT is
-            set but is not a positive integer.
-        SupportLimitError: If N*n exceeds the support limit (default 1e7,
-            override with the RISKDIV_MAX_SUPPORT environment variable).
+        ValueError: If N or n is less than 1.
+        SupportLimitError: If N*n exceeds MAX_SUPPORT.
     """
     if N < 1 or n < 1:
         raise ValueError(f"N and n must be >= 1, got N={N}, n={n}")
-    env = os.environ.get(_MAX_SUPPORT_ENV)
-    if env and (not env.strip().isdecimal() or int(env) < 1):
-        raise ValueError(f"{_MAX_SUPPORT_ENV} must be a positive integer, got {env!r}")
-    limit = int(env) if env else DEFAULT_MAX_SUPPORT
-    if N * n > limit:
+    if N * n > MAX_SUPPORT:
         raise SupportLimitError(
-            f"support of {N * n} counts (N={N}, n={n}) exceeds the limit {limit}"
+            f"support of {N * n} counts (N={N}, n={n}) exceeds the limit {MAX_SUPPORT}"
         )
 
 
@@ -261,8 +254,10 @@ def exact_decimal(x: float) -> Fraction:
     """x as the exact decimal its repr prints: the number a user typed.
 
     Memoised: a simulated table reads the same few inputs in every cell.
+    A numpy float is read as the Python float it equals, whose repr is
+    the bare decimal.
     """
-    return Fraction(repr(x))
+    return Fraction(repr(float(x)))
 
 
 def closed_form_mean_per_policy(

@@ -159,7 +159,8 @@ def simulate(model: ModelSpec, N: int, n: int, config: SimulationConfig) -> Loss
             the int64 tally sums would overflow.
     """
     check_support(N, n)
-    if config.num_sims * N * n > _INT64_MAX:
+    # In Python ints: a numpy N would wrap the product in int64.
+    if int(config.num_sims) * int(N) * int(n) > _INT64_MAX:
         raise ValueError(
             f"num_sims * N * n = {config.num_sims} * {N} * {n} exceeds 2**63 - 1, "
             "past which the int64 tallies overflow"

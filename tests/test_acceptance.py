@@ -1,7 +1,7 @@
 """Acceptance criteria: one test per criterion, each printing a PASS line.
 
-The heavy full-scale checks (N = 10^4 Monte Carlo cross-checks) run when
-RISKDIV_ACCEPT_FULL=1; the default run covers the CI subset (N <= 10^3).
+Criterion 4 cross-checks Monte Carlo against the exact engine over
+N <= 10^4.
 """
 
 import hashlib
@@ -37,7 +37,6 @@ from riskdiv.reference import load_errata, load_reference, compare_with_referenc
 from riskdiv.tables import N_GRID, PT_GRID, PT_LABELS, TableRequest, build_table
 from riskdiv.distributions import moments
 
-FULL = os.environ.get("RISKDIV_ACCEPT_FULL") == "1"
 PARAMS = PortfolioParams()
 SEED = 42
 
@@ -185,7 +184,7 @@ def test_criterion_04_per_exposure_table(t4_table):
     # per-seed chance of at least one exceedance is ~20%), so any cell beyond
     # the band must be confirmed on an independent stream: a real defect is a
     # bias and persists across streams, a fluctuation does not.
-    grid_N = [1, 5, 10, 50, 100, 1000] + ([10_000] if FULL else [])
+    grid_N = [1, 5, 10, 50, 100, 1000, 10_000]
     sims = 1_000_000
     retried = []
     for pt in PT_GRID:
@@ -205,8 +204,7 @@ def test_criterion_04_per_exposure_table(t4_table):
                     pt, N, kind, point[kind], retry_point[kind], exact, slack, retry_slack,
                 )
     elapsed = time.perf_counter() - start
-    budget = 600.0 if FULL else 60.0
-    assert elapsed < budget
+    assert elapsed < 60.0
     confirmations = f", {len(retried)} cells confirmed on a second stream" if retried else ""
     report(
         "criterion 4",

@@ -635,29 +635,22 @@ class TestErrors:
     def test_no_subcommand_exits_2(self, capsys):
         assert run(capsys)[0] == 2
 
-    def test_support_guard_reported(self, capsys, monkeypatch):
-        monkeypatch.setenv("RISKDIV_MAX_SUPPORT", "50")
-        code, _, err = run(capsys, "dist", "--model", "iid", "--N", "100")
-        assert code == 1
-        assert "600" in err and "50" in err
+    def test_support_guard_reported(self, capsys):
+        code, out, err = run(capsys, "dist", "--model", "iid", "--N", "1666667")
+        assert (code, out) == (1, "")
+        assert err == ("error: support of 10000002 counts (N=1666667, n=6) "
+                       "exceeds the limit 10000000\n")
 
     @pytest.mark.parametrize("argv", [
-        "dist --N 50",
-        "simulate --N 50 --sims 10",
-        "loading --N 50 --source mc --sims 10",
-    ])
-    def test_support_guard_covers_the_simulator(self, capsys, monkeypatch, argv):
-        monkeypatch.setenv("RISKDIV_MAX_SUPPORT", "100")
-        code, out, err = run(capsys, *argv.split())
+        "dist",
+        "simulate --sims 10",
+        "loading --source mc --sims 10",
+    ], ids=lambda argv: argv.split()[0])
+    def test_support_guard_covers_the_simulator(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split(), "--N", "1666667")
         assert (code, out) == (1, "")
-        assert err == "error: support of 300 counts (N=50, n=6) exceeds the limit 100\n"
-
-    @pytest.mark.parametrize("value", ["0", "-5", "abc"])
-    def test_bad_support_limit_reported(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("RISKDIV_MAX_SUPPORT", value)
-        code, out, err = run(capsys, "dist", "--model", "iid", "--N", "1")
-        assert code == 1 and out == ""
-        assert "RISKDIV_MAX_SUPPORT must be a positive integer" in err
+        assert err == ("error: support of 10000002 counts (N=1666667, n=6) "
+                       "exceeds the limit 10000000\n")
 
     @pytest.mark.parametrize("argv", [
         "table --id T2 --eta nan",

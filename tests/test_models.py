@@ -12,10 +12,12 @@ from riskdiv import models
 from riskdiv.distributions import binomial, moments
 from riskdiv.measures import var_and_tvar
 from riskdiv.models import (
+    MAX_SUPPORT,
     ModelKind,
     ModelSpec,
     PortfolioParams,
     SupportLimitError,
+    check_support,
     closed_form_mean_per_policy,
     closed_form_variance_per_policy,
     crisis_rounds,
@@ -93,26 +95,21 @@ class TestLossCountDistribution:
         assert d.components == b.components
 
     def test_support_guard(self):
-        with pytest.raises(SupportLimitError):
-            loss_count_distribution(ModelSpec.iid(0.5), 10_000_000, 6)
-
-    def test_support_guard_env_override(self, monkeypatch):
-        monkeypatch.setenv("RISKDIV_MAX_SUPPORT", "100")
-        with pytest.raises(SupportLimitError):
-            loss_count_distribution(ModelSpec.iid(0.5), 100, 6)
-        monkeypatch.setenv("RISKDIV_MAX_SUPPORT", "1000")
-        loss_count_distribution(ModelSpec.iid(0.5), 100, 6)
+        # The limit is a fixed constant, and past it no term is built.
+        check_support(1, MAX_SUPPORT)
+        with pytest.raises(SupportLimitError, match=r"^support of 10000001 counts "
+                           r"\(N=1, n=10000001\) exceeds the limit 10000000$"):
+            check_support(1, MAX_SUPPORT + 1)
+        misses = models._state_term.cache_info().misses
+        with pytest.raises(SupportLimitError, match=r"^support of 10000002 counts "
+                           r"\(N=1666667, n=6\) exceeds the limit 10000000$"):
+            loss_count_distribution(ModelSpec.iid(0.5), 1_666_667, 6)
+        assert models._state_term.cache_info().misses == misses
 
     @pytest.mark.parametrize("N,n", [(0, 6), (1, 0), (-3, 6)])
     def test_empty_portfolio_rejected(self, N, n):
         with pytest.raises(ValueError, match="N and n must be >= 1"):
             loss_count_distribution(ModelSpec.iid(1 / 6), N, n)
-
-    @pytest.mark.parametrize("value", ["0", "-5", "abc"])
-    def test_support_limit_must_be_positive_integer(self, monkeypatch, value):
-        monkeypatch.setenv("RISKDIV_MAX_SUPPORT", value)
-        with pytest.raises(ValueError, match="RISKDIV_MAX_SUPPORT must be a positive integer"):
-            loss_count_distribution(ModelSpec.iid(0.5), 1, 6)
 
 
 @pytest.mark.filterwarnings("ignore:crisis_prob > 0.5")
@@ -210,8 +207,11 @@ class TestExactDecimal:
     @example(x=-0.0)
     @example(x=0.0)
     def test_memo_returns_the_decimal_of_repr(self, x):
-        # The second call is served from the memo.
-        assert exact_decimal(x) == Fraction(repr(x))
+        # A numpy float, read on an empty memo, is the decimal of its float;
+        # numpy 2 prints its type in its repr.  The second call is served
+        # from the memo.
+        exact_decimal.cache_clear()
+        assert exact_decimal(np.float64(x)) == Fraction(repr(x))
         assert exact_decimal(x) == Fraction(repr(x))
 
 

@@ -358,13 +358,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="N and n must be >= 1"):
             simulate(CRISIS, N, n, SimulationConfig(10))
 
-    def test_support_guard(self, monkeypatch):
+    def test_support_guard(self):
         # A simulation draws over the exact engine's terms, so both honour
-        # the same limit.
-        monkeypatch.setenv("RISKDIV_MAX_SUPPORT", "100")
-        with pytest.raises(SupportLimitError, match=r"^support of 300 counts \(N=50, n=6\) "
-                           "exceeds the limit 100$"):
-            simulate(CRISIS, 50, 6, SimulationConfig(10))
+        # the same limit, and past it no term is built.
+        misses = models._state_term.cache_info().misses
+        with pytest.raises(SupportLimitError, match=r"^support of 10000002 counts "
+                           r"\(N=1666667, n=6\) exceeds the limit 10000000$"):
+            simulate(CRISIS, 1_666_667, 6, SimulationConfig(10))
+        assert models._state_term.cache_info().misses == misses
 
     # The largest budget at N=100, n=6 whose sum of count * tally fits an int64.
     LAST_BUDGET = (2**63 - 1) // 600
@@ -375,6 +376,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=rf"^num_sims \* N \* n = {self.LAST_BUDGET + 1} "
                            r"\* 100 \* 6 exceeds 2\*\*63 - 1"):
             simulate(CRISIS, 100, 6, SimulationConfig(self.LAST_BUDGET + 1))
+        # A numpy N must not wrap the product in int64 and slip past.
+        with pytest.raises(ValueError, match=r"^num_sims \* N \* n = 2000000000000 "
+                           r"\* 1000000 \* 6 exceeds 2\*\*63 - 1"):
+            simulate(ModelSpec.iid(0.5), np.int64(10**6), 6, SimulationConfig(2 * 10**12))
 
     def test_budget_at_the_tally_bound(self):
         h = simulate(CRISIS, 100, 6, SimulationConfig(self.LAST_BUDGET, seed=71))

@@ -20,7 +20,7 @@ from riskdiv.measures import (
     gaussian_var_approx,
     normal_quantile,
 )
-from riskdiv.models import ModelSpec, PortfolioParams, loss_count_distribution
+from riskdiv.models import ModelSpec, PortfolioParams, exact_decimal, loss_count_distribution
 from riskdiv.montecarlo import SimulationConfig, loading_from_rho
 from riskdiv.pricing import (
     premium,
@@ -257,6 +257,16 @@ class TestPricePolicy:
             assert result.risk_loading_per_policy == risk_loading_per_policy(
                 model, PARAMS, 50, spec, source=cfg
             ).value
+
+    def test_simulated_quote_reads_a_numpy_alpha_as_its_float(self):
+        # Each quote starts on an empty memo, so the numpy level is parsed.
+        quotes = []
+        for alpha in (np.float64(0.99), 0.99):
+            exact_decimal.cache_clear()
+            spec = RiskMeasureSpec(MeasureKind.VAR, alpha)
+            quotes.append(price_policy(ModelSpec.iid(1 / 6), PARAMS, 10, spec,
+                                       source=SimulationConfig(1000)))
+        assert quotes[0] == quotes[1]
 
 
 @pytest.mark.parametrize("setting", ["OPENBLAS_CORETYPE=Prescott", "OPENBLAS_NUM_THREADS=1"])
