@@ -38,7 +38,9 @@ __all__ = [
     "mixture",
     "moments",
     "cdf_at",
+    "compensated_cdf",
     "point_mass",
+    "weighted_masses",
 ]
 
 
@@ -57,8 +59,9 @@ class DiscreteLossDistribution:
             (weight, trials, prob, support_lo, support_hi).  Lets the
             quantile search decide a confidence level that lands on a cdf
             plateau double precision cannot order: on a small-tail residual
-            (cdf_reaches), with exact arithmetic only as its fallback.
-            None when no such recipe exists.
+            (cdf_reaches, which takes the recipe itself), with exact
+            arithmetic only as its fallback.  None when no such recipe
+            exists.
     """
 
     min_count: int
@@ -105,26 +108,32 @@ class DiscreteLossDistribution:
 
     @cached_property
     def cdf(self) -> np.ndarray:
-        """P[count <= k] for every support point k, anchored below.
+        """P[count <= k] for every support point k: compensated_cdf anchored at truncated_below."""
+        return compensated_cdf(self.truncated_below, self.masses)
 
-        A compensated (Neumaier) running sum, so each prefix is correct to
-        the last rounding.  Quantiles of near-degenerate mixtures sit on cdf
-        plateaus only ulps wide; a naive cumsum drifts across them.
 
-        The recurrence is formed in whole-array steps with the sequential
-        loop's operations in its order, so the bits are the loop's.  Its
-        running sum s is the plain left-to-right sum anchored at
-        truncated_below, which np.cumsum computes (add.accumulate is
-        sequential, not pairwise).  Each step's rounding error comes from
-        the loop's own branch, chosen elementwise.  The corrections then
-        accumulate from 0.0, again left to right, and prefix i is s_i + c_i.
-        """
-        m = self.masses
-        s = np.cumsum(np.concatenate(([self.truncated_below], m)))
-        prev, t = s[:-1], s[1:]
-        e = np.where(np.abs(prev) >= np.abs(m), (prev - t) + m, (m - t) + prev)
-        c = np.cumsum(np.concatenate(([0.0], e)))[1:]
-        return t + c
+def compensated_cdf(anchor: float, masses: np.ndarray) -> np.ndarray:
+    """The running sums anchor + masses[0] + ... + masses[i], each correct to the last rounding.
+
+    A compensated (Neumaier) running sum.  Quantiles of near-degenerate
+    mixtures sit on cdf plateaus only ulps wide; a naive cumsum drifts
+    across them.
+
+    The recurrence is formed in whole-array steps with the sequential
+    loop's operations in its order, so the bits are the loop's.  Its
+    running sum s is the plain left-to-right sum from the anchor, which
+    np.cumsum computes (add.accumulate is sequential, not pairwise).  Each
+    step's rounding error comes from the loop's own branch, chosen
+    elementwise.  The corrections then accumulate from 0.0, again left to
+    right, and prefix i is s_i + c_i.  A mass of exactly 0.0 leaves s
+    unchanged and adds an error of 0.0, so dropping zero masses changes no
+    other prefix's bits.
+    """
+    s = np.cumsum(np.concatenate(([anchor], masses)))
+    prev, t = s[:-1], s[1:]
+    e = np.where(np.abs(prev) >= np.abs(masses), (prev - t) + masses, (masses - t) + prev)
+    c = np.cumsum(np.concatenate(([0.0], e)))[1:]
+    return t + c
 
 
 def point_mass(count: int) -> DiscreteLossDistribution:
@@ -201,13 +210,27 @@ def mixture(
         raise ValueError("weights must be nonnegative and sum to 1")
     lo = min(d.min_count for d in dists)
     hi = max(d.max_count for d in dists)
-    masses = np.zeros(hi - lo + 1)
+    masses, below, above, components = weighted_masses(zip(w, dists), np.arange(lo, hi + 1))
+    return DiscreteLossDistribution(lo, masses, below, above, components=components)
+
+
+def weighted_masses(terms, counts: np.ndarray) -> tuple[np.ndarray, float, float, tuple | None]:
+    """(weight, distribution) pairs summed over the ascending counts: (masses, below, above, recipe).
+
+    counts holds every count of each term's window, consecutively.  Each
+    count's mass and each truncated tail are summed over the terms in the
+    order given, from 0.0, and a term of weight 0.0 is skipped, so the bits
+    depend on the terms and their order, not on which counts are listed.
+    recipe is the terms' components with their weights multiplied in, or
+    None when a term has none.
+    """
+    masses = np.zeros(len(counts))
     below = above = 0.0
     recipe: list[tuple] | None = []
-    for d, wi in zip(dists, w):
+    for wi, d in terms:
         if wi == 0.0:
             continue
-        start = d.min_count - lo
+        start = int(np.searchsorted(counts, d.min_count))
         masses[start : start + len(d.masses)] += wi * d.masses
         below += wi * d.truncated_below
         above += wi * d.truncated_above
@@ -215,8 +238,7 @@ def mixture(
             recipe.extend((wi * cw, t, p, s_lo, s_hi) for cw, t, p, s_lo, s_hi in d.components)
         else:
             recipe = None
-    components = tuple(recipe) if recipe else None
-    return DiscreteLossDistribution(lo, masses, below, above, components=components)
+    return masses, below, above, tuple(recipe) if recipe else None
 
 
 def convolve(
@@ -318,24 +340,27 @@ def _component_cdf(trials: int, prob: float, k: int):
         return _mp_binom_cdf(trials, prob, k)
 
 
-def exact_cdf_at(d: DiscreteLossDistribution, k: int):
-    """cdf_at re-evaluated in exact (extended-precision) arithmetic.
+def exact_cdf_at(recipe: tuple | None, k: int):
+    """cdf_at of the law a component recipe describes, in exact (extended-precision) arithmetic.
 
-    Reproduces the anchored-cdf semantics of the stored object: each
-    component contributes its exact cdf clamped to its stored support, so
-    the value matches what cdf_at computes, free of double rounding.  Only
-    available when the distribution carries a component recipe.  The value
-    does not depend on the caller's mpmath precision.  The quantile search
-    reaches it only through cdf_reaches, when the double-precision residual
-    cannot order the cdf and alpha.
+    recipe is a distribution's components.  Reproduces the anchored-cdf
+    semantics of the stored object: each component contributes its exact
+    cdf clamped to its stored support, so the value matches what cdf_at
+    computes, free of double rounding.  The value does not depend on the
+    caller's mpmath precision.  The quantile search reaches it only through
+    cdf_reaches, when the double-precision residual cannot order the cdf
+    and alpha.
+
+    Raises:
+        ValueError: If recipe is None (the law has no recipe).
     """
-    if d.components is None:
+    if recipe is None:
         raise ValueError("no generative recipe available for exact evaluation")
     from mpmath import mp
 
     with mp.workdps(_EXACT_DPS):
         total = mp.mpf(0)
-        for weight, trials, prob, s_lo, s_hi in d.components:
+        for weight, trials, prob, s_lo, s_hi in recipe:
             kk = min(max(k, s_lo - 1), s_hi)
             total += mp.mpf(weight) * _component_cdf(trials, prob, kk)
         return total
@@ -386,7 +411,7 @@ RESIDUAL_BOUND = (_KERNEL_KAPPA + 4) * 2.0**-53
 _RESIDUAL_FLOOR = 2.0**-100
 
 
-def _residual_sign(d: DiscreteLossDistribution, k: int, alpha: float) -> bool | None:
+def _residual_sign(recipe: tuple, k: int, alpha: float) -> bool | None:
     """Whether cdf(k) >= alpha, decided on a small-tail residual in double precision.
 
     Each component, clamped to its stored support as in exact_cdf_at,
@@ -407,7 +432,7 @@ def _residual_sign(d: DiscreteLossDistribution, k: int, alpha: float) -> bool | 
     """
     const = -Fraction(alpha)
     terms = []
-    for weight, trials, prob, s_lo, s_hi in d.components:
+    for weight, trials, prob, s_lo, s_hi in recipe:
         kk = min(max(k, s_lo - 1), s_hi)
         if kk < 0 or (prob == 1.0 and kk < trials):
             continue
@@ -430,19 +455,23 @@ def _residual_sign(d: DiscreteLossDistribution, k: int, alpha: float) -> bool | 
     return None
 
 
-def cdf_reaches(d: DiscreteLossDistribution, k: int, alpha: float) -> bool:
-    """exact_cdf_at(d, k) >= alpha, in double precision wherever the error bound decides it.
+def cdf_reaches(recipe: tuple | None, k: int, alpha: float) -> bool:
+    """exact_cdf_at(recipe, k) >= alpha, in double precision wherever the error bound decides it.
 
-    The probe of every plateau search.  It takes the small-tail residual's
+    The probe of every plateau search.  recipe is a distribution's
+    components, or the weighted components of a mixture's terms, so the
+    search needs no stored mixture.  It takes the small-tail residual's
     sign (_residual_sign) when the residual's error bound decides it, and
     otherwise compares exact_cdf_at in mpmath, which is imported only then.
-    Needs a component recipe.
+
+    Raises:
+        ValueError: If recipe is None (the law has no recipe).
     """
-    if d.components is None:
+    if recipe is None:
         raise ValueError("no generative recipe available for exact evaluation")
-    sign = _residual_sign(d, k, alpha)
+    sign = _residual_sign(recipe, k, alpha)
     if sign is not None:
         return sign
     from mpmath import mpf
 
-    return exact_cdf_at(d, k) >= mpf(alpha)
+    return exact_cdf_at(recipe, k) >= mpf(alpha)

@@ -77,33 +77,57 @@ class RiskMeasureSpec:
 _PLATEAU_BAND = 1e-11
 
 
-def _quantile_index(d: DiscreteLossDistribution, alpha: float) -> int:
+def _occupied(terms) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple | None]:
+    """The mixture of (weight, term) pairs over its occupied counts: (counts, masses, cdf, recipe).
+
+    The occupied counts are the union of the terms' stored windows, merged
+    where they overlap or touch; the counts between two windows hold no
+    mass and are not stored.  The masses, the anchor and the recipe are
+    distributions.weighted_masses, as mixture sums them, and the cdf is
+    compensated_cdf, as the stored law's: a zero mass changes no running
+    sum, so every occupied count has the stored mixture's bits.
+    """
+    windows: list[list[int]] = []
+    for lo, hi in sorted((d.min_count, d.max_count) for _, d in terms):
+        if windows and lo <= windows[-1][1] + 1:
+            windows[-1][1] = max(windows[-1][1], hi)
+        else:
+            windows.append([lo, hi])
+    counts = np.concatenate([np.arange(lo, hi + 1) for lo, hi in windows])
+    masses, below, _, recipe = distributions.weighted_masses(terms, counts)
+    return counts, masses, distributions.compensated_cdf(below, masses), recipe
+
+
+def _quantile_index(counts: np.ndarray, cdf: np.ndarray, recipe: tuple | None,
+                    alpha: float) -> int:
     """Index of the smallest count whose cdf reaches alpha, decided exactly on a plateau.
 
-    Without a recipe this is the double-precision answer.  With one, the
-    band of points whose stored cdf lies within _PLATEAU_BAND of alpha is
-    bisected on the exact cdf, which is monotone in k (each component's
-    clamped cdf is, and so is their rounded weighted sum): the result is the
-    first index in the band whose exact cdf reaches alpha, or the band top,
-    never probed, if none does.  Every probe is distributions.cdf_reaches: a
+    counts, cdf and recipe are _occupied's.  Without a recipe this is the
+    double-precision answer.  With one, the band of counts whose stored cdf
+    lies within _PLATEAU_BAND of alpha is bisected on the exact cdf, which
+    is monotone in k (each component's clamped cdf is, and so is their
+    rounded weighted sum): the result is the first count in the band whose
+    exact cdf reaches alpha, or the band top, never probed, if none does.
+    Only occupied counts are probed: between two windows every component is
+    clamped as at the last occupied count below, so a count there is never
+    the first to reach alpha.  Every probe is distributions.cdf_reaches: a
     double-precision small-tail residual with a derived error bound, and the
     mpmath cdf only where that bound cannot order the cdf and alpha.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    cdf = d.cdf
     if alpha > cdf[-1]:
         raise TruncationError(
             f"alpha={alpha} exceeds the resolvable cdf top {cdf[-1]:.17f}; "
             "tail truncation prevents resolving this quantile"
         )
-    if d.components is None:
+    if recipe is None:
         return int(np.searchsorted(cdf, alpha))
     lo = int(np.searchsorted(cdf, alpha - _PLATEAU_BAND, side="right"))
     hi = min(int(np.searchsorted(cdf, alpha + _PLATEAU_BAND)), len(cdf) - 1)
     return lo + bisect.bisect_left(
         range(lo, hi), True,
-        key=lambda i: distributions.cdf_reaches(d, d.min_count + i, alpha),
+        key=lambda i: distributions.cdf_reaches(recipe, int(counts[i]), alpha),
     )
 
 
@@ -131,26 +155,36 @@ def tail_value(var_count, at, reached, beyond, total, alpha, convention: TvarCon
 
 
 def var_and_tvar(
-    d: DiscreteLossDistribution,
+    law: DiscreteLossDistribution | list[tuple[float, DiscreteLossDistribution]],
     alpha: float,
     convention: TvarConvention = TvarConvention.CONDITIONAL,
 ) -> tuple[int, float]:
     """VaR and TVaR at level alpha, in counts, from one quantile search.
 
-    VaR is the smallest count k with P[count <= k] >= alpha; TVaR is
-    tail_value on the stored law at the VaR index, whose sum beyond it is a
-    numpy product-sum, not a BLAS dot.  On a plateau the tail average takes
-    its VaR-atom share at the decided index, not at the stored cdf's
-    crossing, about 1e-13 of mass away.
+    law is a distribution, or the (weight, term) pairs of a mixture, such as
+    the states of models.state_terms; a distribution is the one-term case
+    of weight 1.0.  A mixture is read over its terms' occupied windows
+    (_occupied), never as a dense array over the gaps between them, with
+    the bits of its stored law.  VaR is the smallest count k with
+    P[count <= k] >= alpha; TVaR is tail_value at the VaR, whose sum beyond
+    it is a numpy product-sum, not a BLAS dot.  numpy's pairwise sum
+    depends on where the zero masses sit, so the masses above the VaR are
+    laid out densely up to the top count, as the stored law holds them.  On
+    a plateau the tail average takes its VaR-atom share at the decided
+    count, not at the stored cdf's crossing, about 1e-13 of mass away.
 
     Raises:
         TruncationError: If alpha lies beyond the stored cdf top, i.e. the
             quantile cannot be resolved on the truncated support.
     """
-    idx = _quantile_index(d, alpha)
-    var_count = d.min_count + idx
-    beyond = (np.arange(var_count + 1, d.max_count + 1, dtype=float) * d.masses[idx + 1 :]).sum()
-    tvar = tail_value(var_count, d.masses[idx], d.cdf[idx], beyond, 1.0, alpha, convention)
+    terms = [(1.0, law)] if isinstance(law, DiscreteLossDistribution) else law
+    counts, masses, cdf, recipe = _occupied(terms)
+    idx = _quantile_index(counts, cdf, recipe, alpha)
+    var_count, top = int(counts[idx]), int(counts[-1])
+    tail = np.zeros(top - var_count)
+    tail[counts[idx + 1 :] - (var_count + 1)] = masses[idx + 1 :]
+    beyond = (np.arange(var_count + 1, top + 1, dtype=float) * tail).sum()
+    tvar = tail_value(var_count, masses[idx], cdf[idx], beyond, 1.0, alpha, convention)
     return var_count, float(tvar)
 
 

@@ -157,9 +157,11 @@ def check_support(N: int, n: int) -> None:
     """
     if N < 1 or n < 1:
         raise ValueError(f"N and n must be >= 1, got N={N}, n={n}")
-    if N * n > MAX_SUPPORT:
+    # In Python ints: a numpy N would wrap the product in int64.
+    support = int(N) * int(n)
+    if support > MAX_SUPPORT:
         raise SupportLimitError(
-            f"support of {N * n} counts (N={N}, n={n}) exceeds the limit {MAX_SUPPORT}"
+            f"support of {support} counts (N={N}, n={n}) exceeds the limit {MAX_SUPPORT}"
         )
 
 
@@ -214,8 +216,9 @@ def state_terms(
 
     term is Binomial(N*j, q) + Binomial(N*(n-j), p), the count given j.
     States of zero weight are skipped; the rest come in increasing j.  Both
-    engines mix these terms: loss_count_distribution exactly, and the Monte
-    Carlo sampler by drawing each simulation's paths over them.  A term does
+    engines read these terms: the exact measures over their occupied windows
+    (measures.var_and_tvar), and the Monte Carlo sampler by drawing each
+    simulation's paths over them.  A term does
     not depend on p_tilde, so each is built once per process (_state_term)
     and every crisis probability, column and engine gets the same frozen
     object: sharing it cannot change a bit.
@@ -233,10 +236,13 @@ def loss_count_distribution(
     N: int,
     n: int,
 ) -> DiscreteLossDistribution:
-    """Exact distribution of the portfolio loss count.
+    """Exact distribution of the portfolio loss count, stored densely.
 
     The mixture of state_terms in law order, so results do not depend on
-    scheduling.
+    scheduling.  It stores every count from the lowest to the highest of
+    its terms, the gaps between the states' humps included, for `dist`, T1
+    and the tests; the measures read the terms themselves
+    (montecarlo.measures_in_counts), with this law's bits.
 
     Raises:
         ValueError: If check_support raises (a SupportLimitError past the
@@ -267,9 +273,23 @@ def closed_form_mean_per_policy(
 
     All three models share l*n*(p_tilde*q + (1-p_tilde)*p); the iid model is
     the p_tilde = 0 case.  With exact set, every input is read as its decimal
-    and the mean is that exact Fraction.
+    and the mean is that exact Fraction (_exact_mean).
     """
-    num = exact_decimal if exact else float
+    return _exact_mean(model, params) if exact else _mean(model, params, float)
+
+
+@lru_cache(maxsize=256)
+def _exact_mean(model: ModelSpec, params: PortfolioParams) -> Fraction:
+    """The exact mean, built once per (model, params).
+
+    A bootstrap asks for it on every replicate.  Specs that compare equal
+    have equal decimals, so sharing an entry changes no value.
+    """
+    return _mean(model, params, exact_decimal)
+
+
+def _mean(model: ModelSpec, params: PortfolioParams, num) -> float | Fraction:
+    """l*n*(p_tilde*q + (1-p_tilde)*p), with every input read by num."""
     n, l = params.exposures, num(params.severity)
     p, q, pt = (num(x) for x in (model.loss_prob, model.crisis_loss_prob, model.crisis_prob))
     return l * n * (pt * q + (1 - pt) * p)

@@ -30,7 +30,7 @@ import numpy.random  # noqa: F401
 from .distributions import DiscreteLossDistribution
 from .measures import MeasureKind, RiskMeasureSpec, TvarConvention, tail_value, var_and_tvar
 from .models import ModelSpec, PortfolioParams, check_support, exact_decimal, state_terms
-from .models import closed_form_mean_per_policy, loss_count_distribution
+from .models import closed_form_mean_per_policy
 
 __all__ = [
     "SimulationConfig",
@@ -231,16 +231,24 @@ def measures_in_counts(
     """VaR and TVaR of the loss count, in counts: exact, or read off a simulation's tallies.
 
     The one place that chooses the engine.  The exact engine gives an int
-    VaR and a float TVaR (var_and_tvar); a simulation gives the exact
-    Fractions of its tallies (tally_var_and_tvar), so loading_from_rho
-    decides their digits exactly.
+    VaR and a float TVaR, read by var_and_tvar off the weighted state_terms
+    over their occupied windows, with the bits of the stored mixture
+    (loss_count_distribution); a simulation gives the exact Fractions of its
+    tallies (tally_var_and_tvar), so loading_from_rho decides their digits
+    exactly.
+
+    Raises:
+        ValueError: If check_support raises (a SupportLimitError past the
+            support limit).
     """
     if isinstance(source, SimulationConfig):
         var_count, tvar = tally_var_and_tvar(simulate(model, N, n, source), alpha, convention)
         return Fraction(var_count), tvar
     if source != "exact":
         raise ValueError(f"source must be 'exact' or a SimulationConfig, got {source!r}")
-    return var_and_tvar(loss_count_distribution(model, N, n), alpha, convention)
+    check_support(N, n)
+    terms = [(w, term) for _, w, term in state_terms(model, N, n)]
+    return var_and_tvar(terms, alpha, convention)
 
 
 def loading_from_rho(

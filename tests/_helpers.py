@@ -46,11 +46,44 @@ def bisect_band(d: DiscreteLossDistribution, alpha: float) -> int:
     a = mpf(alpha)
     while lo < hi:
         mid = (lo + hi) // 2
-        if exact_cdf_at(d, d.min_count + mid) >= a:
+        if exact_cdf_at(d.components, d.min_count + mid) >= a:
             hi = mid
         else:
             lo = mid + 1
     return lo
+
+
+def dense_var_and_tvar(model: ModelSpec, N: int, n: int, alpha: float, convention):
+    """VaR and TVaR read off the dense stored law: an oracle for the exact measure path.
+
+    The quantile search and the tail run over loss_count_distribution's
+    mixture, every count from the lowest stored to the highest, the gaps
+    between the states' humps included: the search takes the
+    double-precision answer, or with a recipe bisects the plateau band
+    (band_edges) on distributions.cdf_reaches, and the tail beyond the VaR
+    is one product-sum over the stored masses above it.
+    """
+    import bisect
+
+    from riskdiv import distributions
+    from riskdiv.measures import TruncationError, tail_value
+    from riskdiv.models import loss_count_distribution
+
+    d = loss_count_distribution(model, N, n)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if alpha > d.cdf[-1]:
+        raise TruncationError(f"alpha={alpha} exceeds the resolvable cdf top")
+    lo, idx, hi = band_edges(d, alpha)
+    if d.components is not None:
+        idx = lo + bisect.bisect_left(
+            range(lo, hi), True,
+            key=lambda i: distributions.cdf_reaches(d.components, d.min_count + i, alpha),
+        )
+    var_count = d.min_count + idx
+    beyond = (np.arange(var_count + 1, d.max_count + 1, dtype=float) * d.masses[idx + 1 :]).sum()
+    tvar = tail_value(var_count, d.masses[idx], d.cdf[idx], beyond, 1.0, alpha, convention)
+    return var_count, float(tvar)
 
 
 def draw_paths(model: ModelSpec, N: int, n: int, seed: int, size: int) -> np.ndarray:

@@ -2,17 +2,18 @@
 
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 from scipy import stats
 
-from _helpers import band_edges, bisect_band
-from riskdiv import binom, distributions
+from _helpers import band_edges, bisect_band, dense_var_and_tvar
+from riskdiv import binom, distributions, models
 from riskdiv.distributions import (
     DiscreteLossDistribution,
     binomial,
@@ -32,7 +33,14 @@ from riskdiv.measures import (
     tail_value,
     var_and_tvar,
 )
-from riskdiv.models import ModelSpec, loss_count_distribution
+from riskdiv.models import (
+    ModelKind,
+    ModelSpec,
+    crisis_rounds,
+    loss_count_distribution,
+    state_terms,
+)
+from riskdiv.montecarlo import measures_in_counts
 
 
 def brute_binom_var(n, p, alpha):
@@ -280,7 +288,7 @@ class TestPlateauQuantiles:
         # cdf still falls short of alpha: the search keeps the top edge.
         d = binomial(n, p)
         alpha = float(d.cdf[-1])
-        assert exact_cdf_at(d, d.max_count) < mpf(alpha)
+        assert exact_cdf_at(d.components, d.max_count) < mpf(alpha)
         assert var_and_tvar(d, alpha)[0] == d.max_count
         assert d.min_count + bisect_band(d, alpha) == d.max_count
 
@@ -320,7 +328,7 @@ def first_index_reaching(d, alpha):
     """Oracle: linear scan of the exact cdf for the first count reaching alpha."""
     a = mpf(alpha)
     for i in range(len(d.masses)):
-        if exact_cdf_at(d, d.min_count + i) >= a:
+        if exact_cdf_at(d.components, d.min_count + i) >= a:
             return d.min_count + i
     raise AssertionError("alpha not reached")
 
@@ -337,7 +345,7 @@ class TestPlateauSearchEqualsBisection:
         # but the exact cdf there falls short: the search finds the next count.
         alpha = float(self.d.cdf[26])
         assert band_edges(self.d, alpha) == (26, 26, 36)
-        assert exact_cdf_at(self.d, 26) < mpf(alpha)
+        assert exact_cdf_at(self.d.components, 26) < mpf(alpha)
         assert var_and_tvar(self.d, alpha)[0] == self.d.min_count + bisect_band(self.d, alpha) == 27
         assert first_index_reaching(self.d, alpha) == 27
 
@@ -412,9 +420,9 @@ def decided_where_exact(d, alpha, ks):
     a = mpf(alpha)
     decided = 0
     for k in ks:
-        sign = distributions._residual_sign(d, k, alpha)
+        sign = distributions._residual_sign(d.components, k, alpha)
         if sign is not None:
-            gap = exact_cdf_at(d, k) - a
+            gap = exact_cdf_at(d.components, k) - a
             assert gap != 0 and sign == (gap > 0), (k, alpha)
             decided += 1
     return decided
@@ -480,19 +488,95 @@ class TestResidualProbe:
                         for k in range(200)])
         pick = low == 0.0 if tail == "zero" else (0.0 < low) & (low < sys.float_info.min)
         k = int(np.nonzero(pick)[0][-1])
-        assert distributions._residual_sign(d, k, 0.5) is None
+        assert distributions._residual_sign(d.components, k, 0.5) is None
         fallbacks = []
         monkeypatch.setattr(distributions, "exact_cdf_at",
                             lambda *args: fallbacks.append(args) or exact_cdf_at(*args))
-        assert distributions.cdf_reaches(d, k, 0.5) is False
-        assert fallbacks == [(d, k)]
+        assert distributions.cdf_reaches(d.components, k, 0.5) is False
+        assert fallbacks == [(d.components, k)]
 
     def test_component_beyond_the_kernel_range_is_not_decided(self):
         trials = distributions._KERNEL_MAX_TRIALS + 1
         d = DiscreteLossDistribution(
             0, np.array([1.0]), components=((1.0, trials, 0.5, 0, trials),)
         )
-        assert distributions._residual_sign(d, trials // 2, 0.5) is None
+        assert distributions._residual_sign(d.components, trials // 2, 0.5) is None
+
+
+probabilities = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def exact_quotes(draw):
+    """(model, N, n, alpha, convention), alpha often on a state atom of the law of j."""
+    kind = draw(st.sampled_from(list(ModelKind)))
+    n, N = draw(st.integers(1, 8)), draw(st.integers(1, 20_000))
+    p, q = draw(probabilities), draw(st.one_of(st.just(1.0), probabilities))
+    pt = 0.0 if kind is ModelKind.IID else draw(
+        st.one_of(st.sampled_from([0.001, 0.01, 0.05, 0.1]), probabilities))
+    model = ModelSpec(kind, p, q, pt)
+    # The cdf's plateaus: 1 - pt for the common shock, the partial sums of
+    # the round weights for the per-exposure shock.
+    atoms = [a for a in np.cumsum([w for _, w in crisis_rounds(model, n)]).tolist()
+             if 0.0 < a < 1.0]
+    levels = [st.floats(0.0, 1.0), st.just(1.0 - 1e-14)]
+    if atoms:
+        levels.append(st.sampled_from(atoms))
+    alpha = draw(st.one_of(*levels))
+    return model, N, n, alpha, draw(st.sampled_from(list(TvarConvention)))
+
+
+def outcome(read, *args):
+    """repr of a reader's (VaR, TVaR), or the type of what it raised."""
+    try:
+        return repr(read(*args))
+    except Exception as exc:
+        return type(exc)
+
+
+@pytest.mark.filterwarnings("ignore:crisis_prob > 0.5", "ignore:crisis_loss_prob <= loss_prob")
+class TestOccupiedWindows:
+    """The exact measures read over the terms' occupied windows keep the dense law's bits."""
+
+    @given(case=exact_quotes())
+    # A plateau search across the gap, and per-exposure states whose
+    # windows overlap, where the masses' bits depend on the order of the sum.
+    @example(case=(ModelSpec.common_shock(1 / 6, 0.5, 0.01), 1000, 6, 0.99,
+                   TvarConvention.CONDITIONAL))
+    @example(case=(ModelSpec.per_exposure_shock(0.1, 0.3, 0.01), 2, 2, 0.75,
+                   TvarConvention.CONDITIONAL))
+    @settings(max_examples=150, deadline=None)
+    def test_bits_equal_the_dense_reader(self, case):
+        model, N, n, alpha, convention = case
+        got = outcome(measures_in_counts, model, N, n, alpha, convention, "exact")
+        assert got == outcome(dense_var_and_tvar, model, N, n, alpha, convention)
+
+    def test_no_mixture_on_a_multi_state_model(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("the measure path built the stored mixture")
+
+        monkeypatch.setattr(models, "mixture", unused)
+        monkeypatch.setattr(DiscreteLossDistribution, "cdf", property(unused))
+        for kind in (ModelKind.COMMON_SHOCK, ModelKind.PER_EXPOSURE_SHOCK):
+            measures_in_counts(ModelSpec(kind, 0.1, 0.5, 0.01), 2_000, 6, 0.99,
+                               TvarConvention.CONDITIONAL, "exact")
+
+    def test_no_array_over_the_gap(self):
+        # At N = 10**6 the common shock stores 30,077 counts with mass in
+        # two humps 2 million counts apart.  With the terms built, reading
+        # VaR and TVaR at 99% (in the crisis hump) must allocate well under
+        # one float array over 0 .. N*n (48 MB).  The dense mixture and its
+        # cdf took 82.6 MB.  At pt = 0.1% the VaR lies in the normal hump
+        # and the dense tail above it, about 34 MB, is still laid out.
+        model, N, n = ModelSpec.common_shock(1 / 6, 0.5, 0.05), 10**6, 6
+        state_terms(model, N, n)
+        tracemalloc.start()
+        try:
+            measures_in_counts(model, N, n, 0.99, TvarConvention.CONDITIONAL, "exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * N * n / 4
 
 
 class TestNormalQuantile:

@@ -105,6 +105,13 @@ class TestLossCountDistribution:
                            r"\(N=1666667, n=6\) exceeds the limit 10000000$"):
             loss_count_distribution(ModelSpec.iid(0.5), 1_666_667, 6)
         assert models._state_term.cache_info().misses == misses
+        # A numpy N is multiplied as a Python int: in int64, 2**61 * 8
+        # wraps to 0 and (2**62 + 1) * 4 to 4.
+        with pytest.raises(SupportLimitError, match=rf"^support of {2**64} counts "):
+            check_support(np.int64(2**61), 8)
+        with pytest.raises(SupportLimitError, match=rf"^support of {(2**62 + 1) * 4} counts "):
+            loss_count_distribution(ModelSpec.iid(0.5), np.int64(2**62 + 1), 4)
+        assert models._state_term.cache_info().misses == misses
 
     @pytest.mark.parametrize("N,n", [(0, 6), (1, 0), (-3, 6)])
     def test_empty_portfolio_rejected(self, N, n):
