@@ -164,14 +164,13 @@ def var_and_tvar(
     law is a distribution, or the (weight, term) pairs of a mixture, such as
     the states of models.state_terms; a distribution is the one-term case
     of weight 1.0.  A mixture is read over its terms' occupied windows
-    (_occupied), never as a dense array over the gaps between them, with
-    the bits of its stored law.  VaR is the smallest count k with
-    P[count <= k] >= alpha; TVaR is tail_value at the VaR, whose sum beyond
-    it is a numpy product-sum, not a BLAS dot.  numpy's pairwise sum
-    depends on where the zero masses sit, so the masses above the VaR are
-    laid out densely up to the top count, as the stored law holds them.  On
-    a plateau the tail average takes its VaR-atom share at the decided
-    count, not at the stored cdf's crossing, about 1e-13 of mass away.
+    (_occupied), never as a dense array over the gaps between them: the
+    VaR, its atom and its cdf have the bits of the stored law.  VaR is the
+    smallest count k with P[count <= k] >= alpha; TVaR is tail_value at the
+    VaR, whose sum beyond it is one numpy product-sum over the occupied
+    counts above the VaR, not a BLAS dot.  On a plateau the tail average
+    takes its VaR-atom share at the decided count, not at the stored cdf's
+    crossing, about 1e-13 of mass away.
 
     Raises:
         TruncationError: If alpha lies beyond the stored cdf top, i.e. the
@@ -180,10 +179,8 @@ def var_and_tvar(
     terms = [(1.0, law)] if isinstance(law, DiscreteLossDistribution) else law
     counts, masses, cdf, recipe = _occupied(terms)
     idx = _quantile_index(counts, cdf, recipe, alpha)
-    var_count, top = int(counts[idx]), int(counts[-1])
-    tail = np.zeros(top - var_count)
-    tail[counts[idx + 1 :] - (var_count + 1)] = masses[idx + 1 :]
-    beyond = (np.arange(var_count + 1, top + 1, dtype=float) * tail).sum()
+    var_count = int(counts[idx])
+    beyond = (counts[idx + 1 :] * masses[idx + 1 :]).sum()
     tvar = tail_value(var_count, masses[idx], cdf[idx], beyond, 1.0, alpha, convention)
     return var_count, float(tvar)
 

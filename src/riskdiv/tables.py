@@ -2,10 +2,10 @@
 
 T1 is the pmf and cdf of one policy.  T2-T5 and custom sweeps are loading
 grids: a GridSpec filled in from the TableRequest, built by build_grid, which
-reads VaR and TVaR off one distribution and one quantile search per exact
-cell, and off the integer tallies of one histogram per simulated cell.  A
-simulated cell's loading is the exact rational of its tallies, so its printed
-digits are decided exactly.
+reads VaR and TVaR by one quantile search over the crisis states' terms per
+exact cell, and off the integer tallies of one histogram per simulated cell.
+A simulated cell's loading is the exact rational of its tallies, so its
+printed digits are decided exactly.
 
 Closed-form tables (T1, T2, T3) use the conditional tail convention, which is
 what the published closed-form values print.  The simulation tables (T4, T5)
@@ -21,7 +21,7 @@ import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from decimal import ROUND_HALF_UP, Context, Decimal
+from decimal import Decimal
 from fractions import Fraction
 
 from .distributions import DiscreteLossDistribution, cdf_at
@@ -126,14 +126,13 @@ class TableRequest:
 def _half_up(x: float | Fraction, places: int) -> str:
     """x to places decimals, ties away from zero: the one rounding rule of the tables.
 
-    A float is rounded as the decimal its repr prints, a Fraction exactly.
-    The float's context holds 309 integer digits, so any finite double fits.
+    A float is rounded as the decimal its repr prints, a Fraction exactly,
+    so a zero of either sign prints unsigned.
     """
-    if isinstance(x, Fraction):
-        units = math.floor(abs(x) * 10**places + Fraction(1, 2))
-        return str(Decimal((int(x < 0), tuple(map(int, str(units))), -places)))
-    exact = Context(prec=309 + places, rounding=ROUND_HALF_UP)
-    return str(Decimal(repr(x)).quantize(Decimal(1).scaleb(-places), context=exact))
+    if not isinstance(x, Fraction):
+        x = Fraction(repr(float(x)))
+    units = math.floor(abs(x) * 10**places + Fraction(1, 2))
+    return str(Decimal((int(x < 0), tuple(map(int, str(units))), -places)))
 
 
 def fmt_loading(x: float | Fraction) -> str:
@@ -230,8 +229,8 @@ def build_grid(table_id: str, spec: GridSpec, params: PortfolioParams) -> Table:
     """VaR rows, TVaR rows and an E[L]/N footer.
 
     Each cell reads VaR and TVaR off one evaluation (measures_in_counts):
-    one distribution and one quantile search if exact, one histogram if
-    simulated.  Both read each crisis state's term from models.state_terms,
+    one quantile search over the crisis states' terms if exact, one
+    histogram if simulated.  Both read each crisis state's term from models.state_terms,
     which builds it once per process, so the columns of a grid and its exact
     and simulated builds share their terms.
     """

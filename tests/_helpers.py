@@ -56,18 +56,21 @@ def bisect_band(d: DiscreteLossDistribution, alpha: float) -> int:
 def dense_var_and_tvar(model: ModelSpec, N: int, n: int, alpha: float, convention):
     """VaR and TVaR read off the dense stored law: an oracle for the exact measure path.
 
-    The quantile search and the tail run over loss_count_distribution's
-    mixture, every count from the lowest stored to the highest, the gaps
-    between the states' humps included: the search takes the
-    double-precision answer, or with a recipe bisects the plateau band
-    (band_edges) on distributions.cdf_reaches, and the tail beyond the VaR
-    is one product-sum over the stored masses above it.
+    The quantile search runs over loss_count_distribution's mixture, every
+    count from the lowest stored to the highest, the gaps between the
+    states' humps included: it takes the double-precision answer, or with a
+    recipe bisects the plateau band (band_edges) on
+    distributions.cdf_reaches.  The tail beyond the VaR is one product-sum,
+    in ascending order, over the stored counts above it that lie in a state
+    term's window.  Those are the counts that can carry mass; a weighted
+    mass inside a window may still underflow to 0.0 (a state weight near
+    the bottom of the double range), and it is summed like any other.
     """
     import bisect
 
     from riskdiv import distributions
     from riskdiv.measures import TruncationError, tail_value
-    from riskdiv.models import loss_count_distribution
+    from riskdiv.models import loss_count_distribution, state_terms
 
     d = loss_count_distribution(model, N, n)
     if not 0.0 < alpha < 1.0:
@@ -81,7 +84,11 @@ def dense_var_and_tvar(model: ModelSpec, N: int, n: int, alpha: float, conventio
             key=lambda i: distributions.cdf_reaches(d.components, d.min_count + i, alpha),
         )
     var_count = d.min_count + idx
-    beyond = (np.arange(var_count + 1, d.max_count + 1, dtype=float) * d.masses[idx + 1 :]).sum()
+    ks, ms = np.arange(var_count + 1, d.max_count + 1), d.masses[idx + 1 :]
+    occupied = np.zeros(len(ks), dtype=bool)
+    for _, _, term in state_terms(model, N, n):
+        occupied |= (term.min_count <= ks) & (ks <= term.max_count)
+    beyond = (ks[occupied] * ms[occupied]).sum()
     tvar = tail_value(var_count, d.masses[idx], d.cdf[idx], beyond, 1.0, alpha, convention)
     return var_count, float(tvar)
 

@@ -203,6 +203,17 @@ class TestSweep:
     def test_single_portfolio_flags_rejected(self, capsys, flag):
         assert run(capsys, "sweep", "--model", "common", *flag)[0] == 2
 
+    def test_zero_loading_prints_unsigned(self, capsys):
+        # With eta = 0 every loading is zero; the exact VaR's is -0.0, and it
+        # prints as the simulated one does.
+        argv = ("--model", "iid", "--eta", "0", "--alpha", "0.05")
+        code, out, _ = run(capsys, "sweep", *argv, "--N-grid", "1,10", "--p-grid", "0.5")
+        assert code == 0
+        assert [line.split(",")[2] for line in out.splitlines()[1:5]] == ["0.000"] * 4
+        assert run(capsys, "loading", *argv, "--N", "10", "--p", "0.5")[1] == "0.000\n"
+        assert run(capsys, "loading", *argv, "--N", "10", "--p", "0.5",
+                   "--source", "mc")[1].startswith("0.000 ")
+
     def test_shock_model_reads_p_and_q(self, capsys):
         argv = ("sweep", "--model", "common", "--N-grid", "10", "--ptilde-grid", "0.05")
         _, default, _ = run(capsys, *argv)

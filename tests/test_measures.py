@@ -4,6 +4,7 @@ import math
 import sys
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from mpmath import mpf
 from scipy import stats
 
 from _helpers import band_edges, bisect_band, dense_var_and_tvar
-from riskdiv import binom, distributions, models
+from riskdiv import binom, distributions, measures, models
 from riskdiv.distributions import (
     DiscreteLossDistribution,
     binomial,
@@ -545,11 +546,54 @@ class TestOccupiedWindows:
                    TvarConvention.CONDITIONAL))
     @example(case=(ModelSpec.per_exposure_shock(0.1, 0.3, 0.01), 2, 2, 0.75,
                    TvarConvention.CONDITIONAL))
+    # A tail beyond a crisis window whose weighted masses underflow to 0.0:
+    # both sides sum the occupied counts, zeros included.
+    @example(case=(ModelSpec.per_exposure_shock(0.3, 0.9, 1e-160), 100, 4, 0.6,
+                   TvarConvention.CONDITIONAL))
     @settings(max_examples=150, deadline=None)
     def test_bits_equal_the_dense_reader(self, case):
         model, N, n, alpha, convention = case
         got = outcome(measures_in_counts, model, N, n, alpha, convention, "exact")
         assert got == outcome(dense_var_and_tvar, model, N, n, alpha, convention)
+
+    @given(case=exact_quotes())
+    # The tail crosses the gap to the crisis hump, and the gaps between the
+    # per-exposure states' humps; a lone binomial has no gap.
+    @example(case=(ModelSpec.common_shock(1 / 6, 0.5, 0.001), 1000, 6, 0.99,
+                   TvarConvention.CONDITIONAL))
+    @example(case=(ModelSpec.per_exposure_shock(1 / 6, 0.5, 0.01), 10_000, 6, 0.99,
+                   TvarConvention.CONDITIONAL))
+    @example(case=(ModelSpec.iid(1 / 6), 10_000, 6, 0.99, TvarConvention.CONDITIONAL))
+    @settings(max_examples=40, deadline=None)
+    def test_tail_sum_within_its_rounding_bound(self, case):
+        # beyond is fl(sum of fl(k * m)) over the occupied counts above the
+        # VaR, against S, the exact sum of k * m over the stored law's
+        # doubles.  Each product (k an integer below 2**53) rounds once.
+        # numpy sums a contiguous float64 array pairwise (Higham, Accuracy
+        # and Stability of Numerical Algorithms, 2nd ed., section 4.2), in
+        # blocks: the reduce may add its first term to the sum of the rest
+        # (one addition); that sum halves its range until at most 128 terms
+        # remain, at most ceil(log2 t) levels for t terms; a block keeps 8
+        # strided partial sums of up to 16 terms (15 additions), joins them
+        # in 3 levels and adds up to 7 leftover terms one by one.  So a term
+        # meets at most D = 1 + 1 + ceil(log2 t) + 15 + 3 + 7 roundings, and
+        # as every term is nonnegative, |beyond - S| <= gamma_D * S with
+        # gamma_D = D u / (1 - D u), u = 2**-53 (Higham, Lemma 3.1).  t is
+        # at most the span from the VaR to the top count, and gamma_D grows
+        # with t.
+        model, N, n, alpha, convention = case
+        with mock.patch.object(measures, "tail_value", wraps=tail_value) as spy:
+            try:
+                measures_in_counts(model, N, n, alpha, convention, "exact")
+            except (ValueError, TruncationError):
+                assume(False)
+        var_count, beyond = spy.call_args.args[0], spy.call_args.args[3]
+        d = loss_count_distribution(model, N, n)
+        ks = range(var_count + 1, d.max_count + 1)
+        ms = d.masses[var_count + 1 - d.min_count :].tolist()
+        exact = sum(k * Fraction(m) for k, m in zip(ks, ms) if m)
+        u, rounds = Fraction(1, 2**53), 27 + math.ceil(math.log2(max(len(ks), 1)))
+        assert abs(Fraction(beyond) - exact) <= rounds * u / (1 - rounds * u) * exact
 
     def test_no_mixture_on_a_multi_state_model(self, monkeypatch):
         def unused(*args):
@@ -564,19 +608,25 @@ class TestOccupiedWindows:
     def test_no_array_over_the_gap(self):
         # At N = 10**6 the common shock stores 30,077 counts with mass in
         # two humps 2 million counts apart.  With the terms built, reading
-        # VaR and TVaR at 99% (in the crisis hump) must allocate well under
-        # one float array over 0 .. N*n (48 MB).  The dense mixture and its
-        # cdf took 82.6 MB.  At pt = 0.1% the VaR lies in the normal hump
-        # and the dense tail above it, about 34 MB, is still laid out.
-        model, N, n = ModelSpec.common_shock(1 / 6, 0.5, 0.05), 10**6, 6
-        state_terms(model, N, n)
-        tracemalloc.start()
-        try:
-            measures_in_counts(model, N, n, 0.99, TvarConvention.CONDITIONAL, "exact")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * N * n / 4
+        # VaR and TVaR at 99% must allocate well under one float array over
+        # 0 .. N*n (48 MB), wherever the VaR lies: in the crisis hump
+        # (pt = 5%), or in the normal hump with the crisis hump beyond a
+        # gap in its tail (the common shock at pt = 0.1%, the per-exposure
+        # shock at pt = 1%).  The dense mixture and its cdf took 82.6 MB; a
+        # tail laid out densely from the VaR to the top count, 32.9 and
+        # 30.2 MB in the last two cases.
+        N, n = 10**6, 6
+        for model in (ModelSpec.common_shock(1 / 6, 0.5, 0.05),
+                      ModelSpec.common_shock(1 / 6, 0.5, 0.001),
+                      ModelSpec.per_exposure_shock(1 / 6, 0.5, 0.01)):
+            state_terms(model, N, n)
+            tracemalloc.start()
+            try:
+                measures_in_counts(model, N, n, 0.99, TvarConvention.CONDITIONAL, "exact")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * N * n / 4, model
 
 
 class TestNormalQuantile:

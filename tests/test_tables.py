@@ -4,6 +4,7 @@ import hashlib
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,6 +61,11 @@ class TestFormatting:
         assert _half_up(0.125, 2) == "0.13"
         assert _half_up(0.000125, 5) == "0.00013"
         assert _half_up(1.0, 5) == "1.00000"
+
+    def test_zero_prints_unsigned(self):
+        assert fmt_loading(-0.0) == fmt_loading(0.0) == "0.000"
+        assert _half_up(np.float64(-0.0), 5) == "0.00000"
+        assert _half_up(np.float64(0.0125), 3) == "0.013"
 
     def test_fraction_rounds_exactly(self):
         # 1.0515 is a tie exactly; a float near it is not.
