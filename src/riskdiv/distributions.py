@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -54,21 +54,12 @@ class DiscreteLossDistribution:
             float array.
         truncated_below: Mass dropped below min_count.
         truncated_above: Mass dropped above the top of the support.
-        components: Generative recipe when the distribution is a weighted
-            combination of (truncated) binomials: tuple of
-            (weight, trials, prob, support_lo, support_hi).  Lets the
-            quantile search decide a confidence level that lands on a cdf
-            plateau double precision cannot order: on a small-tail residual
-            (cdf_reaches, which takes the recipe itself), with exact
-            arithmetic only as its fallback.  None when no such recipe
-            exists.
     """
 
     min_count: int
     masses: np.ndarray
     truncated_below: float = 0.0
     truncated_above: float = 0.0
-    components: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         m = np.ascontiguousarray(self.masses, dtype=np.float64)
@@ -137,9 +128,8 @@ def compensated_cdf(anchor: float, masses: np.ndarray) -> np.ndarray:
 
 
 def point_mass(count: int) -> DiscreteLossDistribution:
-    """Distribution concentrated on a single count, with the recipe Binomial(count, 1)."""
-    recipe = ((1.0, count, 1.0, count, count),)
-    return DiscreteLossDistribution(count, np.array([1.0]), components=recipe)
+    """Distribution concentrated on a single count."""
+    return DiscreteLossDistribution(count, np.array([1.0]))
 
 
 def binomial(trials: int, prob: float) -> DiscreteLossDistribution:
@@ -188,10 +178,7 @@ def binomial(trials: int, prob: float) -> DiscreteLossDistribution:
     # The window holds all but 2**-104 of the mass, so dividing by its sum
     # cancels the error common to every term (the anchor's).
     total = float(masses.sum()) + below + above
-    lo_k, hi_k = lo + i, lo + e - 1
-    masses, below, above = masses / total, below / total, above / total
-    recipe = ((1.0, trials, float(prob), lo_k, hi_k),)
-    return DiscreteLossDistribution(lo_k, masses, below, above, components=recipe)
+    return DiscreteLossDistribution(lo + i, masses / total, below / total, above / total)
 
 
 def mixture(
@@ -210,23 +197,19 @@ def mixture(
         raise ValueError("weights must be nonnegative and sum to 1")
     lo = min(d.min_count for d in dists)
     hi = max(d.max_count for d in dists)
-    masses, below, above, components = weighted_masses(zip(w, dists), np.arange(lo, hi + 1))
-    return DiscreteLossDistribution(lo, masses, below, above, components=components)
+    return DiscreteLossDistribution(lo, *weighted_masses(zip(w, dists), np.arange(lo, hi + 1)))
 
 
-def weighted_masses(terms, counts: np.ndarray) -> tuple[np.ndarray, float, float, tuple | None]:
-    """(weight, distribution) pairs summed over the ascending counts: (masses, below, above, recipe).
+def weighted_masses(terms, counts: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(weight, distribution) pairs summed over the ascending counts: (masses, below, above).
 
     counts holds every count of each term's window, consecutively.  Each
     count's mass and each truncated tail are summed over the terms in the
     order given, from 0.0, and a term of weight 0.0 is skipped, so the bits
     depend on the terms and their order, not on which counts are listed.
-    recipe is the terms' components with their weights multiplied in, or
-    None when a term has none.
     """
     masses = np.zeros(len(counts))
     below = above = 0.0
-    recipe: list[tuple] | None = []
     for wi, d in terms:
         if wi == 0.0:
             continue
@@ -234,11 +217,7 @@ def weighted_masses(terms, counts: np.ndarray) -> tuple[np.ndarray, float, float
         masses[start : start + len(d.masses)] += wi * d.masses
         below += wi * d.truncated_below
         above += wi * d.truncated_above
-        if recipe is not None and d.components is not None:
-            recipe.extend((wi * cw, t, p, s_lo, s_hi) for cw, t, p, s_lo, s_hi in d.components)
-        else:
-            recipe = None
-    return masses, below, above, tuple(recipe) if recipe else None
+    return masses, below, above
 
 
 def convolve(
@@ -340,22 +319,17 @@ def _component_cdf(trials: int, prob: float, k: int):
         return _mp_binom_cdf(trials, prob, k)
 
 
-def exact_cdf_at(recipe: tuple | None, k: int):
+def exact_cdf_at(recipe: tuple, k: int):
     """cdf_at of the law a component recipe describes, in exact (extended-precision) arithmetic.
 
-    recipe is a distribution's components.  Reproduces the anchored-cdf
-    semantics of the stored object: each component contributes its exact
-    cdf clamped to its stored support, so the value matches what cdf_at
-    computes, free of double rounding.  The value does not depend on the
-    caller's mpmath precision.  The quantile search reaches it only through
-    cdf_reaches, when the double-precision residual cannot order the cdf
-    and alpha.
-
-    Raises:
-        ValueError: If recipe is None (the law has no recipe).
+    recipe is the state terms' components (models.StateTerm.component).
+    Reproduces the anchored-cdf semantics of the stored law: each component
+    contributes its exact cdf clamped to its stored support, so the value
+    matches what cdf_at computes, free of double rounding.  The value does
+    not depend on the caller's mpmath precision.  The quantile search
+    reaches it only through cdf_reaches, when the double-precision residual
+    cannot order the cdf and alpha.
     """
-    if recipe is None:
-        raise ValueError("no generative recipe available for exact evaluation")
     from mpmath import mp
 
     with mp.workdps(_EXACT_DPS):
@@ -455,20 +429,15 @@ def _residual_sign(recipe: tuple, k: int, alpha: float) -> bool | None:
     return None
 
 
-def cdf_reaches(recipe: tuple | None, k: int, alpha: float) -> bool:
+def cdf_reaches(recipe: tuple, k: int, alpha: float) -> bool:
     """exact_cdf_at(recipe, k) >= alpha, in double precision wherever the error bound decides it.
 
-    The probe of every plateau search.  recipe is a distribution's
-    components, or the weighted components of a mixture's terms, so the
-    search needs no stored mixture.  It takes the small-tail residual's
-    sign (_residual_sign) when the residual's error bound decides it, and
-    otherwise compares exact_cdf_at in mpmath, which is imported only then.
-
-    Raises:
-        ValueError: If recipe is None (the law has no recipe).
+    The probe of every plateau search, on the state terms' components
+    (exact_cdf_at), so the search needs no stored mixture.  It takes the
+    small-tail residual's sign (_residual_sign) when the residual's error
+    bound decides it, and otherwise compares exact_cdf_at in mpmath, which
+    is imported only then.
     """
-    if recipe is None:
-        raise ValueError("no generative recipe available for exact evaluation")
     sign = _residual_sign(recipe, k, alpha)
     if sign is not None:
         return sign

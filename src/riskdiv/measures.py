@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import distributions
+from . import distributions, models
 from .distributions import DiscreteLossDistribution
 
 __all__ = [
@@ -66,6 +66,8 @@ class RiskMeasureSpec:
     convention: TvarConvention = TvarConvention.CONDITIONAL
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", MeasureKind(self.kind))
+        object.__setattr__(self, "convention", TvarConvention(self.convention))
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
 
@@ -73,19 +75,19 @@ class RiskMeasureSpec:
 # Width of the cdf band around alpha inside which double precision cannot
 # order the plateau of a near-degenerate mixture; crossings this flat are
 # re-decided on the small-tail residual (distributions.cdf_reaches), with
-# exact arithmetic as its fallback, when the distribution carries a recipe.
+# exact arithmetic as its fallback, when every state term has a component.
 _PLATEAU_BAND = 1e-11
 
 
-def _occupied(terms) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple | None]:
-    """The mixture of (weight, term) pairs over its occupied counts: (counts, masses, cdf, recipe).
+def _occupied(terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mixture of (weight, law) pairs over its occupied counts: (counts, masses, cdf).
 
-    The occupied counts are the union of the terms' stored windows, merged
+    The occupied counts are the union of the laws' stored windows, merged
     where they overlap or touch; the counts between two windows hold no
-    mass and are not stored.  The masses, the anchor and the recipe are
-    distributions.weighted_masses, as mixture sums them, and the cdf is
-    compensated_cdf, as the stored law's: a zero mass changes no running
-    sum, so every occupied count has the stored mixture's bits.
+    mass and are not stored.  The masses and the anchor are weighted_masses,
+    as mixture sums them, and the cdf is compensated_cdf, as the stored
+    law's: a zero mass changes no running sum, so every occupied count has
+    the stored mixture's bits.
     """
     windows: list[list[int]] = []
     for lo, hi in sorted((d.min_count, d.max_count) for _, d in terms):
@@ -94,20 +96,20 @@ def _occupied(terms) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple | None]:
         else:
             windows.append([lo, hi])
     counts = np.concatenate([np.arange(lo, hi + 1) for lo, hi in windows])
-    masses, below, _, recipe = distributions.weighted_masses(terms, counts)
-    return counts, masses, distributions.compensated_cdf(below, masses), recipe
+    masses, below, _ = distributions.weighted_masses(terms, counts)
+    return counts, masses, distributions.compensated_cdf(below, masses)
 
 
-def _quantile_index(counts: np.ndarray, cdf: np.ndarray, recipe: tuple | None,
-                    alpha: float) -> int:
+def _quantile_index(counts: np.ndarray, cdf: np.ndarray, recipe: tuple, alpha: float) -> int:
     """Index of the smallest count whose cdf reaches alpha, decided exactly on a plateau.
 
-    counts, cdf and recipe are _occupied's.  Without a recipe this is the
-    double-precision answer.  With one, the band of counts whose stored cdf
-    lies within _PLATEAU_BAND of alpha is bisected on the exact cdf, which
-    is monotone in k (each component's clamped cdf is, and so is their
-    rounded weighted sum): the result is the first count in the band whose
-    exact cdf reaches alpha, or the band top, never probed, if none does.
+    counts and cdf are _occupied's, recipe the terms' components.  If one
+    is None, this is the double-precision answer.  Else the band of counts
+    whose stored cdf lies within _PLATEAU_BAND of alpha is bisected on the
+    exact cdf, which is monotone in k (each component's clamped cdf is, and
+    so is their rounded weighted sum): the result is the first count in the
+    band whose exact cdf reaches alpha, or the band top, never probed, if
+    none does.
     Only occupied counts are probed: between two windows every component is
     clamped as at the last occupied count below, so a count there is never
     the first to reach alpha.  Every probe is distributions.cdf_reaches: a
@@ -121,7 +123,7 @@ def _quantile_index(counts: np.ndarray, cdf: np.ndarray, recipe: tuple | None,
             f"alpha={alpha} exceeds the resolvable cdf top {cdf[-1]:.17f}; "
             "tail truncation prevents resolving this quantile"
         )
-    if recipe is None:
+    if None in recipe:
         return int(np.searchsorted(cdf, alpha))
     lo = int(np.searchsorted(cdf, alpha - _PLATEAU_BAND, side="right"))
     hi = min(int(np.searchsorted(cdf, alpha + _PLATEAU_BAND)), len(cdf) - 1)
@@ -142,7 +144,7 @@ def tail_value(var_count, at, reached, beyond, total, alpha, convention: TvarCon
     Raises:
         RuntimeError: If the tail carries no weight.
     """
-    if convention is TvarConvention.CONDITIONAL:
+    if TvarConvention(convention) is TvarConvention.CONDITIONAL:
         # Mean of the outcomes at or beyond v.
         weight, mass = total - reached + at, beyond + var_count * at
     else:
@@ -155,17 +157,17 @@ def tail_value(var_count, at, reached, beyond, total, alpha, convention: TvarCon
 
 
 def var_and_tvar(
-    law: DiscreteLossDistribution | list[tuple[float, DiscreteLossDistribution]],
+    law: DiscreteLossDistribution | list[models.StateTerm],
     alpha: float,
     convention: TvarConvention = TvarConvention.CONDITIONAL,
 ) -> tuple[int, float]:
     """VaR and TVaR at level alpha, in counts, from one quantile search.
 
-    law is a distribution, or the (weight, term) pairs of a mixture, such as
-    the states of models.state_terms; a distribution is the one-term case
-    of weight 1.0.  A mixture is read over its terms' occupied windows
-    (_occupied), never as a dense array over the gaps between them: the
-    VaR, its atom and its cdf have the bits of the stored law.  VaR is the
+    law is a model's state terms (models.state_terms), read over their
+    laws' occupied windows (_occupied), never as a dense array over the
+    gaps between them: the VaR, its atom and its cdf have the bits of the
+    stored mixture.  A lone distribution is one term of weight 1.0 with no
+    component, so its plateaus get the double-precision answer.  VaR is the
     smallest count k with P[count <= k] >= alpha; TVaR is tail_value at the
     VaR, whose sum beyond it is one numpy product-sum over the occupied
     counts above the VaR, not a BLAS dot.  On a plateau the tail average
@@ -176,8 +178,9 @@ def var_and_tvar(
         TruncationError: If alpha lies beyond the stored cdf top, i.e. the
             quantile cannot be resolved on the truncated support.
     """
-    terms = [(1.0, law)] if isinstance(law, DiscreteLossDistribution) else law
-    counts, masses, cdf, recipe = _occupied(terms)
+    lone = isinstance(law, DiscreteLossDistribution)
+    counts, masses, cdf = _occupied([(1.0, law)] if lone else [(t.weight, t.law) for t in law])
+    recipe = (None,) if lone else tuple(t.component for t in law)
     idx = _quantile_index(counts, cdf, recipe, alpha)
     var_count = int(counts[idx])
     beyond = (counts[idx + 1 :] * masses[idx + 1 :]).sum()

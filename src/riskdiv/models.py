@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .binom import pmf_window
 from .distributions import DiscreteLossDistribution, binomial, convolve, mixture
@@ -31,6 +32,7 @@ __all__ = [
     "ModelSpec",
     "PortfolioParams",
     "SupportLimitError",
+    "StateTerm",
     "MAX_SUPPORT",
     "check_support",
     "crisis_rounds",
@@ -85,6 +87,7 @@ class ModelSpec:
     crisis_prob: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", ModelKind(self.kind))
         for name in ("loss_prob", "crisis_loss_prob", "crisis_prob"):
             _check_range(name, getattr(self, name), PROBABILITY)
         if self.kind is ModelKind.IID and self.crisis_prob != 0.0:
@@ -209,26 +212,51 @@ def _state_term(
     return convolve(binomial(crisis_trials, q), binomial(normal_trials, p))
 
 
-def state_terms(
-    model: ModelSpec, N: int, n: int
-) -> list[tuple[int, float, DiscreteLossDistribution]]:
-    """The loss count in each state of crisis_rounds: (j, weight, term) triples.
+class StateTerm(NamedTuple):
+    """The loss count given j crisis rounds, law = Binomial(*crisis) + Binomial(*normal).
 
-    term is Binomial(N*j, q) + Binomial(N*(n-j), p), the count given j.
-    States of zero weight are skipped; the rest come in increasing j.  Both
-    engines read these terms: the exact measures over their occupied windows
-    (measures.var_and_tvar), and the Monte Carlo sampler by drawing each
-    simulation's paths over them.  A term does
-    not depend on p_tilde, so each is built once per process (_state_term)
-    and every crisis probability, column and engine gets the same frozen
-    object: sharing it cannot change a bit.
+    weight is P(j) (crisis_rounds); a side is (trials, prob), (N*j, q) and
+    (N*(n-j), p), or (0, 0.0) when empty; law is the memoised _state_term.
+    Compared by identity: a tuple's == would compare the law's masses array.
+    """
+
+    j: int
+    weight: float
+    crisis: tuple[int, float]
+    normal: tuple[int, float]
+    law: DiscreteLossDistribution
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
+    @property
+    def component(self) -> tuple | None:
+        """(weight, trials, prob, lo, hi): the term as one binomial on its law's window, or None.
+
+        The plateau probe's recipe (distributions.cdf_reaches).  A side of
+        prob 0 is Binomial(0, 1); two nonempty sides have no such form.
+        """
+        if self.crisis[0] and self.normal[0]:
+            return None
+        trials, prob = self.crisis if self.crisis[0] else self.normal
+        if prob == 0.0:
+            trials, prob = 0, 1.0
+        return (self.weight, trials, float(prob), self.law.min_count, self.law.max_count)
+
+
+def state_terms(model: ModelSpec, N: int, n: int) -> list[StateTerm]:
+    """The loss count in each state of crisis_rounds: StateTerms in increasing j.
+
+    States of zero weight are skipped.  Both engines read these terms: the
+    exact measures over their occupied windows (measures.var_and_tvar), and
+    the Monte Carlo sampler by drawing each simulation's paths over them.
+    A law does not depend on p_tilde, so each is built once per process
+    (_state_term) and every crisis probability, column and engine gets the
+    same frozen object: sharing it cannot change a bit.
     """
     p, q = model.loss_prob, model.crisis_loss_prob
-    return [
-        (j, w, _state_term(N * j, q if j else 0.0, N * (n - j), p if j < n else 0.0))
-        for j, w in crisis_rounds(model, n)
-        if w != 0.0
-    ]
+    sides = [(j, w, (N * j, q if j else 0.0), (N * (n - j), p if j < n else 0.0))
+             for j, w in crisis_rounds(model, n) if w != 0.0]
+    return [StateTerm(j, w, c, s, _state_term(*c, *s)) for j, w, c, s in sides]
 
 
 def loss_count_distribution(
@@ -251,8 +279,8 @@ def loss_count_distribution(
     check_support(N, n)
     states = state_terms(model, N, n)
     if len(states) == 1:
-        return states[0][2]
-    return mixture([term for _, _, term in states], [w for _, w, _ in states])
+        return states[0].law
+    return mixture([t.law for t in states], [t.weight for t in states])
 
 
 @lru_cache(maxsize=1024)

@@ -135,9 +135,9 @@ def _draw_block(model: ModelSpec, N: int, n: int, seed: int,
     """
     rng = _stream(seed)
     states = state_terms(model, N, n)
-    weights = np.array([w for _, w, _ in states])
+    weights = np.array([t.weight for t in states])
     paths = rng.multinomial(size, weights / weights.sum()) if len(states) > 1 else [size]
-    drawn = [(c, term) for c, (_, _, term) in zip(paths, states) if c]
+    drawn = [(c, t.law) for c, t in zip(paths, states) if c]
     lo = min(term.min_count for _, term in drawn)
     box = np.zeros(max(term.max_count for _, term in drawn) - lo + 1, dtype=np.int64)
     for c, term in drawn:
@@ -247,8 +247,7 @@ def measures_in_counts(
     if source != "exact":
         raise ValueError(f"source must be 'exact' or a SimulationConfig, got {source!r}")
     check_support(N, n)
-    terms = [(w, term) for _, w, term in state_terms(model, N, n)]
-    return var_and_tvar(terms, alpha, convention)
+    return var_and_tvar(state_terms(model, N, n), alpha, convention)
 
 
 def loading_from_rho(

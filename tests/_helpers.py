@@ -2,8 +2,29 @@
 
 import numpy as np
 
-from riskdiv.distributions import DiscreteLossDistribution
-from riskdiv.models import ModelKind, ModelSpec
+from riskdiv.distributions import DiscreteLossDistribution, binomial, mixture
+from riskdiv.models import ModelKind, ModelSpec, StateTerm
+
+
+def binomial_terms(*parts: tuple[float, int, float]) -> list[StateTerm]:
+    """State terms of a mixture of binomials, one per (weight, trials, prob) part, in order.
+
+    Each term has one nonempty side, so each carries a component and the
+    mixture's plateaus are decided exactly (measures.var_and_tvar).
+    """
+    return [StateTerm(j, w, (0, 0.0), (trials, prob), binomial(trials, prob))
+            for j, (w, trials, prob) in enumerate(parts)]
+
+
+def dense_law(terms: list[StateTerm]) -> DiscreteLossDistribution:
+    """The terms' stored mixture, every count between their windows included."""
+    return mixture([t.law for t in terms], [t.weight for t in terms])
+
+
+def recipe_of(terms: list[StateTerm]) -> tuple | None:
+    """The plateau probe's recipe: the terms' components, or None when one has none."""
+    components = tuple(t.component for t in terms)
+    return None if None in components else components
 
 
 def pointwise_distance(d1: DiscreteLossDistribution, d2: DiscreteLossDistribution) -> float:
@@ -31,8 +52,8 @@ def band_edges(d: DiscreteLossDistribution, alpha: float) -> tuple[int, int, int
     return lo, int(np.searchsorted(cdf, alpha)), hi
 
 
-def bisect_band(d: DiscreteLossDistribution, alpha: float) -> int:
-    """Oracle for the plateau search: bisect the whole band on the exact cdf.
+def bisect_band(d: DiscreteLossDistribution, recipe: tuple, alpha: float) -> int:
+    """Oracle for the plateau search: bisect the whole band of d on the exact cdf of recipe.
 
     Returns the index of the first band point whose exact cdf reaches
     alpha, or the band top if none does, in about log2(width) exact
@@ -46,7 +67,7 @@ def bisect_band(d: DiscreteLossDistribution, alpha: float) -> int:
     a = mpf(alpha)
     while lo < hi:
         mid = (lo + hi) // 2
-        if exact_cdf_at(d.components, d.min_count + mid) >= a:
+        if exact_cdf_at(recipe, d.min_count + mid) >= a:
             hi = mid
         else:
             lo = mid + 1
@@ -58,11 +79,11 @@ def dense_var_and_tvar(model: ModelSpec, N: int, n: int, alpha: float, conventio
 
     The quantile search runs over loss_count_distribution's mixture, every
     count from the lowest stored to the highest, the gaps between the
-    states' humps included: it takes the double-precision answer, or with a
-    recipe bisects the plateau band (band_edges) on
-    distributions.cdf_reaches.  The tail beyond the VaR is one product-sum,
-    in ascending order, over the stored counts above it that lie in a state
-    term's window.  Those are the counts that can carry mass; a weighted
+    states' humps included: it takes the double-precision answer, or, when
+    every state term has a component (recipe_of), bisects the plateau band
+    (band_edges) on distributions.cdf_reaches.  The tail beyond the VaR is
+    one product-sum, in ascending order, over the stored counts above it
+    that lie in a state term's window.  Those are the counts that can carry mass; a weighted
     mass inside a window may still underflow to 0.0 (a state weight near
     the bottom of the double range), and it is summed like any other.
     """
@@ -72,22 +93,23 @@ def dense_var_and_tvar(model: ModelSpec, N: int, n: int, alpha: float, conventio
     from riskdiv.measures import TruncationError, tail_value
     from riskdiv.models import loss_count_distribution, state_terms
 
-    d = loss_count_distribution(model, N, n)
+    d, terms = loss_count_distribution(model, N, n), state_terms(model, N, n)
+    recipe = recipe_of(terms)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if alpha > d.cdf[-1]:
         raise TruncationError(f"alpha={alpha} exceeds the resolvable cdf top")
     lo, idx, hi = band_edges(d, alpha)
-    if d.components is not None:
+    if recipe is not None:
         idx = lo + bisect.bisect_left(
             range(lo, hi), True,
-            key=lambda i: distributions.cdf_reaches(d.components, d.min_count + i, alpha),
+            key=lambda i: distributions.cdf_reaches(recipe, d.min_count + i, alpha),
         )
     var_count = d.min_count + idx
     ks, ms = np.arange(var_count + 1, d.max_count + 1), d.masses[idx + 1 :]
     occupied = np.zeros(len(ks), dtype=bool)
-    for _, _, term in state_terms(model, N, n):
-        occupied |= (term.min_count <= ks) & (ks <= term.max_count)
+    for t in terms:
+        occupied |= (t.law.min_count <= ks) & (ks <= t.law.max_count)
     beyond = (ks[occupied] * ms[occupied]).sum()
     tvar = tail_value(var_count, d.masses[idx], d.cdf[idx], beyond, 1.0, alpha, convention)
     return var_count, float(tvar)

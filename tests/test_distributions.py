@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from _helpers import pointwise_distance
+from _helpers import binomial_terms, pointwise_distance, recipe_of
 from riskdiv import binom, distributions
 from riskdiv.distributions import (
     TRUNCATION_BUDGET,
@@ -27,7 +27,7 @@ from riskdiv.distributions import (
     moments,
     point_mass,
 )
-from riskdiv.models import ModelSpec, loss_count_distribution
+from riskdiv.models import ModelSpec, loss_count_distribution, state_terms
 
 
 def exact_binom_pmf(n: int, k: int, p: Fraction) -> Fraction:
@@ -358,21 +358,22 @@ class TestCdf:
         assert cdf_at(binomial(6, 1 / 6), 6) == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_cdf_agrees_with_double(self):
-        d = binomial(600, 1 / 6)
+        terms = binomial_terms((1.0, 600, 1 / 6))
         for k in (80, 100, 120):
-            assert float(exact_cdf_at(d.components, k)) == pytest.approx(cdf_at(d, k), rel=1e-13)
+            assert float(exact_cdf_at(recipe_of(terms), k)) == pytest.approx(
+                cdf_at(terms[0].law, k), rel=1e-13)
 
     def test_point_mass_carries_the_unit_binomial_recipe(self):
         # Bin(c, 1): its exact cdf is the step at c, so a mixture with a
         # point mass keeps its recipe.
         for c in (0, 1, 30):
-            d = point_mass(c)
-            assert d.components == ((1.0, c, 1.0, c, c),)
-            values = [float(exact_cdf_at(d.components, k)) for k in (c - 1, c, c + 1)]
+            recipe = recipe_of(binomial_terms((1.0, c, 1.0)))
+            assert recipe == ((1.0, c, 1.0, c, c),)
+            values = [float(exact_cdf_at(recipe, k)) for k in (c - 1, c, c + 1)]
             assert values == [0.0, 1.0, 1.0]
-        mixed = mixture([point_mass(30), binomial(30, 1 / 6)], [0.01, 0.99])
-        assert mixed.components is not None
-        assert float(exact_cdf_at(mixed.components, 29)) < 0.99
+        mixed = recipe_of(binomial_terms((0.01, 30, 1.0), (0.99, 30, 1 / 6)))
+        assert mixed is not None
+        assert float(exact_cdf_at(mixed, 29)) < 0.99
 
     def test_unit_prob_exact_cdf_sums_no_terms(self, monkeypatch):
         # Below the trials every term is zero; the recurrence would walk them all.
@@ -383,30 +384,25 @@ class TestCdf:
         assert distributions._mp_binom_cdf(10**6, 1.0, 10**6 - 1) == 0
         assert distributions._mp_binom_cdf(10**6, 1.0, 10**6) == 1
 
-    def test_exact_cdf_needs_recipe(self):
-        h = DiscreteLossDistribution(0, np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            exact_cdf_at(h.components, 0)
-
     def test_exact_cdf_bits_on_the_plateau(self):
         # Mantissa and exponent of the exact cdf either side of the VaR99
         # crossing of a common shock at pt=1%, N=100 (both print as 0.99).
-        d = loss_count_distribution(ModelSpec.common_shock(1 / 6, 0.5, 0.01), 100, 6)
+        recipe = recipe_of(state_terms(ModelSpec.common_shock(1 / 6, 0.5, 0.01), 100, 6))
         distributions._component_cdf.cache_clear()
-        assert exact_cdf_at(d.components, 208)._mpf_ == (
+        assert exact_cdf_at(recipe, 208)._mpf_ == (
             0, 86241163072442624958125096407718231070541, -136, 136
         )
-        assert exact_cdf_at(d.components, 209)._mpf_ == (
+        assert exact_cdf_at(recipe, 209)._mpf_ == (
             0, 43120581536221322335842726776768534101351, -135, 135
         )
 
     def test_exact_cdf_ignores_caller_precision(self):
-        d = loss_count_distribution(ModelSpec.common_shock(1 / 6, 0.5, 0.01), 100, 6)
+        recipe = recipe_of(state_terms(ModelSpec.common_shock(1 / 6, 0.5, 0.01), 100, 6))
         values = []
         for dps in (15, 60):
             distributions._component_cdf.cache_clear()
             with mp.workdps(dps):
-                values.append([exact_cdf_at(d.components, k)._mpf_ for k in range(150, 260, 7)])
+                values.append([exact_cdf_at(recipe, k)._mpf_ for k in range(150, 260, 7)])
         assert values[0] == values[1]
 
     @given(case=mass_vectors())

@@ -13,13 +13,19 @@ from hypothesis import strategies as st
 from mpmath import mpf
 from scipy import stats
 
-from _helpers import band_edges, bisect_band, dense_var_and_tvar
+from _helpers import (
+    band_edges,
+    binomial_terms,
+    bisect_band,
+    dense_law,
+    dense_var_and_tvar,
+    recipe_of,
+)
 from riskdiv import binom, distributions, measures, models
 from riskdiv.distributions import (
     DiscreteLossDistribution,
     binomial,
     exact_cdf_at,
-    mixture,
     point_mass,
 )
 from riskdiv.measures import (
@@ -37,6 +43,7 @@ from riskdiv.measures import (
 from riskdiv.models import (
     ModelKind,
     ModelSpec,
+    StateTerm,
     crisis_rounds,
     loss_count_distribution,
     state_terms,
@@ -88,8 +95,7 @@ class TestValueAtRisk:
     @given(n=st.integers(1, 60), p=st.floats(0.05, 0.95), alpha=st.floats(0.05, 0.99))
     @settings(max_examples=60, deadline=None)
     def test_against_brute_force(self, n, p, alpha):
-        d = binomial(n, p)
-        assert var_and_tvar(d, alpha)[0] == brute_binom_var(n, p, alpha)
+        assert var_and_tvar(binomial_terms((1.0, n, p)), alpha)[0] == brute_binom_var(n, p, alpha)
 
     def test_monotone_in_alpha(self):
         d = binomial(60, 0.3)
@@ -149,6 +155,14 @@ class TestTailValueAtRisk:
         got = tail_value(2, 0.5, 0.8, 0.6, 1.0, 0.7, TvarConvention.CONDITIONAL)
         assert got == pytest.approx(16 / 7, rel=1e-15)
 
+    def test_convention_read_through_its_enum(self):
+        # A string convention used to take the tail-average branch whatever
+        # its value.
+        a = Fraction(7, 10)
+        assert tail_value(2, 5, 8, Fraction(6), 10, a, "conditional") == Fraction(16, 7)
+        with pytest.raises(ValueError, match="nonsense"):
+            tail_value(2, 5, 8, Fraction(6), 10, a, "nonsense")
+
     def test_guards(self):
         # A whole atom at the top: the conditional tail is the VaR, even
         # where (v·at) / at rounds below it.
@@ -192,6 +206,19 @@ class TestTailValueAtRisk:
         )
 
 
+COMMON_PLATEAU = ModelSpec.common_shock(1 / 6, 0.5, 0.01)
+
+
+def dense_search(terms, alpha):
+    """The plateau search over every count of the terms' stored mixture, the gaps included.
+
+    The search of the terms' occupied counts (var_and_tvar) skips the gap
+    counts, so it probes a narrower band; this one bisects the dense band.
+    """
+    d, recipe = dense_law(terms), tuple(t.component for t in terms)
+    return d.min_count + measures._quantile_index(d.counts, d.cdf, recipe, alpha)
+
+
 def bisection_bound(d, alpha):
     """ceil(log2(hi - lo + 1)): the most probes a bisection of alpha's band makes."""
     lo, _, hi = band_edges(d, alpha)
@@ -202,25 +229,30 @@ class TestPlateauQuantiles:
     """Confidence levels landing on a mixture cdf plateau are decided exactly."""
 
     def test_common_shock_plateau_small(self):
-        model = ModelSpec.common_shock(1 / 6, 0.5, 0.01)
-        d = loss_count_distribution(model, 100, 6)
-        assert var_and_tvar(d, 0.99)[0] == 209
+        assert var_and_tvar(state_terms(COMMON_PLATEAU, 100, 6), 0.99)[0] == 209
 
     def test_common_shock_plateau_medium(self):
-        model = ModelSpec.common_shock(1 / 6, 0.5, 0.01)
-        d = loss_count_distribution(model, 1000, 6)
-        assert var_and_tvar(d, 0.99)[0] == 2719
+        assert var_and_tvar(state_terms(COMMON_PLATEAU, 1000, 6), 0.99)[0] == 2719
+
+    def test_lone_law_takes_the_double_answer(self):
+        # The stored mixture alone carries no recipe: its plateau is read
+        # in double precision, one count below the terms' exact 2,719.
+        d = loss_count_distribution(COMMON_PLATEAU, 1000, 6)
+        double = d.min_count + int(np.searchsorted(d.cdf, 0.99))
+        assert var_and_tvar(d, 0.99)[0] == double == 2718
 
     def test_conditional_tail_stable_on_plateau(self):
-        model = ModelSpec.common_shock(1 / 6, 0.5, 0.01)
-        d = loss_count_distribution(model, 100, 6)
-        loading = 0.15 * (10 * var_and_tvar(d, 0.99)[1] / 100 - 10.2)
+        terms = state_terms(COMMON_PLATEAU, 100, 6)
+        loading = 0.15 * (10 * var_and_tvar(terms, 0.99)[1] / 100 - 10.2)
         assert loading == pytest.approx(2.970, abs=5e-4)
 
     @staticmethod
-    def count_exact_work(monkeypatch, d, alpha):
+    def count_exact_work(monkeypatch, terms, alpha, search=None):
         """VaR at alpha, with the counts it probed, the probes that fell back to
-        the exact cdf, and the component sums those made."""
+        the exact cdf, and the component sums those made.
+
+        search(terms, alpha) gives the VaR; by default var_and_tvar's.
+        """
         probes, fallbacks, sums = [], [], []
 
         def counted(calls, fn):
@@ -234,20 +266,22 @@ class TestPlateauQuantiles:
                             ("_mp_binom_cdf", sums)):
             monkeypatch.setattr(distributions, name, counted(calls, getattr(distributions, name)))
         distributions._component_cdf.cache_clear()
-        return var_and_tvar(d, alpha)[0], [k for _, k, _ in probes], fallbacks, sums
+        var = search(terms, alpha) if search else var_and_tvar(terms, alpha)[0]
+        return var, [k for _, k, _ in probes], fallbacks, sums
 
     def test_each_component_cdf_summed_once(self, monkeypatch):
-        # Bisecting the 18,648-count band takes 15 probes, all decided on
-        # the residual.  Forced onto the exact cdf, the probes clamp k to
-        # each component's support, so a value summed once is reused by
-        # every later probe: 15 fallbacks, 11 distinct sums.
-        d = loss_count_distribution(ModelSpec.common_shock(1 / 6, 0.5, 0.01), 10_000, 6)
-        var, probes, fallbacks, _ = self.count_exact_work(monkeypatch, d, 0.99)
+        # Bisecting the dense 18,648-count band takes 15 probes, all
+        # decided on the residual.  Forced onto the exact cdf, the probes
+        # clamp k to each component's support, so a value summed once is
+        # reused by every later probe: 15 fallbacks, 11 distinct sums.
+        terms = state_terms(COMMON_PLATEAU, 10_000, 6)
+        var, probes, fallbacks, _ = self.count_exact_work(monkeypatch, terms, 0.99, dense_search)
         assert var == 29_127
         assert len(probes) == 15
         assert fallbacks == []
         monkeypatch.setattr(distributions, "RESIDUAL_BOUND", 1.0)
-        var, probes, fallbacks, sums = self.count_exact_work(monkeypatch, d, 0.99)
+        var, probes, fallbacks, sums = self.count_exact_work(
+            monkeypatch, terms, 0.99, dense_search)
         assert var == 29_127
         assert len(probes) == len(fallbacks) == 15
         assert len(sums) == 11
@@ -256,9 +290,9 @@ class TestPlateauQuantiles:
     def test_plateau_at_quote_scale(self, monkeypatch):
         # The 114k-count band of a common-shock quote at N=58,926: the
         # residual decides every probe of its bisection (17 of them).
-        model = ModelSpec.common_shock(1 / 6, 0.5, 0.01)
-        d = loss_count_distribution(model, 58_926, 6)
-        var, probes, fallbacks, sums = self.count_exact_work(monkeypatch, d, 0.99)
+        d = loss_count_distribution(COMMON_PLATEAU, 58_926, 6)
+        terms = state_terms(COMMON_PLATEAU, 58_926, 6)
+        var, probes, fallbacks, sums = self.count_exact_work(monkeypatch, terms, 0.99)
         assert var == 174_697
         assert len(probes) <= bisection_bound(d, 0.99)
         assert fallbacks == sums == []
@@ -266,9 +300,10 @@ class TestPlateauQuantiles:
     def test_plateau_at_a_million_exposures(self, monkeypatch):
         # The double answer is the VaR; the bisection of the 2-million-count
         # band confirms it on the residual alone (21 probes).
-        d = loss_count_distribution(ModelSpec.common_shock(1 / 6, 0.5, 0.01), 10**6, 6)
+        d = loss_count_distribution(COMMON_PLATEAU, 10**6, 6)
         assert d.min_count + int(np.searchsorted(d.cdf, 0.99)) == 2_991_675
-        var, probes, fallbacks, _ = self.count_exact_work(monkeypatch, d, 0.99)
+        terms = state_terms(COMMON_PLATEAU, 10**6, 6)
+        var, probes, fallbacks, _ = self.count_exact_work(monkeypatch, terms, 0.99)
         assert var == 2_991_675
         assert len(probes) <= bisection_bound(d, 0.99)
         assert fallbacks == []
@@ -277,21 +312,28 @@ class TestPlateauQuantiles:
     def test_every_probe_falls_back_under_a_unit_bound(self, monkeypatch, N, var):
         # No residual is larger than the sum of its terms' magnitudes, so a
         # bound of 1 sends every probe to the exact cdf, with the same VaR.
-        d = loss_count_distribution(ModelSpec.common_shock(1 / 6, 0.5, 0.01), N, 6)
+        terms = state_terms(COMMON_PLATEAU, N, 6)
         monkeypatch.setattr(distributions, "RESIDUAL_BOUND", 1.0)
-        got, probes, fallbacks, _ = self.count_exact_work(monkeypatch, d, 0.99)
+        got, probes, fallbacks, _ = self.count_exact_work(monkeypatch, terms, 0.99)
         assert got == var
         assert len(fallbacks) == len(probes) > 0
 
-    @pytest.mark.parametrize("n,p", [(2000, 0.5), (5000, 0.5)])
-    def test_band_whose_exact_top_stays_below_alpha(self, n, p):
-        # At the stored cdf top the band reaches max_count, where the exact
-        # cdf still falls short of alpha: the search keeps the top edge.
-        d = binomial(n, p)
-        alpha = float(d.cdf[-1])
-        assert exact_cdf_at(d.components, d.max_count) < mpf(alpha)
-        assert var_and_tvar(d, alpha)[0] == d.max_count
-        assert d.min_count + bisect_band(d, alpha) == d.max_count
+    def test_band_whose_exact_top_stays_below_alpha(self):
+        # At the stored cdf top the band reaches max_count.  Whether the
+        # exact cdf there falls short of alpha depends on the last bits of
+        # the stored cdf, so the cases are searched for, not pinned.  In
+        # each, the search keeps the top edge.
+        found = 0
+        for n in (500, 1000, 2000, 3000, 5000):
+            for p in (0.1, 0.3, 0.5):
+                terms = binomial_terms((1.0, n, p))
+                d, recipe = terms[0].law, recipe_of(terms)
+                alpha = float(d.cdf[-1])
+                if exact_cdf_at(recipe, d.max_count) < mpf(alpha):
+                    found += 1
+                    assert var_and_tvar(terms, alpha)[0] == d.max_count
+                    assert d.min_count + bisect_band(d, recipe, alpha) == d.max_count
+        assert found > 0
 
 
 @pytest.mark.parametrize("pt", [0.001, 0.01, 0.05, 0.1])
@@ -310,14 +352,13 @@ def test_point_mass_crisis_plateau_is_decided_exactly(pt):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(distributions, "exact_cdf_at", no_fallback)
         for N in (1, 2, 3, 5, 10, 20, 50, 100, 1000, 10_000, 100_000):
-            d = loss_count_distribution(model, N, 6)
-            assert var_and_tvar(d, 1.0 - pt)[0] == 6 * N, N
+            assert var_and_tvar(state_terms(model, N, 6), 1.0 - pt)[0] == 6 * N, N
 
 
 # Two-state mixtures with alpha at the normal-state weight: the cdf sits on a
 # plateau at alpha, so the crossing is decided in exact arithmetic.
 plateau_mixtures = st.builds(
-    lambda n, p, q, w: (mixture([binomial(n, q), binomial(n, p)], [w, 1.0 - w]), 1.0 - w),
+    lambda n, p, q, w: (binomial_terms((w, n, q), (1.0 - w, n, p)), 1.0 - w),
     st.integers(1, 60),
     st.floats(0.02, 0.5),
     st.floats(0.5, 0.98),
@@ -325,11 +366,11 @@ plateau_mixtures = st.builds(
 )
 
 
-def first_index_reaching(d, alpha):
+def first_index_reaching(terms, alpha):
     """Oracle: linear scan of the exact cdf for the first count reaching alpha."""
-    a = mpf(alpha)
+    d, recipe, a = dense_law(terms), recipe_of(terms), mpf(alpha)
     for i in range(len(d.masses)):
-        if exact_cdf_at(d.components, d.min_count + i) >= a:
+        if exact_cdf_at(recipe, d.min_count + i) >= a:
             return d.min_count + i
     raise AssertionError("alpha not reached")
 
@@ -339,24 +380,27 @@ class TestPlateauSearchEqualsBisection:
 
     # The normal state's upper tail flattens onto the plateau at 1 - 0.01
     # between counts 26 and 36; the crisis state lifts it off after 36.
-    d = mixture([binomial(60, 0.9), binomial(60, 0.1)], [0.01, 0.99])
+    terms = binomial_terms((0.01, 60, 0.9), (0.99, 60, 0.1))
+    d, recipe = dense_law(terms), recipe_of(terms)
 
     def test_double_answer_at_band_bottom(self):
         # alpha is the stored cdf at 26, the last step wider than the band,
         # but the exact cdf there falls short: the search finds the next count.
         alpha = float(self.d.cdf[26])
         assert band_edges(self.d, alpha) == (26, 26, 36)
-        assert exact_cdf_at(self.d.components, 26) < mpf(alpha)
-        assert var_and_tvar(self.d, alpha)[0] == self.d.min_count + bisect_band(self.d, alpha) == 27
-        assert first_index_reaching(self.d, alpha) == 27
+        assert exact_cdf_at(self.recipe, 26) < mpf(alpha)
+        bisected = self.d.min_count + bisect_band(self.d, self.recipe, alpha)
+        assert var_and_tvar(self.terms, alpha)[0] == bisected == 27
+        assert first_index_reaching(self.terms, alpha) == 27
 
     def test_double_answer_at_band_top(self):
         # Just above the stored cdf at 36 the next step clears the band, so
         # the double answer is the band top, which is never probed.
         alpha = math.nextafter(float(self.d.cdf[36]), 1.0)
         assert band_edges(self.d, alpha) == (28, 37, 37)
-        assert var_and_tvar(self.d, alpha)[0] == self.d.min_count + bisect_band(self.d, alpha) == 37
-        assert first_index_reaching(self.d, alpha) == 37
+        bisected = self.d.min_count + bisect_band(self.d, self.recipe, alpha)
+        assert var_and_tvar(self.terms, alpha)[0] == bisected == 37
+        assert first_index_reaching(self.terms, alpha) == 37
 
     @given(offset=st.integers(-4_500, 40))
     @settings(max_examples=60, deadline=None)
@@ -365,7 +409,8 @@ class TestPlateauSearchEqualsBisection:
         # offset, anywhere in a band of 4,495 counts around the double
         # answer g (or beyond its top).  The search finds the step, or the
         # band top past it, in at most ceil(log2(hi - lo + 1)) probes.
-        d = mixture([binomial(6000, 0.9), binomial(6000, 0.1)], [0.01, 0.99])
+        terms = binomial_terms((0.01, 6000, 0.9), (0.99, 6000, 0.1))
+        d = dense_law(terms)
         lo, g, hi = band_edges(d, 0.99)
         assert (lo, g, hi) == (336, 4798, 4831)
         step_at = d.min_count + g + offset
@@ -381,8 +426,8 @@ class TestPlateauSearchEqualsBisection:
             patch.setattr(distributions, "cdf_reaches", step)
             patch.setattr(distributions, "exact_cdf_at", lambda dist, k: mpf(k >= step_at))
             expected = d.min_count + min(max(g + offset, lo), hi)
-            assert d.min_count + bisect_band(d, 0.99) == expected
-            assert var_and_tvar(d, 0.99)[0] == expected
+            assert d.min_count + bisect_band(d, recipe_of(terms), 0.99) == expected
+            assert dense_search(terms, 0.99) == expected
         assert len(probes) <= bisection_bound(d, 0.99) == 13
 
     @given(case=plateau_mixtures, on_point=st.booleans(), u=st.floats(0.0, 1.0))
@@ -391,39 +436,40 @@ class TestPlateauSearchEqualsBisection:
         # alpha is either the stored cdf of a band point, so that the double
         # answer lands on that point, or any level within the band width of
         # the plateau.
-        d, plateau = case
+        terms, plateau = case
+        d = dense_law(terms)
         if on_point:
             lo, _, hi = band_edges(d, plateau)
             alpha = float(d.cdf[lo + round(u * (hi - lo))])
             assume(alpha < 1.0)
         else:
             alpha = plateau + (2.0 * u - 1.0) * _PLATEAU_BAND
-        expected = d.min_count + bisect_band(d, alpha)
-        assert var_and_tvar(d, alpha)[0] == expected == first_index_reaching(d, alpha)
+        expected = d.min_count + bisect_band(d, recipe_of(terms), alpha)
+        assert var_and_tvar(terms, alpha)[0] == expected == first_index_reaching(terms, alpha)
 
 
 class TestPlateauProperties:
     @given(case=plateau_mixtures, other=st.floats(0.5, 0.995))
     @settings(max_examples=100, deadline=None)
     def test_search_equals_linear_scan_and_is_monotone(self, case, other):
-        d, alpha = case
-        assert var_and_tvar(d, alpha)[0] == first_index_reaching(d, alpha)
+        terms, alpha = case
+        assert var_and_tvar(terms, alpha)[0] == first_index_reaching(terms, alpha)
         levels = sorted({
             alpha, other, math.nextafter(alpha, 0.0), math.nextafter(alpha, 1.0),
             alpha - 1e-12, alpha + 1e-12, alpha - 1e-9, alpha + 1e-9,
         })
-        vars_ = [var_and_tvar(d, a)[0] for a in levels]
+        vars_ = [var_and_tvar(terms, a)[0] for a in levels]
         assert vars_ == sorted(vars_)
 
 
-def decided_where_exact(d, alpha, ks):
+def decided_where_exact(recipe, alpha, ks):
     """Check the residual's sign against the exact cdf at each k it decides; count them."""
     a = mpf(alpha)
     decided = 0
     for k in ks:
-        sign = distributions._residual_sign(d.components, k, alpha)
+        sign = distributions._residual_sign(recipe, k, alpha)
         if sign is not None:
-            gap = exact_cdf_at(d.components, k) - a
+            gap = exact_cdf_at(recipe, k) - a
             assert gap != 0 and sign == (gap > 0), (k, alpha)
             decided += 1
     return decided
@@ -445,10 +491,11 @@ class TestResidualProbe:
     @given(case=plateau_mixtures, on_point=st.booleans(), u=st.floats(0.0, 1.0))
     @settings(max_examples=100, deadline=None)
     def test_sign_on_plateau_mixtures(self, case, on_point, u):
-        d, plateau = case
+        terms, plateau = case
+        d = dense_law(terms)
         alpha = level_on_plateau(d, plateau, on_point, u)
         ks = range(d.min_count - 1, d.max_count + 2)
-        assert decided_where_exact(d, alpha, ks) > 0
+        assert decided_where_exact(recipe_of(terms), alpha, ks) > 0
 
     @given(
         N=st.integers(1, 3000),
@@ -459,12 +506,13 @@ class TestResidualProbe:
     )
     @settings(max_examples=60, deadline=None)
     def test_sign_on_common_shock_plateaus(self, N, q, pt, on_point, u):
-        d = loss_count_distribution(ModelSpec.common_shock(1 / 6, q, pt), N, 6)
+        model = ModelSpec.common_shock(1 / 6, q, pt)
+        d = loss_count_distribution(model, N, 6)
         alpha = level_on_plateau(d, 1.0 - pt, on_point, u)
         lo, g, hi = band_edges(d, alpha)
         spread = np.linspace(lo - 2, hi + 2, 9).round().astype(int).tolist()
         ks = {d.min_count + i for i in [*spread, g - 1, g, g + 1]}
-        decided_where_exact(d, alpha, sorted(ks))
+        decided_where_exact(recipe_of(state_terms(model, N, 6)), alpha, sorted(ks))
 
     @given(n=st.integers(1, 400), p=st.floats(0.01, 0.99), u=st.floats(0.0, 1.0))
     @settings(max_examples=100, deadline=None)
@@ -472,36 +520,39 @@ class TestResidualProbe:
         # alpha is the stored cdf at a point of a binomial, so the residual
         # there is a few ulps of the cdf, which the bound must not decide
         # unless the sign is right.
-        d = binomial(n, p)
+        terms = binomial_terms((1.0, n, p))
+        d = terms[0].law
         i = round(u * (len(d.masses) - 1))
         alpha = float(d.cdf[i])
         assume(0.0 < alpha < 1.0)
-        decided_where_exact(d, alpha, [d.min_count + i + j for j in (-1, 0, 1)])
+        decided_where_exact(recipe_of(terms), alpha, [d.min_count + i + j for j in (-1, 0, 1)])
 
     @pytest.mark.parametrize("tail", ["zero", "subnormal"])
     def test_tail_that_underflows_falls_back(self, monkeypatch, tail):
         # Bin(2000, 1/2) stored over its whole support: its lower cdf,
         # sum(comb(2000, j) for j <= k) / 2**2000, rounds to 0.0 in double
         # precision up to about k = 40, then to a subnormal.
-        masses = binom.pmf_window(2000, 0.5, 0, 2000)
-        d = DiscreteLossDistribution(0, masses, components=((1.0, 2000, 0.5, 0, 2000),))
+        law = DiscreteLossDistribution(0, binom.pmf_window(2000, 0.5, 0, 2000))
+        recipe = recipe_of([StateTerm(0, 1.0, (0, 0.0), (2000, 0.5), law)])
+        assert recipe == ((1.0, 2000, 0.5, 0, 2000),)
         low = np.array([float(Fraction(sum(math.comb(2000, j) for j in range(k + 1)), 2**2000))
                         for k in range(200)])
         pick = low == 0.0 if tail == "zero" else (0.0 < low) & (low < sys.float_info.min)
         k = int(np.nonzero(pick)[0][-1])
-        assert distributions._residual_sign(d.components, k, 0.5) is None
+        assert distributions._residual_sign(recipe, k, 0.5) is None
         fallbacks = []
         monkeypatch.setattr(distributions, "exact_cdf_at",
                             lambda *args: fallbacks.append(args) or exact_cdf_at(*args))
-        assert distributions.cdf_reaches(d.components, k, 0.5) is False
-        assert fallbacks == [(d.components, k)]
+        assert distributions.cdf_reaches(recipe, k, 0.5) is False
+        assert fallbacks == [(recipe, k)]
 
     def test_component_beyond_the_kernel_range_is_not_decided(self):
+        # A stand-in law of one count, the probe's, in place of the
+        # binomial's 2**25-count window.
         trials = distributions._KERNEL_MAX_TRIALS + 1
-        d = DiscreteLossDistribution(
-            0, np.array([1.0]), components=((1.0, trials, 0.5, 0, trials),)
-        )
-        assert distributions._residual_sign(d.components, trials // 2, 0.5) is None
+        law = DiscreteLossDistribution(trials // 2, np.array([1.0]))
+        recipe = recipe_of([StateTerm(0, 1.0, (0, 0.0), (trials, 0.5), law)])
+        assert distributions._residual_sign(recipe, trials // 2, 0.5) is None
 
 
 probabilities = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -699,12 +750,12 @@ class TestApplyMeasure:
             RiskMeasureSpec(MeasureKind.VAR, 1.0)
 
 
-# Small binomials and two-state mixtures of them; mixtures carry the recipe
-# that sends plateau crossings to the exact search.
-small_distributions = st.one_of(
-    st.builds(binomial, st.integers(1, 40), st.floats(0.02, 0.98)),
+# The terms of small binomials and of two-state mixtures of them; their
+# components send plateau crossings to the exact search.
+small_terms = st.one_of(
+    st.builds(lambda n, p: binomial_terms((1.0, n, p)), st.integers(1, 40), st.floats(0.02, 0.98)),
     st.builds(
-        lambda n, p, q, w: mixture([binomial(n, q), binomial(n, p)], [w, 1.0 - w]),
+        lambda n, p, q, w: binomial_terms((w, n, q), (1.0 - w, n, p)),
         st.integers(1, 40),
         st.floats(0.02, 0.5),
         st.floats(0.5, 0.98),
@@ -714,14 +765,14 @@ small_distributions = st.one_of(
 
 
 class TestVarAndTvar:
-    @given(d=small_distributions, alpha=st.floats(0.5, 0.995))
+    @given(terms=small_terms, alpha=st.floats(0.5, 0.995))
     @settings(max_examples=80, deadline=None)
-    def test_one_search_gives_both_measures(self, d, alpha):
-        conditional = var_and_tvar(d, alpha, TvarConvention.CONDITIONAL)
-        tail_average = var_and_tvar(d, alpha, TvarConvention.TAIL_AVERAGE)
+    def test_one_search_gives_both_measures(self, terms, alpha):
+        conditional = var_and_tvar(terms, alpha, TvarConvention.CONDITIONAL)
+        tail_average = var_and_tvar(terms, alpha, TvarConvention.TAIL_AVERAGE)
         v = conditional[0]
         assert tail_average[0] == v
-        assert conditional[1] == pytest.approx(brute_tail_mean(d, v), rel=1e-9)
+        assert conditional[1] == pytest.approx(brute_tail_mean(dense_law(terms), v), rel=1e-9)
         # The conditional tail adds the rest of the VaR atom, the smallest
         # count in the tail, so it averages lower; the slack covers rounding
         # and the truncated tail mass.

@@ -86,13 +86,14 @@ class TestLossCountDistribution:
     ], ids=["iid", "common-pt0", "common-pt1", "crisis-pt0", "crisis-pt1"])
     def test_lone_state_is_the_binomial(self, kind, pt, prob, N):
         # One state of the crisis-round law carries all the weight: the
-        # result is that state's binomial, recipe included.
+        # result is that state's binomial, and its term the binomial's recipe.
         model = ModelSpec(kind, 0.3, 0.8, pt)
         d, b = loss_count_distribution(model, N, 6), binomial(6 * N, prob)
         assert d.min_count == b.min_count
         assert np.array_equal(d.masses, b.masses)
         assert (d.truncated_below, d.truncated_above) == (b.truncated_below, b.truncated_above)
-        assert d.components == b.components
+        (term,) = state_terms(model, N, 6)
+        assert term.component == (1.0, 6 * N, prob, b.min_count, b.max_count)
 
     def test_support_guard(self):
         # The limit is a fixed constant, and past it no term is built.
@@ -169,11 +170,12 @@ class TestStateTerms:
     def test_common_shock_skips_the_state_of_zero_weight(self, pt):
         model = ModelSpec.common_shock(0.1, 0.2, pt)
         states = state_terms(model, 5, 6)
-        assert [(j, w) for j, w, _ in states] == [(j, w) for j, w in crisis_rounds(model, 6) if w]
+        assert [(t.j, t.weight) for t in states] == [(j, w) for j, w in crisis_rounds(model, 6) if w]
         # Given j = 0 or j = n, the count is one binomial over all N*n exposures.
-        for j, _, term in states:
-            want = binomial(30, 0.2 if j else 0.1)
-            assert (term.min_count, term.masses.tolist()) == (want.min_count, want.masses.tolist())
+        for t in states:
+            assert (t.crisis, t.normal) == (((30, 0.2), (0, 0.0)) if t.j else ((0, 0.0), (30, 0.1)))
+            want = binomial(30, 0.2 if t.j else 0.1)
+            assert (t.law.min_count, t.law.masses.tolist()) == (want.min_count, want.masses.tolist())
 
     def test_a_hit_returns_the_same_frozen_term(self):
         # A term does not depend on p_tilde, and the probability of an empty
@@ -183,13 +185,15 @@ class TestStateTerms:
         shock = ModelSpec.per_exposure_shock(0.1, 0.2, 0.05)
         first = state_terms(shock, 5, 6)
         again = state_terms(ModelSpec.per_exposure_shock(0.1, 0.2, 0.3), 5, 6)
-        assert all(a[2] is b[2] for a, b in zip(first, again))
-        (_, _, iid), = state_terms(ModelSpec.iid(0.1), 5, 6)
+        assert all(a.law is b.law for a, b in zip(first, again))
+        # A term compares by identity, never by its law's masses array.
+        assert first[0] == first[0] and first[0] != again[0]
+        (iid,) = state_terms(ModelSpec.iid(0.1), 5, 6)
         common = state_terms(ModelSpec.common_shock(0.1, 0.2, 0.05), 5, 6)
-        assert iid is first[0][2] is common[0][2]
-        assert common[1][2] is first[-1][2]
-        assert loss_count_distribution(ModelSpec.iid(0.1), 5, 6) is iid
-        assert not any(term.masses.flags.writeable for _, _, term in first)
+        assert iid.law is first[0].law is common[0].law
+        assert common[1].law is first[-1].law
+        assert loss_count_distribution(ModelSpec.iid(0.1), 5, 6) is iid.law
+        assert not any(t.law.masses.flags.writeable for t in first)
 
     def test_the_memo_is_bounded(self):
         memo = models._state_term
@@ -202,10 +206,44 @@ class TestStateTerms:
     def test_loss_count_distribution_mixes_the_terms(self):
         model = ModelSpec.per_exposure_shock(0.1, 0.2, 0.05)
         states = state_terms(model, 7, 6)
-        assert [j for j, _, _ in states] == list(range(7))
+        assert [t.j for t in states] == list(range(7))
         mixed = loss_count_distribution(model, 7, 6)
-        manual = sum(w * np.pad(t.masses, (t.min_count, 42 - t.max_count)) for _, w, t in states)
+        manual = sum(t.weight * np.pad(t.law.masses, (t.law.min_count, 42 - t.law.max_count))
+                     for t in states)
         assert np.max(np.abs(manual[mixed.min_count : mixed.max_count + 1] - mixed.masses)) < 1e-15
+
+
+# The recipe component of a side of 60 trials at each probability, as the
+# stored law carried it (loss_count_distribution(model, 10, 6).components)
+# before the recipe moved to StateTerm: prob 0 is Bin(0, 1), a point mass at
+# 0, and prob 1 is Bin(60, 1).  The window 0..38 is binomial(60, 1/6)'s.
+SIDE_RECIPES = {0.0: (0, 1.0, 0, 0), 1 / 6: (60, 1 / 6, 0, 38), 1.0: (60, 1.0, 60, 60)}
+
+
+class TestStateTermComponent:
+    @pytest.mark.parametrize("p", SIDE_RECIPES)
+    def test_iid_equals_the_stored_recipe(self, p):
+        (term,) = state_terms(ModelSpec.iid(p), 10, 6)
+        assert term.component == (1.0, *SIDE_RECIPES[p])
+
+    @pytest.mark.filterwarnings("ignore:crisis_prob > 0.5", "ignore:crisis_loss_prob <= loss_prob")
+    @pytest.mark.parametrize("pt", [0.0, 0.01, 1.0])
+    @pytest.mark.parametrize("q", SIDE_RECIPES)
+    @pytest.mark.parametrize("p", SIDE_RECIPES)
+    def test_common_shock_equals_the_stored_recipe(self, p, q, pt):
+        # One component per state of nonzero weight: j = 0 at 1 - pt, j = n at pt.
+        want = [(w, *SIDE_RECIPES[x]) for w, x in ((1.0 - pt, p), (pt, q)) if w]
+        got = [t.component for t in state_terms(ModelSpec.common_shock(p, q, pt), 10, 6)]
+        assert got == want
+
+    @pytest.mark.parametrize("p,q", [(1 / 6, 0.5), (0.0, 0.5), (1 / 6, 1.0), (0.0, 1.0)])
+    def test_per_exposure_interior_states_have_none(self, p, q):
+        # 0 < j < n puts trials on both sides, a sum of two binomials, even
+        # when one side is a point mass.
+        terms = state_terms(ModelSpec.per_exposure_shock(p, q, 0.01), 10, 6)
+        assert [t.j for t in terms] == list(range(7))
+        assert [t.component is None for t in terms] == [False] + [True] * 5 + [False]
+        assert terms[0].component == (terms[0].weight, *SIDE_RECIPES[p])
 
 
 class TestExactDecimal:

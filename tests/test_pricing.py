@@ -16,11 +16,18 @@ from riskdiv.distributions import moments
 from riskdiv.measures import (
     MeasureKind,
     RiskMeasureSpec,
+    TvarConvention,
     apply_measure,
     gaussian_var_approx,
     normal_quantile,
 )
-from riskdiv.models import ModelSpec, PortfolioParams, exact_decimal, loss_count_distribution
+from riskdiv.models import (
+    ModelKind,
+    ModelSpec,
+    PortfolioParams,
+    exact_decimal,
+    loss_count_distribution,
+)
 from riskdiv.montecarlo import SimulationConfig, loading_from_rho
 from riskdiv.pricing import (
     premium,
@@ -126,6 +133,42 @@ class TestRiskLoading:
                 v = risk_loading_per_policy(model, PARAMS, N, VAR99).value
                 t = risk_loading_per_policy(model, PARAMS, N, TVAR99).value
                 assert t >= v - 1e-12
+
+
+class TestStringKinds:
+    """A spec's enum fields given as strings price as their enums, or raise."""
+
+    @staticmethod
+    def loading(model, measure, N=100):
+        return fmt_loading(risk_loading_per_policy(model, PARAMS, N, measure).value)
+
+    def test_model_kind(self):
+        # `is` against the enum used to miss the string and price the
+        # per-exposure shock: 0.945 instead of 3.000.
+        spec = ModelSpec("common-shock", 1 / 6, 0.5, 0.05)
+        assert spec.kind is ModelKind.COMMON_SHOCK
+        assert spec == ModelSpec.common_shock(1 / 6, 0.5, 0.05)
+        assert self.loading(spec, VAR99) == "3.000"
+
+    def test_measure_kind_and_convention(self):
+        model = ModelSpec.common_shock(1 / 6, 0.5, 0.05)
+        spec = RiskMeasureSpec("tvar", 0.99, "conditional")
+        assert (spec.kind, spec.convention) == (MeasureKind.TVAR, TvarConvention.CONDITIONAL)
+        assert spec == TVAR99
+        # The string TVaR used to price the VaR, and the string conditional
+        # convention the tail average.
+        assert self.loading(model, spec) == self.loading(model, TVAR99)
+        tail = RiskMeasureSpec(MeasureKind.TVAR, 0.99, TvarConvention.TAIL_AVERAGE)
+        assert len({self.loading(model, s) for s in (VAR99, TVAR99, tail)}) == 3
+
+    @pytest.mark.parametrize("build", [
+        lambda: ModelSpec("nonsense", 0.1),
+        lambda: RiskMeasureSpec("nonsense", 0.99),
+        lambda: RiskMeasureSpec(MeasureKind.TVAR, 0.99, "nonsense"),
+    ], ids=["model-kind", "measure-kind", "convention"])
+    def test_unknown_value_is_rejected(self, build):
+        with pytest.raises(ValueError, match="nonsense"):
+            build()
 
 
 class TestPremiums:
