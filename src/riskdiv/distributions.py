@@ -40,7 +40,6 @@ __all__ = [
     "cdf_at",
     "compensated_cdf",
     "point_mass",
-    "weighted_masses",
 ]
 
 
@@ -106,23 +105,25 @@ class DiscreteLossDistribution:
 def compensated_cdf(anchor: float, masses: np.ndarray) -> np.ndarray:
     """The running sums anchor + masses[0] + ... + masses[i], each correct to the last rounding.
 
-    A compensated (Neumaier) running sum.  Quantiles of near-degenerate
-    mixtures sit on cdf plateaus only ulps wide; a naive cumsum drifts
-    across them.
+    A compensated (Neumaier) running sum of nonnegative terms.  Quantiles
+    of near-degenerate mixtures sit on cdf plateaus only ulps wide; a naive
+    cumsum drifts across them.
 
     The recurrence is formed in whole-array steps with the sequential
     loop's operations in its order, so the bits are the loop's.  Its
     running sum s is the plain left-to-right sum from the anchor, which
     np.cumsum computes (add.accumulate is sequential, not pairwise).  Each
-    step's rounding error comes from the loop's own branch, chosen
-    elementwise.  The corrections then accumulate from 0.0, again left to
-    right, and prefix i is s_i + c_i.  A mass of exactly 0.0 leaves s
-    unchanged and adds an error of 0.0, so dropping zero masses changes no
-    other prefix's bits.
+    step's rounding error is (big - s) + small, where big is the larger of
+    the previous sum and the term and small the other: the loop's own
+    branch, |s_prev| >= |x|, chosen elementwise, as no value is negative.
+    The corrections then accumulate from 0.0, again left to right, and
+    prefix i is s_i + c_i.  A mass of exactly 0.0 leaves s unchanged and
+    adds an error of 0.0, so dropping zero masses changes no other prefix's
+    bits.
     """
     s = np.cumsum(np.concatenate(([anchor], masses)))
     prev, t = s[:-1], s[1:]
-    e = np.where(np.abs(prev) >= np.abs(masses), (prev - t) + masses, (masses - t) + prev)
+    e = (np.maximum(prev, masses) - t) + np.minimum(prev, masses)
     c = np.cumsum(np.concatenate(([0.0], e)))[1:]
     return t + c
 
@@ -187,8 +188,10 @@ def mixture(
 ) -> DiscreteLossDistribution:
     """Pointwise weighted combination over the union of supports.
 
-    Components are accumulated in the order given, so the result is
-    deterministic regardless of how the components were produced.
+    Each count's mass and each truncated tail are summed over the
+    components in the order given, from 0.0, and a component of weight 0.0
+    is skipped, so the result is deterministic regardless of how the
+    components were produced.
     """
     if len(dists) != len(weights):
         raise ValueError("one weight per distribution required")
@@ -196,28 +199,16 @@ def mixture(
     if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-12:
         raise ValueError("weights must be nonnegative and sum to 1")
     lo = min(d.min_count for d in dists)
-    hi = max(d.max_count for d in dists)
-    return DiscreteLossDistribution(lo, *weighted_masses(zip(w, dists), np.arange(lo, hi + 1)))
-
-
-def weighted_masses(terms, counts: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """(weight, distribution) pairs summed over the ascending counts: (masses, below, above).
-
-    counts holds every count of each term's window, consecutively.  Each
-    count's mass and each truncated tail are summed over the terms in the
-    order given, from 0.0, and a term of weight 0.0 is skipped, so the bits
-    depend on the terms and their order, not on which counts are listed.
-    """
-    masses = np.zeros(len(counts))
+    masses = np.zeros(max(d.max_count for d in dists) - lo + 1)
     below = above = 0.0
-    for wi, d in terms:
+    for wi, d in zip(w, dists):
         if wi == 0.0:
             continue
-        start = int(np.searchsorted(counts, d.min_count))
+        start = d.min_count - lo
         masses[start : start + len(d.masses)] += wi * d.masses
         below += wi * d.truncated_below
         above += wi * d.truncated_above
-    return masses, below, above
+    return DiscreteLossDistribution(lo, masses, below, above)
 
 
 def convolve(

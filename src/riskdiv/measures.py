@@ -12,6 +12,7 @@ import statistics
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -79,58 +80,186 @@ class RiskMeasureSpec:
 _PLATEAU_BAND = 1e-11
 
 
-def _occupied(terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The mixture of (weight, law) pairs over its occupied counts: (counts, masses, cdf).
+class _OneSide:
+    """A state term with one nonempty side, read off that side's stored law by lookup.
 
-    The occupied counts are the union of the laws' stored windows, merged
-    where they overlap or touch; the counts between two windows hold no
-    mass and are not stored.  The masses and the anchor are weighted_masses,
-    as mixture sums them, and the cdf is compensated_cdf, as the stored
-    law's: a zero mass changes no running sum, so every occupied count has
-    the stored mixture's bits.
+    Also a lone distribution passed to var_and_tvar.  cdf(k) is the stored
+    cdf at k, called for lo <= k < hi; floor is the law's truncated_below,
+    the cdf below its window, and top the cdf from hi on.
     """
-    windows: list[list[int]] = []
-    for lo, hi in sorted((d.min_count, d.max_count) for _, d in terms):
-        if windows and lo <= windows[-1][1] + 1:
-            windows[-1][1] = max(windows[-1][1], hi)
-        else:
-            windows.append([lo, hi])
-    counts = np.concatenate([np.arange(lo, hi + 1) for lo, hi in windows])
-    masses, below, _ = distributions.weighted_masses(terms, counts)
-    return counts, masses, distributions.compensated_cdf(below, masses)
+
+    def __init__(self, law: DiscreteLossDistribution):
+        self.lo, self.hi = law.min_count, law.max_count
+        self._masses, self._cdf = law.masses, law.cdf
+        self.floor, self.top = law.truncated_below, self._cdf[-1]
+
+    def cdf(self, k: int) -> float:
+        return self._cdf[k - self.lo]
+
+    def mass(self, v: int) -> float:
+        return self._masses[v - self.lo] if self.lo <= v <= self.hi else 0.0
+
+    def beyond(self, v: int) -> float:
+        """Sum of k * mass over the stored counts k > v: one numpy product-sum."""
+        start = max(v + 1, self.lo)
+        return (np.arange(start, self.hi + 1) * self._masses[start - self.lo :]).sum()
 
 
-def _quantile_index(counts: np.ndarray, cdf: np.ndarray, recipe: tuple, alpha: float) -> int:
-    """Index of the smallest count whose cdf reaches alpha, decided exactly on a plateau.
+class _TwoSides:
+    """A state term X + Y read off its two sides' stored laws, never their convolution.
 
-    counts and cdf are _occupied's, recipe the terms' components.  If one
-    is None, this is the double-precision answer.  Else the band of counts
-    whose stored cdf lies within _PLATEAU_BAND of alpha is bisected on the
-    exact cdf, which is monotone in k (each component's clamped cdf is, and
-    so is their rounded weighted sum): the result is the first count in the
-    band whose exact cdf reaches alpha, or the band top, never probed, if
-    none does.
-    Only occupied counts are probed: between two windows every component is
-    clamped as at the last occupied count below, so a count there is never
-    the first to reach alpha.  Every probe is distributions.cdf_reaches: a
-    double-precision small-tail residual with a derived error bound, and the
-    mpmath cdf only where that bound cannot order the cdf and alpha.
+    X is the shorter side, with masses a at its counts x_i, and Y has masses
+    b and the cumulative window C_Y = compensated_cdf(Y.truncated_below, b),
+    its stored cdf's bits.  Then
+
+        F(k) = X.truncated_below + sum_i a[i] C_Y(k - x_i),
+
+    where C_Y is Y.truncated_below below its window and its top above it:
+    one numpy product-sum of a with C_Y read at k - x_i, each index clipped
+    to the window (_read), so a probe costs one product-sum over len(a)
+    terms wherever k lies, no sum goes through BLAS, and F is monotone in k
+    to the last bit: each read of C_Y is, and the sum always has the same
+    shape.  pmf(k) and the tail sums read b and Y's reverse running sums the
+    same way.  floor and top are F below and above the window; cdf is
+    called for lo <= k < hi.
+    """
+
+    def __init__(self, x: DiscreteLossDistribution, y: DiscreteLossDistribution):
+        self.lo, self.hi = x.min_count + y.min_count, x.max_count + y.max_count
+        self._a, self._xs, self._x_below, self._y = x.masses, x.counts, x.truncated_below, y
+        # Index of count k - x_i in an array over Y's counts from y.min_count - 1.
+        self._index = np.arange(x.min_count, x.max_count + 1) + (y.min_count - 1)
+        self._c = np.concatenate(([y.truncated_below],
+                                  distributions.compensated_cdf(y.truncated_below, y.masses)))
+        self.floor, self.top = self.cdf(self.lo - 1), self.cdf(self.hi)
+
+    def _read(self, values: np.ndarray, k: int) -> np.ndarray:
+        """values at count k - x_i of Y for each count x_i of X, the index clipped to values.
+
+        values[t] belongs to Y's count y.min_count - 1 + t, so its first
+        value stands for every count below Y's window and its last for every
+        count from its last index on.
+        """
+        return values.take(k - self._index, mode="clip")
+
+    def cdf(self, k: int) -> float:
+        return self._x_below + _add(self._a * self._read(self._c, k))
+
+    @cached_property
+    def _b(self) -> np.ndarray:
+        return np.concatenate(([0.0], self._y.masses, [0.0]))
+
+    def mass(self, v: int) -> float:
+        return _add(self._a * self._read(self._b, v)) if self.lo <= v <= self.hi else 0.0
+
+    @cached_property
+    def _y_tails(self) -> tuple[np.ndarray, np.ndarray]:
+        """(S, E): S[t] and E[t] sum b and y * b over Y's counts from its t-th on.
+
+        Each is one np.cumsum from Y's top count down (add.accumulate is
+        sequential), with 0 past Y's last count.
+        """
+        y = self._y
+        return tuple(np.concatenate((np.cumsum(m[::-1])[::-1], [0.0]))
+                     for m in (y.masses, y.counts * y.masses))
+
+    def beyond(self, v: int) -> float:
+        """Sum of k * pmf(k) over k > v: sum_i a[i] (x_i S_Y(v - x_i) + E_Y(v - x_i))."""
+        if v >= self.hi:
+            return 0.0
+        v = max(v, self.lo - 1)
+        tail, moment = self._y_tails
+        return _add(self._a * (self._xs * self._read(tail, v) + self._read(moment, v)))
+
+
+_add = np.add.reduce
+
+
+@lru_cache(maxsize=64)
+def _term_reader(crisis: tuple[int, float], normal: tuple[int, float]) -> _OneSide | _TwoSides:
+    """The reader of the state term with these sides (models.StateTerm), built once per pair.
+
+    Keyed by the sides, as models._state_term is, so every pt column of a
+    grid shares its terms' cumulative windows.  64 entries hold the 56
+    terms of a T4 grid.
+    """
+    sides = models.side_laws(crisis, normal)
+    if len(sides) == 1:
+        return _OneSide(*sides)
+    return _TwoSides(*sorted(sides, key=lambda d: len(d.masses)))
+
+
+class _Occupied:
+    """The occupied counts of some terms, as a sequence: the union of their windows.
+
+    Windows are merged where they overlap or touch; the counts between two
+    windows hold no mass and are not listed.  No array of the counts is
+    built: a search reads about 20 of them, and listing them all
+    (np.arange over each window) took about 45 µs a search, 4 ms of a
+    T1-T4 build.
+    """
+
+    def __init__(self, readers):
+        self._los: list[int] = []
+        self._starts: list[int] = []
+        size, top = 0, None
+        for lo, hi in sorted((r.lo, r.hi) for r in readers):
+            if top is not None and lo <= top + 1:
+                size += max(hi - top, 0)
+                top = max(top, hi)
+                continue
+            self._los.append(lo)
+            self._starts.append(size)
+            size, top = size + hi - lo + 1, hi
+        self._size = size
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, i: int) -> int:
+        w = bisect.bisect_right(self._starts, i) - 1
+        return self._los[w] + i - self._starts[w]
+
+
+def _quantile_index(counts: _Occupied, cdf, recipe: tuple, alpha: float) -> int:
+    """Index in counts of the smallest count whose cdf reaches alpha, decided exactly on a plateau.
+
+    counts are the occupied counts (_Occupied) and cdf(k) the terms' cdf at
+    count k; recipe is the terms' components.  If one is None, this is the
+    double-precision answer, by bisection.  Else the band of counts whose
+    cdf lies within _PLATEAU_BAND of alpha is found from that answer, with one probe on each side and a bisection only where the band
+    reaches past it (every term is then one-sided, read by lookup, so the
+    cdf is monotone to the last bit), and then bisected on the exact cdf,
+    which is monotone in k (each component's clamped cdf is, and so is their
+    rounded weighted sum): the result is the first count in the band whose
+    exact cdf reaches alpha, or the band top, never probed, if none does.
+    Only occupied counts are probed: between two windows every term is
+    constant, so a count there is never the first to reach alpha.  Every
+    exact probe is distributions.cdf_reaches: a double-precision small-tail
+    residual with a derived error bound, and the mpmath cdf only where that
+    bound cannot order the cdf and alpha.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if alpha > cdf[-1]:
+    top = len(counts) - 1
+    if alpha > cdf(counts[top]):
         raise TruncationError(
-            f"alpha={alpha} exceeds the resolvable cdf top {cdf[-1]:.17f}; "
+            f"alpha={alpha} exceeds the resolvable cdf top {cdf(counts[top]):.17f}; "
             "tail truncation prevents resolving this quantile"
         )
+    first = bisect.bisect_left(counts, True, key=lambda k: cdf(k) >= alpha)
     if None in recipe:
-        return int(np.searchsorted(cdf, alpha))
-    lo = int(np.searchsorted(cdf, alpha - _PLATEAU_BAND, side="right"))
-    hi = min(int(np.searchsorted(cdf, alpha + _PLATEAU_BAND)), len(cdf) - 1)
-    return lo + bisect.bisect_left(
-        range(lo, hi), True,
-        key=lambda i: distributions.cdf_reaches(recipe, int(counts[i]), alpha),
-    )
+        return first
+    # The band's edges, searched for only where the band is wider than the crossing.
+    lo = hi = first
+    if first and cdf(counts[first - 1]) > alpha - _PLATEAU_BAND:
+        lo = bisect.bisect_left(counts, True, 0, first - 1,
+                                key=lambda k: cdf(k) > alpha - _PLATEAU_BAND)
+    if cdf(counts[first]) < alpha + _PLATEAU_BAND:
+        hi = min(bisect.bisect_left(counts, True, first + 1,
+                                    key=lambda k: cdf(k) >= alpha + _PLATEAU_BAND), top)
+    return bisect.bisect_left(
+        counts, True, lo, hi, key=lambda k: distributions.cdf_reaches(recipe, k, alpha))
 
 
 def tail_value(var_count, at, reached, beyond, total, alpha, convention: TvarConvention):
@@ -163,28 +292,47 @@ def var_and_tvar(
 ) -> tuple[int, float]:
     """VaR and TVaR at level alpha, in counts, from one quantile search.
 
-    law is a model's state terms (models.state_terms), read over their
-    laws' occupied windows (_occupied), never as a dense array over the
-    gaps between them: the VaR, its atom and its cdf have the bits of the
-    stored mixture.  A lone distribution is one term of weight 1.0 with no
-    component, so its plateaus get the double-precision answer.  VaR is the
-    smallest count k with P[count <= k] >= alpha; TVaR is tail_value at the
-    VaR, whose sum beyond it is one numpy product-sum over the occupied
-    counts above the VaR, not a BLAS dot.  On a plateau the tail average
-    takes its VaR-atom share at the decided count, not at the stored cdf's
-    crossing, about 1e-13 of mass away.
+    law is a model's state terms (models.state_terms), each read off its
+    sides' stored laws by a reader memoised per pair of sides: a lookup in
+    its one side's cdf, or, for two sides, a product-sum over the shorter
+    side's window (_TwoSides), never the convolved law or a dense mixture.
+    A lone distribution is one term of weight 1.0 with no component, so its
+    plateaus get the double-precision answer.  The cdf at count k is
+    sum_j w_j F_j(k), in term order; a term whose window misses k adds a
+    constant.  VaR is the smallest occupied count k with cdf(k) >= alpha,
+    found by bisecting the occupied counts (_Occupied); TVaR is tail_value
+    at the VaR, with at = sum_j w_j pmf_j(v) and beyond = sum_j w_j times the
+    term's sum of k * pmf_j(k) over k > v.  No sum goes through BLAS.  A
+    lone binomial, and so the iid model, is read with the bits of its stored
+    law.  On a plateau the tail average takes its VaR-atom share at the
+    decided count, not at the double-precision crossing, about 1e-13 of mass
+    away.
 
     Raises:
-        TruncationError: If alpha lies beyond the stored cdf top, i.e. the
+        TruncationError: If alpha lies beyond the cdf top, i.e. the
             quantile cannot be resolved on the truncated support.
     """
-    lone = isinstance(law, DiscreteLossDistribution)
-    counts, masses, cdf = _occupied([(1.0, law)] if lone else [(t.weight, t.law) for t in law])
-    recipe = (None,) if lone else tuple(t.component for t in law)
-    idx = _quantile_index(counts, cdf, recipe, alpha)
-    var_count = int(counts[idx])
-    beyond = (counts[idx + 1 :] * masses[idx + 1 :]).sum()
-    tvar = tail_value(var_count, masses[idx], cdf[idx], beyond, 1.0, alpha, convention)
+    if isinstance(law, DiscreteLossDistribution):
+        terms, recipe = [(1.0, _OneSide(law))], (None,)
+    else:
+        terms = [(t.weight, _term_reader(t.crisis, t.normal)) for t in law]
+        recipe = tuple(t.component for t in law)
+
+    # Memoised per call: the band search and the TVaR ask again for counts the search read.
+    @lru_cache(maxsize=None)
+    def cdf(k: int) -> float:
+        total = 0.0
+        for w, r in terms:
+            total += w * (r.floor if k < r.lo else r.top if k >= r.hi else r.cdf(k))
+        return total
+
+    counts = _Occupied(r for _, r in terms)
+    var_count = counts[_quantile_index(counts, cdf, recipe, alpha)]
+    at = beyond = 0.0
+    for w, r in terms:
+        at += w * r.mass(var_count)
+        beyond += w * r.beyond(var_count)
+    tvar = tail_value(var_count, at, cdf(var_count), beyond, 1.0, alpha, convention)
     return var_count, float(tvar)
 
 

@@ -17,6 +17,7 @@ that diversification cannot remove.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -33,6 +34,7 @@ __all__ = [
     "PortfolioParams",
     "SupportLimitError",
     "StateTerm",
+    "side_laws",
     "MAX_SUPPORT",
     "check_support",
     "crisis_rounds",
@@ -53,6 +55,14 @@ PROBABILITY = ("lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
 LEVEL = ("lie in (0, 1)", lambda v: 0.0 < v < 1.0)
 RATE = ("be finite and >= 0", lambda v: 0.0 <= v < math.inf)
 AMOUNT = ("be positive and finite", lambda v: 0.0 < v < math.inf)
+
+
+def _check_integer(name: str, value) -> None:
+    """Raise ValueError unless value is an integer (a Python or numpy int, not a float)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_range(name: str, value: float, kind: tuple) -> None:
@@ -137,6 +147,7 @@ class PortfolioParams:
     alpha: float = 0.99
 
     def __post_init__(self):
+        _check_integer("exposures", self.exposures)
         if self.exposures < 1:
             raise ValueError("exposures must be >= 1")
         _check_range("severity", self.severity, AMOUNT)
@@ -155,9 +166,11 @@ def check_support(N: int, n: int) -> None:
     the fixed MAX_SUPPORT (1e7 counts), with no override.
 
     Raises:
-        ValueError: If N or n is less than 1.
+        ValueError: If N or n is not an integer or is less than 1.
         SupportLimitError: If N*n exceeds MAX_SUPPORT.
     """
+    _check_integer("N", N)
+    _check_integer("n", n)
     if N < 1 or n < 1:
         raise ValueError(f"N and n must be >= 1, got N={N}, n={n}")
     # In Python ints: a numpy N would wrap the product in int64.
@@ -193,40 +206,64 @@ def _round_weights(n: int, pt: float) -> tuple[float, ...]:
     return tuple(pmf_window(n, pt, 0, n).tolist())
 
 
+@lru_cache(maxsize=128)
+def _side(trials: int, prob: float) -> DiscreteLossDistribution:
+    """Binomial(trials, prob), the stored law of one side of a state term, built once.
+
+    128 entries hold the sides of a T4 grid (8 N x 12 states' sides, 80 of
+    them distinct), which every pt column, the exact measures and the
+    sampler share.  binomial is looked up in this module at call time, so a
+    caller that rebinds it sees every build.
+    """
+    return binomial(trials, prob)
+
+
 @lru_cache(maxsize=64)
 def _state_term(
     crisis_trials: int, q: float, normal_trials: int, p: float
 ) -> DiscreteLossDistribution:
-    """Binomial(crisis_trials, q) + Binomial(normal_trials, p), built once.
+    """Binomial(crisis_trials, q) + Binomial(normal_trials, p), built once from its sides.
 
     Keyed by the term's content, with the probability of an empty side set to
     0.0 by the caller, so a state shared by several models or crisis
     probabilities is one entry.  64 entries hold one T4 column (8 N x 7
-    states).  binomial and convolve are looked up in this module at call
-    time, so a caller that rebinds them sees every build.
+    states).  A one-sided term is its side's law; convolve is looked up in
+    this module at call time, so a caller that rebinds it sees every build.
     """
     if not crisis_trials:
-        return binomial(normal_trials, p)
+        return _side(normal_trials, p)
     if not normal_trials:
-        return binomial(crisis_trials, q)
-    return convolve(binomial(crisis_trials, q), binomial(normal_trials, p))
+        return _side(crisis_trials, q)
+    return convolve(_side(crisis_trials, q), _side(normal_trials, p))
+
+
+def side_laws(crisis: tuple[int, float], normal: tuple[int, float]
+              ) -> tuple[DiscreteLossDistribution, ...]:
+    """The stored laws of a state term's nonempty sides, crisis first, each memoised (_side)."""
+    return tuple(_side(*side) for side in (crisis, normal) if side[0])
 
 
 class StateTerm(NamedTuple):
-    """The loss count given j crisis rounds, law = Binomial(*crisis) + Binomial(*normal).
+    """The loss count given j crisis rounds: Binomial(*crisis) + Binomial(*normal).
 
     weight is P(j) (crisis_rounds); a side is (trials, prob), (N*j, q) and
-    (N*(n-j), p), or (0, 0.0) when empty; law is the memoised _state_term.
-    Compared by identity: a tuple's == would compare the law's masses array.
+    (N*(n-j), p), or (0, 0.0) when empty.  The exact measures read the
+    term off its sides' stored laws (side_laws); the convolved law is built
+    only when something reads it (the sampler, loss_count_distribution).
+    Compared by identity, as a record of memoised objects.
     """
 
     j: int
     weight: float
     crisis: tuple[int, float]
     normal: tuple[int, float]
-    law: DiscreteLossDistribution
 
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
+    @property
+    def law(self) -> DiscreteLossDistribution:
+        """The term's stored law: the memoised _state_term, convolved on first access."""
+        return _state_term(*self.crisis, *self.normal)
 
     @property
     def component(self) -> tuple | None:
@@ -237,26 +274,26 @@ class StateTerm(NamedTuple):
         """
         if self.crisis[0] and self.normal[0]:
             return None
-        trials, prob = self.crisis if self.crisis[0] else self.normal
-        if prob == 0.0:
-            trials, prob = 0, 1.0
-        return (self.weight, trials, float(prob), self.law.min_count, self.law.max_count)
+        side = self.crisis if self.crisis[0] else self.normal
+        law = _side(*side)
+        trials, prob = (0, 1.0) if side[1] == 0.0 else side
+        return (self.weight, trials, float(prob), law.min_count, law.max_count)
 
 
 def state_terms(model: ModelSpec, N: int, n: int) -> list[StateTerm]:
     """The loss count in each state of crisis_rounds: StateTerms in increasing j.
 
     States of zero weight are skipped.  Both engines read these terms: the
-    exact measures over their occupied windows (measures.var_and_tvar), and
-    the Monte Carlo sampler by drawing each simulation's paths over them.
-    A law does not depend on p_tilde, so each is built once per process
-    (_state_term) and every crisis probability, column and engine gets the
+    exact measures off each term's two sides, never its convolved law
+    (measures.var_and_tvar), and the Monte Carlo sampler by drawing each
+    simulation's paths over the terms' laws.  Neither a side nor a law
+    depends on p_tilde, so each is built once per process (_side,
+    _state_term) and every crisis probability, column and engine gets the
     same frozen object: sharing it cannot change a bit.
     """
     p, q = model.loss_prob, model.crisis_loss_prob
-    sides = [(j, w, (N * j, q if j else 0.0), (N * (n - j), p if j < n else 0.0))
-             for j, w in crisis_rounds(model, n) if w != 0.0]
-    return [StateTerm(j, w, c, s, _state_term(*c, *s)) for j, w, c, s in sides]
+    return [StateTerm(j, w, (N * j, q if j else 0.0), (N * (n - j), p if j < n else 0.0))
+            for j, w in crisis_rounds(model, n) if w != 0.0]
 
 
 def loss_count_distribution(
@@ -266,11 +303,11 @@ def loss_count_distribution(
 ) -> DiscreteLossDistribution:
     """Exact distribution of the portfolio loss count, stored densely.
 
-    The mixture of state_terms in law order, so results do not depend on
-    scheduling.  It stores every count from the lowest to the highest of
-    its terms, the gaps between the states' humps included, for `dist`, T1
-    and the tests; the measures read the terms themselves
-    (montecarlo.measures_in_counts), with this law's bits.
+    The mixture of the state_terms' convolved laws in state order, so
+    results do not depend on scheduling.  It stores every count from the
+    lowest to the highest of its terms, the gaps between the states' humps
+    included, for `dist`, T1 and the tests; the measures read each term off
+    its sides instead (montecarlo.measures_in_counts), never this array.
 
     Raises:
         ValueError: If check_support raises (a SupportLimitError past the

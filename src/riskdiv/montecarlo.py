@@ -127,11 +127,12 @@ def _draw_block(model: ModelSpec, N: int, n: int, seed: int,
     Multinomial(size, w); a lone state (iid, or p_tilde at 0 or 1) draws
     nothing here.  Each state's c > 0 paths then tally Multinomial(c, pmf)
     over its term's stored window, normalised.  The terms are the exact
-    engine's, read from the memo of models.state_terms, and the law is its
-    mixture up to each term's truncated mass (at most TRUNCATION_BUDGET =
-    1e-12), which no draw can reach.  The tallies are merged in a box over
-    the drawn states' windows only, and returned as (values, tallies) at its
-    nonzero bins.
+    engine's (models.state_terms), each law the convolution of the sides the
+    exact measures read, built once per process (StateTerm.law), and the
+    law drawn is their mixture up to each term's truncated mass (at most
+    TRUNCATION_BUDGET = 1e-12), which no draw can reach.  The tallies are
+    merged in a box over the drawn states' windows only, and returned as
+    (values, tallies) at its nonzero bins.
     """
     rng = _stream(seed)
     states = state_terms(model, N, n)
@@ -231,11 +232,10 @@ def measures_in_counts(
     """VaR and TVaR of the loss count, in counts: exact, or read off a simulation's tallies.
 
     The one place that chooses the engine.  The exact engine gives an int
-    VaR and a float TVaR, read by var_and_tvar off the weighted state_terms
-    over their occupied windows, with the bits of the stored mixture
-    (loss_count_distribution); a simulation gives the exact Fractions of its
-    tallies (tally_var_and_tvar), so loading_from_rho decides their digits
-    exactly.
+    VaR and a float TVaR, read by var_and_tvar off the weighted state_terms,
+    each term off its two binomial sides, with no convolution and no dense
+    mixture; a simulation gives the exact Fractions of its tallies
+    (tally_var_and_tvar), so loading_from_rho decides their digits exactly.
 
     Raises:
         ValueError: If check_support raises (a SupportLimitError past the

@@ -1,9 +1,12 @@
 """Helpers shared by the test modules."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
-from riskdiv.distributions import DiscreteLossDistribution, binomial, mixture
-from riskdiv.models import ModelKind, ModelSpec, StateTerm
+from riskdiv.distributions import DiscreteLossDistribution, mixture
+from riskdiv.models import ModelKind, ModelSpec, StateTerm, side_laws
 
 
 def binomial_terms(*parts: tuple[float, int, float]) -> list[StateTerm]:
@@ -12,8 +15,7 @@ def binomial_terms(*parts: tuple[float, int, float]) -> list[StateTerm]:
     Each term has one nonempty side, so each carries a component and the
     mixture's plateaus are decided exactly (measures.var_and_tvar).
     """
-    return [StateTerm(j, w, (0, 0.0), (trials, prob), binomial(trials, prob))
-            for j, (w, trials, prob) in enumerate(parts)]
+    return [StateTerm(j, w, (0, 0.0), (trials, prob)) for j, (w, trials, prob) in enumerate(parts)]
 
 
 def dense_law(terms: list[StateTerm]) -> DiscreteLossDistribution:
@@ -249,17 +251,183 @@ def two_sample_chi_square(a: np.ndarray, b: np.ndarray,
 def exact_tvar_loading_bits() -> list[str]:
     """.hex() of exact TVaR loadings per policy, in both conventions, at alpha = 0.99.
 
-    The cases are the iid model at N = 100,000 and the common shock at
-    pt = 0.001, N = 16,996 and at pt = 0.05, N = 50,000.
+    The cases are the iid model at N = 100,000, the common shock at
+    pt = 0.001, N = 16,996 and at pt = 0.05, N = 50,000, and the
+    per-exposure shock at pt = 0.01, N = 100,000 and N = 60,383.
     """
     from riskdiv.measures import MeasureKind, RiskMeasureSpec, TvarConvention
     from riskdiv.models import PortfolioParams
     from riskdiv.pricing import price_policy
 
+    crisis = ModelSpec.per_exposure_shock(1 / 6, 0.5, 0.01)
     cases = ((ModelSpec.iid(1 / 6), 100_000), (ModelSpec.common_shock(1 / 6, 0.5, 0.001), 16_996),
-             (ModelSpec.common_shock(1 / 6, 0.5, 0.05), 50_000))
+             (ModelSpec.common_shock(1 / 6, 0.5, 0.05), 50_000), (crisis, 100_000), (crisis, 60_383))
     return [
         price_policy(model, PortfolioParams(), N,
                      RiskMeasureSpec(MeasureKind.TVAR, 0.99, conv)).risk_loading_per_policy.hex()
         for model, N in cases for conv in TvarConvention
     ]
+
+
+def sides(term: StateTerm) -> tuple[DiscreteLossDistribution, ...]:
+    """The stored laws of a state term's nonempty sides, crisis first."""
+    return side_laws(term.crisis, term.normal)
+
+
+# Every double is a multiple of 2**-1074, so x * 2**SCALE is an integer.
+SCALE = 1100
+
+
+def fixed(x: float) -> int:
+    """x * 2**SCALE as an exact integer."""
+    num, den = float(x).as_integer_ratio()
+    return num << (SCALE + 1 - den.bit_length())
+
+
+class ExactTerm:
+    """One state term read in exact arithmetic off the doubles of its stored sides.
+
+    The law the exact measures read (measures.var_and_tvar): for sides X and
+    Y, F(k) = X.truncated_below + sum_x a[x] (Y.truncated_below + sum_{y <= k - x} b[y]),
+    pmf(k) = sum_x a[x] b[k - x], and the tail sum beyond v is
+    sum_x a[x] sum_{y > v - x} (x + y) b[y].  A term with one side is that
+    side's stored law.  Every value is an exact Fraction.
+    """
+
+    def __init__(self, term):
+        self.weight = Fraction(term.weight)
+        self.sides = [(d.min_count, [fixed(m) for m in d.masses.tolist()], fixed(d.truncated_below))
+                      for d in sides(term)]
+        self.lo = sum(lo for lo, _, _ in self.sides)
+        self.hi = sum(lo + len(m) - 1 for lo, m, _ in self.sides)
+
+    @staticmethod
+    def _side_cdf(side, k: int) -> int:
+        lo, masses, below = side
+        return below + sum(masses[: max(0, min(k - lo + 1, len(masses)))])
+
+    def cdf(self, k: int) -> Fraction:
+        if len(self.sides) == 1:
+            return Fraction(self._side_cdf(self.sides[0], k), 2**SCALE)
+        (xlo, a, x_below), y = self.sides
+        total = sum(ai * self._side_cdf(y, k - xlo - i) for i, ai in enumerate(a))
+        return Fraction(x_below, 2**SCALE) + Fraction(total, 2 ** (2 * SCALE))
+
+    def pmf(self, k: int) -> Fraction:
+        if len(self.sides) == 1:
+            lo, masses, _ = self.sides[0]
+            return Fraction(masses[k - lo] if lo <= k < lo + len(masses) else 0, 2**SCALE)
+        (xlo, a, _), (ylo, b, _) = self.sides
+        total = sum(ai * b[k - xlo - i - ylo] for i, ai in enumerate(a)
+                    if 0 <= k - xlo - i - ylo < len(b))
+        return Fraction(total, 2 ** (2 * SCALE))
+
+    def beyond(self, v: int) -> Fraction:
+        if len(self.sides) == 1:
+            lo, masses, _ = self.sides[0]
+            return Fraction(sum(k * m for k, m in enumerate(masses, lo) if k > v), 2**SCALE)
+        (xlo, a, _), (ylo, b, _) = self.sides
+        # Suffix sums of b and y * b: tail[t] and moment[t] over Y's counts from its t-th on.
+        tail, moment = [0] * (len(b) + 1), [0] * (len(b) + 1)
+        for t in range(len(b) - 1, -1, -1):
+            tail[t], moment[t] = tail[t + 1] + b[t], moment[t + 1] + (ylo + t) * b[t]
+        total = 0
+        for i, ai in enumerate(a):
+            t = min(max(v - xlo - i - ylo + 1, 0), len(b))
+            total += ai * ((xlo + i) * tail[t] + moment[t])
+        return Fraction(total, 2 ** (2 * SCALE))
+
+
+def exact_reads(terms, v: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(pmf, cdf, tail sum beyond v) of the weighted terms at count v, exactly."""
+    exact = [ExactTerm(t) for t in terms]
+    return tuple(sum(e.weight * getattr(e, name)(v) for e in exact)
+                 for name in ("pmf", "cdf", "beyond"))
+
+
+def gamma(rounds: int) -> float:
+    """gamma_n = n u / (1 - n u), u = 2**-53: n roundings of a sum of nonnegative terms
+    err by at most gamma_n of it (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., Lemma 3.1)."""
+    u = 2.0**-53
+    return rounds * u / (1 - rounds * u)
+
+
+def pairwise_rounds(t: int) -> int:
+    """The most roundings one term meets in numpy's sum of t contiguous float64 terms.
+
+    numpy sums pairwise (Higham, section 4.2), in blocks: the reduce may add
+    its first term to the sum of the rest (one addition); that sum halves
+    its range until at most 128 terms remain, at most ceil(log2 t) levels; a
+    block keeps 8 strided partial sums of up to 16 terms (15 additions),
+    joins them in 3 levels and adds up to 7 leftover terms one by one.
+    """
+    return 1 + math.ceil(math.log2(max(t, 1))) + 15 + 3 + 7
+
+
+def reader_rounds(terms) -> dict[str, int]:
+    """Roundings behind each value the exact measures read off the terms, per output.
+
+    For m terms, a two-sided term X + Y with the shorter side of length L and
+    the longer of length M:
+    - cdf: C_Y is a compensated running sum, within 2u + O(M u**2), so 3
+      roundings; then the product with a[i] (1), numpy's sum over the L
+      products, the add of X's truncated mass (1); a one-sided term is its
+      stored cdf (3).  The weight's product (1) and the running sum over
+      the terms (m) follow.
+    - pmf: one product (1) and the sum over L; a one-sided term reads its
+      stored mass (0).
+    - tail sum: S_Y and E_Y are plain running sums of at most M terms,
+      y * b adding one more (M); x * S (1), + E (1), a[i] * (...) (1) and
+      the sum over L; a one-sided term is one product (1) and the sum over
+      its stored counts.
+    """
+    m = len(terms)
+    shorter = max((len(min(sides(t), key=lambda d: len(d.masses)).masses) for t in terms
+                   if len(sides(t)) == 2), default=1)
+    longest = max(len(d.masses) for t in terms for d in sides(t))
+    return {
+        "cdf": 3 + 1 + pairwise_rounds(shorter) + 1 + 1 + m,
+        "pmf": 1 + pairwise_rounds(shorter) + 1 + m,
+        "beyond": longest + 3 + pairwise_rounds(max(shorter, longest)) + 1 + m,
+    }
+
+
+def underflow_allowance(terms) -> float:
+    """An absolute allowance for gradual underflow in any value read off the terms.
+
+    A rounding whose result is subnormal errs by up to 2**-1075 beyond its
+    relative bound (Higham, section 2.1), which a tiny weight reaches.  The
+    values read involve at most 8 m (top + 2)**2 operations for m terms up
+    to the top count, and the tail sum scales an error by at most top + 1.
+    """
+    top = max(sum(d.max_count for d in sides(t)) for t in terms)
+    # 2**-1075 itself rounds to 0.0: the factor 8 is halved instead.
+    return 2.0**-1074 * (4 * len(terms) * (top + 2) ** 2 * (top + 1))
+
+
+def tvar_error(var_count, at, reached, beyond, alpha, convention, e_at, e_reached, e_beyond):
+    """A bound on |TVaR - exact TVaR|, where |value - exact value| <= e_value for each input.
+
+    measures.tail_value on the computed inputs forms the weight and the mass
+    with at most three roundings each and divides once; the bound follows
+    from |m'/w' - m/w| <= (e_m + (m/w) e_w) / (w - e_w).  alpha is the
+    double itself, exact.
+    """
+    from riskdiv.measures import TvarConvention
+
+    u = 2.0**-53
+    at, reached, beyond, alpha = (float(x) for x in (at, reached, beyond, alpha))
+    if TvarConvention(convention) is TvarConvention.CONDITIONAL:
+        weight, mass = 1.0 - reached + at, beyond + var_count * at
+        e_w = e_reached + e_at + 3 * u * (abs(1.0 - reached) + at)
+        e_m = e_beyond + var_count * e_at + 3 * u * mass
+    else:
+        weight, mass = 1.0 - alpha, beyond + var_count * (reached - alpha)
+        e_w = u * weight
+        e_m = e_beyond + var_count * e_reached + 3 * u * (beyond + var_count * abs(reached - alpha))
+    if not weight > e_w:
+        return math.inf
+    tvar = mass / weight
+    # The bound's own float arithmetic is covered by a relative 1e-9.
+    return ((e_m + abs(tvar) * e_w) / (weight - e_w) + 2 * u * abs(tvar)) * (1 + 1e-9)

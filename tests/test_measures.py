@@ -14,17 +14,26 @@ from mpmath import mpf
 from scipy import stats
 
 from _helpers import (
+    ExactTerm,
     band_edges,
     binomial_terms,
     bisect_band,
     dense_law,
     dense_var_and_tvar,
+    exact_reads,
+    gamma,
+    pairwise_rounds,
+    reader_rounds,
     recipe_of,
+    sides,
+    tvar_error,
+    underflow_allowance,
 )
-from riskdiv import binom, distributions, measures, models
+from riskdiv import distributions, measures, models
 from riskdiv.distributions import (
     DiscreteLossDistribution,
     binomial,
+    cdf_at,
     exact_cdf_at,
     point_mass,
 )
@@ -43,7 +52,6 @@ from riskdiv.measures import (
 from riskdiv.models import (
     ModelKind,
     ModelSpec,
-    StateTerm,
     crisis_rounds,
     loss_count_distribution,
     state_terms,
@@ -216,7 +224,9 @@ def dense_search(terms, alpha):
     counts, so it probes a narrower band; this one bisects the dense band.
     """
     d, recipe = dense_law(terms), tuple(t.component for t in terms)
-    return d.min_count + measures._quantile_index(d.counts, d.cdf, recipe, alpha)
+    counts = range(d.min_count, d.max_count + 1)
+    return d.min_count + measures._quantile_index(
+        counts, lambda k: d.cdf[k - d.min_count], recipe, alpha)
 
 
 def bisection_bound(d, alpha):
@@ -529,12 +539,10 @@ class TestResidualProbe:
 
     @pytest.mark.parametrize("tail", ["zero", "subnormal"])
     def test_tail_that_underflows_falls_back(self, monkeypatch, tail):
-        # Bin(2000, 1/2) stored over its whole support: its lower cdf,
-        # sum(comb(2000, j) for j <= k) / 2**2000, rounds to 0.0 in double
-        # precision up to about k = 40, then to a subnormal.
-        law = DiscreteLossDistribution(0, binom.pmf_window(2000, 0.5, 0, 2000))
-        recipe = recipe_of([StateTerm(0, 1.0, (0, 0.0), (2000, 0.5), law)])
-        assert recipe == ((1.0, 2000, 0.5, 0, 2000),)
+        # Bin(2000, 1/2) as one component on its whole support: its lower
+        # cdf, sum(comb(2000, j) for j <= k) / 2**2000, rounds to 0.0 in
+        # double precision up to about k = 40, then to a subnormal.
+        recipe = ((1.0, 2000, 0.5, 0, 2000),)
         low = np.array([float(Fraction(sum(math.comb(2000, j) for j in range(k + 1)), 2**2000))
                         for k in range(200)])
         pick = low == 0.0 if tail == "zero" else (0.0 < low) & (low < sys.float_info.min)
@@ -547,11 +555,10 @@ class TestResidualProbe:
         assert fallbacks == [(recipe, k)]
 
     def test_component_beyond_the_kernel_range_is_not_decided(self):
-        # A stand-in law of one count, the probe's, in place of the
-        # binomial's 2**25-count window.
+        # A window of one count, the probe's, in place of the binomial's
+        # 2**25-count window.
         trials = distributions._KERNEL_MAX_TRIALS + 1
-        law = DiscreteLossDistribution(trials // 2, np.array([1.0]))
-        recipe = recipe_of([StateTerm(0, 1.0, (0, 0.0), (trials, 0.5), law)])
+        recipe = ((1.0, trials, 0.5, trials // 2, trials // 2),)
         assert distributions._residual_sign(recipe, trials // 2, 0.5) is None
 
 
@@ -559,10 +566,14 @@ probabilities = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
 @st.composite
-def exact_quotes(draw):
-    """(model, N, n, alpha, convention), alpha often on a state atom of the law of j."""
+def exact_quotes(draw, max_support=None):
+    """(model, N, n, alpha, convention), alpha often on a state atom of the law of j.
+
+    With max_support, N * n stays at or below it.
+    """
     kind = draw(st.sampled_from(list(ModelKind)))
-    n, N = draw(st.integers(1, 8)), draw(st.integers(1, 20_000))
+    n = draw(st.integers(1, 8 if max_support is None else min(8, max_support)))
+    N = draw(st.integers(1, 20_000 if max_support is None else max_support // n))
     p, q = draw(probabilities), draw(st.one_of(st.just(1.0), probabilities))
     pt = 0.0 if kind is ModelKind.IID else draw(
         st.one_of(st.sampled_from([0.001, 0.01, 0.05, 0.1]), probabilities))
@@ -578,6 +589,32 @@ def exact_quotes(draw):
     return model, N, n, alpha, draw(st.sampled_from(list(TvarConvention)))
 
 
+def read_or_error(read, *args):
+    """A reader's (VaR, TVaR), or the type of what it raised."""
+    try:
+        return read(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def dense_rounds(terms) -> dict[str, int]:
+    """Roundings behind each value the dense reader (dense_var_and_tvar) reads off the stored mixture.
+
+    A two-sided term's stored law is np.convolve of its sides, each mass a
+    dot product of at most L products of the shorter side in the BLAS
+    kernel's order (L roundings).  Each mass is weighted (1) and summed over
+    the m terms (m) by mixture; the cdf is the compensated running
+    sum of those masses (3), and the tail sum one product per count (1) and
+    numpy's sum over the stored counts above the VaR.
+    """
+    m = len(terms)
+    shorter = max((len(min(sides(t), key=lambda d: len(d.masses)).masses) for t in terms
+                   if len(sides(t)) == 2), default=0)
+    span = max(t.law.max_count for t in terms) - min(t.law.min_count for t in terms) + 1
+    return {"cdf": shorter + 1 + m + 3, "pmf": shorter + 1 + m,
+            "beyond": shorter + 1 + m + 1 + pairwise_rounds(span)}
+
+
 def outcome(read, *args):
     """repr of a reader's (VaR, TVaR), or the type of what it raised."""
     try:
@@ -588,7 +625,7 @@ def outcome(read, *args):
 
 @pytest.mark.filterwarnings("ignore:crisis_prob > 0.5", "ignore:crisis_loss_prob <= loss_prob")
 class TestOccupiedWindows:
-    """The exact measures read over the terms' occupied windows keep the dense law's bits."""
+    """The exact measures read each term off its sides, within derived rounding bounds."""
 
     @given(case=exact_quotes())
     # A plateau search across the gap, and per-exposure states whose
@@ -597,15 +634,50 @@ class TestOccupiedWindows:
                    TvarConvention.CONDITIONAL))
     @example(case=(ModelSpec.per_exposure_shock(0.1, 0.3, 0.01), 2, 2, 0.75,
                    TvarConvention.CONDITIONAL))
-    # A tail beyond a crisis window whose weighted masses underflow to 0.0:
-    # both sides sum the occupied counts, zeros included.
+    # A tail beyond a crisis window whose weighted masses underflow to 0.0.
     @example(case=(ModelSpec.per_exposure_shock(0.3, 0.9, 1e-160), 100, 4, 0.6,
                    TvarConvention.CONDITIONAL))
+    @example(case=(ModelSpec.iid(1 / 6), 10_000, 6, 0.99, TvarConvention.TAIL_AVERAGE))
     @settings(max_examples=150, deadline=None)
     def test_bits_equal_the_dense_reader(self, case):
+        # The iid model is one stored binomial, read with its bits.  A shock
+        # model's cdf, pmf and tail sum carry the reader's rounding and the
+        # stored mixture's (reader_rounds, dense_rounds), each bounded
+        # against the exact law of the side doubles: the VaRs agree wherever
+        # the dense cdf just below the VaR and at it lies beyond both bounds
+        # from alpha, and on a plateau beyond them from the band's edges too,
+        # and the TVaRs lie within the sum of their bounds (tvar_error).
         model, N, n, alpha, convention = case
-        got = outcome(measures_in_counts, model, N, n, alpha, convention, "exact")
-        assert got == outcome(dense_var_and_tvar, model, N, n, alpha, convention)
+        got = read_or_error(measures_in_counts, model, N, n, alpha, convention, "exact")
+        want = read_or_error(dense_var_and_tvar, model, N, n, alpha, convention)
+        if model.kind is ModelKind.IID:
+            assert repr(got) == repr(want)
+            return
+        terms, d = state_terms(model, N, n), loss_count_distribution(model, N, n)
+        reader, dense = reader_rounds(terms), dense_rounds(terms)
+        # The stored mixture anchors a two-sided term at tbX + tbY, the side
+        # law at tbX + tbY * sum(a): at most 1e-24 apart.
+        under = underflow_allowance(terms)
+        delta = gamma(reader["cdf"]) + gamma(dense["cdf"]) + 1e-24 + 2 * under
+        if isinstance(want, type) or isinstance(got, type):
+            assert got == want or abs(d.cdf[-1] - alpha) <= delta
+            return
+        var_count = want[0]
+        near = min(abs(cdf_at(d, k) - alpha) for k in (var_count - 1, var_count))
+        if recipe_of(terms) is not None:
+            # Each reader finds the band's edges on its own cdf.
+            near = min(near, *(float(np.min(np.abs(d.cdf - edge)))
+                               for edge in (alpha - _PLATEAU_BAND, alpha + _PLATEAU_BAND)))
+        if near <= delta:
+            return
+        assert got[0] == var_count
+        i = var_count - d.min_count
+        at, reached = d.masses[i], d.cdf[i]
+        beyond = float((d.counts[i + 1 :] * d.masses[i + 1 :]).sum())
+        errors = [tvar_error(var_count, at, reached, beyond, alpha, convention,
+                             gamma(r["pmf"]) * at + under, gamma(r["cdf"]) * reached + under,
+                             gamma(r["beyond"]) * beyond + under) for r in (reader, dense)]
+        assert abs(got[1] - want[1]) <= sum(errors)
 
     @given(case=exact_quotes())
     # The tail crosses the gap to the crisis hump, and the gaps between the
@@ -617,21 +689,12 @@ class TestOccupiedWindows:
     @example(case=(ModelSpec.iid(1 / 6), 10_000, 6, 0.99, TvarConvention.CONDITIONAL))
     @settings(max_examples=40, deadline=None)
     def test_tail_sum_within_its_rounding_bound(self, case):
-        # beyond is fl(sum of fl(k * m)) over the occupied counts above the
-        # VaR, against S, the exact sum of k * m over the stored law's
-        # doubles.  Each product (k an integer below 2**53) rounds once.
-        # numpy sums a contiguous float64 array pairwise (Higham, Accuracy
-        # and Stability of Numerical Algorithms, 2nd ed., section 4.2), in
-        # blocks: the reduce may add its first term to the sum of the rest
-        # (one addition); that sum halves its range until at most 128 terms
-        # remain, at most ceil(log2 t) levels for t terms; a block keeps 8
-        # strided partial sums of up to 16 terms (15 additions), joins them
-        # in 3 levels and adds up to 7 leftover terms one by one.  So a term
-        # meets at most D = 1 + 1 + ceil(log2 t) + 15 + 3 + 7 roundings, and
-        # as every term is nonnegative, |beyond - S| <= gamma_D * S with
-        # gamma_D = D u / (1 - D u), u = 2**-53 (Higham, Lemma 3.1).  t is
-        # at most the span from the VaR to the top count, and gamma_D grows
-        # with t.
+        # beyond is the weighted sum over the terms of each term's tail
+        # sum: a one-sided term's fl(sum of fl(k * m)) over its stored
+        # counts above the VaR, a two-sided term's sum over a of
+        # x S_Y + E_Y, with S_Y and E_Y running sums (reader_rounds).
+        # Every term is nonnegative, so |beyond - S| <= gamma * S, where S
+        # is the exact sum over the side doubles it reads (ExactTerm).
         model, N, n, alpha, convention = case
         with mock.patch.object(measures, "tail_value", wraps=tail_value) as spy:
             try:
@@ -639,38 +702,90 @@ class TestOccupiedWindows:
             except (ValueError, TruncationError):
                 assume(False)
         var_count, beyond = spy.call_args.args[0], spy.call_args.args[3]
-        d = loss_count_distribution(model, N, n)
-        ks = range(var_count + 1, d.max_count + 1)
-        ms = d.masses[var_count + 1 - d.min_count :].tolist()
-        exact = sum(k * Fraction(m) for k, m in zip(ks, ms) if m)
-        u, rounds = Fraction(1, 2**53), 27 + math.ceil(math.log2(max(len(ks), 1)))
-        assert abs(Fraction(beyond) - exact) <= rounds * u / (1 - rounds * u) * exact
+        terms = state_terms(model, N, n)
+        exact = sum(Fraction(t.weight) * ExactTerm(t).beyond(var_count) for t in terms)
+        # The bound's own float arithmetic is covered by a relative 1e-9.
+        bound = (gamma(reader_rounds(terms)["beyond"]) * float(exact) * (1 + 1e-9)
+                 + underflow_allowance(terms))
+        assert abs(Fraction(beyond) - exact) <= Fraction(bound)
+
+    @given(case=exact_quotes(max_support=60))
+    @example(case=(ModelSpec.common_shock(1 / 6, 0.5, 0.01), 10, 6, 0.99,
+                   TvarConvention.CONDITIONAL))
+    @example(case=(ModelSpec.per_exposure_shock(1 / 6, 0.5, 0.01), 10, 6, 1 - 0.99**6,
+                   TvarConvention.TAIL_AVERAGE))
+    @settings(max_examples=80, deadline=None)
+    def test_exact_rational_oracle(self, case):
+        # The law of the stored side doubles in exact arithmetic (ExactTerm):
+        # the VaR is the first occupied count whose exact cdf reaches alpha.
+        # The reader's VaR equals it wherever the exact cdf just below it and
+        # at it lies beyond the reader's cdf bound from alpha; when every
+        # term has a component, the plateau band is decided on the binomial
+        # recipe rather than on the doubles, so the band width is added.  At
+        # the reader's VaR its TVaR lies within tvar_error of the exact one.
+        model, N, n, alpha, convention = case
+        terms = state_terms(model, N, n)
+        exact = [ExactTerm(t) for t in terms]
+        rounds, under = reader_rounds(terms), underflow_allowance(terms)
+        delta = gamma(rounds["cdf"]) + under
+        delta += _PLATEAU_BAND if recipe_of(terms) is not None else 0.0
+        occupied = sorted({k for e in exact for k in range(e.lo, e.hi + 1)})
+        below = min(occupied) - 1
+        cdf = {k: sum(e.weight * e.cdf(k) for e in exact) for k in [below, *occupied]}
+        a = Fraction(alpha)
+        got = read_or_error(measures_in_counts, model, N, n, alpha, convention, "exact")
+        if isinstance(got, type):
+            # alpha outside (0, 1), or above the cdf top within the bound.
+            assert (got is ValueError and not 0.0 < alpha < 1.0
+                    or got is TruncationError and cdf[occupied[-1]] < a + Fraction(delta))
+            return
+        reached = [k for k in occupied if cdf[k] >= a]
+        if reached:
+            first = reached[0]
+            previous = max([below] + [k for k in occupied if k < first])
+            if min(abs(cdf[previous] - a), abs(cdf[first] - a)) > delta:
+                assert got[0] == first
+        var_count, tvar = got
+        at, reach, beyond = exact_reads(terms, var_count)
+        bound = tvar_error(var_count, at, reach, beyond, alpha, convention,
+                           gamma(rounds["pmf"]) * float(at) + under,
+                           gamma(rounds["cdf"]) * float(reach) + under,
+                           gamma(rounds["beyond"]) * float(beyond) + under)
+        if bound < math.inf:
+            want = tail_value(var_count, at, reach, beyond, 1, a, convention)
+            assert abs(Fraction(tvar) - want) <= Fraction(bound)
 
     def test_no_mixture_on_a_multi_state_model(self, monkeypatch):
+        # The measures read each term's sides: neither the stored mixture
+        # nor a convolved term is built.
         def unused(*args):
-            raise AssertionError("the measure path built the stored mixture")
+            raise AssertionError("the measure path built the stored mixture or a convolution")
 
+        models._state_term.cache_clear()
         monkeypatch.setattr(models, "mixture", unused)
-        monkeypatch.setattr(DiscreteLossDistribution, "cdf", property(unused))
+        monkeypatch.setattr(models, "convolve", unused)
         for kind in (ModelKind.COMMON_SHOCK, ModelKind.PER_EXPOSURE_SHOCK):
             measures_in_counts(ModelSpec(kind, 0.1, 0.5, 0.01), 2_000, 6, 0.99,
                                TvarConvention.CONDITIONAL, "exact")
 
     def test_no_array_over_the_gap(self):
         # At N = 10**6 the common shock stores 30,077 counts with mass in
-        # two humps 2 million counts apart.  With the terms built, reading
-        # VaR and TVaR at 99% must allocate well under one float array over
-        # 0 .. N*n (48 MB), wherever the VaR lies: in the crisis hump
-        # (pt = 5%), or in the normal hump with the crisis hump beyond a
-        # gap in its tail (the common shock at pt = 0.1%, the per-exposure
-        # shock at pt = 1%).  The dense mixture and its cdf took 82.6 MB; a
-        # tail laid out densely from the VaR to the top count, 32.9 and
-        # 30.2 MB in the last two cases.
+        # two humps 2 million counts apart.  With the terms' sides built,
+        # building their readers and reading VaR and TVaR at 99% must
+        # allocate well under one float array over 0 .. N*n (48 MB),
+        # wherever the VaR lies: in the crisis hump (pt = 5%), or in the
+        # normal hump with the crisis hump beyond a gap in its tail (the
+        # common shock at pt = 0.1%, the per-exposure shock at pt = 1%).
+        # The dense mixture and its cdf took 82.6 MB; a tail laid out
+        # densely from the VaR to the top count, 32.9 and 30.2 MB in the
+        # last two cases; the side readers, built and read, 0.6-3.9 MB.
         N, n = 10**6, 6
         for model in (ModelSpec.common_shock(1 / 6, 0.5, 0.05),
                       ModelSpec.common_shock(1 / 6, 0.5, 0.001),
                       ModelSpec.per_exposure_shock(1 / 6, 0.5, 0.01)):
-            state_terms(model, N, n)
+            for t in state_terms(model, N, n):
+                sides(t)
+            measures._term_reader.cache_clear()
             tracemalloc.start()
             try:
                 measures_in_counts(model, N, n, 0.99, TvarConvention.CONDITIONAL, "exact")

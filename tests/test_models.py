@@ -113,6 +113,13 @@ class TestLossCountDistribution:
         with pytest.raises(SupportLimitError, match=rf"^support of {(2**62 + 1) * 4} counts "):
             loss_count_distribution(ModelSpec.iid(0.5), np.int64(2**62 + 1), 4)
         assert models._state_term.cache_info().misses == misses
+        # N and n are integers, Python's or numpy's; a float is refused by
+        # name before any term is built, even one with an integral value.
+        check_support(np.int64(3), np.int32(6))
+        for N, n, name in ((10.5, 6, "N"), (10, 2.5, "n"), (np.float64(10.0), 6, "N")):
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+                check_support(N, n)
+        assert models._state_term.cache_info().misses == misses
 
     @pytest.mark.parametrize("N,n", [(0, 6), (1, 0), (-3, 6)])
     def test_empty_portfolio_rejected(self, N, n):
@@ -196,12 +203,14 @@ class TestStateTerms:
         assert not any(t.law.masses.flags.writeable for t in first)
 
     def test_the_memo_is_bounded(self):
-        memo = models._state_term
-        memo.cache_clear()
-        size = memo.cache_info().maxsize
-        for N in range(1, size + 10):
-            state_terms(ModelSpec.iid(0.1), N, 2)
-        assert memo.cache_info().currsize == size
+        # The sides' memo and the convolved laws' memo each keep their maxsize.
+        for memo in (models._side, models._state_term):
+            memo.cache_clear()
+            size = memo.cache_info().maxsize
+            for N in range(1, size + 10):
+                (term,) = state_terms(ModelSpec.iid(0.1), N, 2)
+                term.law
+            assert memo.cache_info().currsize == size
 
     def test_loss_count_distribution_mixes_the_terms(self):
         model = ModelSpec.per_exposure_shock(0.1, 0.2, 0.05)
@@ -396,6 +405,9 @@ class TestModelSpecValidation:
     def test_params_validation(self):
         with pytest.raises(ValueError):
             PortfolioParams(exposures=0)
+        with pytest.raises(ValueError, match=r"^exposures must be an integer, got 2\.5$"):
+            PortfolioParams(exposures=2.5)
+        assert PortfolioParams(exposures=np.int64(6)).exposures == 6
         with pytest.raises(ValueError):
             PortfolioParams(severity=0.0)
         with pytest.raises(ValueError):

@@ -107,6 +107,15 @@ class TestRiskLoading:
         est = risk_loading_per_policy(model, PARAMS, 10, VAR99, source=cfg)
         assert est.standard_error is not None and est.standard_error >= 0.0
 
+    def test_non_integer_portfolio_is_refused_by_name(self):
+        # A float N or number of exposures fails with a ValueError naming
+        # the field, before any array is sized by it.
+        spec = RiskMeasureSpec(MeasureKind.VAR, 0.99)
+        with pytest.raises(ValueError, match=r"^exposures must be an integer, got 2\.5$"):
+            risk_loading_per_policy(ModelSpec.iid(1 / 6), PortfolioParams(exposures=2.5), 10, spec)
+        with pytest.raises(ValueError, match=r"^N must be an integer, got 10\.5$"):
+            risk_loading_per_policy(ModelSpec.iid(1 / 6), PortfolioParams(), 10.5, spec)
+
     def test_bad_source(self):
         with pytest.raises(ValueError):
             risk_loading_per_policy(ModelSpec.iid(0.5), PARAMS, 1, VAR99, source="wrong")
@@ -315,9 +324,10 @@ class TestPricePolicy:
 @pytest.mark.parametrize("setting", ["OPENBLAS_CORETYPE=Prescott", "OPENBLAS_NUM_THREADS=1"])
 def test_exact_tvar_bits_do_not_depend_on_openblas(setting):
     # In a fresh process under another CPU's OpenBLAS kernel, or on one
-    # thread, the iid and common-shock TVaR loadings keep every bit: no sum
-    # behind them goes through BLAS.  A BLAS that ignores these variables
-    # passes this test trivially.
+    # thread, the exact TVaR loadings of all three models keep every bit:
+    # no sum behind them goes through BLAS, the per-exposure terms read off
+    # their sides included.  A BLAS that ignores these variables passes this
+    # test trivially.
     tests = Path(__file__).resolve().parent
     name, value = setting.split("=")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))

@@ -15,7 +15,7 @@ from riskdiv.models import ModelKind, PortfolioParams
 from riskdiv.cli import cli_main
 from riskdiv.montecarlo import SimulationConfig
 from riskdiv.pricing import price_policy, risk_loading_per_policy
-from riskdiv import models, reference
+from riskdiv import measures, models, reference
 from riskdiv.reference import (
     TableParseError,
     compare_with_reference,
@@ -23,6 +23,7 @@ from riskdiv.reference import (
     load_reference,
 )
 from riskdiv.tables import (
+    N_GRID_T4,
     PT_GRID,
     PT_LABELS,
     SIMS_GRID,
@@ -267,27 +268,52 @@ class TestLoadingGrid:
 
 
 class TestStateTermMemo:
-    """Each crisis state's term is built once per process (models._state_term)."""
+    """Each crisis state's sides are built once per process (models._side), and its
+    convolved law (models._state_term) only when the sampler reads it."""
 
     T4 = TableRequest(table_id="T4")
     T4_MC = TableRequest(table_id="T4", mc=True, sims=200_000)
 
     def test_t4_builds_each_term_once(self, monkeypatch):
         # A T4 column holds 8 N x 7 states: per N, the j = 0 and j = 6 terms
-        # are one binomial each and j = 1..5 two binomials and a convolution.
+        # have one side each and j = 1..5 two, 12 sides, (N j, q) and
+        # (N (6 - j), p).  A side shared by two N (N = 5, j = 2 and N = 10,
+        # j = 1) is one binomial.  The exact measures read the sides and
+        # convolve nothing; the first simulated build convolves the 5
+        # two-sided terms per N from the memoised sides.
+        p, q = self.T4.p, self.T4.q
+        sides = {side for N in N_GRID_T4 for j in range(7) for side in ((N * j, q), (N * (6 - j), p))
+                 if side[0]}
+        assert len(sides) == 80
         calls = []
         for name in ("binomial", "convolve"):
             fn = getattr(models, name)
             monkeypatch.setattr(models, name,
                                 lambda *args, name=name, fn=fn: calls.append(name) or fn(*args))
-        models._state_term.cache_clear()
+        for memo in (models._side, models._state_term, measures._term_reader):
+            memo.cache_clear()
         made = []
-        for req in (self.T4, self.T4, self.T4_MC):
+        for req in (self.T4, self.T4, self.T4_MC, self.T4_MC):
             calls.clear()
             build_table(req)
             made.append((calls.count("binomial"), calls.count("convolve")))
-        # Warm: a second exact build, and a simulated one, read the same terms.
-        assert made == [(96, 40), (0, 0), (0, 0)]
+        # Warm: a second exact build and a second simulated one build nothing.
+        assert made == [(len(sides), 0), (0, 0), (0, 8 * 5), (0, 0)]
+
+    def test_exact_path_convolves_nothing(self, monkeypatch):
+        # With convolve unusable, the exact grids and per-exposure quotes
+        # still build: the exact measures read each term off its sides.
+        def unused(*args):
+            raise AssertionError("the exact path convolved a term")
+
+        models._state_term.cache_clear()
+        monkeypatch.setattr(models, "convolve", unused)
+        for table_id in ("T2", "T3", "T4"):
+            build_table(TableRequest(table_id=table_id))
+        model = default_model(ModelKind.PER_EXPOSURE_SHOCK, 1 / 6, 0.5, 0.01)
+        for N in (1, 7, 1_000, 100_000):
+            for kind in MeasureKind:
+                price_policy(model, PortfolioParams(), N, RiskMeasureSpec(kind, 0.99))
 
     def test_a_warm_memo_changes_no_byte(self):
         reqs = (TableRequest(table_id="T3"), self.T4, self.T4_MC, TableRequest(table_id="T5"))
