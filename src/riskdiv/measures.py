@@ -224,20 +224,15 @@ class _Occupied:
 def _quantile_index(counts: _Occupied, cdf, recipe: tuple, alpha: float) -> int:
     """Index in counts of the smallest count whose cdf reaches alpha, decided exactly on a plateau.
 
-    counts are the occupied counts (_Occupied) and cdf(k) the terms' cdf at
-    count k; recipe is the terms' components.  If one is None, this is the
-    double-precision answer, by bisection.  Else the band of counts whose
-    cdf lies within _PLATEAU_BAND of alpha is found from that answer, with one probe on each side and a bisection only where the band
-    reaches past it (every term is then one-sided, read by lookup, so the
-    cdf is monotone to the last bit), and then bisected on the exact cdf,
-    which is monotone in k (each component's clamped cdf is, and so is their
-    rounded weighted sum): the result is the first count in the band whose
-    exact cdf reaches alpha, or the band top, never probed, if none does.
-    Only occupied counts are probed: between two windows every term is
-    constant, so a count there is never the first to reach alpha.  Every
-    exact probe is distributions.cdf_reaches: a double-precision small-tail
-    residual with a derived error bound, and the mpmath cdf only where that
-    bound cannot order the cdf and alpha.
+    counts are the occupied counts (_Occupied), cdf(k) the terms' cdf at
+    count k and recipe the terms' components.  One bisection of counts
+    below the top probes cdf(k) >= alpha, except where every term has a
+    component and cdf(k) lies within _PLATEAU_BAND of alpha: there it probes
+    distributions.cdf_reaches, the exact cdf's answer.  Both are monotone
+    in k and agree outside the band, so the result is the first count in
+    the band whose exact cdf reaches alpha, else the first above the band,
+    else the top.  Between two windows every term is constant, so a count
+    there is never the first to reach alpha and is not probed.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -247,19 +242,15 @@ def _quantile_index(counts: _Occupied, cdf, recipe: tuple, alpha: float) -> int:
             f"alpha={alpha} exceeds the resolvable cdf top {cdf(counts[top]):.17f}; "
             "tail truncation prevents resolving this quantile"
         )
-    first = bisect.bisect_left(counts, True, key=lambda k: cdf(k) >= alpha)
-    if None in recipe:
-        return first
-    # The band's edges, searched for only where the band is wider than the crossing.
-    lo = hi = first
-    if first and cdf(counts[first - 1]) > alpha - _PLATEAU_BAND:
-        lo = bisect.bisect_left(counts, True, 0, first - 1,
-                                key=lambda k: cdf(k) > alpha - _PLATEAU_BAND)
-    if cdf(counts[first]) < alpha + _PLATEAU_BAND:
-        hi = min(bisect.bisect_left(counts, True, first + 1,
-                                    key=lambda k: cdf(k) >= alpha + _PLATEAU_BAND), top)
-    return bisect.bisect_left(
-        counts, True, lo, hi, key=lambda k: distributions.cdf_reaches(recipe, k, alpha))
+    exact = None not in recipe
+
+    def reaches(k: int) -> bool:
+        c = cdf(k)
+        if exact and alpha - _PLATEAU_BAND < c < alpha + _PLATEAU_BAND:
+            return distributions.cdf_reaches(recipe, k, alpha)
+        return c >= alpha
+
+    return bisect.bisect_left(counts, True, 0, top, key=reaches)
 
 
 def tail_value(var_count, at, reached, beyond, total, alpha, convention: TvarConvention):
@@ -300,13 +291,14 @@ def var_and_tvar(
     plateaus get the double-precision answer.  The cdf at count k is
     sum_j w_j F_j(k), in term order; a term whose window misses k adds a
     constant.  VaR is the smallest occupied count k with cdf(k) >= alpha,
-    found by bisecting the occupied counts (_Occupied); TVaR is tail_value
-    at the VaR, with at = sum_j w_j pmf_j(v) and beyond = sum_j w_j times the
-    term's sum of k * pmf_j(k) over k > v.  No sum goes through BLAS.  A
-    lone binomial, and so the iid model, is read with the bits of its stored
-    law.  On a plateau the tail average takes its VaR-atom share at the
-    decided count, not at the double-precision crossing, about 1e-13 of mass
-    away.
+    found by one bisection of the occupied counts (_Occupied) whose probe
+    inside the plateau band is the exact cdf's (_quantile_index); TVaR is
+    tail_value at the VaR, with at = sum_j w_j pmf_j(v) and beyond = sum_j
+    w_j times the term's sum of k * pmf_j(k) over k > v.  No sum goes
+    through BLAS.  A lone binomial, and so the iid model, is read with the
+    bits of its stored law.  On a plateau the tail average takes its
+    VaR-atom share at the decided count, not at the double-precision
+    crossing, about 1e-13 of mass away.
 
     Raises:
         TruncationError: If alpha lies beyond the cdf top, i.e. the
@@ -318,8 +310,6 @@ def var_and_tvar(
         terms = [(t.weight, _term_reader(t.crisis, t.normal)) for t in law]
         recipe = tuple(t.component for t in law)
 
-    # Memoised per call: the band search and the TVaR ask again for counts the search read.
-    @lru_cache(maxsize=None)
     def cdf(k: int) -> float:
         total = 0.0
         for w, r in terms:

@@ -18,7 +18,6 @@ instead, which is how the published T4 was produced.  T5 is always simulated.
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -126,13 +125,13 @@ class TableRequest:
 def _half_up(x: float | Fraction, places: int) -> str:
     """x to places decimals, ties away from zero: the one rounding rule of the tables.
 
-    A float is rounded as the decimal its repr prints, a Fraction exactly,
-    so a zero of either sign prints unsigned.
+    A float is rounded as the decimal its repr prints, a Fraction exactly:
+    on the integer ratio num/den, the units are floor(|x| 10**places + 1/2),
+    and a zero of either sign has num 0, so it prints unsigned.
     """
-    if not isinstance(x, Fraction):
-        x = Fraction(repr(float(x)))
-    units = math.floor(abs(x) * 10**places + Fraction(1, 2))
-    return str(Decimal((int(x < 0), tuple(map(int, str(units))), -places)))
+    num, den = (x if isinstance(x, Fraction) else Decimal(repr(float(x)))).as_integer_ratio()
+    units = (2 * abs(num) * 10**places + den) // (2 * den)
+    return str(Decimal((int(num < 0), tuple(map(int, str(units))), -places)))
 
 
 def fmt_loading(x: float | Fraction) -> str:

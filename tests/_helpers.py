@@ -1,12 +1,25 @@
 """Helpers shared by the test modules."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 
 from riskdiv.distributions import DiscreteLossDistribution, mixture
 from riskdiv.models import ModelKind, ModelSpec, StateTerm, side_laws
+
+
+def fraction_half_up(x: float | Fraction, places: int) -> str:
+    """x to places decimals, ties away from zero, in Fraction arithmetic: an oracle for
+    tables._half_up.
+
+    A float is rounded as the decimal its repr prints, a Fraction exactly.
+    """
+    if not isinstance(x, Fraction):
+        x = Fraction(repr(float(x)))
+    units = math.floor(abs(x) * 10**places + Fraction(1, 2))
+    return str(Decimal((int(x < 0), tuple(map(int, str(units))), -places)))
 
 
 def binomial_terms(*parts: tuple[float, int, float]) -> list[StateTerm]:

@@ -280,21 +280,22 @@ class TestPlateauQuantiles:
         return var, [k for _, k, _ in probes], fallbacks, sums
 
     def test_each_component_cdf_summed_once(self, monkeypatch):
-        # Bisecting the dense 18,648-count band takes 15 probes, all
-        # decided on the residual.  Forced onto the exact cdf, the probes
-        # clamp k to each component's support, so a value summed once is
-        # reused by every later probe: 15 fallbacks, 11 distinct sums.
+        # The one bisection of every dense count meets the 18,648-count
+        # band in 14 probes, all decided on the residual.  Forced onto the
+        # exact cdf, the probes clamp k to each component's support, so a
+        # value summed once is reused by every later probe: 14 fallbacks,
+        # 12 distinct sums.
         terms = state_terms(COMMON_PLATEAU, 10_000, 6)
         var, probes, fallbacks, _ = self.count_exact_work(monkeypatch, terms, 0.99, dense_search)
         assert var == 29_127
-        assert len(probes) == 15
+        assert len(probes) == 14
         assert fallbacks == []
         monkeypatch.setattr(distributions, "RESIDUAL_BOUND", 1.0)
         var, probes, fallbacks, sums = self.count_exact_work(
             monkeypatch, terms, 0.99, dense_search)
         assert var == 29_127
-        assert len(probes) == len(fallbacks) == 15
-        assert len(sums) == 11
+        assert len(probes) == len(fallbacks) == 14
+        assert len(sums) == 12
         assert len(set(sums)) == len(sums)
 
     def test_plateau_at_quote_scale(self, monkeypatch):

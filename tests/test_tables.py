@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import fraction_half_up
 from riskdiv.distributions import point_mass
 from riskdiv.measures import MeasureKind, RiskMeasureSpec, TvarConvention
 from riskdiv.models import ModelKind, PortfolioParams
@@ -89,6 +90,18 @@ class TestFormatting:
             assert x - half < Fraction(printed) <= x + half
         else:
             assert x - half <= Fraction(printed) < x + half
+
+    @settings(max_examples=500, deadline=None)
+    @given(x=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+        st.sampled_from([0.0, -0.0, 0.0325, -0.0325, 2.5485, 0.125, 0.000125, 1.0515]),
+        st.floats(min_value=1e25, allow_infinity=False),
+        st.integers(-10**6, 10**6).map(lambda k: k / 2000),
+        st.fractions(max_denominator=10**12),
+    ), places=st.sampled_from([2, 3, 5]))
+    def test_rounds_as_the_fraction_rule(self, x, places):
+        assert _half_up(x, places) == fraction_half_up(x, places)
 
     def test_no_thousands_separators(self):
         table = build_table(TableRequest(table_id="T2"))
