@@ -5,8 +5,9 @@ flags are three tables: _FLAGS defines each flag once, _COMMANDS names the
 flags each subcommand accepts, and _READ_WHEN gives the condition under which
 a subcommand reads a flag that it reads only for some inputs.  Giving a flag
 whose condition does not hold is a usage error, as are an abbreviated flag,
-a count (--N, --exposures, --sims, ...) that is not a positive integer, and a
-float flag outside its range (a probability outside [0, 1], say).
+a count (--N, --exposures, --sims, ...) that is not a positive integer, a
+--seed that is not a nonnegative integer, and a float flag outside its
+range (a probability outside [0, 1], say).
 Exit codes: 0 on success, 1 on verification or computation failure, 2 on
 usage errors.
 """
@@ -49,15 +50,23 @@ _MODEL_KINDS = {
 }
 
 
-def _positive_int(text: str) -> int:
-    """A count flag's value; anything but a positive integer is a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _int_flag(least: int, rule: str):
+    """The parser of an integer flag; anything but an integer >= least is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1  # fails the bound
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be a {rule} integer, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_flag(1, "positive")
+_seed = _int_flag(0, "nonnegative")
 
 
 def _float_flag(kind: tuple):
@@ -105,7 +114,7 @@ _FLAGS = {
     "--format": dict(choices=("csv", "json"), default="csv"),
     "--out": dict(type=Path, default=None, help="output file (default stdout)"),
     "--sims": dict(type=_positive_int, default=1_000_000, help="simulation count"),
-    "--seed": dict(type=int, default=DEFAULT_SEED),
+    "--seed": dict(type=_seed, default=DEFAULT_SEED),
     "--mc": dict(action="store_true", default=False,
                  help="simulate the loading grids T2-T4 instead of exact"),
     "--measure": dict(choices=("var", "tvar"), default="var"),

@@ -189,57 +189,44 @@ def _term_reader(crisis: tuple[int, float], normal: tuple[int, float]) -> _OneSi
     return _TwoSides(*sorted(sides, key=lambda d: len(d.masses)))
 
 
-class _Occupied:
-    """The occupied counts of some terms, as a sequence: the union of their windows.
+def _windows(readers) -> list[tuple[int, int]]:
+    """The terms' windows (lo, hi) in order, merged where they overlap or touch.
 
-    Windows are merged where they overlap or touch; the counts between two
-    windows hold no mass and are not listed.  No array of the counts is
-    built: a search reads about 20 of them, and listing them all
-    (np.arange over each window) took about 45 µs a search, 4 ms of a
-    T1-T4 build.
+    The counts between two windows hold no mass.  The merge keeps the
+    search's probe at each window's top monotone: a window nested in
+    another, such as (1, 53) in (0, 54), would otherwise follow it with a
+    lower top.
     """
-
-    def __init__(self, readers):
-        self._los: list[int] = []
-        self._starts: list[int] = []
-        size, top = 0, None
-        for lo, hi in sorted((r.lo, r.hi) for r in readers):
-            if top is not None and lo <= top + 1:
-                size += max(hi - top, 0)
-                top = max(top, hi)
-                continue
-            self._los.append(lo)
-            self._starts.append(size)
-            size, top = size + hi - lo + 1, hi
-        self._size = size
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __getitem__(self, i: int) -> int:
-        w = bisect.bisect_right(self._starts, i) - 1
-        return self._los[w] + i - self._starts[w]
+    merged: list[tuple[int, int]] = []
+    for lo, hi in sorted((r.lo, r.hi) for r in readers):
+        if merged and lo <= merged[-1][1] + 1:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
 
 
-def _quantile_index(counts: _Occupied, cdf, recipe: tuple, alpha: float) -> int:
-    """Index in counts of the smallest count whose cdf reaches alpha, decided exactly on a plateau.
+def _quantile_index(windows: list[tuple[int, int]], cdf, recipe: tuple, alpha: float) -> int:
+    """The smallest count whose cdf reaches alpha, decided exactly on a plateau.
 
-    counts are the occupied counts (_Occupied), cdf(k) the terms' cdf at
-    count k and recipe the terms' components.  One bisection of counts
-    below the top probes cdf(k) >= alpha, except where every term has a
-    component and cdf(k) lies within _PLATEAU_BAND of alpha: there it probes
-    distributions.cdf_reaches, the exact cdf's answer.  Both are monotone
-    in k and agree outside the band, so the result is the first count in
-    the band whose exact cdf reaches alpha, else the first above the band,
-    else the top.  Between two windows every term is constant, so a count
-    there is never the first to reach alpha and is not probed.
+    windows are the terms' merged windows (_windows), cdf(k) the terms' cdf
+    at count k and recipe the terms' components.  The probe reads cdf(k) >=
+    alpha, except where every term has a component and cdf(k) lies within
+    _PLATEAU_BAND of alpha: there it reads distributions.cdf_reaches, the
+    exact cdf's answer.  Both are monotone in k and agree outside the band,
+    so the result is the first count in the band whose exact cdf reaches
+    alpha, else the first above the band, else the top.  One bisection
+    finds the first window whose top reaches alpha, a second the count
+    inside it; the top count is never probed.  Between two windows every
+    term is constant, so a count there is never the first to reach alpha
+    and is not probed.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    top = len(counts) - 1
-    if alpha > cdf(counts[top]):
+    top = windows[-1][1]
+    if alpha > cdf(top):
         raise TruncationError(
-            f"alpha={alpha} exceeds the resolvable cdf top {cdf(counts[top]):.17f}; "
+            f"alpha={alpha} exceeds the resolvable cdf top {cdf(top):.17f}; "
             "tail truncation prevents resolving this quantile"
         )
     exact = None not in recipe
@@ -250,7 +237,9 @@ def _quantile_index(counts: _Occupied, cdf, recipe: tuple, alpha: float) -> int:
             return distributions.cdf_reaches(recipe, k, alpha)
         return c >= alpha
 
-    return bisect.bisect_left(counts, True, 0, top, key=reaches)
+    lo, hi = windows[bisect.bisect_left(windows, True, 0, len(windows) - 1,
+                                        key=lambda window: reaches(window[1]))]
+    return lo + bisect.bisect_left(range(lo, hi + 1), True, 0, hi - lo, key=reaches)
 
 
 def tail_value(var_count, at, reached, beyond, total, alpha, convention: TvarConvention):
@@ -290,13 +279,14 @@ def var_and_tvar(
     A lone distribution is one term of weight 1.0 with no component, so its
     plateaus get the double-precision answer.  The cdf at count k is
     sum_j w_j F_j(k), in term order; a term whose window misses k adds a
-    constant.  VaR is the smallest occupied count k with cdf(k) >= alpha,
-    found by one bisection of the occupied counts (_Occupied) whose probe
-    inside the plateau band is the exact cdf's (_quantile_index); TVaR is
-    tail_value at the VaR, with at = sum_j w_j pmf_j(v) and beyond = sum_j
-    w_j times the term's sum of k * pmf_j(k) over k > v.  No sum goes
-    through BLAS.  A lone binomial, and so the iid model, is read with the
-    bits of its stored law.  On a plateau the tail average takes its
+    constant.  VaR is the smallest count k with cdf(k) >= alpha, found by
+    bisecting the terms' merged windows (_windows) at their tops, then the
+    counts of the one window that crosses, with the exact cdf's probe
+    inside the plateau band (_quantile_index); TVaR is tail_value at the
+    VaR, with at = sum_j w_j pmf_j(v) and beyond = sum_j w_j times the
+    term's sum of k * pmf_j(k) over k > v.  No sum goes through BLAS.  A
+    lone binomial, and so the iid model, is read with the bits of its
+    stored law.  On a plateau the tail average takes its
     VaR-atom share at the decided count, not at the double-precision
     crossing, about 1e-13 of mass away.
 
@@ -316,8 +306,7 @@ def var_and_tvar(
             total += w * (r.floor if k < r.lo else r.top if k >= r.hi else r.cdf(k))
         return total
 
-    counts = _Occupied(r for _, r in terms)
-    var_count = counts[_quantile_index(counts, cdf, recipe, alpha)]
+    var_count = _quantile_index(_windows(r for _, r in terms), cdf, recipe, alpha)
     at = beyond = 0.0
     for w, r in terms:
         at += w * r.mass(var_count)

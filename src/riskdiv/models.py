@@ -218,29 +218,24 @@ def _side(trials: int, prob: float) -> DiscreteLossDistribution:
     return binomial(trials, prob)
 
 
-@lru_cache(maxsize=64)
-def _state_term(
-    crisis_trials: int, q: float, normal_trials: int, p: float
-) -> DiscreteLossDistribution:
-    """Binomial(crisis_trials, q) + Binomial(normal_trials, p), built once from its sides.
-
-    Keyed by the term's content, with the probability of an empty side set to
-    0.0 by the caller, so a state shared by several models or crisis
-    probabilities is one entry.  64 entries hold one T4 column (8 N x 7
-    states).  A one-sided term is its side's law; convolve is looked up in
-    this module at call time, so a caller that rebinds it sees every build.
-    """
-    if not crisis_trials:
-        return _side(normal_trials, p)
-    if not normal_trials:
-        return _side(crisis_trials, q)
-    return convolve(_side(crisis_trials, q), _side(normal_trials, p))
-
-
 def side_laws(crisis: tuple[int, float], normal: tuple[int, float]
               ) -> tuple[DiscreteLossDistribution, ...]:
     """The stored laws of a state term's nonempty sides, crisis first, each memoised (_side)."""
     return tuple(_side(*side) for side in (crisis, normal) if side[0])
+
+
+@lru_cache(maxsize=64)
+def _state_term(crisis: tuple[int, float], normal: tuple[int, float]) -> DiscreteLossDistribution:
+    """Binomial(*crisis) + Binomial(*normal), built once from its sides (side_laws).
+
+    Keyed by the sides, as measures._term_reader is, with the probability of
+    an empty side 0.0, so a state shared by several models or crisis
+    probabilities is one entry.  64 entries hold one T4 column (8 N x 7
+    states).  A one-sided term is its side's law; convolve is looked up in
+    this module at call time, so a caller that rebinds it sees every build.
+    """
+    sides = side_laws(crisis, normal)
+    return sides[0] if len(sides) == 1 else convolve(*sides)
 
 
 class StateTerm(NamedTuple):
@@ -263,7 +258,7 @@ class StateTerm(NamedTuple):
     @property
     def law(self) -> DiscreteLossDistribution:
         """The term's stored law: the memoised _state_term, convolved on first access."""
-        return _state_term(*self.crisis, *self.normal)
+        return _state_term(self.crisis, self.normal)
 
     @property
     def component(self) -> tuple | None:

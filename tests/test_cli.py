@@ -358,6 +358,22 @@ def test_count_flags_must_be_positive(capsys, argv):
     assert argv[-2] in err and "positive integer" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    "loading --model iid --source mc --sims 10 --seed -1",
+    "table --id T5 --seed -3",
+    "verify --id T5 --seed -1",
+    "converge --seed 1.5",
+])
+def test_seed_must_be_nonnegative(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert f"argument --seed: must be a nonnegative integer, got '{argv.split()[-1]}'" in err
+
+
+def test_seed_accepts_zero(capsys):
+    assert run(capsys, "simulate", "--N", "2", "--sims", "10", "--seed", "0")[0] == 0
+
+
 @pytest.mark.parametrize("argv,message", [
     ("loading --p -0.1", "--p: must lie in [0, 1], got '-0.1'"),
     ("loading --model common --q 1.5", "--q: must lie in [0, 1], got '1.5'"),
@@ -707,8 +723,8 @@ class TestErrors:
     def test_negative_seed_reported(self, capsys):
         code, out, err = run(capsys, "simulate", "--model", "iid", "--N", "2",
                              "--sims", "10", "--seed", "-1")
-        assert code == 1 and out == ""
-        assert "error: seed must be >= 0, got -1" in err
+        assert code == 2 and out == ""
+        assert "argument --seed: must be a nonnegative integer, got '-1'" in err
 
     def test_bad_probability_reported(self, capsys):
         code, _, err = run(capsys, "loading", "--model", "iid", "--N", "1", "--p", "1.5")

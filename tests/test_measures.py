@@ -220,13 +220,13 @@ COMMON_PLATEAU = ModelSpec.common_shock(1 / 6, 0.5, 0.01)
 def dense_search(terms, alpha):
     """The plateau search over every count of the terms' stored mixture, the gaps included.
 
-    The search of the terms' occupied counts (var_and_tvar) skips the gap
-    counts, so it probes a narrower band; this one bisects the dense band.
+    The search of the terms' merged windows (var_and_tvar) skips the gap
+    counts, so it probes a narrower band; this one bisects the dense band
+    as one window.
     """
     d, recipe = dense_law(terms), tuple(t.component for t in terms)
-    counts = range(d.min_count, d.max_count + 1)
-    return d.min_count + measures._quantile_index(
-        counts, lambda k: d.cdf[k - d.min_count], recipe, alpha)
+    return measures._quantile_index([(d.min_count, d.max_count)],
+                                    lambda k: d.cdf[k - d.min_count], recipe, alpha)
 
 
 def bisection_bound(d, alpha):
@@ -639,6 +639,18 @@ class TestOccupiedWindows:
     @example(case=(ModelSpec.per_exposure_shock(0.3, 0.9, 1e-160), 100, 4, 0.6,
                    TvarConvention.CONDITIONAL))
     @example(case=(ModelSpec.iid(1 / 6), 10_000, 6, 0.99, TvarConvention.TAIL_AVERAGE))
+    # Windows (0, 17) and (18, 102) that touch, (1, 53) nested in (0, 54),
+    # and (0, 6) and (12, 18) with a gap between them.
+    @example(case=(ModelSpec.common_shock(0.01, 0.5, 0.05), 20, 6, 0.95,
+                   TvarConvention.CONDITIONAL))
+    @example(case=(ModelSpec.common_shock(0.01, 0.5, 0.05), 20, 6, 0.9501,
+                   TvarConvention.TAIL_AVERAGE))
+    @example(case=(ModelSpec.per_exposure_shock(1 / 6, 0.5, 0.05), 9, 6, 0.99,
+                   TvarConvention.CONDITIONAL))
+    @example(case=(ModelSpec.common_shock(0.001, 0.999, 0.05), 3, 6, 0.95,
+                   TvarConvention.CONDITIONAL))
+    @example(case=(ModelSpec.common_shock(0.001, 0.999, 0.05), 3, 6, 0.96,
+                   TvarConvention.TAIL_AVERAGE))
     @settings(max_examples=150, deadline=None)
     def test_bits_equal_the_dense_reader(self, case):
         # The iid model is one stored binomial, read with its bits.  A shock

@@ -16,7 +16,7 @@ from riskdiv.models import ModelKind, PortfolioParams
 from riskdiv.cli import cli_main
 from riskdiv.montecarlo import SimulationConfig
 from riskdiv.pricing import price_policy, risk_loading_per_policy
-from riskdiv import measures, models, reference
+from riskdiv import binom, distributions, measures, models, reference
 from riskdiv.reference import (
     TableParseError,
     compare_with_reference,
@@ -329,12 +329,16 @@ class TestStateTermMemo:
                 price_policy(model, PortfolioParams(), N, RiskMeasureSpec(kind, 0.99))
 
     def test_a_warm_memo_changes_no_byte(self):
+        # Every memo a build reads is cleared before each cold build.
+        memos = (models._side, models._state_term, models._round_weights, models.exact_decimal,
+                 models._exact_mean, measures._term_reader, binom.small_tail,
+                 distributions._component_cdf)
         reqs = (TableRequest(table_id="T3"), self.T4, self.T4_MC, TableRequest(table_id="T5"))
         cold = []
         for req in reqs:
-            models._state_term.cache_clear()
+            for memo in memos:
+                memo.cache_clear()
             cold.append(render_csv(build_table(req)))
-        models._state_term.cache_clear()
         warm = [render_csv(build_table(req)) for req in reqs]
         assert warm == cold
 
