@@ -424,7 +424,7 @@ def cdf_reaches(recipe: tuple, k: int, alpha: float) -> bool:
     """exact_cdf_at(recipe, k) >= alpha, in double precision wherever the error bound decides it.
 
     The quantile bisection's probe at the counts whose double cdf lies in
-    the plateau band (measures._quantile_index), on the state terms'
+    the plateau band (measures._var_count), on the state terms'
     components (exact_cdf_at), so it needs no stored mixture.  It takes the
     small-tail residual's sign (_residual_sign) when the residual's error
     bound decides it, and otherwise compares exact_cdf_at in mpmath, which

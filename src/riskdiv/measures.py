@@ -206,7 +206,7 @@ def _windows(readers) -> list[tuple[int, int]]:
     return merged
 
 
-def _quantile_index(windows: list[tuple[int, int]], cdf, recipe: tuple, alpha: float) -> int:
+def _var_count(windows: list[tuple[int, int]], cdf, recipe: tuple, alpha: float) -> int:
     """The smallest count whose cdf reaches alpha, decided exactly on a plateau.
 
     windows are the terms' merged windows (_windows), cdf(k) the terms' cdf
@@ -282,7 +282,7 @@ def var_and_tvar(
     constant.  VaR is the smallest count k with cdf(k) >= alpha, found by
     bisecting the terms' merged windows (_windows) at their tops, then the
     counts of the one window that crosses, with the exact cdf's probe
-    inside the plateau band (_quantile_index); TVaR is tail_value at the
+    inside the plateau band (_var_count); TVaR is tail_value at the
     VaR, with at = sum_j w_j pmf_j(v) and beyond = sum_j w_j times the
     term's sum of k * pmf_j(k) over k > v.  No sum goes through BLAS.  A
     lone binomial, and so the iid model, is read with the bits of its
@@ -306,7 +306,7 @@ def var_and_tvar(
             total += w * (r.floor if k < r.lo else r.top if k >= r.hi else r.cdf(k))
         return total
 
-    var_count = _quantile_index(_windows(r for _, r in terms), cdf, recipe, alpha)
+    var_count = _var_count(_windows(r for _, r in terms), cdf, recipe, alpha)
     at = beyond = 0.0
     for w, r in terms:
         at += w * r.mass(var_count)

@@ -225,7 +225,7 @@ def dense_search(terms, alpha):
     as one window.
     """
     d, recipe = dense_law(terms), tuple(t.component for t in terms)
-    return measures._quantile_index([(d.min_count, d.max_count)],
+    return measures._var_count([(d.min_count, d.max_count)],
                                     lambda k: d.cdf[k - d.min_count], recipe, alpha)
 
 
@@ -625,7 +625,7 @@ def outcome(read, *args):
 
 
 @pytest.mark.filterwarnings("ignore:crisis_prob > 0.5", "ignore:crisis_loss_prob <= loss_prob")
-class TestOccupiedWindows:
+class TestSideReaders:
     """The exact measures read each term off its sides, within derived rounding bounds."""
 
     @given(case=exact_quotes())

@@ -329,18 +329,16 @@ class TestStateTermMemo:
                 price_policy(model, PortfolioParams(), N, RiskMeasureSpec(kind, 0.99))
 
     def test_a_warm_memo_changes_no_byte(self):
-        # Every memo a build reads is cleared before each cold build.
+        # Every memo a build reads is cleared before each cold build, and the
+        # warm build straight after it reads the memos that table filled.
         memos = (models._side, models._state_term, models._round_weights, models.exact_decimal,
                  models._exact_mean, measures._term_reader, binom.small_tail,
                  distributions._component_cdf)
-        reqs = (TableRequest(table_id="T3"), self.T4, self.T4_MC, TableRequest(table_id="T5"))
-        cold = []
-        for req in reqs:
+        for req in (TableRequest(table_id="T3"), self.T4, self.T4_MC, TableRequest(table_id="T5")):
             for memo in memos:
                 memo.cache_clear()
-            cold.append(render_csv(build_table(req)))
-        warm = [render_csv(build_table(req)) for req in reqs]
-        assert warm == cold
+            cold = render_csv(build_table(req))
+            assert render_csv(build_table(req)) == cold, req.table_id
 
 
 class TestSeedSweep:
