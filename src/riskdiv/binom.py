@@ -8,9 +8,10 @@ by the ratio of consecutive terms,
 
     t(j + 1) / t(j) = (n - j) p / ((j + 1) q),    q = 1 - p,
 
-accumulated outward with np.cumprod.  pmf_window anchors at the mode and
-fills a window of counts; small_tail sums the window of a tail's terms
-that can matter, which pmf_window anchors at the tail's first term.
+multiplied out from the anchor with np.multiply.accumulate, straight into
+the window.  pmf_window anchors at the mode and fills a window of counts;
+small_tail sums the window of a tail's terms that can matter, which
+pmf_window anchors at the tail's first term.
 """
 
 from __future__ import annotations
@@ -100,12 +101,14 @@ def pmf(k: int, n: int, p: float) -> float:
     return math.exp(lc - 0.5 * lf)
 
 
+@lru_cache(maxsize=256)
 def _odds(p: float) -> tuple[float, float]:
     """c = p / (1 - p) to the nearest double, and delta with c = p / (1 - p) · (1 + delta).
 
     q = 1 - p is q_hi + q_lo exactly (both subtractions are exact, by
     Sterbenz), and c·q_hi is split exactly by Dekker's product, so delta
-    is exact to first order.
+    is exact to first order.  Memoised per p: a model's sides share few
+    probabilities.
     """
     q_hi = 1.0 - p
     q_lo = (1.0 - q_hi) - p
@@ -126,29 +129,35 @@ def pmf_window(n: int, p: float, lo: int, hi: int) -> np.ndarray:
 
     The anchor is the mode, clamped into the window, and the terms either
     side are its running products with the term ratios (n - j) / (j + 1) · c,
-    c = p / (1 - p), so they fall away from it and nothing overflows.  The
-    rounding of c would tilt a term i steps out by i·delta (_odds); each
-    term is scaled back by 1 - (j - mode)·delta.  A term's bits depend on
-    (n, p, j) and the anchor only: widening a window that holds the mode
-    changes none of them.
+    c = p / (1 - p), so they fall away from it and nothing overflows.  Each
+    chain of ratios is formed in place from the aranges of its numerators
+    and denominators and multiplied out straight into its half of the
+    window.  The rounding of c would tilt a term i steps out by i·delta
+    (_odds); each term is scaled back by 1 - (j - mode)·delta.  A term's
+    bits depend on (n, p, j) and the anchor only: widening a window that
+    holds the mode changes none of them.
     """
     c, delta = _odds(p)
     m = min(max(int((n + 1) * p), lo), hi)
-    j = np.arange(lo, hi + 1, dtype=np.float64)
-    a, b = n - j[:-1], j[1:]  # t(j + 1) / t(j) = (a / b) c
     out = np.empty(hi - lo + 1)
     i = m - lo
     out[i] = t = pmf(m, n, p)
-    if i < hi - lo:
-        up = a[i:] / b[i:] * c
+    if m < hi:
+        up = np.arange(n - m, n - hi, -1, dtype=np.float64)
+        up /= np.arange(m + 1, hi + 1, dtype=np.float64)
+        up *= c
         up[0] *= t
-        out[i + 1 :] = np.cumprod(up)
+        np.multiply.accumulate(up, out=out[i + 1 :])
     if i:
-        down = b[i - 1 :: -1] / a[i - 1 :: -1] / c
+        down = np.arange(m, lo, -1, dtype=np.float64)
+        down /= np.arange(n - m + 1, n - lo + 1, dtype=np.float64)
+        down /= c
         down[0] *= t
-        out[i - 1 :: -1] = np.cumprod(down)
+        np.multiply.accumulate(down, out=out[i - 1 :: -1])
     if delta:
-        out *= 1.0 - (j - m) * delta
+        tilt = np.arange(lo - m, hi - m + 1, dtype=np.float64)
+        tilt *= delta
+        out *= np.subtract(1.0, tilt, out=tilt)
     return out
 
 

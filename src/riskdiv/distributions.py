@@ -69,7 +69,7 @@ class DiscreteLossDistribution:
         if m.ndim != 1 or m.size == 0:
             raise ValueError("masses must be a nonempty 1-D array")
         # Written so that NaN fails each check.
-        if not np.all(m >= 0.0):
+        if not (m >= 0.0).all():
             raise ValueError("masses must be nonnegative")
         if not (self.truncated_below >= 0.0 and self.truncated_above >= 0.0):
             raise ValueError("truncated mass must be nonnegative")
@@ -112,20 +112,28 @@ def compensated_cdf(anchor: float, masses: np.ndarray) -> np.ndarray:
     The recurrence is formed in whole-array steps with the sequential
     loop's operations in its order, so the bits are the loop's.  Its
     running sum s is the plain left-to-right sum from the anchor, which
-    np.cumsum computes (add.accumulate is sequential, not pairwise).  Each
-    step's rounding error is (big - s) + small, where big is the larger of
-    the previous sum and the term and small the other: the loop's own
-    branch, |s_prev| >= |x|, chosen elementwise, as no value is negative.
-    The corrections then accumulate from 0.0, again left to right, and
-    prefix i is s_i + c_i.  A mass of exactly 0.0 leaves s unchanged and
+    np.add.accumulate computes in place in a buffer that starts with the
+    anchor (it is sequential, not pairwise).  Each step's rounding error is
+    (big - s) + small, where big is the larger of the previous sum and the
+    term and small the other: the loop's own branch, |s_prev| >= |x|,
+    chosen elementwise, as no value is negative.  The corrections then
+    accumulate in place from 0.0, again left to right, and prefix i is
+    s_i + c_i, added into s.  A mass of exactly 0.0 leaves s unchanged and
     adds an error of 0.0, so dropping zero masses changes no other prefix's
     bits.
     """
-    s = np.cumsum(np.concatenate(([anchor], masses)))
+    s = np.empty(len(masses) + 1)
+    s[0], s[1:] = anchor, masses
+    np.add.accumulate(s, out=s)
     prev, t = s[:-1], s[1:]
-    e = (np.maximum(prev, masses) - t) + np.minimum(prev, masses)
-    c = np.cumsum(np.concatenate(([0.0], e)))[1:]
-    return t + c
+    c = np.empty_like(s)
+    c[0], e = 0.0, c[1:]
+    np.maximum(prev, masses, out=e)
+    e -= t
+    e += np.minimum(prev, masses)
+    np.add.accumulate(c, out=c)
+    t += e
+    return t
 
 
 def point_mass(count: int) -> DiscreteLossDistribution:
@@ -171,8 +179,8 @@ def binomial(trials: int, prob: float) -> DiscreteLossDistribution:
     hi = min(trials, math.ceil(mean + margin))
     pmf = pmf_window(trials, prob, lo, hi)
 
-    keep = np.nonzero(pmf >= TRUNCATION_EPS)[0]
-    i, e = int(keep[0]), int(keep[-1]) + 1
+    keep = pmf >= TRUNCATION_EPS
+    i, e = int(keep.argmax()), len(pmf) - int(keep[::-1].argmax())
     masses = pmf[i:e]
     below = float(pmf[:i].sum()) if i else 0.0
     above = float(pmf[e:].sum()) if e < len(pmf) else 0.0

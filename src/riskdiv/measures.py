@@ -91,85 +91,92 @@ class _OneSide:
     def __init__(self, law: DiscreteLossDistribution):
         self.lo, self.hi = law.min_count, law.max_count
         self._masses, self._cdf = law.masses, law.cdf
-        self.floor, self.top = law.truncated_below, self._cdf[-1]
+        self.floor, self.top = law.truncated_below, self._cdf.item(-1)
 
     def cdf(self, k: int) -> float:
-        return self._cdf[k - self.lo]
+        return self._cdf.item(k - self.lo)
 
     def mass(self, v: int) -> float:
-        return self._masses[v - self.lo] if self.lo <= v <= self.hi else 0.0
+        return self._masses.item(v - self.lo) if self.lo <= v <= self.hi else 0.0
 
     def beyond(self, v: int) -> float:
         """Sum of k * mass over the stored counts k > v: one numpy product-sum."""
         start = max(v + 1, self.lo)
-        return (np.arange(start, self.hi + 1) * self._masses[start - self.lo :]).sum()
+        return float((np.arange(start, self.hi + 1) * self._masses[start - self.lo :]).sum())
 
 
 class _TwoSides:
     """A state term X + Y read off its two sides' stored laws, never their convolution.
 
-    X is the shorter side, with masses a at its counts x_i, and Y has masses
-    b and the cumulative window C_Y = compensated_cdf(Y.truncated_below, b),
+    X is the shorter side, with masses a at its n counts x_i, and Y has
+    masses b and the cumulative window C_Y = compensated_cdf(Y.truncated_below, b),
     its stored cdf's bits.  Then
 
         F(k) = X.truncated_below + sum_i a[i] C_Y(k - x_i),
 
-    where C_Y is Y.truncated_below below its window and its top above it:
-    one numpy product-sum of a with C_Y read at k - x_i, each index clipped
-    to the window (_read), so a probe costs one product-sum over len(a)
-    terms wherever k lies, no sum goes through BLAS, and F is monotone in k
-    to the last bit: each read of C_Y is, and the sum always has the same
-    shape.  pmf(k) and the tail sums read b and Y's reverse running sums the
-    same way.  floor and top are F below and above the window; cdf is
-    called for lo <= k < hi.
+    where C_Y is Y.truncated_below below its window and its top above it.
+    Each array read over Y's counts is stored once, padded on both sides
+    with n + 1 copies of its value beyond Y's window (_padded), so its
+    values at k - x_i for every i are one reversed slice wherever k lies
+    in the term's window: a probe costs one numpy product-sum over n terms,
+    no sum goes through BLAS, and F is monotone in k to the last bit: each
+    read of C_Y is, and the sum always has the same shape.  pmf(k) and the
+    tail sums read b and Y's reverse running sums the same way.  floor and
+    top are F below and above the window; cdf is called for lo <= k < hi.
     """
 
     def __init__(self, x: DiscreteLossDistribution, y: DiscreteLossDistribution):
         self.lo, self.hi = x.min_count + y.min_count, x.max_count + y.max_count
         self._a, self._xs, self._x_below, self._y = x.masses, x.counts, x.truncated_below, y
-        # Index of count k - x_i in an array over Y's counts from y.min_count - 1.
-        self._index = np.arange(x.min_count, x.max_count + 1) + (y.min_count - 1)
-        self._c = np.concatenate(([y.truncated_below],
-                                  distributions.compensated_cdf(y.truncated_below, y.masses)))
-        self.floor, self.top = self.cdf(self.lo - 1), self.cdf(self.hi)
+        self._n = len(x.masses)
+        # A padded array holds Y's count k - x_i at index k - _shift - i.
+        self._shift = self.lo - (self._n + 1)
+        c = distributions.compensated_cdf(y.truncated_below, y.masses)
+        self._c = self._padded(y.truncated_below, c, c[-1])
+        self.floor = self._x_below + float(_add(self._a * y.truncated_below))
+        self.top = self._x_below + float(_add(self._a * c[-1]))
 
-    def _read(self, values: np.ndarray, k: int) -> np.ndarray:
-        """values at count k - x_i of Y for each count x_i of X, the index clipped to values.
-
-        values[t] belongs to Y's count y.min_count - 1 + t, so its first
-        value stands for every count below Y's window and its last for every
-        count from its last index on.
-        """
-        return values.take(k - self._index, mode="clip")
+    def _padded(self, below: float, values: np.ndarray, above: float) -> np.ndarray:
+        """values over Y's counts from its first, between n + 1 copies of below and of above."""
+        p = self._n + 1
+        out = np.empty(len(values) + 2 * p)
+        out[:p], out[p : p + len(values)], out[p + len(values) :] = below, values, above
+        return out
 
     def cdf(self, k: int) -> float:
-        return self._x_below + _add(self._a * self._read(self._c, k))
+        t = k - self._shift
+        return self._x_below + float(_add(self._a * self._c[t : t - self._n : -1]))
 
     @cached_property
     def _b(self) -> np.ndarray:
-        return np.concatenate(([0.0], self._y.masses, [0.0]))
+        return self._padded(0.0, self._y.masses, 0.0)
 
     def mass(self, v: int) -> float:
-        return _add(self._a * self._read(self._b, v)) if self.lo <= v <= self.hi else 0.0
+        if not self.lo <= v <= self.hi:
+            return 0.0
+        t = v - self._shift
+        return float(_add(self._a * self._b[t : t - self._n : -1]))
 
     @cached_property
     def _y_tails(self) -> tuple[np.ndarray, np.ndarray]:
-        """(S, E): S[t] and E[t] sum b and y * b over Y's counts from its t-th on.
+        """(S, E): S and E sum b and y * b over Y's counts above each count, padded.
 
-        Each is one np.cumsum from Y's top count down (add.accumulate is
-        sequential), with 0 past Y's last count.
+        Each is one np.add.accumulate from Y's top count down (it is
+        sequential), 0 from Y's last count on and the whole sum below its
+        first.
         """
         y = self._y
-        return tuple(np.concatenate((np.cumsum(m[::-1])[::-1], [0.0]))
-                     for m in (y.masses, y.counts * y.masses))
+        sums = (np.add.accumulate(m[::-1])[::-1] for m in (y.masses, y.counts * y.masses))
+        return tuple(self._padded(s[0], s[1:], 0.0) for s in sums)
 
     def beyond(self, v: int) -> float:
         """Sum of k * pmf(k) over k > v: sum_i a[i] (x_i S_Y(v - x_i) + E_Y(v - x_i))."""
         if v >= self.hi:
             return 0.0
-        v = max(v, self.lo - 1)
+        t = max(v, self.lo - 1) - self._shift
         tail, moment = self._y_tails
-        return _add(self._a * (self._xs * self._read(tail, v) + self._read(moment, v)))
+        return float(_add(self._a * (self._xs * tail[t : t - self._n : -1]
+                                     + moment[t : t - self._n : -1])))
 
 
 _add = np.add.reduce

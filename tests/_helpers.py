@@ -444,3 +444,96 @@ def tvar_error(var_count, at, reached, beyond, alpha, convention, e_at, e_reache
     tvar = mass / weight
     # The bound's own float arithmetic is covered by a relative 1e-9.
     return ((e_m + abs(tvar) * e_w) / (weight - e_w) + 2 * u * abs(tvar)) * (1 + 1e-9)
+
+
+# The side kernel and the two-sided reads before they were rewritten in
+# place: each keeps the earlier code verbatim, so the tests can require the
+# new code to give the same bits.
+
+def cumprod_pmf_window(n: int, p: float, lo: int, hi: int) -> np.ndarray:
+    """binom.pmf_window with each ratio chain built from slices and summed by np.cumprod."""
+    from riskdiv.binom import _odds, pmf
+
+    c, delta = _odds(p)
+    m = min(max(int((n + 1) * p), lo), hi)
+    j = np.arange(lo, hi + 1, dtype=np.float64)
+    a, b = n - j[:-1], j[1:]  # t(j + 1) / t(j) = (a / b) c
+    out = np.empty(hi - lo + 1)
+    i = m - lo
+    out[i] = t = pmf(m, n, p)
+    if i < hi - lo:
+        up = a[i:] / b[i:] * c
+        up[0] *= t
+        out[i + 1 :] = np.cumprod(up)
+    if i:
+        down = b[i - 1 :: -1] / a[i - 1 :: -1] / c
+        down[0] *= t
+        out[i - 1 :: -1] = np.cumprod(down)
+    if delta:
+        out *= 1.0 - (j - m) * delta
+    return out
+
+
+def nonzero_binomial(trials: int, prob: float) -> DiscreteLossDistribution:
+    """distributions.binomial for 0 < prob < 1 on cumprod_pmf_window, its stored window found by
+    np.nonzero."""
+    from riskdiv.distributions import _BERNSTEIN_L, TRUNCATION_EPS
+
+    mean = trials * prob
+    sd = max(math.sqrt(trials * prob * (1.0 - prob)), 1.0)
+    margin = _BERNSTEIN_L / 3.0 + math.sqrt(_BERNSTEIN_L**2 / 9.0 + 2.0 * _BERNSTEIN_L * sd * sd)
+    lo = max(0, math.floor(mean - margin))
+    hi = min(trials, math.ceil(mean + margin))
+    pmf = cumprod_pmf_window(trials, prob, lo, hi)
+
+    keep = np.nonzero(pmf >= TRUNCATION_EPS)[0]
+    i, e = int(keep[0]), int(keep[-1]) + 1
+    masses = pmf[i:e]
+    below = float(pmf[:i].sum()) if i else 0.0
+    above = float(pmf[e:].sum()) if e < len(pmf) else 0.0
+    total = float(masses.sum()) + below + above
+    return DiscreteLossDistribution(lo + i, masses / total, below / total, above / total)
+
+
+def concatenated_cdf(anchor: float, masses: np.ndarray) -> np.ndarray:
+    """distributions.compensated_cdf with each running sum taken over a fresh concatenation."""
+    s = np.cumsum(np.concatenate(([anchor], masses)))
+    prev, t = s[:-1], s[1:]
+    e = (np.maximum(prev, masses) - t) + np.minimum(prev, masses)
+    c = np.cumsum(np.concatenate(([0.0], e)))[1:]
+    return t + c
+
+
+class ClippedReads:
+    """measures._TwoSides reading Y's arrays by gathers clipped to them (take(..., mode="clip")).
+
+    Each array over Y's counts starts at count Y.min_count - 1, so a gather
+    clipped to it reads its first value below Y's window and its last above.
+    """
+
+    def __init__(self, x: DiscreteLossDistribution, y: DiscreteLossDistribution):
+        self.lo, self.hi = x.min_count + y.min_count, x.max_count + y.max_count
+        self._a, self._xs, self._x_below = x.masses, x.counts, x.truncated_below
+        self._index = np.arange(x.min_count, x.max_count + 1) + (y.min_count - 1)
+        self._c = np.concatenate(([y.truncated_below],
+                                  concatenated_cdf(y.truncated_below, y.masses)))
+        self._b = np.concatenate(([0.0], y.masses, [0.0]))
+        self._tail, self._moment = (np.concatenate((np.cumsum(m[::-1])[::-1], [0.0]))
+                                    for m in (y.masses, y.counts * y.masses))
+        self.floor, self.top = self.cdf(self.lo - 1), self.cdf(self.hi)
+
+    def _read(self, values: np.ndarray, k: int) -> np.ndarray:
+        return values.take(k - self._index, mode="clip")
+
+    def cdf(self, k: int) -> float:
+        return self._x_below + np.add.reduce(self._a * self._read(self._c, k))
+
+    def mass(self, v: int) -> float:
+        return np.add.reduce(self._a * self._read(self._b, v)) if self.lo <= v <= self.hi else 0.0
+
+    def beyond(self, v: int) -> float:
+        if v >= self.hi:
+            return 0.0
+        v = max(v, self.lo - 1)
+        return np.add.reduce(self._a * (self._xs * self._read(self._tail, v)
+                                        + self._read(self._moment, v)))

@@ -13,7 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from _helpers import binomial_terms, pointwise_distance, recipe_of
+from _helpers import (
+    binomial_terms,
+    concatenated_cdf,
+    cumprod_pmf_window,
+    nonzero_binomial,
+    pointwise_distance,
+    recipe_of,
+)
 from riskdiv import binom, distributions
 from riskdiv.distributions import (
     TRUNCATION_BUDGET,
@@ -117,6 +124,24 @@ def mass_vectors(draw):
     return np.array(masses), below
 
 
+@st.composite
+def kernel_windows(draw):
+    """(n, p, lo, hi): a window of Bin(n, p) holding its mode or with the mode clamped to an end."""
+    n = draw(st.integers(1, 10**6))
+    p = draw(st.one_of(st.sampled_from([1 / 6, 0.25, 0.5]), st.floats(1e-12, 1.0 - 1e-12)))
+    mode = int((n + 1) * p)
+    width = draw(st.integers(0, 3000))
+    where = draw(st.sampled_from(["holds", "above", "below"] if 0 < mode < n else ["holds"]))
+    if where == "above":  # the mode lies above the window: clamped to hi
+        hi = draw(st.integers(0, mode - 1))
+        return n, p, max(0, hi - width), hi
+    if where == "below":  # the mode lies below the window: clamped to lo
+        lo = draw(st.integers(mode + 1, n))
+        return n, p, lo, min(n, lo + width)
+    lo = max(0, mode - draw(st.integers(0, width)))
+    return n, p, lo, min(n, mode + draw(st.integers(0, width)))
+
+
 # Reference table T1 probabilities (published at five decimals).
 T1_PMF = [0.33490, 0.40188, 0.20094, 0.05358, 0.00804, 0.00064, 0.00002]
 T1_CDF = [0.33490, 0.73678, 0.93771, 0.99130, 0.99934, 0.99998, 1.00000]
@@ -199,6 +224,27 @@ class TestBinomial:
         want = exact_tails(trials, prob, k)[upper]
         if want >= sys.float_info.min:
             assert abs(mp.mpf(tail) - want) <= bound * want, point
+
+    @given(window=kernel_windows())
+    @example(window=(10**6, 0.5, 499_000, 501_000))  # delta = 0
+    @example(window=(6, 1 / 6, 0, 6))
+    @example(window=(1, 0.25, 1, 1))
+    @settings(max_examples=200, deadline=None)
+    def test_side_kernel_bits_equal_the_cumprod_kernel(self, window):
+        # pmf_window, binomial and compensated_cdf keep the bits of the
+        # kernel that built its ratio chains from slices and np.cumprod,
+        # found the stored window by np.nonzero and summed the cdf over
+        # fresh concatenations.
+        n, p, lo, hi = window
+        assert (binom.pmf_window(n, p, lo, hi).tobytes()
+                == cumprod_pmf_window(n, p, lo, hi).tobytes())
+        got, want = binomial(n, p), nonzero_binomial(n, p)
+        assert got.min_count == want.min_count
+        assert got.masses.tobytes() == want.masses.tobytes()
+        assert got.truncated_below == want.truncated_below
+        assert got.truncated_above == want.truncated_above
+        assert (distributions.compensated_cdf(got.truncated_below, got.masses).tobytes()
+                == concatenated_cdf(got.truncated_below, got.masses).tobytes())
 
     def test_import_does_not_load_scipy_stats(self):
         # Nor any other part of scipy.  A subprocess, because other test

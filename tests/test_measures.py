@@ -14,6 +14,7 @@ from mpmath import mpf
 from scipy import stats
 
 from _helpers import (
+    ClippedReads,
     ExactTerm,
     band_edges,
     binomial_terms,
@@ -691,6 +692,34 @@ class TestSideReaders:
                              gamma(r["pmf"]) * at + under, gamma(r["cdf"]) * reached + under,
                              gamma(r["beyond"]) * beyond + under) for r in (reader, dense)]
         assert abs(got[1] - want[1]) <= sum(errors)
+
+    @pytest.mark.parametrize("p, q, N, n", [
+        # X a point mass: the normal side of the per-exposure shock at p = 0.
+        (0.0, 0.5, 10, 6),
+        # Sides of equal length at j = 3 (p = q).
+        (0.3, 0.3, 10, 6),
+        # N = 1: sides of 2 to 6 counts, where most reads land on the padding.
+        (1 / 6, 0.5, 1, 6),
+        # Both sides' windows start above 0.
+        (1 / 6, 0.5, 1000, 6),
+    ])
+    def test_padded_reads_equal_the_clipped_gathers(self, p, q, N, n):
+        # Every read of a two-sided term, in its window and on its padded
+        # edges, has the bits of a gather clipped to Y's arrays.
+        model = ModelSpec.per_exposure_shock(p, q, 0.05)
+        two_sided = [t for t in state_terms(model, N, n) if len(sides(t)) == 2]
+        assert two_sided
+        for term in two_sided:
+            got = measures._term_reader(term.crisis, term.normal)
+            want = ClippedReads(*sorted(sides(term), key=lambda d: len(d.masses)))
+            lo, hi = want.lo, want.hi
+            assert (got.lo, got.hi) == (lo, hi)
+            assert [got.floor, got.top] == [want.floor, want.top]
+            assert [got.cdf(k) for k in range(lo, hi)] == [want.cdf(k) for k in range(lo, hi)]
+            assert ([got.mass(v) for v in range(lo, hi + 1)]
+                    == [want.mass(v) for v in range(lo, hi + 1)])
+            assert ([got.beyond(v) for v in range(lo - 1, hi + 1)]
+                    == [want.beyond(v) for v in range(lo - 1, hi + 1)])
 
     @given(case=exact_quotes())
     # The tail crosses the gap to the crisis hump, and the gaps between the

@@ -332,7 +332,7 @@ class TestStateTermMemo:
         # Every memo a build reads is cleared before each cold build, and the
         # warm build straight after it reads the memos that table filled.
         memos = (models._side, models._state_term, models._round_weights, models.exact_decimal,
-                 models._exact_mean, measures._term_reader, binom.small_tail,
+                 models._exact_mean, measures._term_reader, binom.small_tail, binom._odds,
                  distributions._component_cdf)
         for req in (TableRequest(table_id="T3"), self.T4, self.T4_MC, TableRequest(table_id="T5")):
             for memo in memos:
